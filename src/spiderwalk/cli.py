@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .errors import SpiderwalkError
+from .errors import InvalidParamsError, SpiderwalkError
 from .graph import SpidernetParams, build_spidernet
 from .localization import (
     amplitude,
@@ -118,6 +118,12 @@ def _add_abc_or_pqr(sub) -> None:
                      default=None, help="raw reduced parameters instead of a b c")
 
 
+def _count(value: int, flag: str) -> int:
+    if value < 0:
+        raise InvalidParamsError(f"{flag} must be non-negative, got {value}")
+    return value
+
+
 def _require_abc(args) -> SpidernetParams:
     if args.a is None or args.b is None or args.c is None:
         raise SpiderwalkError("this command needs the spidernet parameters a b c")
@@ -128,8 +134,8 @@ def _require_abc(args) -> SpidernetParams:
 
 def _cmd_simulate(args) -> int:
     sp = _require_abc(args)
-    steps = args.steps
-    n_strata = args.strata if args.strata is not None else min(steps, 6)
+    steps = _count(args.steps, "--steps")
+    n_strata = _count(args.strata, "--strata") if args.strata is not None else min(steps, 6)
     columns = ["n", "p_origin"] + [f"p_stratum_{l}" for l in range(1, n_strata + 1)]
     rows = []
     if args.full:
@@ -143,7 +149,7 @@ def _cmd_simulate(args) -> int:
                         [float(dist[l]) for l in range(1, n_strata + 1)])
     else:
         params = params_from_spidernet(sp)
-        ev = ReducedEvolver(params, ReducedState.origin(), steps)
+        ev = ReducedEvolver(params, ReducedState.origin(), steps, reach=n_strata)
         for n in range(steps + 1):
             if n > 0:
                 ev.step()
@@ -176,7 +182,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_amplitude(args) -> int:
     params = _pq_from_args(args)
     law = law_from_pq(params)
-    l, m, nmax = args.l, args.m, args.nmax
+    l, m, nmax = args.l, args.m, _count(args.nmax, "--nmax")
     # reduced-walk side: evolve Psi_m once, read <Psi_l, .> per step
     from .reduction import inner, reduced_step, stratum_state
     psi_l = stratum_state(params, l)
@@ -229,8 +235,9 @@ def _cmd_figure2(args) -> int:
 def _cmd_rwalk(args) -> int:
     params = _pq_from_args(args)
     law = law_from_pq(params)
+    nmax = _count(args.nmax, "--nmax")
     columns = ["n", "return_probability"]
-    rows = [[n, random_walk_return(law, n)] for n in range(args.nmax + 1)]
+    rows = [[n, random_walk_return(law, n)] for n in range(nmax + 1)]
     _emit(columns, rows, args)
     return 0
 

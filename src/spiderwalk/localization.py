@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotLocalizedError
+from .errors import InvalidParamsError, NotLocalizedError
 from .graph import SpidernetParams
 from .meixner import (
     FreeMeixnerLaw,
@@ -149,16 +149,17 @@ def cesaro_strata(params: PqParams, horizon: int, max_stratum: int) -> np.ndarra
     horizon N, starting from the isotropic root state.
     """
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
     if max_stratum < 0:
-        raise ValueError("max_stratum must be non-negative")
-    ev = ReducedEvolver(params, ReducedState.origin(), horizon - 1)
-    strata = range(max_stratum + 1)
-    acc = np.array([ev.stratum_probability(l) for l in strata])
-    for _ in range(horizon - 1):
-        ev.step()
-        for l in strata:
-            acc[l] += ev.stratum_probability(l)
+        raise InvalidParamsError(f"max_stratum must be non-negative, got {max_stratum}")
+    ev = ReducedEvolver(params, ReducedState.origin(), horizon - 1, reach=max_stratum)
+    acc = np.zeros(max_stratum + 1)
+    for n in range(horizon):
+        if n > 0:
+            ev.step()
+        k = min(max_stratum, ev.active) + 1
+        acc[:k] += (np.abs(ev.xp[:k]) ** 2 + np.abs(ev.xo[:k]) ** 2
+                    + np.abs(ev.xm[:k]) ** 2)
     return acc / horizon
 
 
@@ -203,7 +204,9 @@ def origin_amplitude_series(params: PqParams, nmax: int) -> np.ndarray:
     One pass of the evolver; real values (the walk matrix is real and the
     initial state is real).
     """
-    ev = ReducedEvolver(params, ReducedState.origin(), nmax)
+    if nmax < 0:
+        raise InvalidParamsError(f"nmax must be non-negative, got {nmax}")
+    ev = ReducedEvolver(params, ReducedState.origin(), nmax, reach=0)
     out = np.empty(nmax + 1)
     out[0] = ev.origin_amplitude().real
     for k in range(1, nmax + 1):

@@ -211,19 +211,35 @@ class ReducedEvolver:
 
     Preallocates capacity for ``max_steps`` so that stepping never
     reallocates; exposes cheap per-step probability reads for Cesaro
-    accumulation.
+    accumulation.  The coefficients are float64 when the initial state is
+    real (the walk is real orthogonal, so they stay real) and complex128
+    otherwise.
+
+    ``reach`` is the largest stratum the caller will read.  A cell further
+    out than ``steps_left + reach`` cannot influence a read stratum before
+    the horizon, so a step updates only cells ``1 .. min(active,
+    steps_left + reach + 1)`` and the rest go stale: reads beyond
+    ``reach`` and :meth:`state` then raise.  ``reach=None`` steps the whole
+    support.
     """
 
-    def __init__(self, params: PqParams, state: ReducedState, max_steps: int):
+    def __init__(self, params: PqParams, state: ReducedState, max_steps: int,
+                 reach: int | None = None):
+        if max_steps < 0:
+            raise InvalidParamsError(f"max_steps must be non-negative, got {max_steps}")
+        if reach is not None and reach < 0:
+            raise InvalidParamsError(f"reach must be non-negative, got {reach}")
         self.params = params
-        cap = state.length + max_steps + 2
-        self.xp = np.zeros(cap, dtype=np.complex128)
-        self.xo = np.zeros(cap, dtype=np.complex128)
-        self.xm = np.zeros(cap, dtype=np.complex128)
+        self.reach = reach
+        coeffs = state.coefficients()
+        if not coeffs.imag.any():
+            coeffs = coeffs.real
         L = state.length
-        self.xp[:L + 1] = state.xp
-        self.xo[:L + 1] = state.xo
-        self.xm[:L + 1] = state.xm
+        cap = L + max_steps + 2
+        self.xp, self.xo, self.xm = np.zeros((3, cap), dtype=coeffs.dtype)
+        self.xp[:L + 1], self.xo[:L + 1], self.xm[:L + 1] = coeffs
+        # coined "+", coined "-" and a temporary, for at most cap - 2 cells
+        self._cp, self._cm, self._tmp = np.empty((3, cap - 2), dtype=coeffs.dtype)
         self.active = L
         self._left = max_steps
         p, q, r = params.p, params.q, params.r
@@ -234,30 +250,42 @@ class ReducedEvolver:
         self._com = 2 * np.sqrt(q * r)
         self._cmm = 2 * q - 1
 
+    @staticmethod
+    def _mix(vp, vo, vm, c_p, c_o, c_m, out, tmp) -> None:
+        # out = (c_p vp + c_o vo) + c_m vm; out may alias vo
+        np.multiply(vp, c_p, out=tmp)
+        np.multiply(vo, c_o, out=out)
+        np.add(tmp, out, out=out)
+        np.multiply(vm, c_m, out=tmp)
+        np.add(out, tmp, out=out)
+
     def step(self) -> None:
         if self._left <= 0:
             raise RadiusTooSmallError("evolver stepped past its preallocated horizon")
         self._left -= 1
         L = self.active
-        vp = self.xp[1:L + 1].copy()
-        vo = self.xo[1:L + 1]
-        vm = self.xm[1:L + 1]
-        cp = self._cpp * vp + self._cpo * vo + self._cpm * vm
-        co = self._cpo * vp + self._coo * vo + self._com * vm
-        cm = self._cpm * vp + self._com * vo + self._cmm * vm
-        cp0 = self.xp[0]
+        M = L if self.reach is None else min(L, self._left + self.reach + 1)
+        vp, vo, vm = self.xp[1:M + 1], self.xo[1:M + 1], self.xm[1:M + 1]
+        cp, cm, tmp = self._cp[:M], self._cm[:M], self._tmp[:M]
+        self._mix(vp, vo, vm, self._cpp, self._cpo, self._cpm, cp, tmp)
+        self._mix(vp, vo, vm, self._cpm, self._com, self._cmm, cm, tmp)
+        self._mix(vp, vo, vm, self._cpo, self._coo, self._com, vo, tmp)
         # shift: coined "+" moves up into "-", coined "-" moves down into "+"
-        self.xm[2:L + 2] = cp
-        self.xm[1] = cp0
-        self.xp[0:L] = cm
-        self.xp[L:L + 2] = 0.0
-        self.xo[1:L + 1] = co
+        self.xm[1] = self.xp[0]
+        self.xm[2:M + 2] = cp
+        self.xp[0:M] = cm
+        self.xp[M:M + 2] = 0.0
         self.active = L + 1
 
     def origin_probability(self) -> float:
         return float(np.abs(self.xp[0]) ** 2)
 
     def stratum_probability(self, stratum: int) -> float:
+        if stratum < 0:
+            raise InvalidParamsError(f"stratum must be non-negative, got {stratum}")
+        if self.reach is not None and stratum > self.reach:
+            raise RadiusTooSmallError(
+                f"stratum {stratum} lies beyond the evolver's reach {self.reach}")
         if stratum > self.active:
             return 0.0
         return float(np.abs(self.xp[stratum]) ** 2 + np.abs(self.xo[stratum]) ** 2
@@ -267,6 +295,9 @@ class ReducedEvolver:
         return complex(self.xp[0])
 
     def state(self) -> ReducedState:
+        if self.reach is not None:
+            raise RadiusTooSmallError(
+                "an evolver with a reach holds stale cells; build it with reach=None")
         L = self.active
         return ReducedState(self.xp[:L + 1].copy(), self.xo[:L + 1].copy(),
                             self.xm[:L + 1].copy())

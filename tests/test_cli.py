@@ -143,6 +143,18 @@ def test_error_reporting(capsys):
     assert "message" in json.loads(err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "4", "6", "3", "--steps", "-3"],
+    ["simulate", "4", "6", "3", "--steps", "4", "--strata", "-2"],
+    ["rwalk", "4", "6", "3", "--nmax", "-1"],
+    ["amplitude", "4", "6", "3", "--nmax", "-1"],
+], ids=["simulate-steps", "simulate-strata", "rwalk-nmax", "amplitude-nmax"])
+def test_negative_counts_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidParamsError"
+
+
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
     target = tmp_path / "direct.csv"
     code, out, _ = run_cli(capsys, "rwalk", "4", "6", "3", "--nmax", "2",

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from spiderwalk import (
+    InvalidParamsError,
     NotLocalizedError,
     PqParams,
     QuadratureSpec,
+    ReducedEvolver,
     ReducedState,
     SpidernetParams,
     amplitude,
@@ -19,6 +21,7 @@ from spiderwalk import (
     inner,
     law_from_pq,
     origin_amplitude_series,
+    params_from_spidernet,
     random_walk_return,
     reduced_shift,
     reduced_step,
@@ -125,6 +128,30 @@ def test_cesaro_origin_basics():
         cesaro_strata(P463, 5, -1)
 
 
+def _cesaro_strata_loop(params, horizon, max_stratum):
+    """Per-stratum reference: untruncated evolver, one read per stratum and step."""
+    ev = ReducedEvolver(params, ReducedState.origin(), horizon - 1)
+    strata = range(max_stratum + 1)
+    acc = np.array([ev.stratum_probability(l) for l in strata])
+    for _ in range(horizon - 1):
+        ev.step()
+        for l in strata:
+            acc[l] += ev.stratum_probability(l)
+    return acc / horizon
+
+
+@pytest.mark.parametrize("abc, horizon, max_stratum", [
+    ((4, 6, 3), 2000, 4),
+    ((5, 6, 4), 1500, 6),
+    ((3, 4, 3), 1000, 0),
+    ((4, 6, 3), 3, 7),          # more strata than the walk reaches
+])
+def test_cesaro_strata_matches_per_stratum_loop(abc, horizon, max_stratum):
+    params = params_from_spidernet(SpidernetParams(*abc))
+    assert np.array_equal(cesaro_strata(params, horizon, max_stratum),
+                          _cesaro_strata_loop(params, horizon, max_stratum))
+
+
 def test_cesaro_of_asymptotic_amplitude_is_half_w_squared():
     # long-run average of (w cos n theta)^2 -> w^2/2 by equidistribution
     n = np.arange(10_000)
@@ -175,3 +202,5 @@ def test_origin_amplitude_series():
         if n:
             state = reduced_step(P463, state)
         assert abs(amps[n] - inner(ReducedState.origin(), state).real) < 1e-14
+    with pytest.raises(InvalidParamsError):
+        origin_amplitude_series(P463, -1)

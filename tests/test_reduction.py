@@ -10,6 +10,7 @@ from spiderwalk import (
     ReducedEvolver,
     ReducedState,
     SpidernetParams,
+    SpiderwalkError,
     build_T,
     build_spidernet,
     cutoff_dim,
@@ -152,6 +153,111 @@ def test_evolver_horizon_guard():
     ev.step()
     with pytest.raises(RadiusTooSmallError):
         ev.step()
+
+
+def test_evolver_rejects_negative_counts():
+    with pytest.raises(InvalidParamsError):
+        ReducedEvolver(P463, ReducedState.origin(), -5)
+    with pytest.raises(InvalidParamsError):
+        ReducedEvolver(P463, ReducedState.origin(), 5, reach=-1)
+
+
+def test_evolver_read_guards():
+    ev = ReducedEvolver(P463, ReducedState.origin(), 2)
+    ev.step()
+    ev.step()
+    with pytest.raises(SpiderwalkError):
+        ev.stratum_probability(-3)            # would wrap to the array's tail
+    ev.state()
+
+    ev = ReducedEvolver(P463, ReducedState.origin(), 10, reach=2)
+    for _ in range(8):
+        ev.step()
+    ev.stratum_probability(2)
+    with pytest.raises(SpiderwalkError):
+        ev.stratum_probability(3)
+    with pytest.raises(SpiderwalkError):
+        ev.stratum_probability(-1)
+    with pytest.raises(SpiderwalkError):
+        ev.state()
+
+
+def _per_step_cells(ev, steps, upto):
+    """Coefficients of strata 0..upto after each of ``steps`` steps."""
+    cells = [np.stack([ev.xp[:upto + 1], ev.xo[:upto + 1], ev.xm[:upto + 1]])]
+    for _ in range(steps):
+        ev.step()
+        cells.append(np.stack([ev.xp[:upto + 1], ev.xo[:upto + 1], ev.xm[:upto + 1]]))
+    return np.array(cells)
+
+
+def _per_step_reads(ev, steps, reach):
+    rows = []
+    for n in range(steps + 1):
+        if n > 0:
+            ev.step()
+        rows.append([ev.origin_amplitude().real, ev.origin_probability()]
+                    + [ev.stratum_probability(l) for l in range(reach + 1)])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("params", [
+    params_from_spidernet(SpidernetParams(4, 6, 3)),    # localizing
+    params_from_spidernet(SpidernetParams(5, 6, 4)),    # threshold (b - c)^2 = c
+    params_from_spidernet(SpidernetParams(3, 4, 3)),    # tree, r = 0
+    PqParams(0.5, 0.5, 0.0),                            # r = 0 with p = q
+], ids=["S463", "S564", "S343", "r0"])
+def test_lightcone_truncation_is_exact(params):
+    N = 2000
+    full = ReducedEvolver(params, ReducedState.origin(), N)
+    assert full.xp.dtype == np.float64
+    full_cells = _per_step_cells(full, N, 4)
+    for reach in (0, 1, 4):
+        ev = ReducedEvolver(params, ReducedState.origin(), N, reach=reach)
+        assert np.array_equal(_per_step_cells(ev, N, reach),
+                              full_cells[:, :, :reach + 1])
+        reads = _per_step_reads(
+            ReducedEvolver(params, ReducedState.origin(), N, reach=reach), N, reach)
+        assert np.array_equal(reads, _per_step_reads(
+            ReducedEvolver(params, ReducedState.origin(), N), N, reach))
+
+
+def test_evolver_complex_state_is_phase_times_real():
+    rng = np.random.default_rng(7)
+    real = _random_reduced(rng, 5)
+    real = ReducedState(real.xp.real, real.xo.real, real.xm.real)
+    steps = 300
+    ev_real = ReducedEvolver(P463, real, steps)
+    assert ev_real.xp.dtype == np.float64
+    for _ in range(steps):
+        ev_real.step()
+    expected = ev_real.state().coefficients()
+    # multiplying by +-i is exact, so the result must be exactly +-i times the real one
+    for phase in (1j, -1j):
+        start = ReducedState(phase * real.xp, phase * real.xo, phase * real.xm)
+        ev = ReducedEvolver(P463, start, steps)
+        assert ev.xp.dtype == np.complex128
+        for _ in range(steps):
+            ev.step()
+        assert ev.xp.dtype == np.complex128
+        assert np.array_equal(ev.state().coefficients(), phase * expected)
+    # any other phase: real and imaginary parts evolve as two real states
+    phase = np.exp(0.7j)
+    parts = []
+    for scale in (phase.real, phase.imag):
+        ev = ReducedEvolver(P463, ReducedState(scale * real.xp, scale * real.xo,
+                                               scale * real.xm), steps)
+        for _ in range(steps):
+            ev.step()
+        parts.append(ev.state().coefficients())
+    ev = ReducedEvolver(P463, ReducedState(phase * real.xp, phase * real.xo,
+                                           phase * real.xm), steps)
+    for _ in range(steps):
+        ev.step()
+    got = ev.state().coefficients()
+    assert np.array_equal(got.real, parts[0].real)
+    assert np.array_equal(got.imag, parts[1].real)
+    assert np.max(np.abs(got - phase * expected)) < 1e-14
 
 
 def test_inner_and_stratum_state():

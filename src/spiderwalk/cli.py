@@ -39,12 +39,7 @@ from .reduction import (
     params_from_spidernet,
     u_eigensystem,
 )
-from .walk import (
-    evolve,
-    isotropic_initial_state,
-    step,
-    stratum_distribution,
-)
+from .walk import GraphEvolver, isotropic_initial_state
 
 __all__ = ["main"]
 
@@ -140,13 +135,14 @@ def _cmd_simulate(args) -> int:
     rows = []
     if args.full:
         g = build_spidernet(sp, steps + 2)
-        state = isotropic_initial_state(g)
+        ev = GraphEvolver(g, isotropic_initial_state(g))
         for n in range(steps + 1):
             if n > 0:
-                state = step(g, state)
-            dist = stratum_distribution(g, state)
-            rows.append([n, float(dist[0])] +
-                        [float(dist[l]) for l in range(1, n_strata + 1)])
+                ev.step()
+            # no amplitude reaches strata past the radius
+            dist = ev.stratum_distribution()
+            rows.append([n] + [float(p) for p in dist[:n_strata + 1]] +
+                        [0.0] * (n_strata - g.radius))
     else:
         params = params_from_spidernet(sp)
         ev = ReducedEvolver(params, ReducedState.origin(), steps, reach=n_strata)

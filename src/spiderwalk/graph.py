@@ -156,7 +156,7 @@ class Spidernet:
                 f"vertices={self.num_vertices}, half_edges={self.num_half_edges})")
 
 
-def _wiring_checks(params: SpidernetParams, sizes: np.ndarray) -> None:
+def _wiring_checks(params: SpidernetParams, sizes: list[int]) -> None:
     m = params.intra_degree
     if m == 0:
         return
@@ -200,19 +200,26 @@ def build_spidernet(params: SpidernetParams, radius: int,
     a, b, c = params.a, params.b, params.c
     m = params.intra_degree
 
-    sizes = np.array([1] + [a * c ** (j - 1) for j in range(1, radius + 1)], dtype=np.int64)
+    # count in Python integers, stratum by stratum, so that an oversized
+    # radius fails before any array exists or any size overflows int64
+    sizes = [1]
+    total = a if radius >= 1 else 0
+    for j in range(1, radius + 1):
+        sizes.append(a * c ** (j - 1))
+        total += sizes[j] * (b if j < radius else 1 + m)
+        if total > max_half_edges:
+            raise InvalidParamsError(
+                f"radius {radius} needs more than the budget of "
+                f"{max_half_edges} half-edges")
     _wiring_checks(params, sizes)
 
+    sizes = np.array(sizes, dtype=np.int64)
     degrees = np.empty(int(sizes.sum()), dtype=np.int64)
     degrees[0] = a if radius >= 1 else 0
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     for j in range(1, radius + 1):
         deg_j = b if j < radius else 1 + m
         degrees[offsets[j]:offsets[j + 1]] = deg_j
-    total = int(degrees.sum())
-    if total > max_half_edges:
-        raise InvalidParamsError(
-            f"radius {radius} needs {total} half-edges, over the budget of {max_half_edges}")
 
     adj_ptr = np.concatenate(([0], np.cumsum(degrees)))
     adj = np.empty(total, dtype=np.int64)

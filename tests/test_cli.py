@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -32,17 +33,27 @@ def test_simulate_reduced(capsys):
 
 
 def test_simulate_full_matches_reduced(capsys):
-    code, full_out, _ = run_cli(capsys, "simulate", "4", "6", "3",
-                                "--steps", "8", "--full")
-    assert code == 0
-    code, red_out, _ = run_cli(capsys, "simulate", "4", "6", "3",
-                               "--steps", "8", "--reduced")
-    assert code == 0
-    _, full_rows = read_csv(full_out)
-    _, red_rows = read_csv(red_out)
-    for fr, rr in zip(full_rows, red_rows):
-        for fv, rv in zip(fr[1:], rr[1:]):
-            assert abs(float(fv) - float(rv)) < 1e-10
+    # localizing, threshold (b - c)^2 = c, tree, c = 1, and stratum
+    # columns past the graph's radius, which no amplitude reaches
+    for argv in (["4", "6", "3", "--steps", "8"],
+                 ["4", "6", "4", "--steps", "6"],
+                 ["3", "4", "3", "--steps", "8"],
+                 ["3", "4", "1", "--steps", "12"],
+                 ["4", "6", "3", "--steps", "3", "--strata", "8"]):
+        code, full_out, _ = run_cli(capsys, "simulate", *argv, "--full")
+        assert code == 0
+        code, red_out, _ = run_cli(capsys, "simulate", *argv, "--reduced")
+        assert code == 0
+        full_header, full_rows = read_csv(full_out)
+        red_header, red_rows = read_csv(red_out)
+        assert full_header == red_header
+        assert len(full_rows) == len(red_rows) == int(argv[4]) + 1
+        for fr, rr in zip(full_rows, red_rows):
+            assert len(fr) == len(rr)
+            for fv, rv in zip(fr[1:], rr[1:]):
+                assert abs(float(fv) - float(rv)) < 1e-12
+    # strata 6..8 lie past radius 5: both routes print exact zeros
+    assert all(row[-3:] == ["0", "0", "0"] for row in full_rows)
 
 
 def test_spectrum(capsys):
@@ -153,6 +164,21 @@ def test_negative_counts_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidParamsError"
+
+
+@pytest.mark.parametrize("steps", ["18", "40"])
+def test_oversized_full_rejected_before_allocation(capsys, steps):
+    # 52 GiB of graph arrays at 18 steps; stratum sizes past int64 at 40
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "simulate", "4", "6", "3",
+                                 "--steps", steps, "--full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidParamsError"
+    assert peak < 1 << 20
 
 
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -195,3 +196,16 @@ def test_radius_and_budget_guards():
         build_spidernet(SpidernetParams(4, 6, 3), -1)
     with pytest.raises(InvalidParamsError):
         build_spidernet(SpidernetParams(4, 6, 3), 3, max_half_edges=10)
+
+
+@pytest.mark.parametrize("radius", [20, 42])
+def test_budget_checked_before_allocation(radius):
+    # radius 20 needs 52 GiB of degrees alone; radius 42 overflows int64
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParamsError):
+            build_spidernet(SpidernetParams(4, 6, 3), radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

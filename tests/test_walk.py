@@ -3,6 +3,8 @@ import pytest
 
 from spiderwalk import (
     DimensionMismatchError,
+    GraphEvolver,
+    InvalidParamsError,
     RadiusTooSmallError,
     SpidernetParams,
     build_spidernet,
@@ -138,7 +140,16 @@ def test_time_averaged_distribution():
     params = params_from_spidernet(g.params)
     assert abs(avg[0] - cesaro_origin(params, 10)) < 1e-10
 
-    with pytest.raises(ValueError):
+    # the per-step loop the evolver replaced; float64 and complex128 sums
+    # of a block may differ in the last bit
+    acc = vertex_distribution(g, s0)
+    s = s0
+    for _ in range(9):
+        s = step(g, s)
+        acc += vertex_distribution(g, s)
+    assert np.max(np.abs(avg - acc / 10)) <= 1e-15
+
+    with pytest.raises(InvalidParamsError):
         time_averaged_distribution(g, s0, 0)
 
 
@@ -147,7 +158,66 @@ def test_evolve_guards():
     s = isotropic_initial_state(g)
     with pytest.raises(RadiusTooSmallError):
         evolve(g, s, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError):
         evolve(g, s, -1)
     with pytest.raises(DimensionMismatchError):
         step(g, s[:-1])
+
+
+def _he_end(g, stratum):
+    """Number of half-edges leaving strata <= stratum."""
+    return g.adj_ptr[g.stratum_offsets[stratum + 1]]
+
+
+@pytest.mark.parametrize("abc, radius", [
+    ((4, 6, 3), 7),     # localizing
+    ((4, 6, 4), 6),     # threshold (b - c)^2 = c
+    ((3, 4, 3), 7),     # tree
+    ((3, 4, 1), 12),    # c = 1
+])
+def test_evolver_matches_step_loop(abc, radius):
+    g = build_spidernet(SpidernetParams(*abc), radius)
+    iso = isotropic_initial_state(g)
+    phased = np.exp(0.7j) * iso
+    real_ev, cplx_ev = GraphEvolver(g, iso), GraphEvolver(g, phased)
+    assert real_ev._psi.dtype == np.float64 and cplx_ev._psi.dtype == np.complex128
+    ref, ref_phased = iso, phased
+    for n in range(1, radius - 1):
+        real_ev.step()
+        cplx_ev.step()
+        ref, ref_phased = step(g, ref), step(g, ref_phased)
+        assert real_ev.top == cplx_ev.top == n
+        # nothing past the prefix, in the reference or in the kernel's buffers
+        assert not ref[_he_end(g, n):].any()
+        for ev in (real_ev, cplx_ev):
+            assert not ev._psi[_he_end(g, n):].any()
+            assert not ev._coined[_he_end(g, n - 1):].any()
+        # the complex128 kernel does the step loop's arithmetic; the float64
+        # one may sum a vertex block in another order
+        assert np.array_equal(cplx_ev.state(), ref_phased)
+        full = real_ev.state()
+        assert full.dtype == np.complex128
+        assert np.max(np.abs(full - ref)) <= 1e-15
+        assert np.max(np.abs(real_ev.stratum_distribution()
+                             - stratum_distribution(g, ref))) <= 1e-15
+
+
+def test_evolver_arbitrary_states():
+    g = build_spidernet(SpidernetParams(4, 6, 3), 4)
+    rng = np.random.default_rng(17)
+    cplx = _random_state(g, rng)
+    real = cplx.real / np.linalg.norm(cplx.real)
+    basis = np.zeros(g.num_half_edges, dtype=np.complex128)
+    basis[g.half_edge_index(g.vertex_id(2, 5), g.vertex_id(3, 15))] = 1.0
+    for state, top, exact in ((cplx, 4, True), (real + 0j, 4, False), (basis, 2, False)):
+        ev = GraphEvolver(g, state)
+        assert ev.top == top
+        ref = state
+        for _ in range(3):
+            ev.step()
+            ref = step(g, ref)
+            if exact:
+                assert np.array_equal(ev.state(), ref)
+            else:
+                assert np.max(np.abs(ev.state() - ref)) <= 1e-15
+        assert np.max(np.abs(ev.vertex_distribution() - vertex_distribution(g, ref))) <= 1e-15

@@ -35,7 +35,6 @@ from .reduction import (
     PqParams,
     ReducedEvolver,
     ReducedState,
-    cutoff_walk_matrix,
     params_from_spidernet,
     u_eigensystem,
 )
@@ -159,7 +158,7 @@ def _cmd_spectrum(args) -> int:
     params = _pq_from_args(args)
     N = args.cutoff
     system = u_eigensystem(params, N)
-    trace = float(np.trace(cutoff_walk_matrix(params, N)))
+    trace = system.trace
     expected = (2 * params.r - 1) * (N - 1)
     columns = ["theta", "eig_re", "eig_im", "multiplicity", "trace", "trace_expected"]
     rows = [[0.0, 1.0, 0.0, 1, trace, expected]]

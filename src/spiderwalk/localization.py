@@ -28,7 +28,6 @@ from .errors import InvalidParamsError, NotLocalizedError
 from .graph import SpidernetParams
 from .meixner import (
     FreeMeixnerLaw,
-    QuadratureSpec,
     integrate,
     law_from_pq,
     normalized_sequence,
@@ -38,7 +37,6 @@ from .reduction import PqParams, ReducedEvolver, ReducedState
 
 __all__ = [
     "amplitude",
-    "amplitude_shifted",
     "asymptotic_amplitude",
     "LocalizationReport",
     "classify",
@@ -55,37 +53,18 @@ def _chebyshev_T(n: int, x: np.ndarray) -> np.ndarray:
     return np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
 
 
-def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int,
-              spec: QuadratureSpec | None = None) -> float:
-    """<Psi_l, U^n Psi_m> as the spectral integral of T_|n| p_l p_m.
-
-    The default node budget scales with |n| + l + m, the Chebyshev order
-    of the integrand.
-    """
+def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
+    """<Psi_l, U^n Psi_m> as the spectral integral of T_|n| p_l p_m, a
+    polynomial of degree |n| + l + m."""
     if l < 0 or m < 0:
-        raise ValueError("ladder indices must be non-negative")
-    if spec is None:
-        spec = QuadratureSpec.for_order(abs(n) + l + m)
+        raise InvalidParamsError("ladder indices must be non-negative")
     deg = max(l, m)
 
     def f(x):
         seq = normalized_sequence(law, deg, x)
         return _chebyshev_T(abs(n), x) * seq[l] * seq[m]
 
-    return integrate(law, f, spec)
-
-
-_SHIFT_OFFSETS = {"left": -1, "right": +1, "both": 0}
-
-
-def amplitude_shifted(law: FreeMeixnerLaw, l: int, m: int, n: int, which: str,
-                      spec: QuadratureSpec | None = None) -> float:
-    """Amplitudes with the shift S multiplied in: <S Psi_l, U^n Psi_m>
-    ("left"), <Psi_l, U^n S Psi_m> ("right"), <S Psi_l, U^n S Psi_m>
-    ("both").  These reduce to plain amplitudes at n-1, n+1 and n."""
-    if which not in _SHIFT_OFFSETS:
-        raise ValueError(f"which must be one of {sorted(_SHIFT_OFFSETS)}, got {which!r}")
-    return amplitude(law, l, m, n + _SHIFT_OFFSETS[which], spec)
+    return integrate(law, f, abs(n) + l + m)
 
 
 def asymptotic_amplitude(params: PqParams, l: int, n: int) -> float:
@@ -94,7 +73,7 @@ def asymptotic_amplitude(params: PqParams, l: int, n: int) -> float:
     Zero identically when the law has no atom (no localization).
     """
     if l < 0:
-        raise ValueError("ladder index must be non-negative")
+        raise InvalidParamsError("ladder index must be non-negative")
     law = law_from_pq(params)
     if not law.has_atom:
         return 0.0
@@ -176,7 +155,7 @@ def exp_localization_bound(sp: SpidernetParams, l: int) -> tuple[float, float]:
     NotLocalizedError when b <= c + sqrt(c).
     """
     if l < 1:
-        raise ValueError("the bounds apply to strata l >= 1")
+        raise InvalidParamsError("the bounds apply to strata l >= 1")
     a, b, c = sp.a, sp.b, sp.c
     if (b - c) ** 2 <= c:
         raise NotLocalizedError(f"S({a},{b},{c}) does not localize (b <= c + sqrt(c))")
@@ -187,15 +166,12 @@ def exp_localization_bound(sp: SpidernetParams, l: int) -> tuple[float, float]:
     return float(stratum), float(vertex)
 
 
-def random_walk_return(law: FreeMeixnerLaw, n: int,
-                       spec: QuadratureSpec | None = None) -> float:
+def random_walk_return(law: FreeMeixnerLaw, n: int) -> float:
     """n-step return probability of the isotropic random walk: the n-th
     moment of the spectral law."""
     if n < 0:
-        raise ValueError("n must be non-negative")
-    if spec is None:
-        spec = QuadratureSpec.for_order(n)
-    return integrate(law, lambda x: x ** n, spec)
+        raise InvalidParamsError("n must be non-negative")
+    return integrate(law, lambda x: x ** n, n)
 
 
 def origin_amplitude_series(params: PqParams, nmax: int) -> np.ndarray:

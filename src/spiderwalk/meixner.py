@@ -23,17 +23,20 @@ In that regime the only possible atom sits at xi = -q / (1 - p) with mass
 and the spectral amplitudes of the walk are integrals of Chebyshev
 polynomials against mu, which is what :func:`integrate` is tuned for: the
 substitution x = alpha + 2 sqrt(omega) cos(phi) turns the density factor
-into the smooth sin^2(phi) / D(x(phi)), so Gauss-Legendre in phi
-converges geometrically for polynomial integrands.
+into sin^2(phi) / D(x(phi)), which is even, 2 pi-periodic and analytic in
+a strip around the real axis, so the midpoint rule in phi (the periodic
+trapezoidal rule) converges geometrically; see Trefethen & Weideman,
+SIAM Rev. 56 (2014) 385-458.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import (
     InvalidParamsError,
@@ -51,12 +54,17 @@ __all__ = [
     "orth_poly_recurrence",
     "orth_poly_closed_cheb",
     "orth_poly_closed_R",
-    "normalized_p",
     "normalized_sequence",
     "special_value",
-    "QuadratureSpec",
+    "MAX_QUADRATURE_NODES",
+    "quadrature_nodes",
     "integrate",
 ]
+
+# A cap on the midpoint nodes of one integral (8 MiB per float64 node
+# array).  Laws whose pole of 1/D lies within ~2e-5 of the support in phi
+# need more and are rejected before anything is allocated.
+MAX_QUADRATURE_NODES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,10 @@ class FreeMeixnerLaw:
     ``atom_mass == 0`` means no atom; the walk laws built by
     :func:`law_from_pq` always record the candidate atom location, with
     zero mass in the non-localized regime.
+
+    ``poles`` lists the roots of D that limit :func:`integrate`: a root
+    exactly on a support edge is removable there and is left out.  None
+    counts every root of D, real or complex.
     """
 
     omega1: float
@@ -74,6 +86,7 @@ class FreeMeixnerLaw:
     alpha: float
     atom_location: float | None = None
     atom_mass: float = 0.0
+    poles: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not (self.omega1 > 0 and self.omega > 0):
@@ -102,15 +115,29 @@ class FreeMeixnerLaw:
 def law_from_pq(params: PqParams) -> FreeMeixnerLaw:
     """Spectral law of the reduced walk: (omega1, omega, alpha) = (q, pq, r).
 
-    Only p >= q is admissible; the atom candidate is xi = -q/(1-p) with
-    mass ((1-p)^2 - pq) / ((1-p)(1-p+q)) clamped at zero.
+    Only p >= q is admissible.  D(x) = -q (1-p) (x - 1) (x - xi) with
+    xi = -q/(1-p), the atom candidate, of mass
+    ((1-p)^2 - pq) / ((1-p)(1-p+q)) when the numerator is positive.  Its
+    sign decides the atom and its zero puts xi on the support edge, as
+    p = q puts 1 there.  Both are decided exactly: from the integer
+    (b-c)^2 - c of :func:`~spiderwalk.classify` when (p, q) is
+    (c/b, 1/b) in floating point, else from the binary values of p, q.
     """
     p, q, r = params.p, params.q, params.r
     if p < q:
         raise ParamsOutOfRangeError(f"needs p >= q, got p={p} < q={q}")
+    b = round(1.0 / q) if q > 2.0 ** -53 else 0     # 1/q overflows for tiny q
+    c = round(p * b)
+    if b >= 2 and q == 1.0 / b and p == c / b:      # S(a, b, c) exactly
+        numer = (b - c) ** 2 - c
+    else:
+        numer = (1 - Fraction(p)) ** 2 - Fraction(p) * Fraction(q)
     xi = -q / (1.0 - p)
-    mass = max(((1.0 - p) ** 2 - p * q) / ((1.0 - p) * (1.0 - p + q)), 0.0)
-    return FreeMeixnerLaw(q, p * q, r, xi, mass)
+    mass = 0.0
+    if numer > 0:
+        mass = max(((1.0 - p) ** 2 - p * q) / ((1.0 - p) * (1.0 - p + q)), 0.0)
+    poles = tuple(x for x, on_edge in ((1.0, p == q), (xi, numer == 0)) if not on_edge)
+    return FreeMeixnerLaw(q, p * q, r, xi, mass, poles)
 
 
 def density(law: FreeMeixnerLaw, x):
@@ -219,17 +246,6 @@ def orth_poly_closed_R(law: FreeMeixnerLaw, n: int, x):
     return out if np.ndim(x) else float(out)
 
 
-def normalized_p(law: FreeMeixnerLaw, n: int, x):
-    """Orthonormal polynomial p_n = P_n / sqrt(omega1 * omega^{n-1}) (p_0 = 1)."""
-    if n == 0:
-        arr = np.asarray(x, dtype=float)
-        out = np.ones_like(arr)
-        return out if np.ndim(x) else 1.0
-    scale = np.sqrt(law.omega1 * law.omega ** (n - 1))
-    val = orth_poly_recurrence(law, n, x)
-    return val / scale
-
-
 def normalized_sequence(law: FreeMeixnerLaw, nmax: int, x: np.ndarray) -> np.ndarray:
     """p_0..p_nmax at x, shape (nmax+1, len(x)); used by the integrators."""
     monic = _monic_sequence(law, nmax, x)
@@ -256,52 +272,49 @@ def special_value(params: PqParams, n: int) -> float:
     return (1.0 / np.sqrt(p)) * (-np.sqrt(p * q) / (1.0 - p)) ** n
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node budget for :func:`integrate`; only Gauss-Legendre is provided.
+def quadrature_nodes(law: FreeMeixnerLaw, degree: int) -> int:
+    """Midpoint nodes M that :func:`integrate` uses for a degree-``degree`` f.
 
-    ``for_order`` picks the default budget for an integrand that
-    oscillates/varies like a degree-``order`` Chebyshev polynomial over
-    the support: 16 nodes per unit of order, floored at 2048 and rounded
-    up to a power of two so that rules are shared across nearby orders.
+    sin^2(phi) / D(x(phi)) is analytic for |Im phi| < a, where a pole x*
+    of 1/D sits at phi = arccos((x* - alpha) / (2 sqrt(omega))), so its
+    Fourier coefficients decay like e^{-aj}.  M nodes are exact up to
+    trigonometric degree 2M - 1 and alias that tail at ~e^{-a(2M - degree)}:
+
+        M = ceil((degree + 1) / 2) + 1 + ceil(18.5 / a)
+
+    puts it near e^{-37} ~ 1e-16.  Raises ParamsOutOfRangeError, before
+    anything is allocated, when M would exceed MAX_QUADRATURE_NODES.
     """
-
-    nodes: int = 2048
-    scheme: str = "gauss-legendre"
-
-    def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise InvalidParamsError("quadrature needs at least 2 nodes")
-        if self.scheme != "gauss-legendre":
-            raise InvalidParamsError(f"unknown quadrature scheme {self.scheme!r}")
-
-    @classmethod
-    def for_order(cls, order: int) -> "QuadratureSpec":
-        needed = max(2048, 16 * max(order, 0))
-        return cls(nodes=1 << (needed - 1).bit_length())
-
-
-@lru_cache(maxsize=32)
-def _phi_rule(nodes: int):
-    t, w = roots_legendre(nodes)
-    return 0.5 * np.pi * (t + 1.0), 0.5 * np.pi * w
+    if degree < 0:
+        raise InvalidParamsError(f"degree must be non-negative, got {degree}")
+    poles = law.poles
+    if poles is None:
+        poles = np.roots([law.omega - law.omega1, law.omega1 * law.alpha, law.omega1 ** 2])
+    h = 2.0 * math.sqrt(law.omega)
+    a = min((abs(cmath.acos((x - law.alpha) / h).imag) for x in poles), default=math.inf)
+    base = (degree + 2) // 2 + 1
+    if a == 0 or base + 18.5 / a > MAX_QUADRATURE_NODES:
+        raise ParamsOutOfRangeError(
+            f"integrating degree {degree} to roundoff needs more than "
+            f"{MAX_QUADRATURE_NODES} quadrature nodes (pole strip {a:.3g})")
+    return base + math.ceil(18.5 / a)
 
 
-def integrate(law: FreeMeixnerLaw, f, spec: QuadratureSpec | None = None) -> float:
+def integrate(law: FreeMeixnerLaw, f, degree: int) -> float:
     """Integral of f against the law (absolutely continuous part + atom).
 
-    ``f`` must accept a float ndarray and return values elementwise.  The
-    continuous part is computed after substituting
-    x = alpha + 2 sqrt(omega) cos(phi), which makes the integrand
-    sin^2(phi) / D(x(phi)) smooth even when D vanishes at a support
-    endpoint; Gauss-Legendre nodes never touch the endpoints.
+    ``f`` must accept a float ndarray and return values elementwise, and
+    be a polynomial of degree at most ``degree``.
+    The continuous part is computed after substituting
+    x = alpha + 2 sqrt(omega) cos(phi), by the midpoint rule
+    phi_k = (k + 1/2) pi / M on [0, pi], with M from
+    :func:`quadrature_nodes`; the nodes never touch the support edges.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    phi, w = _phi_rule(spec.nodes)
+    nodes = quadrature_nodes(law, degree)
+    phi = (np.arange(nodes) + 0.5) * (np.pi / nodes)
     x = law.alpha + 2.0 * np.sqrt(law.omega) * np.cos(phi)
     g = f(x) * np.sin(phi) ** 2 / law.denominator(x)
-    total = (2.0 * law.omega1 * law.omega / np.pi) * float(np.dot(g, w))
+    total = (2.0 * law.omega1 * law.omega / nodes) * float(np.sum(g))
     if law.has_atom:
         total += law.atom_mass * float(np.asarray(f(np.array([law.atom_location])))[0])
     return total

@@ -47,7 +47,6 @@ __all__ = [
     "reduced_coin",
     "reduced_shift",
     "reduced_step",
-    "reduced_evolve",
     "ReducedEvolver",
     "inner",
     "origin_probability",
@@ -196,14 +195,6 @@ def reduced_shift(params: PqParams, state: ReducedState) -> ReducedState:
 def reduced_step(params: PqParams, state: ReducedState) -> ReducedState:
     """One step of the reduced walk, shift after coin."""
     return reduced_shift(params, reduced_coin(params, state))
-
-
-def reduced_evolve(params: PqParams, state: ReducedState, steps: int) -> ReducedState:
-    """Apply ``steps`` reduced steps (amortized in-place; O(steps^2) work total)."""
-    ev = ReducedEvolver(params, state, steps)
-    for _ in range(steps):
-        ev.step()
-    return ev.state()
 
 
 class ReducedEvolver:
@@ -496,12 +487,17 @@ def cutoff_walk_matrix(params: PqParams, cutoff: int) -> np.ndarray:
     for n in range(1, N):
         i = cutoff_index(n, "+", N)
         coin[i:i + 3, i:i + 3] = m3
-    perm = np.arange(dim)
+    return coin[_cutoff_shift(N)]  # row permutation of C = S @ C
+
+
+def _cutoff_shift(N: int) -> np.ndarray:
+    """The shift of H(N) as an index permutation: psi_n^+ <-> psi_{n+1}^-."""
+    shift = np.arange(cutoff_dim(N))
     for n in range(N):
         i = cutoff_index(n, "+", N)
         j = cutoff_index(n + 1, "-", N)
-        perm[i], perm[j] = j, i
-    return coin[perm]  # row permutation of C = S @ C
+        shift[i], shift[j] = j, i
+    return shift
 
 
 @dataclass
@@ -532,6 +528,18 @@ class UEigensystem:
     def dim(self) -> int:
         return cutoff_dim(self.cutoff)
 
+    @property
+    def trace(self) -> float:
+        """Trace of U_N from its diagonal, summed in the order of np.trace.
+
+        (S_N C_N)_ii = (C_N)_{s(i), i}: the shift moves every psi^+ and
+        psi^- slot out of its coin block, so only the psi_n^o slots keep
+        the coin's middle entry.
+        """
+        diag = np.zeros(self.dim)
+        diag[2:-1:3] = _coin_matrix(self.params)[1, 1]
+        return float(diag.sum())
+
 
 def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensystem:
     """Diagonalize the cutoff walk through T_N.
@@ -539,7 +547,8 @@ def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensy
     Eigenvalues of U_N are 1, the pairs e^{+-i theta_j} with
     cos(theta_j) an interior eigenvalue of T_N, and -1 with multiplicity
     N - 2 (r > 0) or N (r = 0).  Each claimed eigenvector is verified by
-    applying U_N and checking the residual against ``tol``.
+    applying U_N, as 3x3 coin blocks followed by the shift permutation,
+    and checking the residual against ``tol``.
     """
     N = cutoff
     vals, vecs = eigensystem_T(build_T(params, N))
@@ -548,18 +557,22 @@ def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensy
     lam = vals[1:k_last + 1]
     thetas = np.arccos(np.clip(lam, -1.0, 1.0))
 
-    u = cutoff_walk_matrix(params, N)
     dim = cutoff_dim(N)
-    psi = np.column_stack([cutoff_psi_vector(params, N, n) for n in range(N + 1)])
-    emb = psi @ vecs                         # T eigenvectors in cutoff coordinates
-    shift = np.arange(dim)
-    for n in range(N):
-        i = cutoff_index(n, "+", N)
-        j = cutoff_index(n + 1, "-", N)
-        shift[i], shift[j] = j, i
+    # T eigenvectors in cutoff coordinates: row n of vecs scaled onto the
+    # slots of Psi_n = sqrt(p) psi_n^+ + sqrt(r) psi_n^o + sqrt(q) psi_n^-
+    scale = np.r_[1.0, np.tile(np.sqrt([params.p, params.r, params.q]), N - 1), 1.0]
+    emb = scale[:, None] * np.repeat(vecs, [1] + [3] * (N - 1) + [1], axis=0)
+    shift = _cutoff_shift(N)
+    m3 = _coin_matrix(params)
+
+    def apply_u(mat):
+        out = mat.copy()
+        triples = mat[1:dim - 1]
+        out[1:dim - 1] = (m3 @ triples.reshape(N - 1, 3, -1)).reshape(triples.shape)
+        return out[shift]
 
     ground = emb[:, 0] / np.linalg.norm(emb[:, 0])
-    if np.linalg.norm(u @ ground - ground) > tol:
+    if np.linalg.norm(apply_u(ground) - ground) > tol:
         raise ConvergenceFailureError("eigenvector for eigenvalue 1 failed the residual check")
 
     omega = emb[:, 1:k_last + 1]
@@ -569,7 +582,7 @@ def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensy
     plus = (omega - phases * s_omega) / denom
     minus = (omega - np.conj(phases) * s_omega) / denom
     for sign, mat, ph in (("+", plus, phases), ("-", minus, np.conj(phases))):
-        resid = np.linalg.norm(u @ mat - ph * mat, axis=0)
+        resid = np.linalg.norm(apply_u(mat) - ph * mat, axis=0)
         if np.any(resid > tol):
             raise ConvergenceFailureError(
                 f"eigenpair residual {resid.max():.2e} exceeds {tol} for e^({sign}i theta)")

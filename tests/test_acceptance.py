@@ -13,7 +13,6 @@ import pytest
 
 from spiderwalk import (
     PqParams,
-    QuadratureSpec,
     SpidernetParams,
     UnrealizableWiringError,
     amplitude,
@@ -27,7 +26,6 @@ from spiderwalk import (
     integrate,
     isotropic_initial_state,
     law_from_pq,
-    normalized_p,
     normalized_sequence,
     origin_amplitude_series,
     orth_poly_closed_R,
@@ -104,10 +102,10 @@ def test_criterion_3_three_way_equivalence(big_463, big_442):
         law = law_from_pq(params)
         for n in range(201):
             worst_int = max(worst_int, abs(amplitude(law, 0, 0, n) - reduced[n]))
-    ok = worst_full < 1e-10 and worst_int < 1e-8
+    ok = worst_full < 1e-10 and worst_int < 1e-12
     _criterion(3, "three-way oracle equivalence", ok,
                f"max|full-reduced|={worst_full:.2e} (n<=10, tol 1e-10), "
-               f"max|reduced-integral|={worst_int:.2e} (n<=200, tol 1e-8)")
+               f"max|reduced-integral|={worst_int:.2e} (n<=200, tol 1e-12)")
 
 
 def test_criterion_4_cesaro_convergence():
@@ -208,10 +206,9 @@ def test_criterion_7_orthogonal_polynomial_suite():
             worst_forms = max(worst_forms, float(np.max(
                 np.abs(rec_o - rform) / np.maximum(np.abs(rec_o), 1.0))))
 
-    worst_special = max(
-        abs(special_value(P463, n) - normalized_p(law_from_pq(P463), n,
-                                                  -P463.q / (1 - P463.p)))
-        for n in range(21))
+    at_xi = normalized_sequence(law_from_pq(P463), 20,
+                                np.array([-P463.q / (1 - P463.p)]))[:, 0]
+    worst_special = max(abs(special_value(P463, n) - at_xi[n]) for n in range(21))
 
     worst_orth = 0.0
     for law, _ in laws:
@@ -221,7 +218,7 @@ def test_criterion_7_orthogonal_polynomial_suite():
                     law,
                     lambda x: (lambda s: s[mdeg] * s[ndeg])(
                         normalized_sequence(law, ndeg, x)),
-                    QuadratureSpec.for_order(mdeg + ndeg))
+                    mdeg + ndeg)
                 worst_orth = max(worst_orth, abs(val - (mdeg == ndeg)))
 
     ok = worst_forms < 1e-9 and worst_special < 1e-10 and worst_orth < 1e-8
@@ -248,8 +245,8 @@ def test_criterion_8_measure_sanity():
     for params in (P463, P342, PTREE343):
         law = law_from_pq(params)
         worst_mass = max(worst_mass,
-                         abs(integrate(law, lambda x: np.ones_like(x)) - 1.0))
-        moments = [integrate(law, lambda x, m=m: x ** m, QuadratureSpec.for_order(m))
+                         abs(integrate(law, lambda x: np.ones_like(x), 0) - 1.0))
+        moments = [integrate(law, lambda x, m=m: x ** m, m)
                    for m in range(13)]
         worst_moment = max(worst_moment,
                            max(abs(moments[m] - jacobi_moment(params, m))

@@ -81,7 +81,7 @@ def test_amplitude(capsys):
     _, rows = read_csv(out)
     assert len(rows) == 21
     assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-10)
-    assert all(float(r[3]) < 1e-8 for r in rows)
+    assert all(float(r[3]) < 1e-12 for r in rows)
 
 
 def test_localize_single_and_sweep(capsys):
@@ -178,6 +178,21 @@ def test_oversized_full_rejected_before_allocation(capsys, steps):
         tracemalloc.stop()
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidParamsError"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command", ["amplitude", "rwalk"])
+def test_quadrature_budget_rejected_before_allocation(capsys, command):
+    # p - q = 1e-8 puts a pole of 1/D ~1e-8 from the support in phi
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, command, "--pqr", "0.5", "0.49999999",
+                                 "0.00000001", "--nmax", "3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
     assert peak < 1 << 20
 
 

@@ -7,12 +7,10 @@ from spiderwalk import (
     InvalidParamsError,
     NotLocalizedError,
     PqParams,
-    QuadratureSpec,
     ReducedEvolver,
     ReducedState,
     SpidernetParams,
     amplitude,
-    amplitude_shifted,
     asymptotic_amplitude,
     cesaro_origin,
     cesaro_strata,
@@ -62,26 +60,20 @@ def test_amplitude_matches_reduced_walk_off_origin():
 
 
 def test_amplitude_shifted():
-    assert amplitude_shifted(LAW463, 0, 0, 1, "left") == pytest.approx(
-        amplitude(LAW463, 0, 0, 0), abs=1e-12)
-    assert amplitude_shifted(LAW463, 1, 2, 5, "both") == pytest.approx(
-        amplitude(LAW463, 1, 2, 5), abs=1e-12)
-    with pytest.raises(ValueError):
-        amplitude_shifted(LAW463, 0, 0, 1, "up")
-
-    # against explicit shift applications in the reduced walk
+    # <S Psi_l, U^n Psi_m> and <Psi_l, U^n S Psi_m> are the spectral
+    # amplitudes at n - 1 and n + 1: against explicit shift applications
+    # in the reduced walk
     l, m, n = 1, 0, 4
     s_psi_l = reduced_shift(P463, stratum_state(P463, l))
     state = stratum_state(P463, m)
     for _ in range(n):
         state = reduced_step(P463, state)
-    assert abs(amplitude_shifted(LAW463, l, m, n, "left")
-               - inner(s_psi_l, state).real) < 1e-8
+    assert abs(amplitude(LAW463, l, m, n - 1) - inner(s_psi_l, state).real) < 1e-12
     s_state = reduced_shift(P463, stratum_state(P463, m))
     for _ in range(n):
         s_state = reduced_step(P463, s_state)
-    assert abs(amplitude_shifted(LAW463, l, m, n, "right")
-               - inner(stratum_state(P463, l), s_state).real) < 1e-8
+    assert abs(amplitude(LAW463, l, m, n + 1)
+               - inner(stratum_state(P463, l), s_state).real) < 1e-12
 
 
 def test_asymptotic_amplitude():
@@ -92,6 +84,84 @@ def test_asymptotic_amplitude():
     assert asymptotic_amplitude(PTREE, 0, 7) == 0.0
     with pytest.raises(ValueError):
         asymptotic_amplitude(P463, -1, 0)
+
+
+def test_asymptotic_amplitude_zero_at_threshold():
+    # (b - c)^2 = c: no atom, so nothing survives (the float formula left 1.7e-16)
+    params = params_from_spidernet(SpidernetParams(5, 6, 4))
+    assert all(asymptotic_amplitude(params, l, n) == 0.0 for l in range(3) for n in range(5))
+
+
+def chebyshev_amplitudes(pqr, l, m, nmax):
+    """Independent oracle: <e_l, T_n(J) e_m>, n <= nmax, for the Jacobi matrix
+    J of the law (diagonal 0, r, r, ...; off-diagonal sqrt(q), sqrt(pq), ...),
+    by the Chebyshev recurrence in extended precision."""
+    p, q, r = (np.longdouble(v.numerator) / np.longdouble(v.denominator) for v in pqr)
+    size = nmax + max(l, m) + 2
+    diag = np.full(size, r)
+    diag[0] = 0
+    off = np.full(size - 1, np.sqrt(p * q))
+    off[0] = np.sqrt(q)
+
+    def apply(v):
+        out = diag * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
+        return out
+
+    prev = np.zeros(size, dtype=np.longdouble)
+    prev[m] = 1
+    cur = apply(prev)
+    out = [prev[l], cur[l]]
+    for _ in range(nmax - 1):
+        prev, cur = cur, 2 * apply(cur) - prev
+        out.append(cur[l])
+    return np.array(out[:nmax + 1], dtype=float)
+
+
+def _exact_pqr(case):
+    if isinstance(case, SpidernetParams):
+        b, c = case.b, case.c
+        return (Fraction(c, b), Fraction(1, b), Fraction(b - c - 1, b)), params_from_spidernet(case)
+    return tuple(Fraction(v) for v in case), PqParams(*(float(v) for v in case))
+
+
+# localizing, threshold (b - c)^2 = c, c = 1 (x = 1 removable), tree, and a
+# pole of 1/D 0.011 from the support in phi
+REFERENCE_CASES = [
+    SpidernetParams(4, 6, 3),
+    SpidernetParams(5, 6, 4),
+    SpidernetParams(1, 12, 9),
+    SpidernetParams(1, 4, 1),
+    SpidernetParams(1, 7, 1),
+    SpidernetParams(3, 4, 3),
+    ("0.45", "0.44", "0.11"),
+]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=str)
+def test_amplitude_against_extended_precision(case):
+    pqr, params = _exact_pqr(case)
+    law = law_from_pq(params)
+    for l in range(3):
+        for m in range(l + 1):
+            want = chebyshev_amplitudes(pqr, l, m, 300)
+            got = np.array([amplitude(law, l, m, n) for n in range(301)])
+            assert np.max(np.abs(got - want)) < 1e-12, (l, m)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=str)
+def test_random_walk_return_against_exact_moments(case):
+    (p, q, r), params = _exact_pqr(case)
+    law = law_from_pq(params)
+    # e_0^T J^n e_0 in exact rationals; sq[k] couples slots k and k+1
+    size = 102
+    sq = [q] + [p * q] * (size - 2)
+    v = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    for n in range(201):
+        assert abs(random_walk_return(law, n) - float(v[0])) < 1e-13, n
+        v = [(r * v[k] if k else 0) + (sq[k] * v[k + 1] if k + 1 < size else 0)
+             + (v[k - 1] if k else 0) for k in range(size)]
 
 
 def test_amplitude_approaches_asymptotics():

@@ -1,23 +1,30 @@
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from spiderwalk import (
+    MAX_QUADRATURE_NODES,
     FreeMeixnerLaw,
     InvalidParamsError,
     OutOfDomainError,
     OutOfSupportError,
     ParamsOutOfRangeError,
     PqParams,
-    QuadratureSpec,
+    SpidernetParams,
     chebyshev_U,
+    classify,
     density,
     integrate,
     law_from_pq,
-    normalized_p,
     normalized_sequence,
     orth_poly_closed_R,
     orth_poly_closed_cheb,
     orth_poly_recurrence,
+    params_from_spidernet,
+    quadrature_nodes,
     special_value,
 )
 
@@ -38,6 +45,20 @@ def jacobi_moment(law, m):
     for k in range(1, size):
         j[k, k] = law.alpha
     return float(np.linalg.matrix_power(j, m)[0, 0])
+
+
+def exact_moments(p, q, r, nmax):
+    """Independent oracle: e_0^T J^n e_0, n <= nmax, in exact rationals."""
+    size = nmax // 2 + 2
+    diag = [Fraction(0)] + [r] * (size - 1)
+    sq = [q] + [p * q] * (size - 2)        # squared off-diagonal k -- k+1
+    v = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    out = [v[0]]
+    for _ in range(nmax):
+        v = [diag[k] * v[k] + (sq[k] * v[k + 1] if k + 1 < size else 0)
+             + (v[k - 1] if k else 0) for k in range(size)]
+        out.append(v[0])
+    return [float(x) for x in out]
 
 
 def test_law_from_pq_walk_values():
@@ -150,21 +171,19 @@ def test_recurrence_residual():
 
 def test_normalized_scaling():
     xs = np.linspace(-1, 1, 7)
+    seq = normalized_sequence(LAW463, 5, xs)
     for n in range(6):
         scale = 1.0 if n == 0 else np.sqrt(LAW463.omega1 * LAW463.omega ** (n - 1))
         expect = orth_poly_recurrence(LAW463, n, xs) / scale
-        assert np.max(np.abs(normalized_p(LAW463, n, xs) - expect)) < 1e-13
-    seq = normalized_sequence(LAW463, 5, xs)
-    for n in range(6):
-        assert np.max(np.abs(seq[n] - normalized_p(LAW463, n, xs))) < 1e-13
+        assert np.max(np.abs(seq[n] - expect)) < 1e-13
 
 
 def test_special_value():
     assert special_value(P463, 0) == 1.0
     assert special_value(P463, 1) == pytest.approx(-np.sqrt(2.0 / 3.0))
-    xi = LAW463.atom_location
+    at_xi = normalized_sequence(LAW463, 20, np.array([LAW463.atom_location]))[:, 0]
     for n in range(1, 21):
-        assert abs(special_value(P463, n) - normalized_p(LAW463, n, xi)) < 1e-10
+        assert abs(special_value(P463, n) - at_xi[n]) < 1e-10
     with pytest.raises(ParamsOutOfRangeError):
         special_value(PTREE, 1)         # non-atomic regime
     with pytest.raises(OutOfDomainError):
@@ -173,15 +192,15 @@ def test_special_value():
 
 def test_total_mass():
     for law in (LAW463, LAWTREE, GENERIC, law_from_pq(PqParams(0.5, 0.25, 0.25))):
-        mass = integrate(law, lambda x: np.ones_like(x))
-        assert abs(mass - 1.0) < 1e-10
+        mass = integrate(law, lambda x: np.ones_like(x), 0)
+        assert abs(mass - 1.0) < 1e-13
 
 
 def test_moments_match_jacobi_oracle():
     for law in (LAW463, LAWTREE, GENERIC):
         for m in range(13):
-            got = integrate(law, lambda x, m=m: x ** m, QuadratureSpec.for_order(m))
-            assert abs(got - jacobi_moment(law, m)) < 1e-9
+            got = integrate(law, lambda x, m=m: x ** m, m)
+            assert abs(got - jacobi_moment(law, m)) < 1e-13
 
 
 def test_orthonormality():
@@ -192,25 +211,92 @@ def test_orthonormality():
                     law,
                     lambda x: normalized_sequence(law, ndeg, x)[mdeg]
                     * normalized_sequence(law, ndeg, x)[ndeg],
-                    QuadratureSpec.for_order(mdeg + ndeg),
+                    mdeg + ndeg,
                 )
-                assert abs(val - (1.0 if mdeg == ndeg else 0.0)) < 1e-8
+                assert abs(val - (1.0 if mdeg == ndeg else 0.0)) < 1e-13
 
 
-def test_quadrature_node_doubling_converges():
-    law = LAW463
-    coarse = integrate(law, lambda x: x ** 9, QuadratureSpec(nodes=2048))
-    fine = integrate(law, lambda x: x ** 9, QuadratureSpec(nodes=4096))
-    assert abs(coarse - fine) < 1e-12
+# laws whose nearest pole of 1/D differs: both poles, x = 1 removable (c = 1),
+# xi removable (threshold), both removable, a pole 0.011 from the support in
+# phi, and a general law with every root of D counted
+RULE_LAWS = [
+    LAW463,
+    law_from_pq(params_from_spidernet(SpidernetParams(1, 4, 1))),
+    law_from_pq(params_from_spidernet(SpidernetParams(5, 6, 4))),
+    law_from_pq(params_from_spidernet(SpidernetParams(1, 2, 1))),
+    law_from_pq(PqParams(0.45, 0.44, 0.11)),
+    GENERIC,
+]
 
 
-def test_quadrature_spec_validation():
-    assert QuadratureSpec.for_order(0).nodes == 2048
-    assert QuadratureSpec.for_order(200).nodes == 4096  # 3200 rounded up
+def test_midpoint_rule_node_doubling():
+    rng = np.random.default_rng(3)
+    for law in RULE_LAWS:
+        for degree in (0, 7, 60, 301):
+            coef = rng.standard_normal(degree + 1)
+
+            def f(x):
+                # a Chebyshev series on the support, so values stay O(1)
+                y = (x - law.alpha) / (2.0 * np.sqrt(law.omega))
+                return np.polynomial.chebyshev.chebval(y, coef)
+
+            nodes = quadrature_nodes(law, degree)
+            # degree + 2M asks for exactly twice the nodes
+            assert quadrature_nodes(law, degree + 2 * nodes) == 2 * nodes
+            coarse = integrate(law, f, degree)
+            fine = integrate(law, f, degree + 2 * nodes)
+            assert abs(coarse - fine) < 1e-13 * max(1.0, np.abs(coef).sum())
+
+
+def test_midpoint_rule_exact_on_polynomials():
+    # no pole: M = ceil((d+1)/2) + 1 nodes, and the semicircle moments are
+    # the Catalan numbers
+    semi = FreeMeixnerLaw(1.0, 1.0, 0.0)
+    for d in range(0, 41):
+        assert quadrature_nodes(semi, d) == (d + 2) // 2 + 1
+        want = 0 if d % 2 else math.comb(d, d // 2) // (d // 2 + 1)
+        got = integrate(semi, lambda x: x ** d, d)
+        assert abs(got - want) <= 1e-15 * 2.0 ** d        # roundoff of sup |x^d|
+    # walk laws against exact moments e_0^T J^d e_0
+    for law in RULE_LAWS[:5]:
+        p, q, r = (Fraction(v).limit_denominator(100) for v in
+                   (law.omega / law.omega1, law.omega1, law.alpha))
+        for d, want in enumerate(exact_moments(p, q, r, 40)):
+            assert abs(integrate(law, lambda x: x ** d, d) - want) < 1e-14
+
+
+def test_node_budget_rejects_before_allocating():
+    # p - q = 1e-8 puts the pole at x = 1 ~1e-8 from the support in phi
+    law = law_from_pq(PqParams(0.5, 0.49999999, 0.00000001))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParamsOutOfRangeError):
+            integrate(law, lambda x: np.ones_like(x), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # too high a degree is rejected the same way, even without poles
+    semi = FreeMeixnerLaw(1.0, 1.0, 0.0)
+    assert quadrature_nodes(semi, 2 * MAX_QUADRATURE_NODES - 4) == MAX_QUADRATURE_NODES
+    with pytest.raises(ParamsOutOfRangeError):
+        quadrature_nodes(semi, 2 * MAX_QUADRATURE_NODES - 2)
     with pytest.raises(InvalidParamsError):
-        QuadratureSpec(nodes=1)
-    with pytest.raises(InvalidParamsError):
-        QuadratureSpec(scheme="monte-carlo")
+        quadrature_nodes(semi, -1)
+
+
+def test_threshold_atom_decided_exactly():
+    for b in range(2, 51):
+        for c in range(1, b):
+            sp = SpidernetParams(1, b, c)
+            law = law_from_pq(params_from_spidernet(sp))
+            assert law.has_atom == classify(sp).localized, (b, c)
+            # x = 1 is removable exactly when c = 1, xi exactly at the threshold
+            assert (1.0 in law.poles) == (c != 1), (b, c)
+            assert (law.atom_location in law.poles) == ((b - c) ** 2 != c), (b, c)
+    # raw (p, q): p == q drops x = 1 outside the spidernet family too
+    law = law_from_pq(PqParams(0.3, 0.3, 0.4))
+    assert law.poles == (law.atom_location,)
 
 
 def test_atom_sits_outside_support_and_density_stays_finite():

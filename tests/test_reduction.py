@@ -23,12 +23,11 @@ from spiderwalk import (
     evolve,
     inner,
     isotropic_initial_state,
-    normalized_p,
+    normalized_sequence,
     law_from_pq,
     origin_probability,
     params_from_spidernet,
     reduced_coin,
-    reduced_evolve,
     reduced_shift,
     reduced_step,
     stratum_probability,
@@ -345,17 +344,17 @@ def test_eigenvectors_follow_orthonormal_polynomials():
     N = 8
     law = law_from_pq(P463)
     vals, vecs = eigensystem_T(build_T(P463, N))
+    pn = normalized_sequence(law, N, vals)       # pn[n, j] = p_n(lambda_j)
     worst = 0.0
-    for j, lam in enumerate(vals):
+    for j in range(N + 1):
         scale = vecs[0, j]
         for n in range(N):
-            worst = max(worst, abs(vecs[n, j] - scale * normalized_p(law, n, lam)))
+            worst = max(worst, abs(vecs[n, j] - scale * pn[n, j]))
     assert worst < 1e-9
 
     # the last component follows sqrt(q) p_N, not p_N; report the gap
-    naive = max(abs(vecs[N, j] - vecs[0, j] * normalized_p(law, N, vals[j]))
-                for j in range(N + 1))
-    scaled = max(abs(vecs[N, j] - vecs[0, j] * np.sqrt(P463.q) * normalized_p(law, N, vals[j]))
+    naive = max(abs(vecs[N, j] - vecs[0, j] * pn[N, j]) for j in range(N + 1))
+    scaled = max(abs(vecs[N, j] - vecs[0, j] * np.sqrt(P463.q) * pn[N, j])
                  for j in range(N + 1))
     print(f"\nlast-component check (N={N}): plain p_N formula deviates by {naive:.3e}, "
           f"sqrt(q) p_N matches to {scaled:.3e}")
@@ -409,6 +408,23 @@ def test_u_eigensystem_eigenvectors():
     assert np.max(np.abs(u @ system.plus_vectors - phases * system.plus_vectors)) < 1e-10
     norms = np.linalg.norm(system.plus_vectors, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
+
+
+def test_u_eigensystem_against_dense_walk_matrix():
+    # the blockwise U_N of the residual checks and the O(N) trace against the
+    # dense matrix
+    for params in (P463, PTREE, PqParams(0.5, 0.5, 0.0)):
+        for N in (2, 3, 8, 40, 400):
+            system = u_eigensystem(params, N)
+            u = cutoff_walk_matrix(params, N)
+            assert system.trace == float(np.trace(u))
+            psi = np.column_stack([cutoff_psi_vector(params, N, n) for n in range(N + 1)])
+            emb = psi @ system.omega_psi
+            assert np.array_equal(system.ground_vector, emb[:, 0] / np.linalg.norm(emb[:, 0]))
+            phases = np.exp(1j * system.thetas)
+            for vecs, ph in ((system.plus_vectors, phases),
+                             (system.minus_vectors, np.conj(phases))):
+                assert np.max(np.abs(u @ vecs - ph * vecs), initial=0.0) < 1e-10
 
 
 def test_spectral_reconstruction():

@@ -35,7 +35,9 @@ from .reduction import (
     PqParams,
     ReducedEvolver,
     ReducedState,
+    inner,
     params_from_spidernet,
+    stratum_state,
     u_eigensystem,
 )
 from .walk import GraphEvolver, isotropic_initial_state
@@ -148,8 +150,8 @@ def _cmd_simulate(args) -> int:
         for n in range(steps + 1):
             if n > 0:
                 ev.step()
-            rows.append([n, ev.origin_probability()] +
-                        [ev.stratum_probability(l) for l in range(1, n_strata + 1)])
+            probs = ev.stratum_probabilities()
+            rows.append([n, *probs] + [0.0] * (n_strata + 1 - len(probs)))
     _emit(columns, rows, args)
     return 0
 
@@ -179,16 +181,15 @@ def _cmd_amplitude(args) -> int:
     law = law_from_pq(params)
     l, m, nmax = args.l, args.m, _count(args.nmax, "--nmax")
     # reduced-walk side: evolve Psi_m once, read <Psi_l, .> per step
-    from .reduction import inner, reduced_step, stratum_state
     psi_l = stratum_state(params, l)
-    state = stratum_state(params, m)
+    ev = ReducedEvolver(params, stratum_state(params, m), nmax)
     columns = ["n", "integral", "reduced", "abs_diff"]
     rows = []
     for n in range(nmax + 1):
         if n > 0:
-            state = reduced_step(params, state)
+            ev.step()
         a_int = amplitude(law, l, m, n)
-        a_red = inner(psi_l, state).real
+        a_red = inner(psi_l, ev.state()).real
         rows.append([n, a_int, a_red, abs(a_int - a_red)])
     _emit(columns, rows, args)
     return 0
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpiderwalkError, ValueError) as exc:
+    except SpiderwalkError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1

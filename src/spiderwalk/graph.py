@@ -25,7 +25,6 @@ the global half-edge order the lexicographic order on (source, target).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,6 @@ __all__ = [
     "omega",
     "rotation_permutation",
     "half_edge_permutation",
-    "write_edge_list",
-    "edge_list_text",
     "DEFAULT_MAX_HALF_EDGES",
 ]
 
@@ -301,25 +298,3 @@ def half_edge_permutation(g: Spidernet, vertex_perm: np.ndarray) -> np.ndarray:
     if np.any(out >= g.num_half_edges) or np.any(keys[out] != new_keys):
         raise InvalidParamsError("vertex permutation is not an automorphism")
     return out
-
-
-def write_edge_list(g: Spidernet, fp) -> None:
-    """Write each undirected edge once as a '<j>:<i> <j'>:<i'>' line.
-
-    ``fp`` is a writable text file object.  Pairs appear in lexicographic
-    half-edge order restricted to src < dst.
-    """
-    mask = g.he_src < g.he_dst
-    strata_s = g.vertex_stratum[g.he_src[mask]]
-    strata_d = g.vertex_stratum[g.he_dst[mask]]
-    idx_s = g.he_src[mask] - g.stratum_offsets[strata_s]
-    idx_d = g.he_dst[mask] - g.stratum_offsets[strata_d]
-    for js, is_, jd, id_ in zip(strata_s, idx_s, strata_d, idx_d):
-        fp.write(f"{js}:{is_} {jd}:{id_}\n")
-
-
-def edge_list_text(g: Spidernet) -> str:
-    """Edge list of :func:`write_edge_list` as a string."""
-    buf = io.StringIO()
-    write_edge_list(g, buf)
-    return buf.getvalue()

@@ -136,9 +136,8 @@ def cesaro_strata(params: PqParams, horizon: int, max_stratum: int) -> np.ndarra
     for n in range(horizon):
         if n > 0:
             ev.step()
-        k = min(max_stratum, ev.active) + 1
-        acc[:k] += (np.abs(ev.xp[:k]) ** 2 + np.abs(ev.xo[:k]) ** 2
-                    + np.abs(ev.xm[:k]) ** 2)
+        probs = ev.stratum_probabilities()
+        acc[:len(probs)] += probs
     return acc / horizon
 
 

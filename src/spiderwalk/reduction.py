@@ -17,11 +17,14 @@ and whose shift swaps psi_n^+ with psi_{n+1}^-.  Everything downstream
 (spectra, spectral measures, localization) is phrased in terms of
 (p, q, r) only, which is why :class:`PqParams` also accepts raw values.
 
-The module provides the reduced state/evolution, the isometric embedding
-back into a concrete graph, the finite-path cutoff walk together with its
-tridiagonal matrix ``T_N`` (the walk restricted-projected onto the ladder
-vectors Psi_n), its eigensystem, and the induced discrete spectral
-measure.
+The module provides the reduced state, its one evolution kernel
+:class:`ReducedEvolver` (in place, light-cone truncated), the isometric
+embedding back into a concrete graph, the finite-path cutoff walk
+together with its tridiagonal matrix ``T_N`` (the walk
+restricted-projected onto the ladder vectors Psi_n), its eigensystem,
+and the induced discrete spectral measure.  The dense cutoff walk
+:func:`cutoff_walk_matrix` is kept as an independent reference for the
+evolver and the eigensystem.
 """
 
 from __future__ import annotations
@@ -44,13 +47,8 @@ __all__ = [
     "PqParams",
     "params_from_spidernet",
     "ReducedState",
-    "reduced_coin",
-    "reduced_shift",
-    "reduced_step",
     "ReducedEvolver",
     "inner",
-    "origin_probability",
-    "stratum_probability",
     "stratum_state",
     "embed",
     "JacobiMatrixT",
@@ -84,9 +82,10 @@ class PqParams:
         p, q, r = self.p, self.q, self.r
         if not (p > 0 and q > 0):
             raise ParamsOutOfRangeError(f"p and q must be positive, got p={p}, q={q}")
-        if r < -_TOL:
+        # written so that NaN fails every test
+        if not r >= -_TOL:
             raise ParamsOutOfRangeError(f"r must be non-negative, got r={r}")
-        if abs(p + q + r - 1.0) > _TOL:
+        if not abs(p + q + r - 1.0) <= _TOL:
             raise ParamsOutOfRangeError(f"p + q + r must equal 1, got {p + q + r}")
         if abs(r) <= _TOL:
             object.__setattr__(self, "r", 0.0)
@@ -138,9 +137,6 @@ class ReducedState:
         """Largest stratum index carried (array length - 1)."""
         return len(self.xp) - 1
 
-    def copy(self) -> "ReducedState":
-        return ReducedState(self.xp.copy(), self.xo.copy(), self.xm.copy())
-
     def norm(self) -> float:
         return float(np.sqrt(
             (np.abs(self.xp) ** 2 + np.abs(self.xo) ** 2 + np.abs(self.xm) ** 2).sum()))
@@ -163,38 +159,6 @@ def _coin_matrix(params: PqParams) -> np.ndarray:
     p, q, r = params.p, params.q, params.r
     v = np.array([np.sqrt(p), np.sqrt(r), np.sqrt(q)])
     return 2.0 * np.outer(v, v) - np.eye(3)
-
-
-def reduced_coin(params: PqParams, state: ReducedState) -> ReducedState:
-    """Coin: fixes the slot-0 coefficient, reflects each triple n >= 1
-    through the unit vector (sqrt(p), sqrt(r), sqrt(q))."""
-    m = _coin_matrix(params)
-    trip = state.coefficients()
-    out = m @ trip
-    out[0, 0] = trip[0, 0]
-    out[1, 0] = 0.0
-    out[2, 0] = 0.0
-    return ReducedState(out[0], out[1], out[2])
-
-
-def reduced_shift(params: PqParams, state: ReducedState) -> ReducedState:
-    """Shift: psi_n^+ -> psi_{n+1}^-, psi_n^- -> psi_{n-1}^+, psi_n^o fixed.
-
-    An involution; the returned state has one more slot to make room.
-    """
-    L = state.length
-    xp = np.zeros(L + 2, dtype=np.complex128)
-    xo = np.zeros(L + 2, dtype=np.complex128)
-    xm = np.zeros(L + 2, dtype=np.complex128)
-    xm[1:L + 2] = state.xp
-    xp[0:L] = state.xm[1:L + 1]
-    xo[1:L + 1] = state.xo[1:L + 1]
-    return ReducedState(xp, xo, xm)
-
-
-def reduced_step(params: PqParams, state: ReducedState) -> ReducedState:
-    """One step of the reduced walk, shift after coin."""
-    return reduced_shift(params, reduced_coin(params, state))
 
 
 class ReducedEvolver:
@@ -271,6 +235,10 @@ class ReducedEvolver:
     def origin_probability(self) -> float:
         return float(np.abs(self.xp[0]) ** 2)
 
+    def _probabilities(self, lo: int, hi: int) -> np.ndarray:
+        xp, xo, xm = self.xp[lo:hi], self.xo[lo:hi], self.xm[lo:hi]
+        return np.abs(xp) ** 2 + np.abs(xo) ** 2 + np.abs(xm) ** 2
+
     def stratum_probability(self, stratum: int) -> float:
         if stratum < 0:
             raise InvalidParamsError(f"stratum must be non-negative, got {stratum}")
@@ -279,8 +247,13 @@ class ReducedEvolver:
                 f"stratum {stratum} lies beyond the evolver's reach {self.reach}")
         if stratum > self.active:
             return 0.0
-        return float(np.abs(self.xp[stratum]) ** 2 + np.abs(self.xo[stratum]) ** 2
-                     + np.abs(self.xm[stratum]) ** 2)
+        return float(self._probabilities(stratum, stratum + 1)[0])
+
+    def stratum_probabilities(self) -> np.ndarray:
+        """Probabilities of strata 0 .. min(reach, active) in one read;
+        strata further out are either unreached (probability 0) or stale."""
+        top = self.active if self.reach is None else min(self.reach, self.active)
+        return self._probabilities(0, top + 1)
 
     def origin_amplitude(self) -> complex:
         return complex(self.xp[0])
@@ -302,26 +275,11 @@ def inner(s1: ReducedState, s2: ReducedState) -> complex:
     return complex(np.vdot(a, b))
 
 
-def origin_probability(state: ReducedState) -> float:
-    """Probability of finding the walker at the root, |xp[0]|^2."""
-    return float(np.abs(state.xp[0]) ** 2)
-
-
-def stratum_probability(state: ReducedState, stratum: int) -> float:
-    """Probability of finding the walker in stratum ``stratum``."""
-    if stratum < 0:
-        raise ValueError("stratum must be non-negative")
-    if stratum > state.length:
-        return 0.0
-    return float(np.abs(state.xp[stratum]) ** 2 + np.abs(state.xo[stratum]) ** 2
-                 + np.abs(state.xm[stratum]) ** 2)
-
-
 def stratum_state(params: PqParams, stratum: int) -> ReducedState:
     """The unit ladder vector Psi_n: psi_0^+ for n = 0, otherwise
     sqrt(p) psi_n^+ + sqrt(r) psi_n^o + sqrt(q) psi_n^-."""
     if stratum < 0:
-        raise ValueError("stratum must be non-negative")
+        raise InvalidParamsError(f"stratum must be non-negative, got {stratum}")
     if stratum == 0:
         return ReducedState.origin()
     s = ReducedState.zeros(stratum)
@@ -337,7 +295,8 @@ def embed(g: Spidernet, state: ReducedState) -> np.ndarray:
     Each coefficient is spread uniformly over its half-edge class; the
     result is a full walk state.  Requires radius >= length + 1 so the
     forward class of the last active stratum exists, and intertwines the
-    two evolutions: embed(reduced_step(s)) == step(embed(s)).
+    two evolutions: stepping s with a :class:`ReducedEvolver` and then
+    embedding equals embedding s and stepping with ``walk.step``.
     """
     L = state.length
     if g.radius < L + 1:
@@ -408,8 +367,12 @@ def eigensystem_T(t: JacobiMatrixT, tol: float = 1e-12):
     Uses a symmetric-tridiagonal solver; columns of the returned matrix
     are sign-fixed so their first non-negligible component is positive
     (the component along Psi_0 is positive for every true eigenvector).
-    Verifies that the top eigenvalue is 1 and that all eigenvalues are
-    simple, raising ConvergenceFailureError otherwise.
+    Verifies that the top eigenvalue is 1 and that the eigenvalues are
+    finite and non-increasing, raising ConvergenceFailureError otherwise.
+    Simplicity is not tested bit by bit: two eigenvalues that are distinct
+    in exact arithmetic can round to the same double (for p = q the two
+    ends of the ladder mirror each other), and :func:`u_eigensystem`
+    certifies every eigenpair by its residual.
     """
     try:
         vals, vecs = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag)
@@ -419,8 +382,8 @@ def eigensystem_T(t: JacobiMatrixT, tol: float = 1e-12):
     vecs = vecs[:, ::-1]
     if abs(vals[0] - 1.0) > max(tol, 1e-10):
         raise ConvergenceFailureError(f"top eigenvalue {vals[0]} is not 1")
-    if np.any(np.diff(vals) >= 0):
-        raise ConvergenceFailureError("eigenvalues of T_N must be simple")
+    if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals) <= 0)):
+        raise ConvergenceFailureError("eigenvalues of T_N must be finite and sorted")
     # sign convention: first significant component positive
     for k in range(vecs.shape[1]):
         col = vecs[:, k]
@@ -443,21 +406,21 @@ def cutoff_index(n: int, kind: str, cutoff: int) -> int:
     """
     N = cutoff
     if kind not in ("+", "o", "-"):
-        raise ValueError(f"kind must be '+', 'o' or '-', got {kind!r}")
+        raise InvalidParamsError(f"kind must be '+', 'o' or '-', got {kind!r}")
     if n == 0 and kind == "+":
         return 0
     if 1 <= n <= N - 1:
         return 3 * n - 2 + ("+", "o", "-").index(kind)
     if n == N and kind == "-":
         return 3 * N - 2
-    raise ValueError(f"psi_{n}^{kind} does not exist in H({N})")
+    raise InvalidParamsError(f"psi_{n}^{kind} does not exist in H({N})")
 
 
 def cutoff_psi_vector(params: PqParams, cutoff: int, n: int) -> np.ndarray:
     """The ladder vector Psi_n of H(N) in cutoff coordinates."""
     N = cutoff
     if not 0 <= n <= N:
-        raise ValueError(f"Psi_{n} does not exist in H({N})")
+        raise InvalidParamsError(f"Psi_{n} does not exist in H({N})")
     vec = np.zeros(cutoff_dim(N))
     if n == 0:
         vec[0] = 1.0
@@ -548,7 +511,9 @@ def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensy
     cos(theta_j) an interior eigenvalue of T_N, and -1 with multiplicity
     N - 2 (r > 0) or N (r = 0).  Each claimed eigenvector is verified by
     applying U_N, as 3x3 coin blocks followed by the shift permutation,
-    and checking the residual against ``tol``.
+    and checking the residual against ``tol``.  An interior eigenvalue
+    that rounds to +-1, whose pair has no eigenvectors of this form,
+    raises ConvergenceFailureError.
     """
     N = cutoff
     vals, vecs = eigensystem_T(build_T(params, N))
@@ -556,6 +521,8 @@ def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensy
     k_last = N if params.r > 0 else N - 1
     lam = vals[1:k_last + 1]
     thetas = np.arccos(np.clip(lam, -1.0, 1.0))
+    if not np.all((thetas > 0) & (thetas < np.pi)):
+        raise ConvergenceFailureError("an interior eigenvalue of T_N rounds to +-1")
 
     dim = cutoff_dim(N)
     # T eigenvectors in cutoff coordinates: row n of vecs scaled onto the
@@ -572,7 +539,7 @@ def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensy
         return out[shift]
 
     ground = emb[:, 0] / np.linalg.norm(emb[:, 0])
-    if np.linalg.norm(apply_u(ground) - ground) > tol:
+    if not np.linalg.norm(apply_u(ground) - ground) <= tol:
         raise ConvergenceFailureError("eigenvector for eigenvalue 1 failed the residual check")
 
     omega = emb[:, 1:k_last + 1]
@@ -583,7 +550,7 @@ def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensy
     minus = (omega - np.conj(phases) * s_omega) / denom
     for sign, mat, ph in (("+", plus, phases), ("-", minus, np.conj(phases))):
         resid = np.linalg.norm(apply_u(mat) - ph * mat, axis=0)
-        if np.any(resid > tol):
+        if not np.all(resid <= tol):
             raise ConvergenceFailureError(
                 f"eigenpair residual {resid.max():.2e} exceeds {tol} for e^({sign}i theta)")
 

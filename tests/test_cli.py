@@ -4,7 +4,9 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from spiderwalk.cli import main
 
@@ -73,6 +75,23 @@ def test_spectrum(capsys):
     assert code == 0
     _, rows = read_csv(out)
     assert int(rows[-1][3]) == 8             # r = 0 flips it to N
+
+
+def test_spectrum_with_float_equal_eigenvalues(capsys):
+    # c = 1 (p = q): T_N has one eigenvalue near xi = -1/3 localized at the
+    # root and one at the cutoff end, equal to the last bit at N = 300
+    N = 300
+    code, out, err = run_cli(capsys, "spectrum", "1", "4", "1", "--cutoff", str(N))
+    assert code == 0 and err == ""
+    _, rows = read_csv(out)
+    thetas = np.array([float(r[0]) for r in rows[1:-1] if float(r[2]) > 0])
+    p, q, r = 0.25, 0.25, 0.5
+    lam = scipy.linalg.eigvalsh_tridiagonal(
+        np.r_[0.0, np.full(N - 1, r), 0.0],
+        np.r_[np.sqrt(q), np.full(N - 2, np.sqrt(p * q)), np.sqrt(p)])
+    want = np.sort(np.arccos(lam[:-1]))        # all but 1; -1 is none when r > 0
+    assert len(thetas) == len(want) == N
+    assert np.max(np.abs(thetas - want)) < 1e-10
 
 
 def test_amplitude(capsys):
@@ -153,13 +172,19 @@ def test_error_reporting(capsys):
     assert code == 1
     assert "message" in json.loads(err)
 
+    # non-finite parameters are rejected up front, not deep inside scipy
+    code, _, err = run_cli(capsys, "spectrum", "--pqr", "0.5", "0.5", "nan", "--cutoff", "4")
+    assert code == 1
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "4", "6", "3", "--steps", "-3"],
     ["simulate", "4", "6", "3", "--steps", "4", "--strata", "-2"],
     ["rwalk", "4", "6", "3", "--nmax", "-1"],
     ["amplitude", "4", "6", "3", "--nmax", "-1"],
-], ids=["simulate-steps", "simulate-strata", "rwalk-nmax", "amplitude-nmax"])
+    ["amplitude", "4", "6", "3", "--l", "-1", "--nmax", "2"],
+], ids=["simulate-steps", "simulate-strata", "rwalk-nmax", "amplitude-nmax", "amplitude-l"])
 def test_negative_counts_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""

@@ -10,7 +10,6 @@ from spiderwalk import (
     SpidernetParams,
     UnrealizableWiringError,
     build_spidernet,
-    edge_list_text,
     half_edge_permutation,
     omega,
     rotation_permutation,
@@ -176,17 +175,6 @@ def test_half_edge_index():
     assert g.he_src[k] == 0 and g.he_dst[k] == 1
     with pytest.raises(InvalidParamsError):
         g.half_edge_index(0, g.vertex_id(2, 0))
-
-
-def test_edge_list_path():
-    g = build_spidernet(SpidernetParams(1, 2, 1), 2)
-    assert edge_list_text(g) == "0:0 1:0\n1:0 2:0\n"
-
-
-def test_edge_list_counts_edges_once():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 2)
-    lines = edge_list_text(g).strip().splitlines()
-    assert len(lines) == g.num_half_edges // 2
 
 
 def test_radius_and_budget_guards():

@@ -15,15 +15,13 @@ from spiderwalk import (
     cesaro_origin,
     cesaro_strata,
     classify,
+    cutoff_psi_vector,
+    cutoff_walk_matrix,
     exp_localization_bound,
-    inner,
     law_from_pq,
     origin_amplitude_series,
     params_from_spidernet,
     random_walk_return,
-    reduced_shift,
-    reduced_step,
-    stratum_state,
 )
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
@@ -50,30 +48,28 @@ def test_amplitude_even_symmetric_bounded():
 
 
 def test_amplitude_matches_reduced_walk_off_origin():
-    l, m = 2, 1
-    psi_l = stratum_state(P463, l)
-    state = stratum_state(P463, m)
+    # against the dense cutoff walk, cut off beyond the walk's reach
+    l, m, N = 2, 1, 30
+    u = cutoff_walk_matrix(P463, N)
+    psi_l = cutoff_psi_vector(P463, N, l)
+    vec = cutoff_psi_vector(P463, N, m)
     for n in range(26):
         if n:
-            state = reduced_step(P463, state)
-        assert abs(amplitude(LAW463, l, m, n) - inner(psi_l, state).real) < 1e-10
+            vec = u @ vec
+        assert abs(amplitude(LAW463, l, m, n) - psi_l @ vec) < 1e-10
 
 
-def test_amplitude_shifted():
+def test_amplitude_shifted(cutoff_shift):
     # <S Psi_l, U^n Psi_m> and <Psi_l, U^n S Psi_m> are the spectral
     # amplitudes at n - 1 and n + 1: against explicit shift applications
-    # in the reduced walk
-    l, m, n = 1, 0, 4
-    s_psi_l = reduced_shift(P463, stratum_state(P463, l))
-    state = stratum_state(P463, m)
-    for _ in range(n):
-        state = reduced_step(P463, state)
-    assert abs(amplitude(LAW463, l, m, n - 1) - inner(s_psi_l, state).real) < 1e-12
-    s_state = reduced_shift(P463, stratum_state(P463, m))
-    for _ in range(n):
-        s_state = reduced_step(P463, s_state)
-    assert abs(amplitude(LAW463, l, m, n + 1)
-               - inner(stratum_state(P463, l), s_state).real) < 1e-12
+    # in the dense cutoff walk
+    l, m, n, N = 1, 0, 4, 8
+    u_n = np.linalg.matrix_power(cutoff_walk_matrix(P463, N), n)
+    shift = cutoff_shift(N)
+    psi_l = cutoff_psi_vector(P463, N, l)
+    psi_m = cutoff_psi_vector(P463, N, m)
+    assert abs(amplitude(LAW463, l, m, n - 1) - (shift @ psi_l) @ u_n @ psi_m) < 1e-12
+    assert abs(amplitude(LAW463, l, m, n + 1) - psi_l @ u_n @ (shift @ psi_m)) < 1e-12
 
 
 def test_asymptotic_amplitude():
@@ -267,10 +263,11 @@ def test_random_walk_return():
 
 def test_origin_amplitude_series():
     amps = origin_amplitude_series(P463, 6)
-    state = ReducedState.origin()
+    u = cutoff_walk_matrix(P463, 8)
+    vec = cutoff_psi_vector(P463, 8, 0)
     for n in range(7):
         if n:
-            state = reduced_step(P463, state)
-        assert abs(amps[n] - inner(ReducedState.origin(), state).real) < 1e-14
+            vec = u @ vec
+        assert abs(amps[n] - vec[0]) < 1e-14
     with pytest.raises(InvalidParamsError):
         origin_amplitude_series(P463, -1)

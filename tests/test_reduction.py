@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spiderwalk import (
+    ConvergenceFailureError,
     DimensionMismatchError,
     InvalidParamsError,
     ParamsOutOfRangeError,
@@ -25,18 +26,23 @@ from spiderwalk import (
     isotropic_initial_state,
     normalized_sequence,
     law_from_pq,
-    origin_probability,
+    origin_amplitude_series,
     params_from_spidernet,
-    reduced_coin,
-    reduced_shift,
-    reduced_step,
-    stratum_probability,
     stratum_state,
     u_eigensystem,
 )
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)
+# localizing, threshold (b - c)^2 = c, tree, r = 0 with p = q, and a pole
+# of 1/D close to the support
+EVOLVER_CASES = [
+    params_from_spidernet(SpidernetParams(4, 6, 3)),
+    params_from_spidernet(SpidernetParams(5, 6, 4)),
+    params_from_spidernet(SpidernetParams(3, 4, 3)),
+    PqParams(0.5, 0.5, 0.0),
+    PqParams(0.45, 0.44, 0.11),
+]
 
 
 def _random_reduced(rng, length):
@@ -47,6 +53,28 @@ def _random_reduced(rng, length):
     s = ReducedState(xp, xo, xm)
     scale = s.norm()
     return ReducedState(xp / scale, xo / scale, xm / scale)
+
+
+def _to_cutoff(state, N):
+    """A reduced state of length <= N - 1 in the cutoff coordinates of H(N)."""
+    assert state.length <= N - 1
+    vec = np.zeros(cutoff_dim(N), dtype=state.xp.dtype)
+    vec[0] = state.xp[0]
+    for n in range(1, state.length + 1):
+        for kind, x in (("+", state.xp), ("o", state.xo), ("-", state.xm)):
+            vec[cutoff_index(n, kind, N)] = x[n]
+    return vec
+
+
+def _stepped_once(params, state, N):
+    ev = ReducedEvolver(params, state, 1)
+    ev.step()
+    return _to_cutoff(ev.state(), N)
+
+
+def _cutoff_coin(params, N, shift):
+    """C_N = S_N U_N: the coin of the package's cutoff walk, given the shift."""
+    return shift(N) @ cutoff_walk_matrix(params, N)
 
 
 def test_params_from_spidernet():
@@ -62,6 +90,9 @@ def test_params_validation():
         PqParams(0.5, 0.6, -0.1)
     with pytest.raises(ParamsOutOfRangeError):
         PqParams(0.5, 0.2, 0.2)
+    for bad in ((0.5, 0.5, np.nan), (0.5, np.inf, -np.inf), (np.inf, 0.5, 0.5)):
+        with pytest.raises(ParamsOutOfRangeError):
+            PqParams(*bad)
     # r within 1e-14 of zero snaps to exactly zero
     assert PqParams(0.75, 0.25, 1e-15).r == 0.0
     assert PqParams.from_pq(0.5, 0.25).r == 0.25
@@ -70,7 +101,7 @@ def test_params_validation():
 def test_reduced_state_basics():
     s = ReducedState.origin()
     assert s.length == 0 and s.norm() == 1.0
-    assert origin_probability(s) == 1.0
+    assert ReducedEvolver(P463, s, 0).origin_probability() == 1.0
     with pytest.raises(DimensionMismatchError):
         ReducedState([0.0], [1.0], [0.0])
     with pytest.raises(DimensionMismatchError):
@@ -81,51 +112,68 @@ def test_reduced_state_basics():
     assert c.shape == (3, 3) and c[0, 0] == 1.0 and np.count_nonzero(c) == 1
 
 
-def test_coin_fixes_ladder_vectors():
+def test_coin_fixes_ladder_vectors(cutoff_shift):
+    # C Psi_n = Psi_n for every n, the root slot Psi_0 and the lone psi_N^-
+    # included, so one evolver step moves Psi_n by the shift alone
+    N = 6
     for params in (P463, PTREE):
+        coin = _cutoff_coin(params, N, cutoff_shift)
+        for n in range(N + 1):
+            psi = cutoff_psi_vector(params, N, n)
+            assert np.max(np.abs(coin @ psi - psi)) < 1e-15
         for n in (0, 1, 3):
-            psi = stratum_state(params, n)
-            out = reduced_coin(params, psi)
-            assert np.max(np.abs(out.coefficients() - psi.coefficients())) < 1e-15
+            assert np.max(np.abs(_stepped_once(params, stratum_state(params, n), N)
+                                 - cutoff_shift(N) @ cutoff_psi_vector(params, N, n))) < 1e-15
 
 
-def test_coin_negates_orthocomplement():
+def test_coin_negates_orthocomplement(cutoff_shift):
     p, q, r = P463.p, P463.q, P463.r
+    N = 4
     # a vector orthogonal to (sqrt p, sqrt r, sqrt q) in the n=2 triple
     s = ReducedState.zeros(2)
     s.xp[2] = np.sqrt(r)
     s.xo[2] = -np.sqrt(p)
-    out = reduced_coin(P463, s)
-    assert np.max(np.abs(out.coefficients() + s.coefficients())) < 1e-15
+    v = _to_cutoff(s, N)
+    coin = _cutoff_coin(P463, N, cutoff_shift)
+    assert np.max(np.abs(coin @ v + v)) < 1e-15
+    assert np.max(np.abs(_stepped_once(P463, s, N) + cutoff_shift(N) @ v)) < 1e-15
 
 
-def test_coin_involution_and_root_fixed():
-    rng = np.random.default_rng(2)
-    s = _random_reduced(rng, 4)
-    twice = reduced_coin(P463, reduced_coin(P463, s))
-    assert np.max(np.abs(twice.coefficients() - s.coefficients())) < 1e-14
-    assert reduced_coin(P463, s).xp[0] == s.xp[0]
+def test_coin_involution_and_root_fixed(cutoff_shift):
+    N = 6
+    for params in (P463, PTREE):
+        coin = _cutoff_coin(params, N, cutoff_shift)
+        assert np.max(np.abs(coin @ coin - np.eye(len(coin)))) < 1e-14
+        assert np.array_equal(coin, coin.T)
+        assert np.array_equal(coin[0], np.eye(len(coin))[0])       # root slot fixed
+        assert np.array_equal(coin[-1], np.eye(len(coin))[-1])     # psi_N^- fixed
 
 
-def test_shift():
-    s1 = reduced_shift(P463, ReducedState.origin())
-    assert s1.xm[1] == 1.0 and abs(s1.xp[0]) == 0.0
-
-    s = ReducedState.zeros(2)
-    s.xo[2] = 1.0
-    out = reduced_shift(P463, s)
-    assert out.xo[2] == 1.0 and out.norm() == 1.0
-
-    rng = np.random.default_rng(4)
-    v = _random_reduced(rng, 3)
-    twice = reduced_shift(P463, reduced_shift(P463, v))
-    assert np.max(np.abs(twice.coefficients(v.length) - v.coefficients())) < 1e-15
+def test_shift(cutoff_shift):
+    N = 5
+    s = cutoff_shift(N)
+    assert np.array_equal(s @ s, np.eye(len(s)))
+    assert s[cutoff_index(1, "-", N), 0] == 1.0                  # psi_0^+ -> psi_1^-
+    for n in range(1, N):
+        i = cutoff_index(n, "o", N)
+        assert s[i, i] == 1.0                                     # psi_n^o fixed
+    # the package's walk is this shift after a coin that acts within the
+    # root slot, the triples and the lone psi_N^- only
+    coin = _cutoff_coin(P463, N, cutoff_shift)
+    blocks = np.zeros_like(coin, dtype=bool)
+    blocks[0, 0] = blocks[-1, -1] = True
+    for n in range(1, N):
+        i = cutoff_index(n, "+", N)
+        blocks[i:i + 3, i:i + 3] = True
+    assert not np.any(coin[~blocks])
 
 
 def test_step_leaves_origin():
-    s = reduced_step(P463, ReducedState.origin())
-    assert origin_probability(s) == 0.0
-    assert abs(s.norm() - 1.0) < 1e-14
+    ev = ReducedEvolver(P463, ReducedState.origin(), 1)
+    ev.step()
+    assert ev.origin_probability() == 0.0
+    s = ev.state()
+    assert s.xm[1] == 1.0 and abs(s.norm() - 1.0) < 1e-14
 
 
 def test_norm_preserved_over_long_run():
@@ -135,16 +183,36 @@ def test_norm_preserved_over_long_run():
     assert abs(ev.state().norm() - 1.0) < 1e-10
 
 
-def test_evolver_matches_functional_steps():
-    s = ReducedState.origin()
-    ev = ReducedEvolver(P463, ReducedState.origin(), 12)
-    for n in range(12):
-        s = reduced_step(P463, s)
-        ev.step()
-        assert abs(origin_probability(s) - ev.origin_probability()) < 1e-15
-        for l in (0, 1, n + 1):
-            assert abs(stratum_probability(s, l) - ev.stratum_probability(l)) < 1e-15
-    assert np.max(np.abs(ev.state().coefficients(s.length) - s.coefficients())) < 1e-14
+def _cutoff_stratum_probabilities(vec, N):
+    # layout: psi_0^+, then the triples of strata 1 .. N-1, then psi_N^-
+    w = np.abs(vec) ** 2
+    return np.r_[w[0], w[1:-1].reshape(N - 1, 3).sum(axis=1), w[-1]]
+
+
+def test_evolver_matches_cutoff_walk():
+    # n evolver steps from Psi_m, and from a random complex state, against
+    # U_N^n with N far enough out that the walk never meets the cutoff
+    steps = 60
+    rng = np.random.default_rng(3)
+    for params in EVOLVER_CASES:
+        starts = [stratum_state(params, m) for m in (0, 1, 3)] + [_random_reduced(rng, 3)]
+        for start in starts:
+            N = start.length + steps + 2
+            u = cutoff_walk_matrix(params, N)
+            vec = _to_cutoff(start, N)
+            ev = ReducedEvolver(params, start, steps)
+            for _ in range(steps):
+                vec = u @ vec
+                ev.step()
+                assert np.max(np.abs(_to_cutoff(ev.state(), N) - vec)) < 1e-13
+                probs = ev.stratum_probabilities()
+                want = _cutoff_stratum_probabilities(vec, N)
+                assert len(probs) == ev.active + 1
+                assert np.max(np.abs(probs - want[:len(probs)])) < 1e-13
+                assert not np.any(want[len(probs):])
+                assert np.array_equal(probs, [ev.stratum_probability(l)
+                                              for l in range(len(probs))])
+                assert abs(ev.origin_probability() - abs(vec[0]) ** 2) < 1e-13
 
 
 def test_evolver_horizon_guard():
@@ -195,7 +263,10 @@ def _per_step_reads(ev, steps, reach):
     for n in range(steps + 1):
         if n > 0:
             ev.step()
-        rows.append([ev.origin_amplitude().real, ev.origin_probability()]
+        probs = np.zeros(reach + 1)
+        read = ev.stratum_probabilities()[:reach + 1]
+        probs[:len(read)] = read
+        rows.append([ev.origin_amplitude().real, ev.origin_probability(), *probs]
                     + [ev.stratum_probability(l) for l in range(reach + 1)])
     return np.array(rows)
 
@@ -264,7 +335,7 @@ def test_inner_and_stratum_state():
     assert abs(psi2.norm() - 1.0) < 1e-15
     assert inner(psi2, psi2) == pytest.approx(1.0)
     assert inner(stratum_state(P463, 1), psi2) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError):
         stratum_state(P463, -1)
 
 
@@ -289,10 +360,11 @@ def test_embed_intertwines_evolutions():
     for _ in range(10):
         s = _random_reduced(rng, 2)
         full = embed(g, s)
+        ev = ReducedEvolver(P463, s, 5)
         for _ in range(5):
-            s = reduced_step(P463, s)
+            ev.step()
             full = full_step(g, full)
-        assert np.max(np.abs(full - embed(g, s))) < 1e-12
+        assert np.max(np.abs(full - embed(g, ev.state()))) < 1e-12
 
 
 def test_embed_guards():
@@ -368,10 +440,14 @@ def test_cutoff_layout():
     assert cutoff_index(1, "+", N) == 1
     assert cutoff_index(3, "-", N) == 9
     assert cutoff_index(N, "-", N) == 10
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError):
         cutoff_index(0, "-", N)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError):
         cutoff_index(N, "+", N)
+    with pytest.raises(InvalidParamsError):
+        cutoff_index(1, "x", N)
+    with pytest.raises(InvalidParamsError):
+        cutoff_psi_vector(P463, N, N + 1)
     psi0 = cutoff_psi_vector(P463, N, 0)
     assert psi0[0] == 1.0 and np.count_nonzero(psi0) == 1
     psiN = cutoff_psi_vector(P463, N, N)
@@ -398,6 +474,11 @@ def test_u_eigensystem_multiplicities():
     tree5 = u_eigensystem(PTREE, 5)
     assert tree5.minus_one_multiplicity == 5
     assert len(tree5.thetas) == 4
+
+    # p = q = 1e-300: interior eigenvalues of T_N round to 1, so theta = 0
+    # has no plus/minus eigenvectors; refused, not returned as NaN vectors
+    with pytest.raises(ConvergenceFailureError):
+        u_eigensystem(PqParams(1e-300, 1e-300, 1.0), 4)
 
 
 def test_u_eigensystem_eigenvectors():
@@ -429,31 +510,24 @@ def test_u_eigensystem_against_dense_walk_matrix():
 
 def test_spectral_reconstruction():
     # reduced-walk amplitudes equal sum_j cos(n theta_j) * weight_j
-    amps = {}
-    s = ReducedState.origin()
-    psi0 = ReducedState.origin()
-    for n in range(51):
-        amps[n] = inner(psi0, s).real
-        s = reduced_step(P463, s)
+    amps = origin_amplitude_series(P463, 50)
     for n in (0, 1, 5, 17, 50):
         lam, w = discrete_spectral_measure(P463, n + 2)
         recon = float(np.sum(np.cos(n * np.arccos(np.clip(lam, -1, 1))) * w))
         assert abs(recon - amps[n]) < 1e-10
 
 
-def test_shift_inner_product_identities():
+def test_shift_inner_product_identities(cutoff_shift):
     # <S Psi_l, U^n Psi_m> = <Psi_l, U^{n-1} Psi_m> and the S-right/S-both variants
-    l, m = 2, 1
-    psi_l = stratum_state(P463, l)
-    psi_m = stratum_state(P463, m)
-    s_psi_l = reduced_shift(P463, psi_l)
-    s_psi_m = reduced_shift(P463, psi_m)
+    l, m, N = 2, 1, 12
+    u = cutoff_walk_matrix(P463, N)
+    psi_l = cutoff_psi_vector(P463, N, l)
+    psi_m = cutoff_psi_vector(P463, N, m)
+    s_psi_l = cutoff_shift(N) @ psi_l
+    s_psi_m = cutoff_shift(N) @ psi_m
 
     def amp(bra, ket, n):
-        cur = ket
-        for _ in range(n):
-            cur = reduced_step(P463, cur)
-        return inner(bra, cur).real
+        return float(bra @ np.linalg.matrix_power(u, n) @ ket)
 
     for n in (1, 2, 5):
         assert abs(amp(s_psi_l, psi_m, n) - amp(psi_l, psi_m, n - 1)) < 1e-12
@@ -473,10 +547,10 @@ def test_cutoff_independence():
         results.append(float(cutoff_psi_vector(P463, N, l) @ vec))
     assert abs(results[0] - results[1]) < 1e-13
 
-    cur = stratum_state(P463, m)
+    ev = ReducedEvolver(P463, stratum_state(P463, m), n)
     for _ in range(n):
-        cur = reduced_step(P463, cur)
-    assert abs(results[0] - inner(stratum_state(P463, l), cur).real) < 1e-12
+        ev.step()
+    assert abs(results[0] - inner(stratum_state(P463, l), ev.state()).real) < 1e-12
 
 
 def test_discrete_spectral_measure():

@@ -25,7 +25,6 @@ from .errors import InvalidParamsError, SpiderwalkError
 from .graph import SpidernetParams, build_spidernet
 from .localization import (
     amplitude,
-    cesaro_origin,
     classify,
     origin_amplitude_series,
     random_walk_return,
@@ -135,7 +134,9 @@ def _cmd_simulate(args) -> int:
     columns = ["n", "p_origin"] + [f"p_stratum_{l}" for l in range(1, n_strata + 1)]
     rows = []
     if args.full:
-        g = build_spidernet(sp, steps + 2)
+        # radius steps is exact, as the boundary stratum's truncated coin
+        # never runs; the root has edges only from radius 1 on
+        g = build_spidernet(sp, max(steps, 1))
         ev = GraphEvolver(g, isotropic_initial_state(g))
         for n in range(steps + 1):
             if n > 0:
@@ -260,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of stratum columns (default min(steps, 6))")
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--full", action="store_true",
-                       help="evolve on the explicit graph (needs radius steps+2)")
+                       help="evolve on the explicit graph, built to radius steps")
     group.add_argument("--reduced", action="store_true",
                        help="evolve the one-dimensional reduction (default)")
     _add_output_options(sub)

@@ -64,6 +64,10 @@ __all__ = [
 ]
 
 _TOL = 1e-14
+#: How far the top eigenvalue of T_N may sit from 1.
+_TOP_EIGENVALUE_TOL = 1e-10
+#: Largest residual |U_N v - e^{i theta} v| accepted for a claimed eigenpair.
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -296,7 +300,8 @@ def embed(g: Spidernet, state: ReducedState) -> np.ndarray:
     result is a full walk state.  Requires radius >= length + 1 so the
     forward class of the last active stratum exists, and intertwines the
     two evolutions: stepping s with a :class:`ReducedEvolver` and then
-    embedding equals embedding s and stepping with ``walk.step``.
+    embedding equals embedding s and stepping with a
+    :class:`~spiderwalk.walk.GraphEvolver`.
     """
     L = state.length
     if g.radius < L + 1:
@@ -361,7 +366,7 @@ def build_T(params: PqParams, cutoff: int) -> JacobiMatrixT:
     return JacobiMatrixT(cutoff, diag, offdiag)
 
 
-def eigensystem_T(t: JacobiMatrixT, tol: float = 1e-12):
+def eigensystem_T(t: JacobiMatrixT):
     """Eigenvalues (descending) and orthonormal eigenvectors of T_N.
 
     Uses a symmetric-tridiagonal solver; columns of the returned matrix
@@ -380,7 +385,7 @@ def eigensystem_T(t: JacobiMatrixT, tol: float = 1e-12):
         raise ConvergenceFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
-    if abs(vals[0] - 1.0) > max(tol, 1e-10):
+    if abs(vals[0] - 1.0) > _TOP_EIGENVALUE_TOL:
         raise ConvergenceFailureError(f"top eigenvalue {vals[0]} is not 1")
     if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals) <= 0)):
         raise ConvergenceFailureError("eigenvalues of T_N must be finite and sorted")
@@ -504,16 +509,16 @@ class UEigensystem:
         return float(diag.sum())
 
 
-def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensystem:
+def u_eigensystem(params: PqParams, cutoff: int) -> UEigensystem:
     """Diagonalize the cutoff walk through T_N.
 
     Eigenvalues of U_N are 1, the pairs e^{+-i theta_j} with
     cos(theta_j) an interior eigenvalue of T_N, and -1 with multiplicity
     N - 2 (r > 0) or N (r = 0).  Each claimed eigenvector is verified by
     applying U_N, as 3x3 coin blocks followed by the shift permutation,
-    and checking the residual against ``tol``.  An interior eigenvalue
-    that rounds to +-1, whose pair has no eigenvectors of this form,
-    raises ConvergenceFailureError.
+    and checking the residual against ``_RESIDUAL_TOL``.  An interior
+    eigenvalue that rounds to +-1, whose pair has no eigenvectors of this
+    form, raises ConvergenceFailureError.
     """
     N = cutoff
     vals, vecs = eigensystem_T(build_T(params, N))
@@ -539,7 +544,7 @@ def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensy
         return out[shift]
 
     ground = emb[:, 0] / np.linalg.norm(emb[:, 0])
-    if not np.linalg.norm(apply_u(ground) - ground) <= tol:
+    if not np.linalg.norm(apply_u(ground) - ground) <= _RESIDUAL_TOL:
         raise ConvergenceFailureError("eigenvector for eigenvalue 1 failed the residual check")
 
     omega = emb[:, 1:k_last + 1]
@@ -550,9 +555,10 @@ def u_eigensystem(params: PqParams, cutoff: int, tol: float = 1e-10) -> UEigensy
     minus = (omega - np.conj(phases) * s_omega) / denom
     for sign, mat, ph in (("+", plus, phases), ("-", minus, np.conj(phases))):
         resid = np.linalg.norm(apply_u(mat) - ph * mat, axis=0)
-        if not np.all(resid <= tol):
+        if not np.all(resid <= _RESIDUAL_TOL):
             raise ConvergenceFailureError(
-                f"eigenpair residual {resid.max():.2e} exceeds {tol} for e^({sign}i theta)")
+                f"eigenpair residual {resid.max():.2e} exceeds {_RESIDUAL_TOL} "
+                f"for e^({sign}i theta)")
 
     mult = dim - 1 - 2 * len(thetas)
     return UEigensystem(params, N, vals, vecs, thetas, plus, minus, ground, mult)

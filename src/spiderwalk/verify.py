@@ -11,8 +11,6 @@ fails.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import UnrealizableWiringError

@@ -6,15 +6,17 @@ order.  The coin C acts blockwise at each vertex u as the Grover matrix
 of (u, v) to (v, u).  Both are real orthogonal involutions, so U = SC is
 unitary with real matrix entries.
 
-Starting from the isotropic state at the root, an n-step evolution only
-reaches strata up to n + 1, so a truncation of radius >= n + 2 evolves
-exactly like the infinite graph; :func:`evolve` enforces that margin.
+Starting from the isotropic state at the root, amplitude after k steps
+sits only on half-edges that leave strata <= k.  Step k + 1 coins only
+those, so the truncated coin of the boundary stratum R never runs while
+k < R, and a truncation of radius >= n evolves exactly like the infinite
+graph for n steps; :func:`evolve` enforces that radius.
 
 Half-edges are numbered stratum by stratum, so the support of such an
-evolution is a prefix of the half-edge array.  :class:`GraphEvolver`
-steps only that light-cone prefix, in float64 for a real state, which
-makes graph construction the dominant cost of the explicit route; memory
-still grows like ``c**steps``, from the graph arrays.
+evolution is a prefix of the half-edge array.  :class:`GraphEvolver`, the
+one stepping kernel, steps only that light-cone prefix in place, in
+float64 for a real state; memory still grows like ``c**steps``, from the
+graph arrays.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ from .graph import Spidernet
 
 __all__ = [
     "isotropic_initial_state",
-    "coin_apply",
-    "shift_apply",
-    "step",
     "evolve",
     "vertex_distribution",
-    "stratum_distribution",
-    "time_averaged_distribution",
     "GraphEvolver",
 ]
 
@@ -62,11 +59,6 @@ def _vertex_weights(g: Spidernet, psi: np.ndarray, n_vertices: int) -> np.ndarra
     return np.add.reduceat(np.abs(psi) ** 2, g.adj_ptr[:n_vertices])
 
 
-def _strata(g: Spidernet, vertex_weights: np.ndarray) -> np.ndarray:
-    return np.bincount(g.vertex_stratum[:len(vertex_weights)], weights=vertex_weights,
-                       minlength=g.radius + 1)
-
-
 def isotropic_initial_state(g: Spidernet) -> WalkState:
     """Uniform superposition over the root's outgoing half-edges."""
     if g.radius < 1:
@@ -75,28 +67,6 @@ def isotropic_initial_state(g: Spidernet) -> WalkState:
     a = g.params.a
     state[:a] = 1.0 / np.sqrt(a)
     return state
-
-
-def coin_apply(g: Spidernet, state: WalkState) -> WalkState:
-    """Apply the blockwise Grover coin: within each vertex block,
-    value -> (2/deg) * block_sum - value."""
-    _check_state(g, state)
-    out = np.empty(state.shape, dtype=np.result_type(state, np.float64))
-    _coin(g, state, 2.0 / g.degrees, out)
-    return out
-
-
-def shift_apply(g: Spidernet, state: WalkState) -> WalkState:
-    """Apply the shift: amplitude of (u, v) moves to (v, u)."""
-    _check_state(g, state)
-    out = np.empty_like(state)
-    _shift(g, state, out)
-    return out
-
-
-def step(g: Spidernet, state: WalkState) -> WalkState:
-    """One walk step U = SC."""
-    return shift_apply(g, coin_apply(g, state))
 
 
 class GraphEvolver:
@@ -138,20 +108,12 @@ class GraphEvolver:
         self.top = min(self.top + 1, self.g.radius)
         _shift(self.g, self._coined, self._psi[:self._he_end[self.top]])
 
-    def _weights(self) -> np.ndarray:
-        return _vertex_weights(self.g, self._psi[:self._he_end[self.top]],
-                               self._v_end[self.top])
-
-    def vertex_distribution(self) -> np.ndarray:
-        """Per-vertex find probabilities, as :func:`vertex_distribution`."""
-        out = np.zeros(self.g.num_vertices)
-        weights = self._weights()
-        out[:len(weights)] = weights
-        return out
-
     def stratum_distribution(self) -> np.ndarray:
-        """Per-stratum find probabilities, as :func:`stratum_distribution`."""
-        return _strata(self.g, self._weights())
+        """Find probabilities aggregated per stratum (index = distance from root)."""
+        weights = _vertex_weights(self.g, self._psi[:self._he_end[self.top]],
+                                  self._v_end[self.top])
+        return np.bincount(self.g.vertex_stratum[:len(weights)], weights=weights,
+                           minlength=self.g.radius + 1)
 
     def state(self) -> WalkState:
         """The current state as a complex128 vector over all half-edges."""
@@ -164,15 +126,15 @@ class GraphEvolver:
 def evolve(g: Spidernet, state: WalkState, steps: int) -> WalkState:
     """Apply U ``steps`` times.
 
-    Requires ``steps + 2 <= g.radius`` so that no amplitude ever reaches a
-    boundary vertex with missing forward edges (the support after n steps
-    is confined to strata <= n + 1).
+    Requires ``steps <= g.radius``: from a state on the root's
+    half-edges, step k + 1 coins only half-edges leaving strata <= k, so
+    the coin never runs at a boundary vertex with missing forward edges.
     """
     if steps < 0:
         raise InvalidParamsError(f"steps must be non-negative, got {steps}")
-    if steps + 2 > g.radius:
+    if steps > g.radius:
         raise RadiusTooSmallError(
-            f"evolving {steps} steps needs radius >= {steps + 2}, graph has {g.radius}")
+            f"evolving {steps} steps needs radius >= {steps}, graph has {g.radius}")
     ev = GraphEvolver(g, state)
     for _ in range(steps):
         ev.step()
@@ -184,24 +146,3 @@ def vertex_distribution(g: Spidernet, state: WalkState) -> np.ndarray:
     vertex's outgoing half-edges."""
     _check_state(g, state)
     return _vertex_weights(g, state, g.num_vertices)
-
-
-def stratum_distribution(g: Spidernet, state: WalkState) -> np.ndarray:
-    """Find probabilities aggregated per stratum (index = distance from root)."""
-    return _strata(g, vertex_distribution(g, state))
-
-
-def time_averaged_distribution(g: Spidernet, state: WalkState, horizon: int) -> np.ndarray:
-    """Cesaro mean (1/horizon) * sum of vertex distributions over steps
-    n = 0 .. horizon-1."""
-    if horizon < 1:
-        raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
-    if (horizon - 1) + 2 > g.radius:
-        raise RadiusTooSmallError(
-            f"averaging {horizon} steps needs radius >= {horizon + 1}, graph has {g.radius}")
-    ev = GraphEvolver(g, state)
-    acc = ev.vertex_distribution()
-    for _ in range(horizon - 1):
-        ev.step()
-        acc += ev.vertex_distribution()
-    return acc / horizon

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from spiderwalk import SpidernetParams, build_spidernet, cutoff_dim, cutoff_index
 
@@ -27,4 +28,30 @@ def cutoff_shift():
             i, j = cutoff_index(n, "+", N), cutoff_index(n + 1, "-", N)
             s[[i, j]] = s[[j, i]]
         return s
+    return build
+
+
+@pytest.fixture(scope="session")
+def sparse_walk():
+    """Builds the coin C and the shift S of a graph's walk U = SC as sparse
+    matrices from its adjacency lists, independently of the package's
+    kernels: C is 2/deg - I on each vertex's block of outgoing half-edges
+    (deg counted from the block, so boundary vertices get the truncated
+    coin) and S sends the half-edge (u, v) to (v, u)."""
+    def build(g):
+        n = g.num_half_edges
+        rows, cols, vals = [], [], []
+        image = np.empty(n, dtype=np.int64)
+        for u in range(g.num_vertices):
+            lo, hi = int(g.adj_ptr[u]), int(g.adj_ptr[u + 1])
+            block = np.arange(lo, hi)
+            rows.append(np.repeat(block, hi - lo))
+            cols.append(np.tile(block, hi - lo))
+            vals.append((2.0 / (hi - lo) - np.eye(hi - lo)).ravel())
+            for k, v in zip(block, g.adj[lo:hi]):
+                image[k] = g.half_edge_index(int(v), u)
+        coin = scipy.sparse.csr_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+        shift = scipy.sparse.csr_array((np.ones(n), (image, np.arange(n))), shape=(n, n))
+        return coin, shift
     return build

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from spiderwalk import (
+    GraphEvolver,
     PqParams,
     SpidernetParams,
     UnrealizableWiringError,
@@ -31,10 +32,7 @@ from spiderwalk import (
     orth_poly_closed_R,
     orth_poly_closed_cheb,
     orth_poly_recurrence,
-    params_from_spidernet,
     special_value,
-    step,
-    stratum_distribution,
     stratum_state,
     u_eigensystem,
 )
@@ -78,11 +76,11 @@ def test_criterion_2_classifier_boundary():
 
 def _full_graph_amplitudes(g, nmax):
     s0 = isotropic_initial_state(g)
-    s = s0.copy()
-    amps = [float(np.vdot(s0, s).real)]
+    ev = GraphEvolver(g, s0)
+    amps = [float(np.vdot(s0, ev.state()).real)]
     for _ in range(nmax):
-        s = step(g, s)
-        amps.append(float(np.vdot(s0, s).real))
+        ev.step()
+        amps.append(float(np.vdot(s0, ev.state()).real))
     return np.array(amps)
 
 
@@ -274,14 +272,16 @@ def test_criterion_9_exponential_localization(big_463):
         bound_details.append(f"l={l}: {measured[l]:.4g}>{bound:.4g}")
 
     g = big_463
-    s = isotropic_initial_state(g)
+    ev = GraphEvolver(g, isotropic_initial_state(g))
+    psi = [embed(g, stratum_state(P463, l)) for l in range(7)]
     margin = np.inf
     for n in range(11):
         if n:
-            s = step(g, s)
-        by_stratum = stratum_distribution(g, s)
+            ev.step()
+        s = ev.state()
+        by_stratum = ev.stratum_distribution()
         for l in range(min(n + 1, 6) + 1):
-            amp = np.vdot(embed(g, stratum_state(P463, l)), s)
+            amp = np.vdot(psi[l], s)
             margin = min(margin, float(by_stratum[l] - abs(amp) ** 2))
     pointwise_ok = margin > -1e-12
     ok = bounds_ok and pointwise_ok

@@ -35,12 +35,14 @@ def test_simulate_reduced(capsys):
 
 
 def test_simulate_full_matches_reduced(capsys):
-    # localizing, threshold (b - c)^2 = c, tree, c = 1, and stratum
+    # localizing, threshold (b - c)^2 = c, tree, c = 1, no steps (the
+    # graph still needs radius 1 for the root's edges), and stratum
     # columns past the graph's radius, which no amplitude reaches
     for argv in (["4", "6", "3", "--steps", "8"],
                  ["4", "6", "4", "--steps", "6"],
                  ["3", "4", "3", "--steps", "8"],
                  ["3", "4", "1", "--steps", "12"],
+                 ["4", "6", "3", "--steps", "0"],
                  ["4", "6", "3", "--steps", "3", "--strata", "8"]):
         code, full_out, _ = run_cli(capsys, "simulate", *argv, "--full")
         assert code == 0
@@ -54,7 +56,7 @@ def test_simulate_full_matches_reduced(capsys):
             assert len(fr) == len(rr)
             for fv, rv in zip(fr[1:], rr[1:]):
                 assert abs(float(fv) - float(rv)) < 1e-12
-    # strata 6..8 lie past radius 5: both routes print exact zeros
+    # strata 6..8 lie past radius 3: both routes print exact zeros
     assert all(row[-3:] == ["0", "0", "0"] for row in full_rows)
 
 
@@ -193,7 +195,8 @@ def test_negative_counts_rejected(capsys, argv):
 
 @pytest.mark.parametrize("steps", ["18", "40"])
 def test_oversized_full_rejected_before_allocation(capsys, steps):
-    # 52 GiB of graph arrays at 18 steps; stratum sizes past int64 at 40
+    # 3.1e9 half-edges (23 GiB per int64 half-edge array) at 18 steps;
+    # stratum sizes past int64 at 40
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "simulate", "4", "6", "3",

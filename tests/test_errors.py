@@ -33,3 +33,34 @@ def test_every_raise_is_a_spiderwalk_error():
             if not (isinstance(cls, type) and issubclass(cls, SpiderwalkError)):
                 offenders.append(f"{path.name}:{node.lineno} raises {name}")
     assert not offenders, offenders
+
+
+def _bound_names(node):
+    """Names an import statement binds in its scope."""
+    for alias in node.names:
+        if isinstance(node, ast.Import):
+            yield alias.asname or alias.name.split(".")[0]
+        else:
+            yield alias.asname or alias.name
+
+
+def test_imports_are_used_and_all_resolves():
+    # stands in for a linter; the benchmark tracer also getattr()s every
+    # __all__ name, so a stale one would crash a traced run
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        stem = "spiderwalk" if path.stem == "__init__" else f"spiderwalk.{path.stem}"
+        module = importlib.import_module(stem)
+        exported = getattr(module, "__all__", [])
+        offenders += [f"{path.name}: __all__ names missing {name}"
+                      for name in exported if not hasattr(module, name)]
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                offenders += [f"{path.name}:{node.lineno} imports unused {name}"
+                              for name in _bound_names(node)
+                              if name not in used and name not in exported]
+    assert not offenders, offenders

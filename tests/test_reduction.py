@@ -4,6 +4,7 @@ import pytest
 from spiderwalk import (
     ConvergenceFailureError,
     DimensionMismatchError,
+    GraphEvolver,
     InvalidParamsError,
     ParamsOutOfRangeError,
     PqParams,
@@ -21,7 +22,6 @@ from spiderwalk import (
     discrete_spectral_measure,
     eigensystem_T,
     embed,
-    evolve,
     inner,
     isotropic_initial_state,
     normalized_sequence,
@@ -356,15 +356,14 @@ def test_embed_is_isometry():
 def test_embed_intertwines_evolutions():
     g = build_spidernet(SpidernetParams(4, 6, 3), 9)
     rng = np.random.default_rng(13)
-    from spiderwalk import step as full_step
     for _ in range(10):
         s = _random_reduced(rng, 2)
-        full = embed(g, s)
+        full = GraphEvolver(g, embed(g, s))
         ev = ReducedEvolver(P463, s, 5)
         for _ in range(5):
             ev.step()
-            full = full_step(g, full)
-        assert np.max(np.abs(full - embed(g, ev.state()))) < 1e-12
+            full.step()
+        assert np.max(np.abs(full.state() - embed(g, ev.state()))) < 1e-12
 
 
 def test_embed_guards():

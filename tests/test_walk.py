@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,11 @@ from spiderwalk import (
     SpidernetParams,
     build_spidernet,
     cesaro_origin,
-    coin_apply,
     evolve,
     half_edge_permutation,
     isotropic_initial_state,
     params_from_spidernet,
     rotation_permutation,
-    shift_apply,
-    step,
-    stratum_distribution,
-    time_averaged_distribution,
     vertex_distribution,
 )
 
@@ -26,6 +23,23 @@ from spiderwalk import (
 def _random_state(g, rng):
     s = rng.standard_normal(g.num_half_edges) + 1j * rng.standard_normal(g.num_half_edges)
     return s / np.linalg.norm(s)
+
+
+def _strata(g, state):
+    """Per-stratum probabilities of a state, correctly rounded sums over
+    the half-edges leaving each stratum."""
+    src_strata = g.vertex_stratum[g.he_src]
+    weights = np.abs(state) ** 2
+    return np.array([math.fsum(weights[src_strata == j]) for j in range(g.radius + 1)])
+
+
+def _assert_strata(g, dist, state):
+    """dist holds the per-stratum probabilities of state, up to the error
+    bound of a float64 sum of each stratum's n terms, n * eps * sum."""
+    exact = _strata(g, state)
+    terms = np.bincount(g.vertex_stratum[g.he_src], minlength=g.radius + 1)
+    assert dist.shape == exact.shape
+    assert np.all(np.abs(dist - exact) <= terms * np.finfo(np.float64).eps * exact)
 
 
 def test_isotropic_initial_state():
@@ -43,37 +57,50 @@ def test_isotropic_initial_state():
         isotropic_initial_state(build_spidernet(SpidernetParams(4, 6, 3), 0))
 
 
-def test_coin_fixes_isotropic_block():
+def test_coin_fixes_isotropic_block(sparse_walk):
     g = build_spidernet(SpidernetParams(4, 6, 3), 2)
+    _, shift = sparse_walk(g)
     s = isotropic_initial_state(g)
-    assert np.allclose(coin_apply(g, s), s, atol=1e-15)
+    # the coin fixes the root's isotropic block, so one step only shifts it
+    assert np.max(np.abs(evolve(g, s, 1) - shift @ s)) <= 1e-15
 
 
 def test_coin_swaps_degree_two_block():
-    # on a path, the coin 2/2 - I at a degree-2 vertex is the swap matrix
+    # on a path, the coin 2/2 - I at a degree-2 vertex is the swap matrix:
+    # (1, 0) is coined onto (1, 2), which the shift moves to (2, 1)
     g = build_spidernet(SpidernetParams(1, 2, 1), 3)
     s = np.zeros(g.num_half_edges, dtype=np.complex128)
     s[g.half_edge_index(1, 0)] = 1.0
-    out = coin_apply(g, s)
-    assert out[g.half_edge_index(1, 0)] == 0.0
-    assert out[g.half_edge_index(1, 2)] == 1.0
+    out = evolve(g, s, 1)
+    assert out[g.half_edge_index(2, 1)] == 1.0
+    assert np.count_nonzero(out) == 1
 
 
-def test_involutions():
+def test_involutions(sparse_walk):
     g = build_spidernet(SpidernetParams(4, 6, 3), 3)
+    coin, shift = sparse_walk(g)
     rng = np.random.default_rng(3)
     s = _random_state(g, rng)
-    assert np.max(np.abs(coin_apply(g, coin_apply(g, s)) - s)) < 1e-14
-    assert np.max(np.abs(shift_apply(g, shift_apply(g, s)) - s)) < 1e-14
+    assert np.max(np.abs(coin @ (coin @ s) - s)) < 1e-14
+    assert np.max(np.abs(shift @ (shift @ s) - s)) < 1e-14
+    # U S U = S C C = S, so C^2 = I for the package's coin
+    assert np.max(np.abs(evolve(g, shift @ evolve(g, s, 1), 1) - shift @ s)) < 1e-14
 
 
-def test_shift_moves_basis_states():
+def test_shift_moves_basis_states(sparse_walk):
     g = build_spidernet(SpidernetParams(4, 6, 3), 2)
+    coin, shift = sparse_walk(g)
     s = np.zeros(g.num_half_edges, dtype=np.complex128)
     s[g.half_edge_index(0, 2)] = 1.0
-    out = shift_apply(g, s)
-    assert out[g.half_edge_index(2, 0)] == 1.0
-    assert np.count_nonzero(out) == 1
+    out = evolve(g, s, 1)
+    # the root's coin spreads (0, 2) as 2/4 - delta over its block, and the
+    # shift moves the amplitude of each (0, v) onto (v, 0)
+    want = np.zeros(g.num_half_edges, dtype=np.complex128)
+    for v in g.neighbors(0):
+        want[g.half_edge_index(v, 0)] = 0.5
+    want[g.half_edge_index(2, 0)] = -0.5
+    assert np.array_equal(out, want)
+    assert np.array_equal(shift @ (coin @ s), want)
 
 
 def test_unitarity_random_states():
@@ -81,27 +108,30 @@ def test_unitarity_random_states():
     rng = np.random.default_rng(11)
     for _ in range(100):
         s = _random_state(g, rng)
-        assert abs(np.linalg.norm(step(g, s)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(evolve(g, s, 1)) - 1.0) < 1e-12
 
 
 def test_step_from_root():
     g = build_spidernet(SpidernetParams(4, 6, 3), 3)
     s0 = isotropic_initial_state(g)
-    s1 = step(g, s0)
+    s1 = evolve(g, s0, 1)
     # only half-edges pointing back at the root carry amplitude
     support = np.nonzero(np.abs(s1) > 1e-15)[0]
     assert np.all(g.he_dst[support] == 0)
     assert abs(np.vdot(s0, s1)) < 1e-15
 
 
-def test_support_growth():
+def test_support_growth(sparse_walk):
+    # after n steps from the root the amplitude sits on half-edges leaving
+    # strata <= n and reaches stratum n, so radius n is the least exact one
     g = build_spidernet(SpidernetParams(4, 6, 3), 6)
+    coin, shift = sparse_walk(g)
+    src_strata = g.vertex_stratum[g.he_src]
     s = isotropic_initial_state(g)
-    for n in range(1, 5):
-        s = step(g, s)
-        src_strata = g.vertex_stratum[g.he_src]
-        beyond = np.abs(s[src_strata > n + 1])
-        assert beyond.size == 0 or np.max(beyond) == 0.0
+    for n in range(1, 7):
+        s = shift @ (coin @ s)
+        assert not s[src_strata > n].any()
+        assert s[src_strata == n].any()
 
 
 def test_reality():
@@ -115,53 +145,54 @@ def test_rotation_equivariance():
     hperm = half_edge_permutation(g, rotation_permutation(g))
     rng = np.random.default_rng(5)
     s = _random_state(g, rng)
-    assert np.max(np.abs(step(g, s)[hperm] - step(g, s[hperm]))) < 1e-13
+    assert np.max(np.abs(evolve(g, s, 1)[hperm] - evolve(g, s[hperm], 1))) < 1e-13
 
 
 def test_vertex_distribution():
     g = build_spidernet(SpidernetParams(4, 6, 3), 5)
-    s = evolve(g, isotropic_initial_state(g), 3)
-    dist = vertex_distribution(g, s)
+    ev = GraphEvolver(g, isotropic_initial_state(g))
+    for _ in range(3):
+        ev.step()
+    dist = vertex_distribution(g, ev.state())
     assert np.all(dist >= 0)
     assert abs(dist.sum() - 1.0) < 1e-12
-    by_stratum = stratum_distribution(g, s)
+    by_stratum = ev.stratum_distribution()
     assert abs(by_stratum.sum() - 1.0) < 1e-12
-    assert by_stratum.shape == (g.radius + 1,)
+    _assert_strata(g, by_stratum, ev.state())
 
 
-def test_time_averaged_distribution():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 11)
-    s0 = isotropic_initial_state(g)
-    one = time_averaged_distribution(g, s0, 1)
-    assert one[0] == 1.0 and abs(one.sum() - 1.0) < 1e-14
-
-    # origin entry over 10 steps matches the reduced-walk Cesaro average
-    avg = time_averaged_distribution(g, s0, 10)
-    params = params_from_spidernet(g.params)
-    assert abs(avg[0] - cesaro_origin(params, 10)) < 1e-10
-
-    # the per-step loop the evolver replaced; float64 and complex128 sums
-    # of a block may differ in the last bit
-    acc = vertex_distribution(g, s0)
-    s = s0
+def test_time_averaged_distribution(sparse_walk):
+    # Cesaro mean of the per-stratum distributions over steps n = 0..9
+    g = build_spidernet(SpidernetParams(4, 6, 3), 9)
+    coin, shift = sparse_walk(g)
+    s = isotropic_initial_state(g)
+    ev = GraphEvolver(g, s)
+    acc, ref = ev.stratum_distribution(), _strata(g, s)
+    assert acc[0] == 1.0 and abs(acc.sum() - 1.0) < 1e-14
     for _ in range(9):
-        s = step(g, s)
-        acc += vertex_distribution(g, s)
-    assert np.max(np.abs(avg - acc / 10)) <= 1e-15
+        ev.step()
+        s = shift @ (coin @ s)
+        acc += ev.stratum_distribution()
+        ref += _strata(g, s)
+    assert np.max(np.abs(acc / 10 - ref / 10)) <= 1e-15
 
-    with pytest.raises(InvalidParamsError):
-        time_averaged_distribution(g, s0, 0)
+    # its origin entry matches the reduced-walk Cesaro average
+    params = params_from_spidernet(g.params)
+    assert abs(acc[0] / 10 - cesaro_origin(params, 10)) < 1e-10
 
 
 def test_evolve_guards():
     g = build_spidernet(SpidernetParams(4, 6, 3), 3)
     s = isotropic_initial_state(g)
     with pytest.raises(RadiusTooSmallError):
-        evolve(g, s, 2)
+        evolve(g, s, 4)
+    assert abs(np.linalg.norm(evolve(g, s, 3)) - 1.0) < 1e-14
     with pytest.raises(InvalidParamsError):
         evolve(g, s, -1)
     with pytest.raises(DimensionMismatchError):
-        step(g, s[:-1])
+        GraphEvolver(g, s[:-1])
+    with pytest.raises(DimensionMismatchError):
+        vertex_distribution(g, s[:-1])
 
 
 def _he_end(g, stratum):
@@ -175,49 +206,69 @@ def _he_end(g, stratum):
     ((3, 4, 3), 7),     # tree
     ((3, 4, 1), 12),    # c = 1
 ])
-def test_evolver_matches_step_loop(abc, radius):
+def test_evolver_matches_step_loop(abc, radius, sparse_walk):
     g = build_spidernet(SpidernetParams(*abc), radius)
+    coin, shift = sparse_walk(g)
     iso = isotropic_initial_state(g)
     phased = np.exp(0.7j) * iso
     real_ev, cplx_ev = GraphEvolver(g, iso), GraphEvolver(g, phased)
     assert real_ev._psi.dtype == np.float64 and cplx_ev._psi.dtype == np.complex128
     ref, ref_phased = iso, phased
-    for n in range(1, radius - 1):
+    # up to the radius itself: the boundary's truncated coin never runs
+    for n in range(1, radius + 1):
         real_ev.step()
         cplx_ev.step()
-        ref, ref_phased = step(g, ref), step(g, ref_phased)
+        ref, ref_phased = shift @ (coin @ ref), shift @ (coin @ ref_phased)
         assert real_ev.top == cplx_ev.top == n
         # nothing past the prefix, in the reference or in the kernel's buffers
         assert not ref[_he_end(g, n):].any()
         for ev in (real_ev, cplx_ev):
             assert not ev._psi[_he_end(g, n):].any()
             assert not ev._coined[_he_end(g, n - 1):].any()
-        # the complex128 kernel does the step loop's arithmetic; the float64
-        # one may sum a vertex block in another order
-        assert np.array_equal(cplx_ev.state(), ref_phased)
+        assert np.max(np.abs(cplx_ev.state() - ref_phased)) <= 1e-15
         full = real_ev.state()
         assert full.dtype == np.complex128
         assert np.max(np.abs(full - ref)) <= 1e-15
-        assert np.max(np.abs(real_ev.stratum_distribution()
-                             - stratum_distribution(g, ref))) <= 1e-15
+        _assert_strata(g, real_ev.stratum_distribution(), full)
 
 
-def test_evolver_arbitrary_states():
+def test_evolver_arbitrary_states(sparse_walk):
     g = build_spidernet(SpidernetParams(4, 6, 3), 4)
+    coin, shift = sparse_walk(g)
     rng = np.random.default_rng(17)
     cplx = _random_state(g, rng)
     real = cplx.real / np.linalg.norm(cplx.real)
     basis = np.zeros(g.num_half_edges, dtype=np.complex128)
     basis[g.half_edge_index(g.vertex_id(2, 5), g.vertex_id(3, 15))] = 1.0
-    for state, top, exact in ((cplx, 4, True), (real + 0j, 4, False), (basis, 2, False)):
+    for state, top in ((cplx, 4), (real + 0j, 4), (basis, 2)):
         ev = GraphEvolver(g, state)
         assert ev.top == top
         ref = state
         for _ in range(3):
             ev.step()
-            ref = step(g, ref)
-            if exact:
-                assert np.array_equal(ev.state(), ref)
-            else:
-                assert np.max(np.abs(ev.state() - ref)) <= 1e-15
-        assert np.max(np.abs(ev.vertex_distribution() - vertex_distribution(g, ref))) <= 1e-15
+            ref = shift @ (coin @ ref)
+            assert np.max(np.abs(ev.state() - ref)) <= 1e-15
+        _assert_strata(g, ev.stratum_distribution(), ev.state())
+
+
+@pytest.mark.parametrize("abc, steps, wider", [
+    ((4, 6, 3), 10, 12),
+    ((3, 4, 3), 11, 13),
+    ((4, 4, 2), 16, 18),
+    # radius 11 would hold 16.8 M half-edges (~0.8 GB); one stratum past
+    # the light cone still exercises the boundary
+    ((4, 6, 4), 9, 10),
+    ((3, 4, 1), 14, 16),
+])
+def test_radius_steps_is_exact(abc, steps, wider):
+    # the radius simulate --full builds against wider truncations, whose
+    # extra strata the walk never reaches
+    sp = SpidernetParams(*abc)
+    exact, wide = build_spidernet(sp, steps), build_spidernet(sp, wider)
+    ev, ev_wide = (GraphEvolver(g, isotropic_initial_state(g)) for g in (exact, wide))
+    for _ in range(steps):
+        ev.step()
+        ev_wide.step()
+        dist, dist_wide = ev.stratum_distribution(), ev_wide.stratum_distribution()
+        assert np.array_equal(dist, dist_wide[:steps + 1])
+        assert not dist_wide[steps + 1:].any()

@@ -89,9 +89,15 @@ def _emit(columns, rows, args) -> None:
 
 def _pq_from_args(args) -> PqParams:
     if args.pqr is not None:
+        _reject_abc(args, "--pqr")
         p, q, r = args.pqr
         return PqParams(p, q, r)
     return params_from_spidernet(SpidernetParams(args.a, args.b, args.c))
+
+
+def _reject_abc(args, flag: str) -> None:
+    if (args.a, args.b, args.c) != (None, None, None):
+        raise InvalidParamsError(f"a b c and {flag} are alternatives; give one of them")
 
 
 def _add_output_options(sub) -> None:
@@ -200,6 +206,7 @@ def _cmd_localize(args) -> int:
     columns = ["a", "b", "c", "localized", "w", "xi", "theta", "qbar_origin"]
     rows = []
     if args.sweep is not None:
+        _reject_abc(args, "--sweep")
         bmax, cmax = args.sweep
         for b in range(2, bmax + 1):
             for c in range(1, min(b - 1, cmax) + 1):

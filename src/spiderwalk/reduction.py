@@ -21,10 +21,11 @@ The module provides the reduced state, its one evolution kernel
 :class:`ReducedEvolver` (in place, light-cone truncated), the isometric
 embedding back into a concrete graph, the finite-path cutoff walk
 together with its tridiagonal matrix ``T_N`` (the walk
-restricted-projected onto the ladder vectors Psi_n), its eigensystem,
-and the induced discrete spectral measure.  The dense cutoff walk
+restricted-projected onto the ladder vectors Psi_n), whose eigenpairs,
+certified by their residuals, give the spectrum of the cutoff walk and
+the induced discrete spectral measure.  The dense cutoff walk
 :func:`cutoff_walk_matrix` is kept as an independent reference for the
-evolver and the eigensystem.
+evolver and the spectrum.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "stratum_state",
     "embed",
     "JacobiMatrixT",
+    "MAX_CUTOFF",
     "build_T",
     "eigensystem_T",
     "cutoff_dim",
@@ -66,7 +68,7 @@ __all__ = [
 _TOL = 1e-14
 #: How far the top eigenvalue of T_N may sit from 1.
 _TOP_EIGENVALUE_TOL = 1e-10
-#: Largest residual |U_N v - e^{i theta} v| accepted for a claimed eigenpair.
+#: Largest residual |T_N v - lambda v| accepted for an eigenpair of T_N.
 _RESIDUAL_TOL = 1e-10
 
 
@@ -356,10 +358,15 @@ class JacobiMatrixT:
         return t
 
 
+# A cap on the cutoff N: the eigenvectors of T_N take 8 (N+1)^2 bytes,
+# ~128 MiB at N = 4096.  Larger cutoffs are rejected before allocating.
+MAX_CUTOFF = 4096
+
+
 def build_T(params: PqParams, cutoff: int) -> JacobiMatrixT:
-    """Tridiagonal matrix T_N for the given (p, q, r); cutoff N >= 2."""
-    if cutoff < 2:
-        raise InvalidParamsError(f"cutoff must be >= 2, got {cutoff}")
+    """Tridiagonal matrix T_N for the given (p, q, r); 2 <= N <= MAX_CUTOFF."""
+    if not 2 <= cutoff <= MAX_CUTOFF:
+        raise InvalidParamsError(f"cutoff must lie in 2..{MAX_CUTOFF}, got {cutoff}")
     p, q, r = params.p, params.q, params.r
     diag = np.r_[0.0, np.full(cutoff - 1, r), 0.0]
     offdiag = np.r_[np.sqrt(q), np.full(cutoff - 2, np.sqrt(p * q)), np.sqrt(p)]
@@ -369,15 +376,13 @@ def build_T(params: PqParams, cutoff: int) -> JacobiMatrixT:
 def eigensystem_T(t: JacobiMatrixT):
     """Eigenvalues (descending) and orthonormal eigenvectors of T_N.
 
-    Uses a symmetric-tridiagonal solver; columns of the returned matrix
-    are sign-fixed so their first non-negligible component is positive
-    (the component along Psi_0 is positive for every true eigenvector).
-    Verifies that the top eigenvalue is 1 and that the eigenvalues are
-    finite and non-increasing, raising ConvergenceFailureError otherwise.
+    Uses a symmetric-tridiagonal solver and verifies that the top
+    eigenvalue is 1, that the eigenvalues are finite and non-increasing,
+    and that every eigenpair has residual |T_N v - lambda v| at most
+    ``_RESIDUAL_TOL``, raising ConvergenceFailureError otherwise.
     Simplicity is not tested bit by bit: two eigenvalues that are distinct
     in exact arithmetic can round to the same double (for p = q the two
-    ends of the ladder mirror each other), and :func:`u_eigensystem`
-    certifies every eigenpair by its residual.
+    ends of the ladder mirror each other).
     """
     try:
         vals, vecs = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag)
@@ -389,12 +394,13 @@ def eigensystem_T(t: JacobiMatrixT):
         raise ConvergenceFailureError(f"top eigenvalue {vals[0]} is not 1")
     if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals) <= 0)):
         raise ConvergenceFailureError("eigenvalues of T_N must be finite and sorted")
-    # sign convention: first significant component positive
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        lead = col[np.argmax(np.abs(col) > 1e-8 * np.abs(col).max())]
-        if lead < 0:
-            vecs[:, k] = -col
+    # T_N V - V diag(vals) from the two diagonals, without a dense T_N
+    resid = (t.diag[:, None] - vals) * vecs
+    resid[:-1] += t.offdiag[:, None] * vecs[1:]
+    resid[1:] += t.offdiag[:, None] * vecs[:-1]
+    worst = np.sqrt(np.max(np.einsum("ij,ij->j", resid, resid)))
+    if not worst <= _RESIDUAL_TOL:
+        raise ConvergenceFailureError(f"eigenpair residual {worst:.2e} exceeds {_RESIDUAL_TOL}")
     return vals, vecs
 
 
@@ -455,46 +461,28 @@ def cutoff_walk_matrix(params: PqParams, cutoff: int) -> np.ndarray:
     for n in range(1, N):
         i = cutoff_index(n, "+", N)
         coin[i:i + 3, i:i + 3] = m3
-    return coin[_cutoff_shift(N)]  # row permutation of C = S @ C
-
-
-def _cutoff_shift(N: int) -> np.ndarray:
-    """The shift of H(N) as an index permutation: psi_n^+ <-> psi_{n+1}^-."""
-    shift = np.arange(cutoff_dim(N))
+    # U_N = S_N C_N permutes the rows of C_N: psi_n^+ <-> psi_{n+1}^-
+    shift = np.arange(dim)
     for n in range(N):
-        i = cutoff_index(n, "+", N)
-        j = cutoff_index(n + 1, "-", N)
+        i, j = cutoff_index(n, "+", N), cutoff_index(n + 1, "-", N)
         shift[i], shift[j] = j, i
-    return shift
+    return coin[shift]
 
 
 @dataclass
 class UEigensystem:
-    """Spectral data of the cutoff walk U_N.
+    """Spectrum of the cutoff walk U_N.
 
     ``thetas`` are the arc angles of the conjugate eigenvalue pairs
-    e^{+-i theta_j}, ascending, strictly inside (0, pi); ``lambdas`` and
-    ``omega_psi`` are the eigenvalues/eigenvectors of T_N (coefficients
-    on the Psi basis); ``plus_vectors``/``minus_vectors`` hold the
-    corresponding unit eigenvectors of U_N in cutoff coordinates, and
-    ``ground_vector`` the eigenvector for eigenvalue 1.  The remaining
-    spectrum is the eigenvalue -1 with multiplicity
-    ``minus_one_multiplicity``.
+    e^{+-i theta_j}, ascending, strictly inside (0, pi).  The rest of the
+    spectrum is the simple eigenvalue 1 and the eigenvalue -1 with
+    multiplicity ``minus_one_multiplicity``.
     """
 
     params: PqParams
     cutoff: int
-    lambdas: np.ndarray
-    omega_psi: np.ndarray
     thetas: np.ndarray
-    plus_vectors: np.ndarray
-    minus_vectors: np.ndarray
-    ground_vector: np.ndarray
     minus_one_multiplicity: int
-
-    @property
-    def dim(self) -> int:
-        return cutoff_dim(self.cutoff)
 
     @property
     def trace(self) -> float:
@@ -504,64 +492,31 @@ class UEigensystem:
         psi^- slot out of its coin block, so only the psi_n^o slots keep
         the coin's middle entry.
         """
-        diag = np.zeros(self.dim)
+        diag = np.zeros(cutoff_dim(self.cutoff))
         diag[2:-1:3] = _coin_matrix(self.params)[1, 1]
         return float(diag.sum())
 
 
 def u_eigensystem(params: PqParams, cutoff: int) -> UEigensystem:
-    """Diagonalize the cutoff walk through T_N.
+    """Spectrum of the cutoff walk through T_N.
 
     Eigenvalues of U_N are 1, the pairs e^{+-i theta_j} with
     cos(theta_j) an interior eigenvalue of T_N, and -1 with multiplicity
-    N - 2 (r > 0) or N (r = 0).  Each claimed eigenvector is verified by
-    applying U_N, as 3x3 coin blocks followed by the shift permutation,
-    and checking the residual against ``_RESIDUAL_TOL``.  An interior
-    eigenvalue that rounds to +-1, whose pair has no eigenvectors of this
-    form, raises ConvergenceFailureError.
+    N - 2 (r > 0) or N (r = 0).  The T_N eigenpair (lambda, Omega) maps
+    to the U_N eigenvectors (omega - e^{+-i theta} S omega) /
+    (sqrt(2) sin theta), omega = sum_n Omega[n] Psi_n, so the residual
+    check of :func:`eigensystem_T` certifies the pairs without building
+    them.  An interior eigenvalue that rounds to +-1, where sin theta = 0,
+    raises ConvergenceFailureError.
     """
     N = cutoff
-    vals, vecs = eigensystem_T(build_T(params, N))
+    vals, _ = eigensystem_T(build_T(params, N))
     # interior eigenvalues: drop lambda_0 = 1, and lambda_N = -1 when r = 0
     k_last = N if params.r > 0 else N - 1
-    lam = vals[1:k_last + 1]
-    thetas = np.arccos(np.clip(lam, -1.0, 1.0))
+    thetas = np.arccos(np.clip(vals[1:k_last + 1], -1.0, 1.0))
     if not np.all((thetas > 0) & (thetas < np.pi)):
         raise ConvergenceFailureError("an interior eigenvalue of T_N rounds to +-1")
-
-    dim = cutoff_dim(N)
-    # T eigenvectors in cutoff coordinates: row n of vecs scaled onto the
-    # slots of Psi_n = sqrt(p) psi_n^+ + sqrt(r) psi_n^o + sqrt(q) psi_n^-
-    scale = np.r_[1.0, np.tile(np.sqrt([params.p, params.r, params.q]), N - 1), 1.0]
-    emb = scale[:, None] * np.repeat(vecs, [1] + [3] * (N - 1) + [1], axis=0)
-    shift = _cutoff_shift(N)
-    m3 = _coin_matrix(params)
-
-    def apply_u(mat):
-        out = mat.copy()
-        triples = mat[1:dim - 1]
-        out[1:dim - 1] = (m3 @ triples.reshape(N - 1, 3, -1)).reshape(triples.shape)
-        return out[shift]
-
-    ground = emb[:, 0] / np.linalg.norm(emb[:, 0])
-    if not np.linalg.norm(apply_u(ground) - ground) <= _RESIDUAL_TOL:
-        raise ConvergenceFailureError("eigenvector for eigenvalue 1 failed the residual check")
-
-    omega = emb[:, 1:k_last + 1]
-    s_omega = omega[shift]
-    phases = np.exp(1j * thetas)
-    denom = np.sqrt(2.0) * np.sin(thetas)
-    plus = (omega - phases * s_omega) / denom
-    minus = (omega - np.conj(phases) * s_omega) / denom
-    for sign, mat, ph in (("+", plus, phases), ("-", minus, np.conj(phases))):
-        resid = np.linalg.norm(apply_u(mat) - ph * mat, axis=0)
-        if not np.all(resid <= _RESIDUAL_TOL):
-            raise ConvergenceFailureError(
-                f"eigenpair residual {resid.max():.2e} exceeds {_RESIDUAL_TOL} "
-                f"for e^({sign}i theta)")
-
-    mult = dim - 1 - 2 * len(thetas)
-    return UEigensystem(params, N, vals, vecs, thetas, plus, minus, ground, mult)
+    return UEigensystem(params, N, thetas, cutoff_dim(N) - 1 - 2 * len(thetas))
 
 
 def discrete_spectral_measure(params: PqParams, cutoff: int):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import spiderwalk.reduction as reduction
 from spiderwalk import SpidernetParams, build_spidernet, cutoff_dim, cutoff_index
 
 
@@ -55,3 +56,17 @@ def sparse_walk():
         shift = scipy.sparse.csr_array((np.ones(n), (image, np.arange(n))), shape=(n, n))
         return coin, shift
     return build
+
+
+@pytest.fixture
+def perturbed_eigensolver(monkeypatch):
+    """Makes the tridiagonal eigensolver return one eigenvector entry off
+    by 1e-6, an eigenpair that only a residual check can reject."""
+    solve = reduction.scipy.linalg.eigh_tridiagonal
+
+    def perturbed(diag, offdiag):
+        vals, vecs = solve(diag, offdiag)
+        vecs[3, 4] += 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(reduction.scipy.linalg, "eigh_tridiagonal", perturbed)

@@ -3,12 +3,15 @@ import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from spiderwalk.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +210,52 @@ def test_oversized_full_rejected_before_allocation(capsys, steps):
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidParamsError"
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("cutoff", ["4097", "1000000000"])
+def test_oversized_cutoff_rejected_before_allocation(capsys, cutoff):
+    # the eigenvectors of T_N alone would take 8 (N+1)^2 bytes
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "spectrum", "4", "6", "3", "--cutoff", cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidParamsError"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "4", "6", "3", "--pqr", "0.75", "0.25", "0", "--cutoff", "3"],
+    ["spectrum", "4", "6", "--pqr", "0.75", "0.25", "0", "--cutoff", "3"],
+    ["localize", "4", "6", "3", "--sweep", "3", "1"],
+], ids=["abc-and-pqr", "partial-abc-and-pqr", "abc-and-sweep"])
+def test_conflicting_inputs_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidParamsError"
+
+
+def test_spectrum_fails_on_a_bad_eigenpair(capsys, perturbed_eigensolver):
+    code, out, err = run_cli(capsys, "spectrum", "4", "6", "3", "--cutoff", "8")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ConvergenceFailureError"
+
+
+def test_readme_examples_are_current(capsys):
+    # every "$ spiderwalk ..." line of the README's example block, followed
+    # by its output up to the next blank line or the end of the block
+    text = README.read_text()
+    block = text.split("Examples:\n\n```text\n", 1)[1].split("```", 1)[0]
+    examples = block.strip("\n").split("\n\n")
+    assert len(examples) == 4
+    for example in examples:
+        command, expected = example.split("\n", 1)
+        assert command.startswith("$ spiderwalk ")
+        code, out, err = run_cli(capsys, *command.split()[2:])
+        assert code == 0 and err == ""
+        assert out == expected + "\n", command
 
 
 @pytest.mark.parametrize("command", ["amplitude", "rwalk"])

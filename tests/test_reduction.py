@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spiderwalk import (
+    MAX_CUTOFF,
     ConvergenceFailureError,
     DimensionMismatchError,
     GraphEvolver,
@@ -386,6 +389,21 @@ def test_build_T_matrix():
     assert np.max(np.abs(t.dense() - expected)) < 1e-15
     with pytest.raises(InvalidParamsError):
         build_T(P463, 1)
+    assert build_T(P463, MAX_CUTOFF).cutoff == MAX_CUTOFF
+    with pytest.raises(InvalidParamsError):
+        build_T(P463, MAX_CUTOFF + 1)
+
+
+@pytest.mark.parametrize("cutoff", [MAX_CUTOFF + 1, 10 ** 9])
+def test_oversized_cutoff_rejected_before_allocation(cutoff):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParamsError):
+            u_eigensystem(P463, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_T_contains_eigenvalue_one():
@@ -404,7 +422,6 @@ def test_eigensystem_T():
     assert np.all(np.abs(vals) <= 1 + 1e-12)
     assert vals[-1] > -1 + 1e-6          # r > 0 keeps -1 out of the spectrum
     assert np.max(np.abs(vecs.T @ vecs - np.eye(9))) < 1e-12
-    assert np.all(vecs[0, :] > 0)        # sign convention <Omega_j, Psi_0> > 0
 
     tvals, _ = eigensystem_T(build_T(PTREE, 8))
     assert abs(tvals[-1] + 1.0) < 1e-12  # r = 0 puts -1 in the spectrum
@@ -480,31 +497,57 @@ def test_u_eigensystem_multiplicities():
         u_eigensystem(PqParams(1e-300, 1e-300, 1.0), 4)
 
 
-def test_u_eigensystem_eigenvectors():
-    system = u_eigensystem(P463, 6)
+def test_residual_check_rejects_perturbed_eigenvector(perturbed_eigensolver):
+    with pytest.raises(ConvergenceFailureError, match="residual"):
+        u_eigensystem(P463, 8)
+    with pytest.raises(ConvergenceFailureError, match="residual"):
+        discrete_spectral_measure(P463, 8)
+
+
+def _u_eigenvectors(params, N, shift):
+    """The spectral mapping as an oracle: an eigenpair (lambda, Omega) of
+    T_N gives, with omega = sum_n Omega[n] Psi_n, the eigenvector omega of
+    U_N for lambda = 1 and the unit eigenvectors
+    (omega - e^{+-i theta} S omega) / (sqrt(2) sin theta) for the interior
+    ones.  Returns the ground vector, the thetas and the plus and minus
+    eigenvectors in cutoff coordinates."""
+    thetas = u_eigensystem(params, N).thetas
+    _, vecs = eigensystem_T(build_T(params, N))
+    psi = np.column_stack([cutoff_psi_vector(params, N, n) for n in range(N + 1)])
+    omega = psi @ vecs
+    interior = omega[:, 1:len(thetas) + 1]
+    s_interior = shift @ interior
+    phases = np.exp(1j * thetas)
+    plus, minus = ((interior - ph * s_interior) / (np.sqrt(2.0) * np.sin(thetas))
+                   for ph in (phases, np.conj(phases)))
+    return omega[:, 0], thetas, plus, minus
+
+
+def test_u_eigensystem_eigenvectors(cutoff_shift):
+    ground, thetas, plus, _ = _u_eigenvectors(P463, 6, cutoff_shift(6))
     u = cutoff_walk_matrix(P463, 6)
-    assert np.linalg.norm(u @ system.ground_vector - system.ground_vector) < 1e-10
-    phases = np.exp(1j * system.thetas)
-    assert np.max(np.abs(u @ system.plus_vectors - phases * system.plus_vectors)) < 1e-10
-    norms = np.linalg.norm(system.plus_vectors, axis=0)
+    assert np.linalg.norm(u @ ground - ground) < 1e-10
+    phases = np.exp(1j * thetas)
+    assert np.max(np.abs(u @ plus - phases * plus)) < 1e-10
+    norms = np.linalg.norm(plus, axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
-def test_u_eigensystem_against_dense_walk_matrix():
-    # the blockwise U_N of the residual checks and the O(N) trace against the
-    # dense matrix
+def test_u_eigensystem_against_dense_walk_matrix(cutoff_shift):
+    # the spectral mapping against the dense U_N; also the O(N) trace
     for params in (P463, PTREE, PqParams(0.5, 0.5, 0.0)):
         for N in (2, 3, 8, 40, 400):
             system = u_eigensystem(params, N)
             u = cutoff_walk_matrix(params, N)
             assert system.trace == float(np.trace(u))
-            psi = np.column_stack([cutoff_psi_vector(params, N, n) for n in range(N + 1)])
-            emb = psi @ system.omega_psi
-            assert np.array_equal(system.ground_vector, emb[:, 0] / np.linalg.norm(emb[:, 0]))
-            phases = np.exp(1j * system.thetas)
-            for vecs, ph in ((system.plus_vectors, phases),
-                             (system.minus_vectors, np.conj(phases))):
-                assert np.max(np.abs(u @ vecs - ph * vecs), initial=0.0) < 1e-10
+            ground, thetas, plus, minus = _u_eigenvectors(params, N, cutoff_shift(N))
+            assert np.linalg.norm(u @ ground - ground) < 1e-10
+            assert abs(np.linalg.norm(ground) - 1.0) < 1e-10
+            phases = np.exp(1j * thetas)
+            for eig, ph in ((plus, phases), (minus, np.conj(phases))):
+                assert np.max(np.abs(u @ eig - ph * eig), initial=0.0) < 1e-10
+                norms = np.linalg.norm(eig, axis=0)
+                assert np.max(np.abs(norms - 1.0), initial=0.0) < 1e-10
 
 
 def test_spectral_reconstruction():

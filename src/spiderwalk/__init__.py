@@ -7,33 +7,25 @@ Three independent routes to the same transition amplitudes:
 * a spectral integral against a free Meixner law (:mod:`spiderwalk.meixner`),
 
 plus closed-form localization constants and bounds
-(:mod:`spiderwalk.localization`).
+(:mod:`spiderwalk.localization`).  The package exports the error classes,
+the size caps, the names of the README's library example and the
+computations that the command line runs; the rest is importable from its
+submodule.
 """
 
 from .errors import (
-    BoundaryVertexError,
     ConvergenceFailureError,
     DimensionMismatchError,
     InvalidParamsError,
     NotLocalizedError,
     OutOfDomainError,
-    OutOfSupportError,
     ParamsOutOfRangeError,
     RadiusTooSmallError,
     SpiderwalkError,
     UnrealizableWiringError,
 )
-from .graph import (
-    DEFAULT_MAX_HALF_EDGES,
-    Spidernet,
-    SpidernetParams,
-    build_spidernet,
-    half_edge_permutation,
-    omega,
-    rotation_permutation,
-)
+from .graph import MAX_HALF_EDGES, SpidernetParams, build_spidernet
 from .localization import (
-    LocalizationReport,
     amplitude,
     asymptotic_amplitude,
     cesaro_origin,
@@ -43,46 +35,18 @@ from .localization import (
     origin_amplitude_series,
     random_walk_return,
 )
-from .meixner import (
-    MAX_QUADRATURE_NODES,
-    FreeMeixnerLaw,
-    chebyshev_U,
-    density,
-    integrate,
-    law_from_pq,
-    normalized_sequence,
-    orth_poly_closed_R,
-    orth_poly_closed_cheb,
-    orth_poly_recurrence,
-    quadrature_nodes,
-    special_value,
-)
+from .meixner import MAX_QUADRATURE_NODES, integrate, law_from_pq, quadrature_nodes
 from .reduction import (
     MAX_CUTOFF,
-    JacobiMatrixT,
     PqParams,
     ReducedEvolver,
     ReducedState,
-    UEigensystem,
-    build_T,
-    cutoff_dim,
-    cutoff_index,
-    cutoff_psi_vector,
-    cutoff_walk_matrix,
-    discrete_spectral_measure,
-    eigensystem_T,
     embed,
-    inner,
     params_from_spidernet,
     stratum_state,
     u_eigensystem,
 )
-from .walk import (
-    GraphEvolver,
-    evolve,
-    isotropic_initial_state,
-    vertex_distribution,
-)
+from .walk import GraphEvolver, evolve, isotropic_initial_state, vertex_distribution
 
 __version__ = "0.1.0"
 
@@ -90,21 +54,17 @@ __all__ = [
     "SpiderwalkError",
     "InvalidParamsError",
     "UnrealizableWiringError",
-    "BoundaryVertexError",
     "DimensionMismatchError",
     "RadiusTooSmallError",
     "ConvergenceFailureError",
     "ParamsOutOfRangeError",
-    "OutOfSupportError",
     "OutOfDomainError",
     "NotLocalizedError",
+    "MAX_HALF_EDGES",
+    "MAX_CUTOFF",
+    "MAX_QUADRATURE_NODES",
     "SpidernetParams",
-    "Spidernet",
     "build_spidernet",
-    "omega",
-    "rotation_permutation",
-    "half_edge_permutation",
-    "DEFAULT_MAX_HALF_EDGES",
     "isotropic_initial_state",
     "evolve",
     "vertex_distribution",
@@ -113,40 +73,18 @@ __all__ = [
     "params_from_spidernet",
     "ReducedState",
     "ReducedEvolver",
-    "inner",
     "stratum_state",
     "embed",
-    "JacobiMatrixT",
-    "MAX_CUTOFF",
-    "build_T",
-    "eigensystem_T",
-    "cutoff_dim",
-    "cutoff_index",
-    "cutoff_psi_vector",
-    "cutoff_walk_matrix",
-    "UEigensystem",
     "u_eigensystem",
-    "discrete_spectral_measure",
-    "FreeMeixnerLaw",
     "law_from_pq",
-    "density",
-    "chebyshev_U",
-    "orth_poly_recurrence",
-    "orth_poly_closed_cheb",
-    "orth_poly_closed_R",
-    "normalized_sequence",
-    "special_value",
-    "MAX_QUADRATURE_NODES",
     "quadrature_nodes",
     "integrate",
     "amplitude",
     "asymptotic_amplitude",
-    "LocalizationReport",
     "classify",
     "cesaro_origin",
     "cesaro_strata",
     "exp_localization_bound",
     "random_walk_return",
     "origin_amplitude_series",
-    "__version__",
 ]

@@ -29,7 +29,7 @@ from .localization import (
     origin_amplitude_series,
     random_walk_return,
 )
-from .meixner import law_from_pq
+from .meixner import law_from_pq, quadrature_nodes
 from .reduction import (
     PqParams,
     ReducedEvolver,
@@ -188,8 +188,10 @@ def _cmd_amplitude(args) -> int:
     law = law_from_pq(params)
     l, m, nmax = args.l, args.m, _count(args.nmax, "--nmax")
     # reduced-walk side: evolve Psi_m once, read <Psi_l, .> per step
-    psi_l = stratum_state(params, l)
-    ev = ReducedEvolver(params, stratum_state(params, m), nmax)
+    psi_l, psi_m = stratum_state(params, l), stratum_state(params, m)
+    # the last integral has the highest degree: refuse it before any work
+    quadrature_nodes(law, nmax + l + m)
+    ev = ReducedEvolver(params, psi_m, nmax)
     columns = ["n", "integral", "reduced", "abs_diff"]
     rows = []
     for n in range(nmax + 1):
@@ -208,6 +210,9 @@ def _cmd_localize(args) -> int:
     if args.sweep is not None:
         _reject_abc(args, "--sweep")
         bmax, cmax = args.sweep
+        if bmax < 2 or cmax < 1:
+            raise InvalidParamsError(
+                f"--sweep needs BMAX >= 2 and CMAX >= 1, got {bmax} {cmax}")
         for b in range(2, bmax + 1):
             for c in range(1, min(b - 1, cmax) + 1):
                 rep = classify(SpidernetParams(1, b, c))
@@ -240,6 +245,7 @@ def _cmd_rwalk(args) -> int:
     params = _pq_from_args(args)
     law = law_from_pq(params)
     nmax = _count(args.nmax, "--nmax")
+    quadrature_nodes(law, nmax)                 # the last moment's budget
     columns = ["n", "return_probability"]
     rows = [[n, random_walk_return(law, n)] for n in range(nmax + 1)]
     _emit(columns, rows, args)

@@ -8,12 +8,10 @@ __all__ = [
     "SpiderwalkError",
     "InvalidParamsError",
     "UnrealizableWiringError",
-    "BoundaryVertexError",
     "DimensionMismatchError",
     "RadiusTooSmallError",
     "ConvergenceFailureError",
     "ParamsOutOfRangeError",
-    "OutOfSupportError",
     "OutOfDomainError",
     "NotLocalizedError",
 ]
@@ -31,10 +29,6 @@ class UnrealizableWiringError(SpiderwalkError):
     """No simple graph realizes the requested intra-stratum wiring."""
 
 
-class BoundaryVertexError(SpiderwalkError):
-    """The vertex lies on the truncation boundary, where the query is meaningless."""
-
-
 class DimensionMismatchError(SpiderwalkError):
     """A state vector does not match the half-edge space it is used with."""
 
@@ -49,10 +43,6 @@ class ConvergenceFailureError(SpiderwalkError):
 
 class ParamsOutOfRangeError(SpiderwalkError):
     """Walk parameters lie outside the admissible region (p >= q > 0, r >= 0)."""
-
-
-class OutOfSupportError(SpiderwalkError):
-    """A density evaluation point lies outside the support interval."""
 
 
 class OutOfDomainError(SpiderwalkError):

@@ -29,24 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundaryVertexError,
-    InvalidParamsError,
-    UnrealizableWiringError,
-)
+from .errors import InvalidParamsError, UnrealizableWiringError
 
 __all__ = [
     "SpidernetParams",
     "Spidernet",
     "build_spidernet",
-    "omega",
-    "rotation_permutation",
-    "half_edge_permutation",
-    "DEFAULT_MAX_HALF_EDGES",
+    "MAX_HALF_EDGES",
 ]
 
-#: Refuse to build graphs with more half-edges than this (overridable).
-DEFAULT_MAX_HALF_EDGES = 1 << 27
+# A cap on the half-edges of one graph: each one takes three int64 entries
+# (adj, he_src, reversal), ~3 GiB at the cap.  Larger radii are rejected
+# before anything is allocated.
+MAX_HALF_EDGES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -76,10 +71,6 @@ class SpidernetParams:
     def intra_degree(self) -> int:
         """Number of same-stratum neighbours of a non-root vertex, b - c - 1."""
         return self.b - self.c - 1
-
-    @property
-    def is_tree(self) -> bool:
-        return self.c == self.b - 1
 
 
 class Spidernet:
@@ -117,36 +108,6 @@ class Spidernet:
         # (src, dst); sorting by (dst, src) is then exactly the reversal map.
         self.reversal = np.lexsort((self.he_src, self.he_dst))
 
-    # -- vertex addressing -------------------------------------------------
-
-    def vertex_id(self, j: int, i: int) -> int:
-        """Global id of the i-th vertex of stratum j."""
-        if not 0 <= j <= self.radius:
-            raise InvalidParamsError(f"stratum {j} outside [0, {self.radius}]")
-        if not 0 <= i < self.stratum_sizes[j]:
-            raise InvalidParamsError(f"index {i} outside stratum of size {self.stratum_sizes[j]}")
-        return int(self.stratum_offsets[j] + i)
-
-    def vertex_address(self, vid: int) -> tuple[int, int]:
-        """Inverse of :meth:`vertex_id`: global id -> (stratum, index)."""
-        j = int(self.vertex_stratum[vid])
-        return j, int(vid - self.stratum_offsets[j])
-
-    def neighbors(self, vid: int) -> np.ndarray:
-        return self.adj[self.adj_ptr[vid]:self.adj_ptr[vid + 1]]
-
-    def stratum_vertices(self, j: int) -> np.ndarray:
-        lo = self.stratum_offsets[j]
-        return np.arange(lo, lo + self.stratum_sizes[j])
-
-    def half_edge_index(self, u: int, v: int) -> int:
-        """Dense index of the half-edge (u, v)."""
-        block = self.neighbors(u)
-        pos = int(np.searchsorted(block, v))
-        if pos >= len(block) or block[pos] != v:
-            raise InvalidParamsError(f"({u}, {v}) is not an edge")
-        return int(self.adj_ptr[u] + pos)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         p = self.params
         return (f"Spidernet(a={p.a}, b={p.b}, c={p.c}, radius={self.radius}, "
@@ -169,8 +130,7 @@ def _wiring_checks(params: SpidernetParams, sizes: list[int]) -> None:
                 f"|V_{odd[0]}| = {sizes[odd[0]]} is odd (no 1-factor exists)")
 
 
-def build_spidernet(params: SpidernetParams, radius: int,
-                    max_half_edges: int = DEFAULT_MAX_HALF_EDGES) -> Spidernet:
+def build_spidernet(params: SpidernetParams, radius: int) -> Spidernet:
     """Build the canonical truncation of S(a, b, c) to strata 0..radius.
 
     Parameters
@@ -181,13 +141,12 @@ def build_spidernet(params: SpidernetParams, radius: int,
         Number of strata to keep beyond the root.  Vertices in the last
         stratum are boundary vertices: they keep their backward and
         intra-stratum edges but have no forward edges.
-    max_half_edges:
-        Memory guard; building refuses graphs with more half-edges.
 
     Raises
     ------
     InvalidParamsError
-        On a malformed radius or when the graph would exceed the budget.
+        On a malformed radius or when the graph would have more than
+        ``MAX_HALF_EDGES`` half-edges.
     UnrealizableWiringError
         When b - c - 1 is odd while some stratum has odd size, or when a
         stratum is too small to host the circulant offsets.
@@ -204,10 +163,10 @@ def build_spidernet(params: SpidernetParams, radius: int,
     for j in range(1, radius + 1):
         sizes.append(a * c ** (j - 1))
         total += sizes[j] * (b if j < radius else 1 + m)
-        if total > max_half_edges:
+        if total > MAX_HALF_EDGES:
             raise InvalidParamsError(
                 f"radius {radius} needs more than the budget of "
-                f"{max_half_edges} half-edges")
+                f"{MAX_HALF_EDGES} half-edges")
     _wiring_checks(params, sizes)
 
     sizes = np.array(sizes, dtype=np.int64)
@@ -246,55 +205,3 @@ def build_spidernet(params: SpidernetParams, radius: int,
 
     return Spidernet(params, radius, sizes, offsets, degrees, adj_ptr, adj)
 
-
-def omega(g: Spidernet, u: int, direction: str) -> int:
-    """Count the neighbours of u in the given direction.
-
-    ``direction`` is "+" (next stratum), "-" (previous stratum) or "o"
-    (same stratum).  Boundary vertices (last stratum) are refused since
-    their forward edges were cut by the truncation.
-    """
-    if direction not in ("+", "-", "o"):
-        raise InvalidParamsError(f"direction must be '+', '-' or 'o', got {direction!r}")
-    j = int(g.vertex_stratum[u])
-    if j == g.radius:
-        raise BoundaryVertexError(f"vertex {u} lies on the truncation boundary")
-    nbr_strata = g.vertex_stratum[g.neighbors(u)]
-    want = {"+": j + 1, "-": j - 1, "o": j}[direction]
-    return int(np.count_nonzero(nbr_strata == want))
-
-
-def rotation_permutation(g: Spidernet) -> np.ndarray:
-    """Vertex permutation rotating stratum 1 by one step, lifted outward.
-
-    Rotating stratum 1 by +1 and pushing the rotation through the parent
-    map shifts stratum j by c**(j-1).  The result is a graph automorphism
-    fixing the root; applied repeatedly it generates the rotational
-    symmetry of the canonical wiring.
-    """
-    perm = np.empty(g.num_vertices, dtype=np.int64)
-    perm[0] = 0
-    c = g.params.c
-    for j in range(1, g.radius + 1):
-        s = int(g.stratum_sizes[j])
-        lo = int(g.stratum_offsets[j])
-        shift = c ** (j - 1)
-        perm[lo:lo + s] = lo + (np.arange(s) + shift) % s
-    return perm
-
-
-def half_edge_permutation(g: Spidernet, vertex_perm: np.ndarray) -> np.ndarray:
-    """Lift a vertex permutation to half-edges: (u, v) -> (perm[u], perm[v]).
-
-    The vertex permutation must be a graph automorphism; otherwise some
-    image pair is not an edge and this raises.
-    """
-    # Half-edges are stored in lexicographic (src, dst) order, so a single
-    # searchsorted on the composite key locates every image pair at once.
-    nv = np.int64(g.num_vertices)
-    keys = g.he_src * nv + g.he_dst
-    new_keys = vertex_perm[g.he_src] * nv + vertex_perm[g.he_dst]
-    out = np.searchsorted(keys, new_keys)
-    if np.any(out >= g.num_half_edges) or np.any(keys[out] != new_keys):
-        raise InvalidParamsError("vertex permutation is not an automorphism")
-    return out

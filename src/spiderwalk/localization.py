@@ -38,7 +38,6 @@ from .reduction import PqParams, ReducedEvolver, ReducedState
 __all__ = [
     "amplitude",
     "asymptotic_amplitude",
-    "LocalizationReport",
     "classify",
     "cesaro_origin",
     "cesaro_strata",

@@ -38,22 +38,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InvalidParamsError,
-    OutOfDomainError,
-    OutOfSupportError,
-    ParamsOutOfRangeError,
-)
+from .errors import InvalidParamsError, OutOfDomainError, ParamsOutOfRangeError
 from .reduction import PqParams
 
 __all__ = [
     "FreeMeixnerLaw",
     "law_from_pq",
-    "density",
-    "chebyshev_U",
-    "orth_poly_recurrence",
-    "orth_poly_closed_cheb",
-    "orth_poly_closed_R",
     "normalized_sequence",
     "special_value",
     "MAX_QUADRATURE_NODES",
@@ -97,12 +87,6 @@ class FreeMeixnerLaw:
             raise InvalidParamsError("an atom with positive mass needs a location")
 
     @property
-    def support(self) -> tuple[float, float]:
-        """Endpoints of the absolutely continuous part."""
-        h = 2.0 * np.sqrt(self.omega)
-        return (self.alpha - h, self.alpha + h)
-
-    @property
     def has_atom(self) -> bool:
         return self.atom_mass > 0.0
 
@@ -140,115 +124,20 @@ def law_from_pq(params: PqParams) -> FreeMeixnerLaw:
     return FreeMeixnerLaw(q, p * q, r, xi, mass, poles)
 
 
-def density(law: FreeMeixnerLaw, x):
-    """Absolutely continuous density rho(x); scalar or array argument.
+def normalized_sequence(law: FreeMeixnerLaw, nmax: int, x: np.ndarray) -> np.ndarray:
+    """p_0..p_nmax at x, shape (nmax+1, len(x)); used by the integrators.
 
-    Raises OutOfSupportError if any point lies outside the closed support
-    (up to a 1e-12 slack for endpoint roundoff).
+    The monic P_k follow P_0 = 1, P_1 = x and
+    P_{k+1} = (x - alpha) P_k - omega_k P_{k-1}, with omega_1 = omega1 and
+    omega_k = omega afterwards; p_k = P_k / sqrt(omega1 omega^{k-1}).
     """
-    arr = np.asarray(x, dtype=float)
-    lo, hi = law.support
-    if np.any(arr < lo - 1e-12) or np.any(arr > hi + 1e-12):
-        raise OutOfSupportError(f"point outside the support [{lo}, {hi}]")
-    radicand = np.maximum(4.0 * law.omega - (arr - law.alpha) ** 2, 0.0)
-    out = (law.omega1 / (2.0 * np.pi)) * np.sqrt(radicand) / law.denominator(arr)
-    return out if out.ndim else float(out)
-
-
-def chebyshev_U(n: int, x):
-    """Chebyshev polynomial of the second kind, U_n(cos t) = sin((n+1)t)/sin t.
-
-    Evaluated by the forward recurrence, which is stable on and off
-    [-1, 1] for the moderate degrees used here.
-    """
-    if n < -1:
-        raise OutOfDomainError("U_n is defined for n >= -1")
-    arr = np.asarray(x, dtype=float)
-    if n == -1:
-        out = np.zeros_like(arr)
-        return out if out.ndim else float(out)
-    prev = np.zeros_like(arr)          # U_{-1}
-    cur = np.ones_like(arr)            # U_0
-    for _ in range(n):
-        prev, cur = cur, 2.0 * arr * cur - prev
-    return cur if cur.ndim else float(cur)
-
-
-def _monic_sequence(law: FreeMeixnerLaw, nmax: int, x: np.ndarray) -> np.ndarray:
-    """All monic orthogonal polynomials P_0..P_nmax at x, shape (nmax+1, len(x))."""
-    out = np.empty((nmax + 1, len(x)))
-    out[0] = 1.0
+    monic = np.empty((nmax + 1, len(x)))
+    monic[0] = 1.0
     if nmax >= 1:
-        out[1] = x                      # first diagonal coefficient is 0
+        monic[1] = x                    # first diagonal coefficient is 0
     for k in range(1, nmax):
         om = law.omega1 if k == 1 else law.omega
-        out[k + 1] = (x - law.alpha) * out[k] - om * out[k - 1]
-    return out
-
-
-def orth_poly_recurrence(law: FreeMeixnerLaw, n: int, x):
-    """Monic orthogonal polynomial P_n(x) by the three-term recurrence
-
-        P_0 = 1,  P_1 = x,  x P_k = P_{k+1} + alpha P_k + omega_k P_{k-1},
-
-    with omega_1 = omega1 and omega_k = omega afterwards."""
-    if n < 0:
-        raise OutOfDomainError("polynomial degree must be non-negative")
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    val = _monic_sequence(law, n, arr)[n]
-    return val if np.ndim(x) else float(val[0])
-
-
-def orth_poly_closed_cheb(law: FreeMeixnerLaw, n: int, x):
-    """P_n(x) in closed Chebyshev form, valid for all real x:
-
-        P_n = om^{n/2} W_n + alpha om^{(n-1)/2} W_{n-1}
-              + (om - om1) om^{(n-2)/2} W_{n-2},   n >= 2,
-
-    where W_k(y) = U_k((x - alpha) / (2 sqrt(om)))."""
-    if n < 0:
-        raise OutOfDomainError("polynomial degree must be non-negative")
-    arr = np.asarray(x, dtype=float)
-    if n == 0:
-        out = np.ones_like(arr)
-        return out if out.ndim else float(out)
-    if n == 1:
-        return arr if np.ndim(x) else float(arr)
-    o1, om, al = law.omega1, law.omega, law.alpha
-    y = (arr - al) / (2.0 * np.sqrt(om))
-    out = (om ** (n / 2.0) * chebyshev_U(n, y)
-           + al * om ** ((n - 1) / 2.0) * chebyshev_U(n - 1, y)
-           + (om - o1) * om ** ((n - 2) / 2.0) * chebyshev_U(n - 2, y))
-    return out if np.ndim(x) else float(out)
-
-
-def orth_poly_closed_R(law: FreeMeixnerLaw, n: int, x):
-    """P_n(x) in resolvent form, valid where (x - alpha)^2 > 4 omega:
-
-        R_pm = (x - alpha) pm sqrt((x - alpha)^2 - 4 omega),
-        P_n = ((x R_+ - 2 omega1) R_+^{n-1} - (x R_- - 2 omega1) R_-^{n-1})
-              / (2^{n-1} (R_+ - R_-)).
-    """
-    if n < 0:
-        raise OutOfDomainError("polynomial degree must be non-negative")
-    arr = np.asarray(x, dtype=float)
-    if n == 0:
-        out = np.ones_like(arr)
-        return out if out.ndim else float(out)
-    disc = (arr - law.alpha) ** 2 - 4.0 * law.omega
-    if np.any(disc <= 0):
-        raise OutOfDomainError("resolvent form needs (x - alpha)^2 > 4 omega")
-    root = np.sqrt(disc)
-    rp = (arr - law.alpha) + root
-    rm = (arr - law.alpha) - root
-    out = ((arr * rp - 2.0 * law.omega1) * rp ** (n - 1)
-           - (arr * rm - 2.0 * law.omega1) * rm ** (n - 1)) / (2.0 ** (n - 1) * (rp - rm))
-    return out if np.ndim(x) else float(out)
-
-
-def normalized_sequence(law: FreeMeixnerLaw, nmax: int, x: np.ndarray) -> np.ndarray:
-    """p_0..p_nmax at x, shape (nmax+1, len(x)); used by the integrators."""
-    monic = _monic_sequence(law, nmax, x)
+        monic[k + 1] = (x - law.alpha) * monic[k] - om * monic[k - 1]
     scales = np.ones(nmax + 1)
     if nmax >= 1:
         scales[1:] = np.sqrt(law.omega1 * law.omega ** (np.arange(1, nmax + 1) - 1.0))

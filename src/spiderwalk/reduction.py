@@ -22,10 +22,9 @@ The module provides the reduced state, its one evolution kernel
 embedding back into a concrete graph, the finite-path cutoff walk
 together with its tridiagonal matrix ``T_N`` (the walk
 restricted-projected onto the ladder vectors Psi_n), whose eigenpairs,
-certified by their residuals, give the spectrum of the cutoff walk and
-the induced discrete spectral measure.  The dense cutoff walk
-:func:`cutoff_walk_matrix` is kept as an independent reference for the
-evolver and the spectrum.
+certified by their residuals, give the spectrum of the cutoff walk.  The
+dense cutoff walk :func:`cutoff_walk_matrix` is kept as an independent
+reference for the evolver and the spectrum.
 """
 
 from __future__ import annotations
@@ -52,17 +51,10 @@ __all__ = [
     "inner",
     "stratum_state",
     "embed",
-    "JacobiMatrixT",
     "MAX_CUTOFF",
-    "build_T",
     "eigensystem_T",
-    "cutoff_dim",
-    "cutoff_index",
-    "cutoff_psi_vector",
     "cutoff_walk_matrix",
-    "UEigensystem",
     "u_eigensystem",
-    "discrete_spectral_measure",
 ]
 
 _TOL = 1e-14
@@ -95,10 +87,6 @@ class PqParams:
             raise ParamsOutOfRangeError(f"p + q + r must equal 1, got {p + q + r}")
         if abs(r) <= _TOL:
             object.__setattr__(self, "r", 0.0)
-
-    @classmethod
-    def from_pq(cls, p: float, q: float) -> "PqParams":
-        return cls(p, q, 1.0 - p - q)
 
 
 def params_from_spidernet(sp: SpidernetParams) -> PqParams:
@@ -143,10 +131,6 @@ class ReducedState:
         """Largest stratum index carried (array length - 1)."""
         return len(self.xp) - 1
 
-    def norm(self) -> float:
-        return float(np.sqrt(
-            (np.abs(self.xp) ** 2 + np.abs(self.xo) ** 2 + np.abs(self.xm) ** 2).sum()))
-
     def coefficients(self, length: int | None = None) -> np.ndarray:
         """Stacked (3, length+1) coefficient array, zero-padded on the right."""
         L = self.length if length is None else length
@@ -156,9 +140,6 @@ class ReducedState:
         out[1, :k] = self.xo[:k]
         out[2, :k] = self.xm[:k]
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ReducedState(length={self.length}, norm={self.norm():.6f})"
 
 
 def _coin_matrix(params: PqParams) -> np.ndarray:
@@ -349,24 +330,20 @@ class JacobiMatrixT:
     diag: np.ndarray
     offdiag: np.ndarray
 
-    def dense(self) -> np.ndarray:
-        t = np.diag(self.diag)
-        n = self.cutoff
-        idx = np.arange(n)
-        t[idx, idx + 1] = self.offdiag
-        t[idx + 1, idx] = self.offdiag
-        return t
-
 
 # A cap on the cutoff N: the eigenvectors of T_N take 8 (N+1)^2 bytes,
 # ~128 MiB at N = 4096.  Larger cutoffs are rejected before allocating.
 MAX_CUTOFF = 4096
 
 
-def build_T(params: PqParams, cutoff: int) -> JacobiMatrixT:
-    """Tridiagonal matrix T_N for the given (p, q, r); 2 <= N <= MAX_CUTOFF."""
+def _check_cutoff(cutoff: int) -> None:
     if not 2 <= cutoff <= MAX_CUTOFF:
         raise InvalidParamsError(f"cutoff must lie in 2..{MAX_CUTOFF}, got {cutoff}")
+
+
+def build_T(params: PqParams, cutoff: int) -> JacobiMatrixT:
+    """Tridiagonal matrix T_N for the given (p, q, r); 2 <= N <= MAX_CUTOFF."""
+    _check_cutoff(cutoff)
     p, q, r = params.p, params.q, params.r
     diag = np.r_[0.0, np.full(cutoff - 1, r), 0.0]
     offdiag = np.r_[np.sqrt(q), np.full(cutoff - 2, np.sqrt(p * q)), np.sqrt(p)]
@@ -427,34 +404,18 @@ def cutoff_index(n: int, kind: str, cutoff: int) -> int:
     raise InvalidParamsError(f"psi_{n}^{kind} does not exist in H({N})")
 
 
-def cutoff_psi_vector(params: PqParams, cutoff: int, n: int) -> np.ndarray:
-    """The ladder vector Psi_n of H(N) in cutoff coordinates."""
-    N = cutoff
-    if not 0 <= n <= N:
-        raise InvalidParamsError(f"Psi_{n} does not exist in H({N})")
-    vec = np.zeros(cutoff_dim(N))
-    if n == 0:
-        vec[0] = 1.0
-    elif n == N:
-        vec[cutoff_index(N, "-", N)] = 1.0
-    else:
-        vec[cutoff_index(n, "+", N)] = np.sqrt(params.p)
-        vec[cutoff_index(n, "o", N)] = np.sqrt(params.r)
-        vec[cutoff_index(n, "-", N)] = np.sqrt(params.q)
-    return vec
-
-
 def cutoff_walk_matrix(params: PqParams, cutoff: int) -> np.ndarray:
     """Dense matrix of the cutoff walk U_N = S_N C_N on H(N).
 
     The coin acts as the identity on psi_0^+ and on the flagged last slot
     psi_N^-, and as the usual triple reflection in between; the shift
     swaps psi_n^+ with psi_{n+1}^-.  U_N is real orthogonal with trace
-    (2r - 1)(N - 1).
+    (2r - 1)(N - 1).  Its build holds two dense (3N - 1)^2 float64 arrays,
+    ~2.4 GB at N = MAX_CUTOFF; larger cutoffs are rejected before
+    allocating.
     """
     N = cutoff
-    if N < 2:
-        raise InvalidParamsError(f"cutoff must be >= 2, got {N}")
+    _check_cutoff(N)
     dim = cutoff_dim(N)
     coin = np.eye(dim)
     m3 = _coin_matrix(params)
@@ -518,15 +479,3 @@ def u_eigensystem(params: PqParams, cutoff: int) -> UEigensystem:
         raise ConvergenceFailureError("an interior eigenvalue of T_N rounds to +-1")
     return UEigensystem(params, N, thetas, cutoff_dim(N) - 1 - 2 * len(thetas))
 
-
-def discrete_spectral_measure(params: PqParams, cutoff: int):
-    """Finite spectral measure of T_N at Psi_0.
-
-    Returns (lambdas, weights): atoms at the eigenvalues of T_N
-    (descending) weighted by the squared first eigenvector components.
-    Weights are positive and sum to 1, and its m-th moments agree with the
-    free Meixner law of (p, q, r) for every m < N.
-    """
-    vals, vecs = eigensystem_T(build_T(params, cutoff))
-    weights = vecs[0, :] ** 2
-    return vals, weights

@@ -3,7 +3,9 @@ import pytest
 import scipy.sparse
 
 import spiderwalk.reduction as reduction
-from spiderwalk import SpidernetParams, build_spidernet, cutoff_dim, cutoff_index
+from oracles import half_edge_index
+from spiderwalk import SpidernetParams, build_spidernet
+from spiderwalk.reduction import cutoff_dim, cutoff_index
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +52,7 @@ def sparse_walk():
             cols.append(np.tile(block, hi - lo))
             vals.append((2.0 / (hi - lo) - np.eye(hi - lo)).ravel())
             for k, v in zip(block, g.adj[lo:hi]):
-                image[k] = g.half_edge_index(int(v), u)
+                image[k] = half_edge_index(g, int(v), u)
         coin = scipy.sparse.csr_array(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
         shift = scipy.sparse.csr_array((np.ones(n), (image, np.arange(n))), shape=(n, n))

@@ -1,0 +1,191 @@
+"""The paper's identities and graph queries that the package does not use
+at run time, as plain functions of a graph ``g``, a law ``law`` or reduced
+parameters ``params``.  The tests check the package against them."""
+
+import numpy as np
+
+from spiderwalk.errors import InvalidParamsError, OutOfDomainError
+from spiderwalk.reduction import build_T, cutoff_dim, cutoff_index, eigensystem_T
+
+
+class BoundaryVertexError(ValueError):
+    """The vertex lies on the truncation boundary."""
+
+
+class OutOfSupportError(ValueError):
+    """A density evaluation point lies outside the support interval."""
+
+
+# -- graph ---------------------------------------------------------------------
+
+def is_tree(sp):
+    """S(a, b, c) is a tree exactly when c = b - 1."""
+    return sp.c == sp.b - 1
+
+
+def vertex_id(g, j, i):
+    """Global id of the i-th vertex of stratum j."""
+    if not (0 <= j <= g.radius and 0 <= i < g.stratum_sizes[j]):
+        raise InvalidParamsError(f"no vertex ({j}, {i}) at radius {g.radius}")
+    return int(g.stratum_offsets[j] + i)
+
+
+def vertex_address(g, vid):
+    j = int(g.vertex_stratum[vid])
+    return j, int(vid - g.stratum_offsets[j])
+
+
+def neighbors(g, vid):
+    return g.adj[g.adj_ptr[vid]:g.adj_ptr[vid + 1]]
+
+
+def stratum_vertices(g, j):
+    return np.arange(g.stratum_offsets[j], g.stratum_offsets[j + 1])
+
+
+def half_edge_index(g, u, v):
+    block = neighbors(g, u)
+    pos = int(np.searchsorted(block, v))
+    if pos >= len(block) or block[pos] != v:
+        raise InvalidParamsError(f"({u}, {v}) is not an edge")
+    return int(g.adj_ptr[u] + pos)
+
+
+def omega(g, u, direction):
+    """omega_+(u) = c, omega_-(u) = 1 and omega_o(u) = b - c - 1 off the
+    root, and omega_+(o) = a, for ``direction`` "+", "-" or "o"."""
+    if direction not in ("+", "-", "o"):
+        raise InvalidParamsError(f"direction must be '+', '-' or 'o', got {direction!r}")
+    j = int(g.vertex_stratum[u])
+    if j == g.radius:
+        raise BoundaryVertexError(f"vertex {u} lies on the truncation boundary")
+    want = {"+": j + 1, "-": j - 1, "o": j}[direction]
+    return int(np.count_nonzero(g.vertex_stratum[neighbors(g, u)] == want))
+
+
+def rotation_permutation(g):
+    """Rotating stratum 1 by one step, lifted through the parent map,
+    shifts stratum j by c**(j-1): an automorphism fixing the root."""
+    perm = np.zeros(g.num_vertices, dtype=np.int64)
+    for j in range(1, g.radius + 1):
+        s, lo = int(g.stratum_sizes[j]), int(g.stratum_offsets[j])
+        perm[lo:lo + s] = lo + (np.arange(s) + g.params.c ** (j - 1)) % s
+    return perm
+
+
+def half_edge_permutation(g, vertex_perm):
+    """(u, v) -> (perm[u], perm[v]); raises unless perm is an automorphism."""
+    nv = np.int64(g.num_vertices)
+    keys = g.he_src * nv + g.he_dst             # sorted: half-edges are lexicographic
+    new_keys = vertex_perm[g.he_src] * nv + vertex_perm[g.he_dst]
+    out = np.searchsorted(keys, new_keys)
+    if np.any(out >= g.num_half_edges) or np.any(keys[out] != new_keys):
+        raise InvalidParamsError("vertex permutation is not an automorphism")
+    return out
+
+
+# -- free Meixner laws ---------------------------------------------------------
+
+def support(law):
+    """[alpha - 2 sqrt(omega), alpha + 2 sqrt(omega)]."""
+    h = 2.0 * np.sqrt(law.omega)
+    return (law.alpha - h, law.alpha + h)
+
+
+def density(law, x):
+    """rho(x) = (omega1 / 2 pi) sqrt(4 omega - (x - alpha)^2) / D(x) on the
+    support (1e-12 slack at the edges)."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = support(law)
+    if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+        raise OutOfSupportError(f"point outside the support [{lo}, {hi}]")
+    radicand = np.maximum(4.0 * law.omega - (x - law.alpha) ** 2, 0.0)
+    return (law.omega1 / (2.0 * np.pi)) * np.sqrt(radicand) / law.denominator(x)
+
+
+def chebyshev_U(n, x):
+    """U_n(cos t) = sin((n+1)t) / sin t; U_{n+1} = 2x U_n - U_{n-1} from
+    U_{-2} = -1, U_{-1} = 0."""
+    if n < -1:
+        raise OutOfDomainError("U_n is defined for n >= -1")
+    x = np.asarray(x, dtype=float)
+    prev, cur = -np.ones_like(x), np.zeros_like(x)
+    for _ in range(n + 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
+
+
+def orth_poly_recurrence(law, n, x):
+    """P_0 = 1, P_1 = x, x P_k = P_{k+1} + alpha P_k + omega_k P_{k-1},
+    with omega_1 = omega1 and omega_k = omega afterwards."""
+    if n < 0:
+        raise OutOfDomainError("polynomial degree must be non-negative")
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.ones_like(x), x
+    for k in range(1, n):
+        prev, cur = cur, (x - law.alpha) * cur - (law.omega1 if k == 1 else law.omega) * prev
+    return prev if n == 0 else cur
+
+
+def orth_poly_closed_cheb(law, n, x):
+    """P_n = om^{n/2} W_n + alpha om^{(n-1)/2} W_{n-1}
+    + (om - om1) om^{(n-2)/2} W_{n-2} for n >= 2 and all real x, where
+    W_k = U_k((x - alpha) / (2 sqrt(om)))."""
+    if n < 2:
+        return orth_poly_recurrence(law, n, x)
+    o1, om, al = law.omega1, law.omega, law.alpha
+    y = (np.asarray(x, dtype=float) - al) / (2.0 * np.sqrt(om))
+    return (om ** (n / 2.0) * chebyshev_U(n, y)
+            + al * om ** ((n - 1) / 2.0) * chebyshev_U(n - 1, y)
+            + (om - o1) * om ** ((n - 2) / 2.0) * chebyshev_U(n - 2, y))
+
+
+def orth_poly_closed_R(law, n, x):
+    """Where (x - alpha)^2 > 4 omega, with
+    R_pm = (x - alpha) pm sqrt((x - alpha)^2 - 4 omega):
+    P_n = ((x R_+ - 2 omega1) R_+^{n-1} - (x R_- - 2 omega1) R_-^{n-1})
+          / (2^{n-1} (R_+ - R_-))."""
+    if n < 1:
+        return orth_poly_recurrence(law, n, x)
+    x = np.asarray(x, dtype=float)
+    disc = (x - law.alpha) ** 2 - 4.0 * law.omega
+    if np.any(disc <= 0):
+        raise OutOfDomainError("resolvent form needs (x - alpha)^2 > 4 omega")
+    rp = (x - law.alpha) + np.sqrt(disc)
+    rm = (x - law.alpha) - np.sqrt(disc)
+    return ((x * rp - 2.0 * law.omega1) * rp ** (n - 1)
+            - (x * rm - 2.0 * law.omega1) * rm ** (n - 1)) / (2.0 ** (n - 1) * (rp - rm))
+
+
+# -- reduction -----------------------------------------------------------------
+
+def reduced_norm(s):
+    return float(np.sqrt((np.abs(s.xp) ** 2 + np.abs(s.xo) ** 2 + np.abs(s.xm) ** 2).sum()))
+
+
+def jacobi_dense(t):
+    """T_N as a dense symmetric matrix."""
+    return np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1)
+
+
+def cutoff_psi_vector(params, cutoff, n):
+    """Psi_0 = psi_0^+, Psi_N = psi_N^- and, in between,
+    Psi_n = sqrt(p) psi_n^+ + sqrt(r) psi_n^o + sqrt(q) psi_n^-, in H(N)."""
+    N = cutoff
+    if not 0 <= n <= N:
+        raise InvalidParamsError(f"Psi_{n} does not exist in H({N})")
+    vec = np.zeros(cutoff_dim(N))
+    if n in (0, N):
+        vec[cutoff_index(n, "+" if n == 0 else "-", N)] = 1.0
+    else:
+        for kind, weight in (("+", params.p), ("o", params.r), ("-", params.q)):
+            vec[cutoff_index(n, kind, N)] = np.sqrt(weight)
+    return vec
+
+
+def discrete_spectral_measure(params, cutoff):
+    """Spectral measure of T_N at Psi_0: atoms at the eigenvalues of T_N
+    (descending), weighted by the squared first eigenvector components.
+    Its m-th moments agree with the free Meixner law for every m < N."""
+    vals, vecs = eigensystem_T(build_T(params, cutoff))
+    return vals, vecs[0, :] ** 2

@@ -11,6 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import (
+    discrete_spectral_measure,
+    orth_poly_closed_cheb,
+    orth_poly_closed_R,
+    orth_poly_recurrence,
+)
 from spiderwalk import (
     GraphEvolver,
     PqParams,
@@ -20,22 +26,17 @@ from spiderwalk import (
     build_spidernet,
     cesaro_strata,
     classify,
-    cutoff_walk_matrix,
-    discrete_spectral_measure,
     embed,
     exp_localization_bound,
     integrate,
     isotropic_initial_state,
     law_from_pq,
-    normalized_sequence,
     origin_amplitude_series,
-    orth_poly_closed_R,
-    orth_poly_closed_cheb,
-    orth_poly_recurrence,
-    special_value,
     stratum_state,
     u_eigensystem,
 )
+from spiderwalk.meixner import normalized_sequence, special_value
+from spiderwalk.reduction import cutoff_walk_matrix
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 P342 = PqParams(0.5, 0.25, 0.25)

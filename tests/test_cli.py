@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +10,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import spiderwalk.cli as cli
+from spiderwalk import (
+    ParamsOutOfRangeError,
+    SpidernetParams,
+    law_from_pq,
+    params_from_spidernet,
+    quadrature_nodes,
+)
 from spiderwalk.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -18,6 +27,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_refused_early(capsys, error, *argv):
+    """The command exits 1 with ``error`` before allocating 1 MiB."""
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+    assert peak < 1 << 20
 
 
 def read_csv(text):
@@ -126,6 +148,9 @@ def test_localize_single_and_sweep(capsys):
         b, c = int(row[1]), int(row[2])
         assert (row[3] == "true") == (b > c + math.sqrt(c))
 
+    code, out, _ = run_cli(capsys, "localize", "--sweep", "2", "1")
+    assert code == 0 and len(read_csv(out)[1]) == 1
+
 
 def test_figure2(capsys):
     code, out, _ = run_cli(capsys, "figure2")
@@ -200,30 +225,15 @@ def test_negative_counts_rejected(capsys, argv):
 def test_oversized_full_rejected_before_allocation(capsys, steps):
     # 3.1e9 half-edges (23 GiB per int64 half-edge array) at 18 steps;
     # stratum sizes past int64 at 40
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, "simulate", "4", "6", "3",
-                                 "--steps", steps, "--full")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "InvalidParamsError"
-    assert peak < 1 << 20
+    assert_refused_early(capsys, "InvalidParamsError",
+                         "simulate", "4", "6", "3", "--steps", steps, "--full")
 
 
 @pytest.mark.parametrize("cutoff", ["4097", "1000000000"])
 def test_oversized_cutoff_rejected_before_allocation(capsys, cutoff):
     # the eigenvectors of T_N alone would take 8 (N+1)^2 bytes
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, "spectrum", "4", "6", "3", "--cutoff", cutoff)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "InvalidParamsError"
-    assert peak < 1 << 20
+    assert_refused_early(capsys, "InvalidParamsError",
+                         "spectrum", "4", "6", "3", "--cutoff", cutoff)
 
 
 @pytest.mark.parametrize("argv", [
@@ -261,16 +271,41 @@ def test_readme_examples_are_current(capsys):
 @pytest.mark.parametrize("command", ["amplitude", "rwalk"])
 def test_quadrature_budget_rejected_before_allocation(capsys, command):
     # p - q = 1e-8 puts a pole of 1/D ~1e-8 from the support in phi
-    tracemalloc.start()
-    try:
-        code, out, err = run_cli(capsys, command, "--pqr", "0.5", "0.49999999",
-                                 "0.00000001", "--nmax", "3")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    assert_refused_early(capsys, "ParamsOutOfRangeError",
+                         command, "--pqr", "0.5", "0.49999999", "0.00000001", "--nmax", "3")
+
+
+def test_readme_library_example_runs():
+    # the README's python block: three routes to one origin probability
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    values = [scope[name] for name in ("p_full", "p_reduced", "p_integral")]
+    assert max(values) - min(values) < 1e-12
+    claimed = re.search(r"# all three: (\d+\.\d+)", block).group(1)
+    assert all(f"{v:.16g}".startswith(claimed) for v in values)
+
+
+# the S(4,6,3) law integrates degrees up to 2097081 within MAX_QUADRATURE_NODES
+@pytest.mark.parametrize("argv, kernel", [
+    (["amplitude", "4", "6", "3", "--nmax", "3000000"], "amplitude"),
+    (["amplitude", "4", "6", "3", "--l", "2", "--m", "1", "--nmax", "2097080"], "amplitude"),
+    (["rwalk", "4", "6", "3", "--nmax", "3000000"], "random_walk_return"),
+], ids=["amplitude", "amplitude-l-m", "rwalk"])
+def test_quadrature_budget_checked_before_any_integral(capsys, monkeypatch, argv, kernel):
+    law = law_from_pq(params_from_spidernet(SpidernetParams(4, 6, 3)))
+    quadrature_nodes(law, 2097081)
+    with pytest.raises(ParamsOutOfRangeError):
+        quadrature_nodes(law, 2097082)
+    monkeypatch.setattr(cli, kernel, lambda *args: pytest.fail(f"{kernel} ran"))
+    assert_refused_early(capsys, "ParamsOutOfRangeError", *argv)
+
+
+@pytest.mark.parametrize("sweep", [["1", "5"], ["5", "0"], ["-3", "-3"]])
+def test_empty_sweep_rejected(capsys, sweep):
+    code, out, err = run_cli(capsys, "localize", "--sweep", *sweep)
     assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
-    assert peak < 1 << 20
+    assert json.loads(err)["error"] == "InvalidParamsError"
 
 
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):

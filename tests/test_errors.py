@@ -1,13 +1,21 @@
-"""Every error the package raises belongs to the SpiderwalkError taxonomy."""
+"""Every error the package raises belongs to the SpiderwalkError taxonomy,
+and every public name has a caller outside the tests."""
 
 import ast
 import importlib
 import pathlib
+import re
 
 import spiderwalk
+import spiderwalk.errors
 from spiderwalk import SpiderwalkError
 
 SRC = pathlib.Path(spiderwalk.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _module_name(path):
+    return "spiderwalk" if path.stem == "__init__" else f"spiderwalk.{path.stem}"
 
 
 def _raised_name(node):
@@ -49,8 +57,7 @@ def test_imports_are_used_and_all_resolves():
     # __all__ name, so a stale one would crash a traced run
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        stem = "spiderwalk" if path.stem == "__init__" else f"spiderwalk.{path.stem}"
-        module = importlib.import_module(stem)
+        module = importlib.import_module(_module_name(path))
         exported = getattr(module, "__all__", [])
         offenders += [f"{path.name}: __all__ names missing {name}"
                       for name in exported if not hasattr(module, name)]
@@ -64,3 +71,39 @@ def test_imports_are_used_and_all_resolves():
                               for name in _bound_names(node)
                               if name not in used and name not in exported]
     assert not offenders, offenders
+
+
+def _imported_or_read(path):
+    """Names a module imports, or reads as an attribute of something."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    return ({alias.name for n in nodes if isinstance(n, ast.ImportFrom) for alias in n.names}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    # test-only helpers and the paper's identities belong in tests/oracles.py;
+    # caps and error classes are exempt
+    used_by = {p: _imported_or_read(p) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    text = "".join(re.findall(r"```[a-z]*\n(.*?)```", REPO.joinpath("README.md").read_text(), re.S)
+                   + [p.read_text() for p in REPO.glob("perfbench/*.py")])
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(_module_name(path))
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            if name.isupper() or (isinstance(obj, type) and issubclass(obj, SpiderwalkError)):
+                continue
+            if any(name in used for p, used in used_by.items() if p != path):
+                continue
+            if not re.search(rf"\b{name}\b", text):
+                offenders.append(f"{_module_name(path)}.{name}")
+    assert not offenders, offenders
+
+
+def test_every_error_class_is_raised():
+    raised = {_raised_name(node) for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    defined = {name for name, obj in vars(spiderwalk.errors).items()
+               if isinstance(obj, type) and issubclass(obj, SpiderwalkError)}
+    assert defined <= raised, sorted(defined - raised)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import cutoff_psi_vector
 from spiderwalk import (
     InvalidParamsError,
     NotLocalizedError,
@@ -15,14 +16,13 @@ from spiderwalk import (
     cesaro_origin,
     cesaro_strata,
     classify,
-    cutoff_psi_vector,
-    cutoff_walk_matrix,
     exp_localization_bound,
     law_from_pq,
     origin_amplitude_series,
     params_from_spidernet,
     random_walk_return,
 )
+from spiderwalk.reduction import cutoff_walk_matrix
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)

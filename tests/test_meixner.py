@@ -5,28 +5,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import (
+    OutOfSupportError,
+    chebyshev_U,
+    density,
+    orth_poly_closed_cheb,
+    orth_poly_closed_R,
+    orth_poly_recurrence,
+    support,
+)
 from spiderwalk import (
     MAX_QUADRATURE_NODES,
-    FreeMeixnerLaw,
     InvalidParamsError,
     OutOfDomainError,
-    OutOfSupportError,
     ParamsOutOfRangeError,
     PqParams,
     SpidernetParams,
-    chebyshev_U,
     classify,
-    density,
     integrate,
     law_from_pq,
-    normalized_sequence,
-    orth_poly_closed_R,
-    orth_poly_closed_cheb,
-    orth_poly_recurrence,
     params_from_spidernet,
     quadrature_nodes,
-    special_value,
 )
+from spiderwalk.meixner import FreeMeixnerLaw, normalized_sequence, special_value
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)
@@ -67,7 +68,7 @@ def test_law_from_pq_walk_values():
     assert LAW463.alpha == pytest.approx(1.0 / 3.0)
     assert LAW463.atom_location == pytest.approx(-1.0 / 3.0)
     assert LAW463.atom_mass == pytest.approx(0.5)
-    lo, hi = LAW463.support
+    lo, hi = support(LAW463)
     assert lo == pytest.approx(-0.24401693585629, abs=1e-4)
     assert hi == pytest.approx(0.91068360252296, abs=1e-4)
     assert LAW463.atom_location < lo
@@ -90,7 +91,7 @@ def test_law_validation():
 
 
 def test_density():
-    lo, hi = LAW463.support
+    lo, hi = support(LAW463)
     assert density(LAW463, lo) == 0.0
     assert density(LAW463, hi) == pytest.approx(0.0, abs=1e-12)
     xs = np.linspace(lo, hi, 101)
@@ -300,7 +301,7 @@ def test_threshold_atom_decided_exactly():
 
 
 def test_atom_sits_outside_support_and_density_stays_finite():
-    lo, hi = LAW463.support
+    lo, hi = support(LAW463)
     assert not lo < LAW463.atom_location < hi
     # D(x) has roots only at 1 and xi, both off the open support interval
     roots = np.roots([LAW463.omega - LAW463.omega1,

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import cutoff_psi_vector, discrete_spectral_measure, jacobi_dense, reduced_norm
 from spiderwalk import (
     MAX_CUTOFF,
     ConvergenceFailureError,
@@ -16,23 +17,23 @@ from spiderwalk import (
     ReducedState,
     SpidernetParams,
     SpiderwalkError,
-    build_T,
     build_spidernet,
-    cutoff_dim,
-    cutoff_index,
-    cutoff_psi_vector,
-    cutoff_walk_matrix,
-    discrete_spectral_measure,
-    eigensystem_T,
     embed,
-    inner,
     isotropic_initial_state,
-    normalized_sequence,
     law_from_pq,
     origin_amplitude_series,
     params_from_spidernet,
     stratum_state,
     u_eigensystem,
+)
+from spiderwalk.meixner import normalized_sequence
+from spiderwalk.reduction import (
+    build_T,
+    cutoff_dim,
+    cutoff_index,
+    cutoff_walk_matrix,
+    eigensystem_T,
+    inner,
 )
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
@@ -54,7 +55,7 @@ def _random_reduced(rng, length):
     xm = rng.standard_normal(length + 1) + 1j * rng.standard_normal(length + 1)
     xo[0] = xm[0] = 0.0
     s = ReducedState(xp, xo, xm)
-    scale = s.norm()
+    scale = reduced_norm(s)
     return ReducedState(xp / scale, xo / scale, xm / scale)
 
 
@@ -98,19 +99,18 @@ def test_params_validation():
             PqParams(*bad)
     # r within 1e-14 of zero snaps to exactly zero
     assert PqParams(0.75, 0.25, 1e-15).r == 0.0
-    assert PqParams.from_pq(0.5, 0.25).r == 0.25
 
 
 def test_reduced_state_basics():
     s = ReducedState.origin()
-    assert s.length == 0 and s.norm() == 1.0
+    assert s.length == 0 and reduced_norm(s) == 1.0
     assert ReducedEvolver(P463, s, 0).origin_probability() == 1.0
     with pytest.raises(DimensionMismatchError):
         ReducedState([0.0], [1.0], [0.0])
     with pytest.raises(DimensionMismatchError):
         ReducedState([1.0, 0.0], [0.0], [0.0])
     z = ReducedState.zeros(3)
-    assert z.length == 3 and z.norm() == 0.0
+    assert z.length == 3 and reduced_norm(z) == 0.0
     c = s.coefficients(2)
     assert c.shape == (3, 3) and c[0, 0] == 1.0 and np.count_nonzero(c) == 1
 
@@ -176,14 +176,14 @@ def test_step_leaves_origin():
     ev.step()
     assert ev.origin_probability() == 0.0
     s = ev.state()
-    assert s.xm[1] == 1.0 and abs(s.norm() - 1.0) < 1e-14
+    assert s.xm[1] == 1.0 and abs(reduced_norm(s) - 1.0) < 1e-14
 
 
 def test_norm_preserved_over_long_run():
     ev = ReducedEvolver(P463, ReducedState.origin(), 10_000)
     for _ in range(10_000):
         ev.step()
-    assert abs(ev.state().norm() - 1.0) < 1e-10
+    assert abs(reduced_norm(ev.state()) - 1.0) < 1e-10
 
 
 def _cutoff_stratum_probabilities(vec, N):
@@ -335,7 +335,7 @@ def test_evolver_complex_state_is_phase_times_real():
 
 def test_inner_and_stratum_state():
     psi2 = stratum_state(P463, 2)
-    assert abs(psi2.norm() - 1.0) < 1e-15
+    assert abs(reduced_norm(psi2) - 1.0) < 1e-15
     assert inner(psi2, psi2) == pytest.approx(1.0)
     assert inner(stratum_state(P463, 1), psi2) == 0.0
     with pytest.raises(InvalidParamsError):
@@ -353,7 +353,7 @@ def test_embed_is_isometry():
     rng = np.random.default_rng(9)
     for length in (0, 1, 3, 5):
         s = _random_reduced(rng, length)
-        assert abs(np.linalg.norm(embed(g, s)) - s.norm()) < 1e-13
+        assert abs(np.linalg.norm(embed(g, s)) - reduced_norm(s)) < 1e-13
 
 
 def test_embed_intertwines_evolutions():
@@ -386,7 +386,7 @@ def test_build_T_matrix():
     expected = np.array([[0, np.sqrt(q), 0],
                          [np.sqrt(q), r, np.sqrt(p)],
                          [0, np.sqrt(p), 0]])
-    assert np.max(np.abs(t.dense() - expected)) < 1e-15
+    assert np.max(np.abs(jacobi_dense(t) - expected)) < 1e-15
     with pytest.raises(InvalidParamsError):
         build_T(P463, 1)
     assert build_T(P463, MAX_CUTOFF).cutoff == MAX_CUTOFF
@@ -409,7 +409,7 @@ def test_oversized_cutoff_rejected_before_allocation(cutoff):
 def test_T_contains_eigenvalue_one():
     for params in (P463, PTREE):
         for N in (2, 5, 9):
-            dense = build_T(params, N).dense()
+            dense = jacobi_dense(build_T(params, N))
             assert abs(np.linalg.det(dense - np.eye(N + 1))) < 1e-12
             assert np.all(np.diag(dense @ dense) <= 1 + 1e-12)
             assert abs(np.trace(dense) - params.r * (N - 1)) < 1e-14
@@ -478,6 +478,19 @@ def test_cutoff_walk_matrix_is_orthogonal():
             u = cutoff_walk_matrix(params, N)
             assert np.max(np.abs(u @ u.T - np.eye(len(u)))) < 1e-14
             assert abs(np.trace(u) - (2 * params.r - 1) * (N - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [1, MAX_CUTOFF + 1])
+def test_cutoff_walk_matrix_size_checked_before_allocation(cutoff):
+    # N = MAX_CUTOFF + 1 would build two (3N - 1)^2 float64 arrays, ~2.4 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParamsError):
+            cutoff_walk_matrix(P463, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_u_eigensystem_multiplicities():
@@ -599,7 +612,7 @@ def test_discrete_spectral_measure():
     lam, w = discrete_spectral_measure(P463, 6)
     assert np.all(w > 0)
     assert abs(w.sum() - 1.0) < 1e-12
-    t = build_T(P463, 6).dense()
+    t = jacobi_dense(build_T(P463, 6))
     for mpow in (1, 2, 3, 7):
         direct = np.linalg.matrix_power(t, mpow)[0, 0]
         assert abs(float(np.sum(lam ** mpow * w)) - direct) < 1e-12

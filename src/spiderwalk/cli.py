@@ -44,6 +44,9 @@ from .walk import GraphEvolver, isotropic_initial_state
 __all__ = ["main"]
 
 _ENV_OUTPUT_DIR = "SPIDERWALK_OUTPUT_DIR"
+# A cap on the rows of ``localize --sweep``, which classifies and holds every
+# row before printing: ~2 s and ~80 MB peak RSS at the cap.
+MAX_SWEEP_ROWS = 100_000
 
 
 def _fmt(value) -> str:
@@ -213,6 +216,12 @@ def _cmd_localize(args) -> int:
         if bmax < 2 or cmax < 1:
             raise InvalidParamsError(
                 f"--sweep needs BMAX >= 2 and CMAX >= 1, got {bmax} {cmax}")
+        # one row per b - 1 = k in 1..bmax - 1 and c in 1..min(k, cmax)
+        k, c = bmax - 1, min(bmax - 1, cmax)
+        n_rows = c * (c + 1) // 2 + (k - c) * c
+        if n_rows > MAX_SWEEP_ROWS:
+            raise InvalidParamsError(
+                f"--sweep {bmax} {cmax} has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
         for b in range(2, bmax + 1):
             for c in range(1, min(b - 1, cmax) + 1):
                 rep = classify(SpidernetParams(1, b, c))

@@ -19,12 +19,15 @@ and whose shift swaps psi_n^+ with psi_{n+1}^-.  Everything downstream
 
 The module provides the reduced state, its one evolution kernel
 :class:`ReducedEvolver` (in place, light-cone truncated), the isometric
-embedding back into a concrete graph, the finite-path cutoff walk
+embedding back into a concrete graph, and the finite-path cutoff walk
 together with its tridiagonal matrix ``T_N`` (the walk
-restricted-projected onto the ladder vectors Psi_n), whose eigenpairs,
-certified by their residuals, give the spectrum of the cutoff walk.  The
-dense cutoff walk :func:`cutoff_walk_matrix` is kept as an independent
-reference for the evolver and the spectrum.
+restricted-projected onto the ladder vectors Psi_n).  The spectrum of the
+cutoff walk comes from the eigenvalues of T_N, found as the roots of
+det(x - T_N) in closed form, a three-term Chebyshev sum, in O(N) memory
+and without eigenvectors.  Each root is certified by a sign change of
+that closed form within ``_ROOT_TOL``, and the roots are counted to
+N + 1.  The dense cutoff walk :func:`cutoff_walk_matrix` is kept as an
+independent reference for the evolver and the spectrum.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailureError,
@@ -52,7 +54,7 @@ __all__ = [
     "stratum_state",
     "embed",
     "MAX_CUTOFF",
-    "eigensystem_T",
+    "MAX_DENSE_CUTOFF",
     "cutoff_walk_matrix",
     "u_eigensystem",
 ]
@@ -60,8 +62,6 @@ __all__ = [
 _TOL = 1e-14
 #: How far the top eigenvalue of T_N may sit from 1.
 _TOP_EIGENVALUE_TOL = 1e-10
-#: Largest residual |T_N v - lambda v| accepted for an eigenpair of T_N.
-_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -331,14 +331,17 @@ class JacobiMatrixT:
     offdiag: np.ndarray
 
 
-# A cap on the cutoff N: the eigenvectors of T_N take 8 (N+1)^2 bytes,
-# ~128 MiB at N = 4096.  Larger cutoffs are rejected before allocating.
+# A cap on the cutoff N.  The spectrum takes O(N) memory and time, so the cap
+# bounds the ~2N printed rows and the work of one solve, ~30 ms at 4096.
 MAX_CUTOFF = 4096
+# A cap on the cutoff of the dense U_N, whose build holds two (3N - 1)^2
+# float64 arrays, ~38 MB at 512.
+MAX_DENSE_CUTOFF = 512
 
 
-def _check_cutoff(cutoff: int) -> None:
-    if not 2 <= cutoff <= MAX_CUTOFF:
-        raise InvalidParamsError(f"cutoff must lie in 2..{MAX_CUTOFF}, got {cutoff}")
+def _check_cutoff(cutoff: int, cap: int = MAX_CUTOFF) -> None:
+    if not 2 <= cutoff <= cap:
+        raise InvalidParamsError(f"cutoff must lie in 2..{cap}, got {cutoff}")
 
 
 def build_T(params: PqParams, cutoff: int) -> JacobiMatrixT:
@@ -350,35 +353,121 @@ def build_T(params: PqParams, cutoff: int) -> JacobiMatrixT:
     return JacobiMatrixT(cutoff, diag, offdiag)
 
 
-def eigensystem_T(t: JacobiMatrixT):
-    """Eigenvalues (descending) and orthonormal eigenvectors of T_N.
+# -- det(x - T_N) in closed form ----------------------------------------------
+#
+# With s = sqrt(pq), y = (x - r) / (2s) and U_k the Chebyshev polynomials of
+# the second kind, det(x - T_N) = x P_N - p P_{N-1} for the monic free
+# Meixner polynomials P_k = s^k ((x/s) U_{k-1}(y) - U_{k-2}(y) / p), so
+#
+#     det(x - T_N) = s^(N-1) (x^2 U_{N-1} - ((p+q)/s) x U_{N-2} + U_{N-3}).
+#
+# For p = q, T_N is mirror-symmetric, and its even and odd eigenvectors
+# split det(x - T_N) into two factors of the same shape; their roots are
+# found apart, which separates the two bound states that mirror each other
+# and are equal in float64.  Each factor is F = sum_i a_i(x) U_{K-1-i}(y).
+# Up to a positive factor, sin(phi) F = sum_i a_i sin((K-i) phi) in the
+# band y = cos(phi), and F = sum_i a_i e^{-iu} (1 - e^{-2(K-i)u}) outside
+# it, y = cosh(u); both keep their relative accuracy near the band edges.
 
-    Uses a symmetric-tridiagonal solver and verifies that the top
-    eigenvalue is 1, that the eigenvalues are finite and non-increasing,
-    and that every eigenpair has residual |T_N v - lambda v| at most
-    ``_RESIDUAL_TOL``, raising ConvergenceFailureError otherwise.
-    Simplicity is not tested bit by bit: two eigenvalues that are distinct
-    in exact arithmetic can round to the same double (for p = q the two
-    ends of the ladder mirror each other).
-    """
-    try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:  # pragma: no cover
-        raise ConvergenceFailureError(f"tridiagonal eigensolver failed: {exc}") from exc
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    if abs(vals[0] - 1.0) > _TOP_EIGENVALUE_TOL:
-        raise ConvergenceFailureError(f"top eigenvalue {vals[0]} is not 1")
-    if not (np.all(np.isfinite(vals)) and np.all(np.diff(vals) <= 0)):
-        raise ConvergenceFailureError("eigenvalues of T_N must be finite and sorted")
-    # T_N V - V diag(vals) from the two diagonals, without a dense T_N
-    resid = (t.diag[:, None] - vals) * vecs
-    resid[:-1] += t.offdiag[:, None] * vecs[1:]
-    resid[1:] += t.offdiag[:, None] * vecs[:-1]
-    worst = np.sqrt(np.max(np.einsum("ij,ij->j", resid, resid)))
-    if not worst <= _RESIDUAL_TOL:
-        raise ConvergenceFailureError(f"eigenpair residual {worst:.2e} exceeds {_RESIDUAL_TOL}")
-    return vals, vecs
+# How far a returned eigenvalue of T_N may sit from the one its sign change
+# proves, as the residual bound of the eigensolver this replaced did.
+_ROOT_TOL = 1e-10
+# Bisection halvings: every initial bracket shrinks below one ulp.
+_BISECTIONS = 64
+# Sample points per region (band, below, above): max(4N, _MIN_SAMPLES), refined
+# eightfold while they separate fewer than N + 1 roots, up to _MAX_SAMPLES.
+_MIN_SAMPLES = 64
+_MAX_SAMPLES = 1 << 18
+
+
+def _char_factors(params: PqParams, cutoff: int):
+    """(K, a) pairs whose F = sum_i a(x)[i] U_{K-1-i}(y) multiply, up to a
+    positive constant, to det(x - T_N)."""
+    p, q, N, m = params.p, params.q, cutoff, cutoff // 2
+    if p != q:
+        c = (p + q) / np.sqrt(p * q)
+        return [(N, lambda x: (x * x, -c * x, 1.0))]
+    if N % 2:
+        return [(m + 1, lambda x: (x, -1.0 - x, 1.0)),
+                (m + 1, lambda x: (x, x - 1.0, -1.0))]
+    return [(m + 1, lambda x: (x, -1.0, -x, 1.0)), (m, lambda x: (x, -1.0))]
+
+
+def _factor_values(params: PqParams, K: int, a, x: np.ndarray) -> np.ndarray:
+    """Values with the sign of the factor (K, a) at the points x."""
+    y = (x - params.r) / (2.0 * np.sqrt(params.p * params.q))
+    # U_k(-y) = (-1)^k U_k(y): evaluate at |y| >= 0, where phi <= pi/2
+    flip = np.where(y < 0, -1.0, 1.0)
+    coeffs = [np.broadcast_to(ai, x.shape) * flip ** i for i, ai in enumerate(a(x))]
+    y = np.abs(y)
+    out = np.empty_like(x)
+    band, outside = y < 1, y > 1
+    phi = np.arccos(y[band])
+    out[band] = sum(ai[band] * np.sin((K - i) * phi) for i, ai in enumerate(coeffs))
+    u = np.arccosh(y[outside])
+    out[outside] = sum(ai[outside] * np.exp(-i * u) * -np.expm1(-2 * (K - i) * u)
+                       for i, ai in enumerate(coeffs))
+    edge = y == 1                               # U_k(1) = k + 1
+    out[edge] = sum(ai[edge] * (K - i) for i, ai in enumerate(coeffs))
+    return out * flip ** (K - 1)
+
+
+def _sample_points(params: PqParams, cutoff: int, M: int) -> np.ndarray:
+    """Ascending points: M in the band, uniform in phi, and M on each side of
+    it, uniform in u out to the Gershgorin bound of T_N."""
+    r, s = params.r, np.sqrt(params.p * params.q)
+    t = build_T(params, cutoff)
+    bound = np.max(np.abs(t.diag) + np.r_[t.offdiag, 0.0] + np.r_[0.0, t.offdiag])
+    parts = [r + 2.0 * s * np.cos(np.pi * (np.arange(M) + 0.5) / M)]
+    for side in (-1.0, 1.0):
+        u = np.arccosh(max((bound - side * r) / (2.0 * s), 1.0)) * (np.arange(M) + 1.0) / M
+        parts.append(r + side * 2.0 * s * np.cosh(u))
+    return np.sort(np.concatenate(parts))
+
+
+def _bisect_roots(params: PqParams, cutoff: int):
+    """Roots of each factor of det(x - T_N): one per sign change between
+    neighbouring sample points, bisected in x.  The samples are refined
+    until they separate N + 1 roots, or up to _MAX_SAMPLES per region."""
+    factors = _char_factors(params, cutoff)
+    M = max(4 * cutoff, _MIN_SAMPLES)
+    while True:
+        x = _sample_points(params, cutoff, M)
+        positive = [_factor_values(params, K, a, x) >= 0 for K, a in factors]
+        cells = [np.flatnonzero(sg[1:] != sg[:-1]) for sg in positive]
+        if sum(map(len, cells)) >= cutoff + 1 or M * 8 > _MAX_SAMPLES:
+            break
+        M *= 8
+    roots = []
+    for (K, a), sg, j in zip(factors, positive, cells):
+        lo, hi, lo_positive = x[j], x[j + 1], sg[j]
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            same = (_factor_values(params, K, a, mid) >= 0) == lo_positive
+            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
+def _certified_eigenvalues(params: PqParams, cutoff: int, roots) -> np.ndarray:
+    """All N + 1 eigenvalues of T_N, descending, from the roots of each
+    factor.  Every root must carry a sign change of its factor across
+    [x - _ROOT_TOL, x + _ROOT_TOL], and the intervals of one factor must be
+    disjoint.  Factors share no root (the eigenvalues of T_N are simple), so
+    N + 1 such roots account for every eigenvalue.  Raises
+    ConvergenceFailureError otherwise."""
+    for (K, a), x in zip(_char_factors(params, cutoff), roots):
+        x = np.sort(x)
+        lo = _factor_values(params, K, a, x - _ROOT_TOL)
+        hi = _factor_values(params, K, a, x + _ROOT_TOL)
+        if not (np.all(np.sign(lo) != np.sign(hi)) and np.all(np.diff(x) > 2 * _ROOT_TOL)):
+            raise ConvergenceFailureError(
+                f"an eigenvalue of T_N is not isolated within {_ROOT_TOL}")
+    vals = np.sort(np.concatenate(roots))[::-1]
+    if len(vals) != cutoff + 1:
+        raise ConvergenceFailureError(
+            f"found {len(vals)} of the {cutoff + 1} eigenvalues of T_N")
+    return vals
 
 
 def cutoff_dim(cutoff: int) -> int:
@@ -410,12 +499,11 @@ def cutoff_walk_matrix(params: PqParams, cutoff: int) -> np.ndarray:
     The coin acts as the identity on psi_0^+ and on the flagged last slot
     psi_N^-, and as the usual triple reflection in between; the shift
     swaps psi_n^+ with psi_{n+1}^-.  U_N is real orthogonal with trace
-    (2r - 1)(N - 1).  Its build holds two dense (3N - 1)^2 float64 arrays,
-    ~2.4 GB at N = MAX_CUTOFF; larger cutoffs are rejected before
+    (2r - 1)(N - 1).  Cutoffs above MAX_DENSE_CUTOFF are rejected before
     allocating.
     """
     N = cutoff
-    _check_cutoff(N)
+    _check_cutoff(N, MAX_DENSE_CUTOFF)
     dim = cutoff_dim(N)
     coin = np.eye(dim)
     m3 = _coin_matrix(params)
@@ -463,19 +551,22 @@ def u_eigensystem(params: PqParams, cutoff: int) -> UEigensystem:
 
     Eigenvalues of U_N are 1, the pairs e^{+-i theta_j} with
     cos(theta_j) an interior eigenvalue of T_N, and -1 with multiplicity
-    N - 2 (r > 0) or N (r = 0).  The T_N eigenpair (lambda, Omega) maps
-    to the U_N eigenvectors (omega - e^{+-i theta} S omega) /
-    (sqrt(2) sin theta), omega = sum_n Omega[n] Psi_n, so the residual
-    check of :func:`eigensystem_T` certifies the pairs without building
-    them.  An interior eigenvalue that rounds to +-1, where sin theta = 0,
-    raises ConvergenceFailureError.
+    N - 2 (r > 0) or N (r = 0).  The eigenvalues of T_N are the roots of
+    det(x - T_N) in closed form, each certified by a sign change within
+    ``_ROOT_TOL`` and counted to N + 1.  A top eigenvalue away from 1, or
+    an interior one that rounds to +-1, where sin theta = 0, raises
+    ConvergenceFailureError.
     """
     N = cutoff
-    vals, _ = eigensystem_T(build_T(params, N))
+    _check_cutoff(N)
+    if not params.p * params.q > 0:
+        raise ConvergenceFailureError("pq underflows: the band of T_N collapses onto r")
+    vals = _certified_eigenvalues(params, N, _bisect_roots(params, N))
+    if abs(vals[0] - 1.0) > _TOP_EIGENVALUE_TOL:
+        raise ConvergenceFailureError(f"top eigenvalue {vals[0]} is not 1")
     # interior eigenvalues: drop lambda_0 = 1, and lambda_N = -1 when r = 0
     k_last = N if params.r > 0 else N - 1
     thetas = np.arccos(np.clip(vals[1:k_last + 1], -1.0, 1.0))
     if not np.all((thetas > 0) & (thetas < np.pi)):
         raise ConvergenceFailureError("an interior eigenvalue of T_N rounds to +-1")
     return UEigensystem(params, N, thetas, cutoff_dim(N) - 1 - 2 * len(thetas))
-

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import oracles
 import spiderwalk.reduction as reduction
 from oracles import half_edge_index
 from spiderwalk import SpidernetParams, build_spidernet
@@ -62,13 +63,37 @@ def sparse_walk():
 
 @pytest.fixture
 def perturbed_eigensolver(monkeypatch):
-    """Makes the tridiagonal eigensolver return one eigenvector entry off
-    by 1e-6, an eigenpair that only a residual check can reject."""
-    solve = reduction.scipy.linalg.eigh_tridiagonal
+    """Makes the tridiagonal eigensolver of the oracle ``eigensystem_T``
+    return one eigenvector entry off by 1e-6, an eigenpair that only a
+    residual check can reject."""
+    solve = oracles.scipy.linalg.eigh_tridiagonal
 
     def perturbed(diag, offdiag):
         vals, vecs = solve(diag, offdiag)
         vecs[3, 4] += 1e-6
         return vals, vecs
 
-    monkeypatch.setattr(reduction.scipy.linalg, "eigh_tridiagonal", perturbed)
+    monkeypatch.setattr(oracles.scipy.linalg, "eigh_tridiagonal", perturbed)
+
+
+def _patch_roots(monkeypatch, edit):
+    solve = reduction._bisect_roots
+
+    def patched(params, cutoff):
+        roots = solve(params, cutoff)
+        roots[0] = edit(roots[0])
+        return roots
+
+    monkeypatch.setattr(reduction, "_bisect_roots", patched)
+
+
+@pytest.fixture
+def shifted_root(monkeypatch):
+    """Moves one root of det(x - T_N) found by the closed-form solve by 1e-6."""
+    _patch_roots(monkeypatch, lambda x: x + np.where(np.arange(len(x)) == 3, 1e-6, 0.0))
+
+
+@pytest.fixture
+def dropped_root(monkeypatch):
+    """Drops one root of det(x - T_N) found by the closed-form solve."""
+    _patch_roots(monkeypatch, lambda x: np.delete(x, 3))

@@ -3,9 +3,13 @@ at run time, as plain functions of a graph ``g``, a law ``law`` or reduced
 parameters ``params``.  The tests check the package against them."""
 
 import numpy as np
+import scipy.linalg
 
-from spiderwalk.errors import InvalidParamsError, OutOfDomainError
-from spiderwalk.reduction import build_T, cutoff_dim, cutoff_index, eigensystem_T
+from spiderwalk.errors import ConvergenceFailureError, InvalidParamsError, OutOfDomainError
+from spiderwalk.reduction import build_T, cutoff_dim, cutoff_index
+
+#: Largest residual |T_N v - lambda v| accepted for an eigenpair of T_N.
+RESIDUAL_TOL = 1e-10
 
 
 class BoundaryVertexError(ValueError):
@@ -181,6 +185,22 @@ def cutoff_psi_vector(params, cutoff, n):
         for kind, weight in (("+", params.p), ("o", params.r), ("-", params.q)):
             vec[cutoff_index(n, kind, N)] = np.sqrt(weight)
     return vec
+
+
+def eigensystem_T(t):
+    """Eigenvalues (descending) and orthonormal eigenvectors of T_N from
+    LAPACK, each eigenpair certified by its residual |T_N v - lambda v| <=
+    RESIDUAL_TOL (ConvergenceFailureError otherwise)."""
+    vals, vecs = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    # T_N V - V diag(vals) from the two diagonals, without a dense T_N
+    resid = (t.diag[:, None] - vals) * vecs
+    resid[:-1] += t.offdiag[:, None] * vecs[1:]
+    resid[1:] += t.offdiag[:, None] * vecs[:-1]
+    worst = np.sqrt(np.max(np.einsum("ij,ij->j", resid, resid)))
+    if not worst <= RESIDUAL_TOL:
+        raise ConvergenceFailureError(f"eigenpair residual {worst:.2e} exceeds {RESIDUAL_TOL}")
+    return vals, vecs
 
 
 def discrete_spectral_measure(params, cutoff):

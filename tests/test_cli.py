@@ -2,7 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -247,10 +251,33 @@ def test_conflicting_inputs_rejected(capsys, argv):
     assert json.loads(err)["error"] == "InvalidParamsError"
 
 
-def test_spectrum_fails_on_a_bad_eigenpair(capsys, perturbed_eigensolver):
+def test_spectrum_fails_on_a_bad_eigenpair(capsys, shifted_root):
     code, out, err = run_cli(capsys, "spectrum", "4", "6", "3", "--cutoff", "8")
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ConvergenceFailureError"
+
+
+def test_no_subcommand_imports_scipy():
+    # scipy is a test dependency: a lazy import would only move its start-up
+    # cost into a command's compute time
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import spiderwalk.cli as cli
+        for argv in (["spectrum", "4", "6", "3", "--cutoff", "800"],
+                     ["spectrum", "--pqr", "0.75", "0.25", "0", "--cutoff", "3"],
+                     ["verify"],
+                     ["amplitude", "4", "6", "3", "--nmax", "20"],
+                     ["simulate", "4", "6", "3", "--steps", "10", "--full"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(README.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_readme_examples_are_current(capsys):
@@ -306,6 +333,13 @@ def test_empty_sweep_rejected(capsys, sweep):
     code, out, err = run_cli(capsys, "localize", "--sweep", *sweep)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidParamsError"
+
+
+# --sweep 448 447 has 100 128 rows; 10**18 would ask for ~5e35
+@pytest.mark.parametrize("sweep", [["448", "447"], [str(10 ** 18)] * 2])
+def test_oversized_sweep_rejected_before_classifying(capsys, monkeypatch, sweep):
+    monkeypatch.setattr(cli, "classify", lambda sp: pytest.fail("classify ran"))
+    assert_refused_early(capsys, "InvalidParamsError", "localize", "--sweep", *sweep)
 
 
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):

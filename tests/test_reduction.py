@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import cutoff_psi_vector, discrete_spectral_measure, jacobi_dense, reduced_norm
+from oracles import (
+    cutoff_psi_vector,
+    discrete_spectral_measure,
+    eigensystem_T,
+    jacobi_dense,
+    reduced_norm,
+)
 from spiderwalk import (
     MAX_CUTOFF,
     ConvergenceFailureError,
@@ -28,11 +34,11 @@ from spiderwalk import (
 )
 from spiderwalk.meixner import normalized_sequence
 from spiderwalk.reduction import (
+    MAX_DENSE_CUTOFF,
     build_T,
     cutoff_dim,
     cutoff_index,
     cutoff_walk_matrix,
-    eigensystem_T,
     inner,
 )
 
@@ -480,9 +486,9 @@ def test_cutoff_walk_matrix_is_orthogonal():
             assert abs(np.trace(u) - (2 * params.r - 1) * (N - 1)) < 1e-12
 
 
-@pytest.mark.parametrize("cutoff", [1, MAX_CUTOFF + 1])
+@pytest.mark.parametrize("cutoff", [1, MAX_DENSE_CUTOFF + 1, MAX_CUTOFF + 1])
 def test_cutoff_walk_matrix_size_checked_before_allocation(cutoff):
-    # N = MAX_CUTOFF + 1 would build two (3N - 1)^2 float64 arrays, ~2.4 GB
+    # N = MAX_CUTOFF would build two (3N - 1)^2 float64 arrays, ~2.4 GB
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParamsError):
@@ -512,9 +518,17 @@ def test_u_eigensystem_multiplicities():
 
 def test_residual_check_rejects_perturbed_eigenvector(perturbed_eigensolver):
     with pytest.raises(ConvergenceFailureError, match="residual"):
-        u_eigensystem(P463, 8)
+        eigensystem_T(build_T(P463, 8))
     with pytest.raises(ConvergenceFailureError, match="residual"):
         discrete_spectral_measure(P463, 8)
+
+
+@pytest.mark.parametrize("fault, message", [("shifted_root", "not isolated"),
+                                            ("dropped_root", "found 8 of the 9")])
+def test_certificate_rejects_a_bad_root(request, fault, message):
+    request.getfixturevalue(fault)
+    with pytest.raises(ConvergenceFailureError, match=message):
+        u_eigensystem(P463, 8)
 
 
 def _u_eigenvectors(params, N, shift):

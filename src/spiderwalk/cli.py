@@ -50,21 +50,27 @@ MAX_SWEEP_ROWS = 100_000
 
 
 def _fmt(value) -> str:
+    # most cells are floats, np.float64 among them (a subclass of float);
+    # float() skips np.float64's slower __format__
+    if isinstance(value, float):
+        return format(float(value), ".15g")
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return format(float(value), ".15g")
     return str(value)
 
 
 def _json_value(value):
+    if isinstance(value, float):
+        return float(format(float(value), ".15g"))
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return float(format(float(value), ".15g"))
     return value
 

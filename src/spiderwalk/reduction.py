@@ -19,15 +19,15 @@ and whose shift swaps psi_n^+ with psi_{n+1}^-.  Everything downstream
 
 The module provides the reduced state, its one evolution kernel
 :class:`ReducedEvolver` (in place, light-cone truncated), the isometric
-embedding back into a concrete graph, and the finite-path cutoff walk
-together with its tridiagonal matrix ``T_N`` (the walk
-restricted-projected onto the ladder vectors Psi_n).  The spectrum of the
-cutoff walk comes from the eigenvalues of T_N, found as the roots of
-det(x - T_N) in closed form, a three-term Chebyshev sum, in O(N) memory
-and without eigenvectors.  Each root is certified by a sign change of
-that closed form within ``_ROOT_TOL``, and the roots are counted to
-N + 1.  The dense cutoff walk :func:`cutoff_walk_matrix` is kept as an
-independent reference for the evolver and the spectrum.
+embedding back into a concrete graph, and the spectrum of the finite-path
+cutoff walk U_N.  That spectrum comes from the eigenvalues of the
+tridiagonal T_N, the walk restricted-projected onto the ladder vectors
+Psi_0 .. Psi_N, with diagonal (0, r, ..., r, 0) and off-diagonal
+(sqrt(q), sqrt(pq), ..., sqrt(pq), sqrt(p)).  They are found as the roots
+of det(x - T_N) in closed form, a three-term Chebyshev sum, from
+(p, q, r, N) alone, in O(N) memory and without eigenvectors.  Each root
+is certified by a sign change of that closed form within ``_ROOT_TOL``,
+and the roots are counted to N + 1.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ __all__ = [
     "stratum_state",
     "embed",
     "MAX_CUTOFF",
-    "MAX_DENSE_CUTOFF",
-    "cutoff_walk_matrix",
     "u_eigensystem",
 ]
 
@@ -140,12 +138,6 @@ class ReducedState:
         out[1, :k] = self.xo[:k]
         out[2, :k] = self.xm[:k]
         return out
-
-
-def _coin_matrix(params: PqParams) -> np.ndarray:
-    p, q, r = params.p, params.q, params.r
-    v = np.array([np.sqrt(p), np.sqrt(r), np.sqrt(q)])
-    return 2.0 * np.outer(v, v) - np.eye(3)
 
 
 class ReducedEvolver:
@@ -313,44 +305,17 @@ def embed(g: Spidernet, state: ReducedState) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Finite-path cutoff walk and its tridiagonal matrix
+# Spectrum of the finite-path cutoff walk
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JacobiMatrixT:
-    """Symmetric tridiagonal matrix T_N of the walk on the cutoff ladder.
-
-    T_N is the compression of the cutoff walk onto span{Psi_0..Psi_N}:
-    diagonal (0, r, ..., r, 0), off-diagonal (sqrt(q), sqrt(pq), ...,
-    sqrt(pq), sqrt(p)).  All eigenvalues are simple, lie in [-1, 1], and
-    include 1; -1 appears exactly when r = 0.
-    """
-
-    cutoff: int
-    diag: np.ndarray
-    offdiag: np.ndarray
-
 
 # A cap on the cutoff N.  The spectrum takes O(N) memory and time, so the cap
 # bounds the ~2N printed rows and the work of one solve, ~30 ms at 4096.
 MAX_CUTOFF = 4096
-# A cap on the cutoff of the dense U_N, whose build holds two (3N - 1)^2
-# float64 arrays, ~38 MB at 512.
-MAX_DENSE_CUTOFF = 512
 
 
-def _check_cutoff(cutoff: int, cap: int = MAX_CUTOFF) -> None:
-    if not 2 <= cutoff <= cap:
-        raise InvalidParamsError(f"cutoff must lie in 2..{cap}, got {cutoff}")
-
-
-def build_T(params: PqParams, cutoff: int) -> JacobiMatrixT:
-    """Tridiagonal matrix T_N for the given (p, q, r); 2 <= N <= MAX_CUTOFF."""
-    _check_cutoff(cutoff)
-    p, q, r = params.p, params.q, params.r
-    diag = np.r_[0.0, np.full(cutoff - 1, r), 0.0]
-    offdiag = np.r_[np.sqrt(q), np.full(cutoff - 2, np.sqrt(p * q)), np.sqrt(p)]
-    return JacobiMatrixT(cutoff, diag, offdiag)
+def _check_cutoff(cutoff: int) -> None:
+    if not 2 <= cutoff <= MAX_CUTOFF:
+        raise InvalidParamsError(f"cutoff must lie in 2..{MAX_CUTOFF}, got {cutoff}")
 
 
 # -- det(x - T_N) in closed form ----------------------------------------------
@@ -412,12 +377,25 @@ def _factor_values(params: PqParams, K: int, a, x: np.ndarray) -> np.ndarray:
     return out * flip ** (K - 1)
 
 
+def _gershgorin_bound(params: PqParams, cutoff: int) -> float:
+    """Largest Gershgorin row sum of T_N, each row |T_ii| + T_i,i+1 + T_i,i-1
+    added in that order: sqrt(q), (r + s) + sqrt(q), (r + s) + s,
+    (r + sqrt(p)) + s and sqrt(p), with s = sqrt(pq); at N = 2 the middle
+    row is (r + sqrt(p)) + sqrt(q).  The bound fixes the sample grid, and so
+    every bisection path, to the bit."""
+    p, q, r = params.p, params.q, params.r
+    s, sp, sq = np.sqrt(p * q), np.sqrt(p), np.sqrt(q)
+    if cutoff == 2:
+        return max(sq, (r + sp) + sq, sp)
+    # T_3 has no row (r + s) + s, but that row never exceeds (r + sqrt(p)) + s
+    return max(sq, (r + s) + sq, (r + s) + s, (r + sp) + s, sp)
+
+
 def _sample_points(params: PqParams, cutoff: int, M: int) -> np.ndarray:
     """Ascending points: M in the band, uniform in phi, and M on each side of
     it, uniform in u out to the Gershgorin bound of T_N."""
     r, s = params.r, np.sqrt(params.p * params.q)
-    t = build_T(params, cutoff)
-    bound = np.max(np.abs(t.diag) + np.r_[t.offdiag, 0.0] + np.r_[0.0, t.offdiag])
+    bound = _gershgorin_bound(params, cutoff)
     parts = [r + 2.0 * s * np.cos(np.pi * (np.arange(M) + 0.5) / M)]
     for side in (-1.0, 1.0):
         u = np.arccosh(max((bound - side * r) / (2.0 * s), 1.0)) * (np.arange(M) + 1.0) / M
@@ -470,54 +448,6 @@ def _certified_eigenvalues(params: PqParams, cutoff: int, roots) -> np.ndarray:
     return vals
 
 
-def cutoff_dim(cutoff: int) -> int:
-    """Dimension of the cutoff half-line space H(N): 1 + 3(N-1) + 1."""
-    return 3 * cutoff - 1
-
-
-def cutoff_index(n: int, kind: str, cutoff: int) -> int:
-    """Coordinate index of psi_n^kind in the cutoff layout.
-
-    Layout: psi_0^+ first, then triples (+, o, -) for n = 1 .. N-1, then
-    the lone psi_N^-.
-    """
-    N = cutoff
-    if kind not in ("+", "o", "-"):
-        raise InvalidParamsError(f"kind must be '+', 'o' or '-', got {kind!r}")
-    if n == 0 and kind == "+":
-        return 0
-    if 1 <= n <= N - 1:
-        return 3 * n - 2 + ("+", "o", "-").index(kind)
-    if n == N and kind == "-":
-        return 3 * N - 2
-    raise InvalidParamsError(f"psi_{n}^{kind} does not exist in H({N})")
-
-
-def cutoff_walk_matrix(params: PqParams, cutoff: int) -> np.ndarray:
-    """Dense matrix of the cutoff walk U_N = S_N C_N on H(N).
-
-    The coin acts as the identity on psi_0^+ and on the flagged last slot
-    psi_N^-, and as the usual triple reflection in between; the shift
-    swaps psi_n^+ with psi_{n+1}^-.  U_N is real orthogonal with trace
-    (2r - 1)(N - 1).  Cutoffs above MAX_DENSE_CUTOFF are rejected before
-    allocating.
-    """
-    N = cutoff
-    _check_cutoff(N, MAX_DENSE_CUTOFF)
-    dim = cutoff_dim(N)
-    coin = np.eye(dim)
-    m3 = _coin_matrix(params)
-    for n in range(1, N):
-        i = cutoff_index(n, "+", N)
-        coin[i:i + 3, i:i + 3] = m3
-    # U_N = S_N C_N permutes the rows of C_N: psi_n^+ <-> psi_{n+1}^-
-    shift = np.arange(dim)
-    for n in range(N):
-        i, j = cutoff_index(n, "+", N), cutoff_index(n + 1, "-", N)
-        shift[i], shift[j] = j, i
-    return coin[shift]
-
-
 @dataclass
 class UEigensystem:
     """Spectrum of the cutoff walk U_N.
@@ -525,7 +455,9 @@ class UEigensystem:
     ``thetas`` are the arc angles of the conjugate eigenvalue pairs
     e^{+-i theta_j}, ascending, strictly inside (0, pi).  The rest of the
     spectrum is the simple eigenvalue 1 and the eigenvalue -1 with
-    multiplicity ``minus_one_multiplicity``.
+    multiplicity ``minus_one_multiplicity``, 3N - 1 eigenvalues in all: U_N
+    acts on psi_0^+, the triples (psi_n^+, psi_n^o, psi_n^-) for
+    n = 1 .. N-1, and psi_N^-.
     """
 
     params: PqParams
@@ -541,8 +473,9 @@ class UEigensystem:
         psi^- slot out of its coin block, so only the psi_n^o slots keep
         the coin's middle entry.
         """
-        diag = np.zeros(cutoff_dim(self.cutoff))
-        diag[2:-1:3] = _coin_matrix(self.params)[1, 1]
+        diag = np.zeros(3 * self.cutoff - 1)
+        # the middle entry of the coin 2 v v^T - I, v = (sqrt(p), sqrt(r), sqrt(q))
+        diag[2:-1:3] = 2.0 * (np.sqrt(self.params.r) * np.sqrt(self.params.r)) - 1.0
         return float(diag.sum())
 
 
@@ -569,4 +502,4 @@ def u_eigensystem(params: PqParams, cutoff: int) -> UEigensystem:
     thetas = np.arccos(np.clip(vals[1:k_last + 1], -1.0, 1.0))
     if not np.all((thetas > 0) & (thetas < np.pi)):
         raise ConvergenceFailureError("an interior eigenvalue of T_N rounds to +-1")
-    return UEigensystem(params, N, thetas, cutoff_dim(N) - 1 - 2 * len(thetas))
+    return UEigensystem(params, N, thetas, 3 * N - 2 - 2 * len(thetas))

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import settings
 
 import oracles
 import spiderwalk.reduction as reduction
-from oracles import half_edge_index
+from oracles import cutoff_dim, cutoff_index, half_edge_index
 from spiderwalk import SpidernetParams, build_spidernet
-from spiderwalk.reduction import cutoff_dim, cutoff_index
+
+# reproducible property tests: the same examples on every run, and no
+# per-example deadline on a loaded machine
+settings.register_profile("spiderwalk", derandomize=True, deadline=None)
+settings.load_profile("spiderwalk")
 
 
 @pytest.fixture(scope="session")

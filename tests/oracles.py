@@ -1,12 +1,15 @@
-"""The paper's identities and graph queries that the package does not use
-at run time, as plain functions of a graph ``g``, a law ``law`` or reduced
-parameters ``params``.  The tests check the package against them."""
+"""The paper's identities, graph queries and reference matrices that the
+package does not use at run time, as plain functions of a graph ``g``, a
+law ``law`` or reduced parameters ``params``.  The tests check the package
+against them.  They take only the tests' own inputs, so they validate no
+arguments and cap no sizes."""
+
+from collections import namedtuple
 
 import numpy as np
 import scipy.linalg
 
 from spiderwalk.errors import ConvergenceFailureError, InvalidParamsError, OutOfDomainError
-from spiderwalk.reduction import build_T, cutoff_dim, cutoff_index
 
 #: Largest residual |T_N v - lambda v| accepted for an eigenpair of T_N.
 RESIDUAL_TOL = 1e-10
@@ -167,9 +170,62 @@ def reduced_norm(s):
     return float(np.sqrt((np.abs(s.xp) ** 2 + np.abs(s.xo) ** 2 + np.abs(s.xm) ** 2).sum()))
 
 
+JacobiMatrixT = namedtuple("JacobiMatrixT", "diag offdiag")
+
+
+def build_T(params, cutoff):
+    """The symmetric tridiagonal T_N, the cutoff walk compressed onto
+    span{Psi_0 .. Psi_N}: diagonal (0, r, ..., r, 0), off-diagonal
+    (sqrt(q), sqrt(pq), ..., sqrt(pq), sqrt(p)).  Its eigenvalues are
+    simple, lie in [-1, 1] and include 1; -1 is one exactly when r = 0."""
+    p, q, r = params.p, params.q, params.r
+    diag = np.r_[0.0, np.full(cutoff - 1, r), 0.0]
+    offdiag = np.r_[np.sqrt(q), np.full(cutoff - 2, np.sqrt(p * q)), np.sqrt(p)]
+    return JacobiMatrixT(diag, offdiag)
+
+
 def jacobi_dense(t):
     """T_N as a dense symmetric matrix."""
     return np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1)
+
+
+def cutoff_dim(cutoff):
+    """Dimension of the cutoff half-line space H(N): 1 + 3(N-1) + 1."""
+    return 3 * cutoff - 1
+
+
+def cutoff_index(n, kind, cutoff):
+    """Coordinate of psi_n^kind in H(N): psi_0^+ first, then the triples
+    (+, o, -) for n = 1 .. N-1, then the lone psi_N^-."""
+    if n == 0:
+        return 0
+    if n == cutoff:
+        return 3 * cutoff - 2
+    return 3 * n - 2 + "+o-".index(kind)
+
+
+def cutoff_walk_matrix(params, cutoff):
+    """Dense matrix of the cutoff walk U_N = S_N C_N on H(N).
+
+    The coin acts as the identity on psi_0^+ and on the flagged last slot
+    psi_N^-, and as the triple reflection 2 v v^T - I,
+    v = (sqrt(p), sqrt(r), sqrt(q)), in between; the shift swaps psi_n^+
+    with psi_{n+1}^-.  U_N is real orthogonal with trace (2r - 1)(N - 1).
+    """
+    N = cutoff
+    dim = cutoff_dim(N)
+    coin = np.eye(dim)
+    v = np.array([np.sqrt(params.p), np.sqrt(params.r), np.sqrt(params.q)])
+    m3 = 2.0 * np.outer(v, v) - np.eye(3)
+    for n in range(1, N):
+        i = cutoff_index(n, "+", N)
+        coin[i:i + 3, i:i + 3] = m3
+    # U_N = S_N C_N permutes the rows of C_N: psi_n^+ <-> psi_{n+1}^-
+    shift = np.arange(dim)
+    for n in range(N):
+        i, j = cutoff_index(n, "+", N), cutoff_index(n + 1, "-", N)
+        shift[i], shift[j] = j, i
+    return coin[shift]
 
 
 def cutoff_psi_vector(params, cutoff, n):

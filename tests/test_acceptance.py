@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    cutoff_walk_matrix,
     discrete_spectral_measure,
     orth_poly_closed_cheb,
     orth_poly_closed_R,
@@ -36,7 +37,6 @@ from spiderwalk import (
     u_eigensystem,
 )
 from spiderwalk.meixner import normalized_sequence, special_value
-from spiderwalk.reduction import cutoff_walk_matrix
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 P342 = PqParams(0.5, 0.25, 0.25)

@@ -15,6 +15,7 @@ import pytest
 import scipy.linalg
 
 import spiderwalk.cli as cli
+import spiderwalk.verify as verify
 from spiderwalk import (
     ParamsOutOfRangeError,
     SpidernetParams,
@@ -184,6 +185,21 @@ def test_verify(capsys):
     assert code == 0
     _, rows = read_csv(out)
     assert all(r[1] == "true" for r in rows)
+
+
+def test_verify_checks_the_spectrum_it_ships(monkeypatch):
+    # the true S(4,6,3), N = 8 spectrum with one theta moved by 1e-6, past
+    # the root certificate: the cutoff_spectrum check must fail
+    solve = verify.u_eigensystem
+
+    def moved(params, cutoff):
+        system = solve(params, cutoff)
+        system.thetas[3] += 1e-6
+        return system
+
+    monkeypatch.setattr(verify, "u_eigensystem", moved)
+    passed, detail = dict(verify._CHECKS)["cutoff_spectrum"]()
+    assert not passed, detail
 
 
 def test_deterministic_output(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import cutoff_psi_vector
+from oracles import cutoff_psi_vector, cutoff_walk_matrix
 from spiderwalk import (
     InvalidParamsError,
     NotLocalizedError,
@@ -22,7 +22,6 @@ from spiderwalk import (
     params_from_spidernet,
     random_walk_return,
 )
-from spiderwalk.reduction import cutoff_walk_matrix
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spiderwalk.reduction as reduction
+from oracles import build_T
 from spiderwalk import PqParams, SpidernetParams, params_from_spidernet, u_eigensystem
-from spiderwalk.reduction import build_T
 
 
 def _S(a, b, c):
@@ -80,11 +80,21 @@ def test_spectrum_against_lapack(name, cutoff):
     _assert_thetas_match_lapack(CASES[name], cutoff)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(2, 12).flatmap(lambda b: st.tuples(st.just(b), st.integers(1, b - 1))),
        st.integers(2, 400))
 def test_spectrum_against_lapack_across_the_plane(bc, cutoff):
     _assert_thetas_match_lapack(_S(1, *bc), cutoff)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_gershgorin_bound_is_that_of_T(name):
+    # the bound places every sample point, so it must match T_N's own to the bit
+    params = CASES[name]
+    for N in (2, 3, 4, 5, 8, 300):
+        t = build_T(params, N)
+        want = np.max(np.abs(t.diag) + np.r_[t.offdiag, 0.0] + np.r_[0.0, t.offdiag])
+        assert reduction._gershgorin_bound(params, N) == want, N
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 8, 300, 4096])

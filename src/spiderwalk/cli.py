@@ -34,7 +34,6 @@ from .reduction import (
     PqParams,
     ReducedEvolver,
     ReducedState,
-    inner,
     params_from_spidernet,
     stratum_state,
     u_eigensystem,
@@ -49,28 +48,18 @@ _ENV_OUTPUT_DIR = "SPIDERWALK_OUTPUT_DIR"
 MAX_SWEEP_ROWS = 100_000
 
 
+# A cell is a float (np.float64 among them, a subclass of float), a bool, an
+# int or a str; float() skips np.float64's slower __format__.
 def _fmt(value) -> str:
-    # most cells are floats, np.float64 among them (a subclass of float);
-    # float() skips np.float64's slower __format__
     if isinstance(value, float):
         return format(float(value), ".15g")
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, np.floating):
-        return format(float(value), ".15g")
     return str(value)
 
 
 def _json_value(value):
     if isinstance(value, float):
-        return float(format(float(value), ".15g"))
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, np.floating):
         return float(format(float(value), ".15g"))
     return value
 
@@ -195,19 +184,18 @@ def _cmd_spectrum(args) -> int:
 def _cmd_amplitude(args) -> int:
     params = _pq_from_args(args)
     law = law_from_pq(params)
-    l, m, nmax = args.l, args.m, _count(args.nmax, "--nmax")
-    # reduced-walk side: evolve Psi_m once, read <Psi_l, .> per step
-    psi_l, psi_m = stratum_state(params, l), stratum_state(params, m)
+    l, m, nmax = _count(args.l, "--l"), _count(args.m, "--m"), _count(args.nmax, "--nmax")
     # the last integral has the highest degree: refuse it before any work
     quadrature_nodes(law, nmax + l + m)
-    ev = ReducedEvolver(params, psi_m, nmax)
+    # reduced-walk side: evolve Psi_m once, read <Psi_l, .> per step
+    ev = ReducedEvolver(params, stratum_state(params, m), nmax, reach=l)
     columns = ["n", "integral", "reduced", "abs_diff"]
     rows = []
     for n in range(nmax + 1):
         if n > 0:
             ev.step()
         a_int = amplitude(law, l, m, n)
-        a_red = inner(psi_l, ev.state()).real
+        a_red = ev.ladder_amplitude(l)
         rows.append([n, a_int, a_red, abs(a_int - a_red)])
     _emit(columns, rows, args)
     return 0

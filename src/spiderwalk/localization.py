@@ -9,7 +9,8 @@ with T the Chebyshev polynomial of the first kind (cos(n theta) under
 x = cos theta) and p_k the orthonormal polynomials of mu.  When mu has an
 atom at xi of mass w, the integral splits into a non-decaying oscillation
 w p_l(xi) p_m(xi) cos(n arccos xi) plus a Riemann-Lebesgue term from the
-density; the atom therefore decides localization:
+density (:func:`amplitude` takes p_l(xi) p_m(xi) in closed form: the forward
+recurrence is unstable off the band).  The atom therefore decides localization:
 
     w > 0  <=>  b > c + sqrt(c)   for S(a, b, c),
 
@@ -19,7 +20,7 @@ stratum bounds below the time-averaged distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +64,12 @@ def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
         seq = normalized_sequence(law, deg, x)
         return _chebyshev_T(abs(n), x) * seq[l] * seq[m]
 
-    return integrate(law, f, abs(n) + l + m)
+    total = integrate(replace(law, atom_mass=0.0), f, abs(n) + l + m)
+    if law.has_atom:
+        xi = np.array([law.atom_location])
+        atom = _chebyshev_T(abs(n), xi)[0] * special_value(law, l) * special_value(law, m)
+        total += law.atom_mass * float(atom)
+    return total
 
 
 def asymptotic_amplitude(params: PqParams, l: int, n: int) -> float:
@@ -77,7 +83,7 @@ def asymptotic_amplitude(params: PqParams, l: int, n: int) -> float:
     if not law.has_atom:
         return 0.0
     theta = np.arccos(law.atom_location)
-    return law.atom_mass * special_value(params, l) * float(np.cos(n * theta))
+    return law.atom_mass * special_value(law, l) * float(np.cos(n * theta))
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,8 @@ def origin_amplitude_series(params: PqParams, nmax: int) -> np.ndarray:
         raise InvalidParamsError(f"nmax must be non-negative, got {nmax}")
     ev = ReducedEvolver(params, ReducedState.origin(), nmax, reach=0)
     out = np.empty(nmax + 1)
-    out[0] = ev.origin_amplitude().real
-    for k in range(1, nmax + 1):
-        ev.step()
-        out[k] = ev.origin_amplitude().real
+    for k in range(nmax + 1):
+        if k > 0:
+            ev.step()
+        out[k] = ev.ladder_amplitude(0)
     return out

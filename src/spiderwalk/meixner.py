@@ -110,6 +110,8 @@ def law_from_pq(params: PqParams) -> FreeMeixnerLaw:
     p, q, r = params.p, params.q, params.r
     if p < q:
         raise ParamsOutOfRangeError(f"needs p >= q, got p={p} < q={q}")
+    if not p < 1.0:
+        raise ParamsOutOfRangeError(f"needs p < 1, got p={p}: 1 - p rounds to 0")
     b = round(1.0 / q) if q > 2.0 ** -53 else 0     # 1/q overflows for tiny q
     c = round(p * b)
     if b >= 2 and q == 1.0 / b and p == c / b:      # S(a, b, c) exactly
@@ -144,21 +146,19 @@ def normalized_sequence(law: FreeMeixnerLaw, nmax: int, x: np.ndarray) -> np.nda
     return monic / scales[:, None]
 
 
-def special_value(params: PqParams, n: int) -> float:
-    """Closed-form p_n at the atom location xi = -q/(1-p) of the walk law:
+def special_value(law: FreeMeixnerLaw, n: int) -> float:
+    """Closed-form p_n at the atom xi, the minimal solution of the three-term
+    recurrence there (Gautschi, SIAM Rev. 9 (1967) 24-82):
 
-        p_n(xi) = (1/sqrt(p)) * (-sqrt(pq) / (1-p))^n,   n >= 1,
-
-    valid in the atomic regime (1-p)^2 > pq."""
+        p_n(xi) = (xi / sqrt(omega1)) * (xi sqrt(omega) / omega1)^(n-1),   n >= 1."""
     if n < 0:
         raise OutOfDomainError("polynomial degree must be non-negative")
     if n == 0:
         return 1.0
-    p, q = params.p, params.q
-    if (1.0 - p) ** 2 - p * q <= 0:
-        raise ParamsOutOfRangeError(
-            "the closed form needs (1-p)^2 > pq (atomic regime)")
-    return (1.0 / np.sqrt(p)) * (-np.sqrt(p * q) / (1.0 - p)) ** n
+    if not law.has_atom:
+        raise ParamsOutOfRangeError("the closed form needs an atom (atomic regime)")
+    xi = law.atom_location
+    return (xi / np.sqrt(law.omega1)) * (xi * np.sqrt(law.omega) / law.omega1) ** (n - 1)
 
 
 def quadrature_nodes(law: FreeMeixnerLaw, degree: int) -> int:

@@ -18,10 +18,10 @@ and whose shift swaps psi_n^+ with psi_{n+1}^-.  Everything downstream
 (p, q, r) only, which is why :class:`PqParams` also accepts raw values.
 
 The module provides the reduced state, its one evolution kernel
-:class:`ReducedEvolver` (in place, light-cone truncated), the isometric
-embedding back into a concrete graph, and the spectrum of the finite-path
-cutoff walk U_N.  That spectrum comes from the eigenvalues of the
-tridiagonal T_N, the walk restricted-projected onto the ladder vectors
+:class:`ReducedEvolver` (in place, light-cone truncated, reading a stratum
+from its three coefficients), the isometric embedding back into a concrete
+graph, and the spectrum of the finite-path cutoff walk U_N.  That spectrum
+comes from the eigenvalues of the tridiagonal T_N, the walk compressed onto
 Psi_0 .. Psi_N, with diagonal (0, r, ..., r, 0) and off-diagonal
 (sqrt(q), sqrt(pq), ..., sqrt(pq), sqrt(p)).  They are found as the roots
 of det(x - T_N) in closed form, a three-term Chebyshev sum, from
@@ -50,7 +50,6 @@ __all__ = [
     "params_from_spidernet",
     "ReducedState",
     "ReducedEvolver",
-    "inner",
     "stratum_state",
     "embed",
     "MAX_CUTOFF",
@@ -129,25 +128,19 @@ class ReducedState:
         """Largest stratum index carried (array length - 1)."""
         return len(self.xp) - 1
 
-    def coefficients(self, length: int | None = None) -> np.ndarray:
-        """Stacked (3, length+1) coefficient array, zero-padded on the right."""
-        L = self.length if length is None else length
-        out = np.zeros((3, L + 1), dtype=np.complex128)
-        k = min(L, self.length) + 1
-        out[0, :k] = self.xp[:k]
-        out[1, :k] = self.xo[:k]
-        out[2, :k] = self.xm[:k]
-        return out
+    def coefficients(self) -> np.ndarray:
+        """Stacked (3, length+1) coefficient array."""
+        return np.stack([self.xp, self.xo, self.xm])
 
 
 class ReducedEvolver:
     """In-place stepper for long reduced evolutions.
 
     Preallocates capacity for ``max_steps`` so that stepping never
-    reallocates; exposes cheap per-step probability reads for Cesaro
-    accumulation.  The coefficients are float64 when the initial state is
-    real (the walk is real orthogonal, so they stay real) and complex128
-    otherwise.
+    reallocates; exposes cheap per-step reads of a stratum's probability,
+    for Cesaro accumulation, and of its amplitude on Psi_n.  The
+    coefficients are float64 when the initial state is real (the walk is
+    real orthogonal, so they stay real) and complex128 otherwise.
 
     ``reach`` is the largest stratum the caller will read.  A cell further
     out than ``steps_left + reach`` cannot influence a read stratum before
@@ -183,6 +176,7 @@ class ReducedEvolver:
         self._coo = 2 * r - 1
         self._com = 2 * np.sqrt(q * r)
         self._cmm = 2 * q - 1
+        self._psi = np.sqrt(p), np.sqrt(r), np.sqrt(q)
 
     @staticmethod
     def _mix(vp, vo, vm, c_p, c_o, c_m, out, tmp) -> None:
@@ -218,12 +212,15 @@ class ReducedEvolver:
         xp, xo, xm = self.xp[lo:hi], self.xo[lo:hi], self.xm[lo:hi]
         return np.abs(xp) ** 2 + np.abs(xo) ** 2 + np.abs(xm) ** 2
 
-    def stratum_probability(self, stratum: int) -> float:
+    def _check_read(self, stratum: int) -> None:
         if stratum < 0:
             raise InvalidParamsError(f"stratum must be non-negative, got {stratum}")
         if self.reach is not None and stratum > self.reach:
             raise RadiusTooSmallError(
                 f"stratum {stratum} lies beyond the evolver's reach {self.reach}")
+
+    def stratum_probability(self, stratum: int) -> float:
+        self._check_read(stratum)
         if stratum > self.active:
             return 0.0
         return float(self._probabilities(stratum, stratum + 1)[0])
@@ -234,8 +231,16 @@ class ReducedEvolver:
         top = self.active if self.reach is None else min(self.reach, self.active)
         return self._probabilities(0, top + 1)
 
-    def origin_amplitude(self) -> complex:
-        return complex(self.xp[0])
+    def ladder_amplitude(self, stratum: int) -> float | complex:
+        """<Psi_n, state> at n = ``stratum``: x_0^+ at the root, else
+        (sqrt(p) x_n^+ + sqrt(r) x_n^o) + sqrt(q) x_n^-, and 0 past ``active``."""
+        self._check_read(stratum)
+        if stratum > self.active:
+            return 0.0
+        if stratum == 0:
+            return self.xp[0]
+        sp, sr, sq = self._psi
+        return (sp * self.xp[stratum] + sr * self.xo[stratum]) + sq * self.xm[stratum]
 
     def state(self) -> ReducedState:
         if self.reach is not None:
@@ -244,14 +249,6 @@ class ReducedEvolver:
         L = self.active
         return ReducedState(self.xp[:L + 1].copy(), self.xo[:L + 1].copy(),
                             self.xm[:L + 1].copy())
-
-
-def inner(s1: ReducedState, s2: ReducedState) -> complex:
-    """Hermitian inner product <s1, s2>, conjugate-linear in s1."""
-    L = max(s1.length, s2.length)
-    a = s1.coefficients(L)
-    b = s2.coefficients(L)
-    return complex(np.vdot(a, b))
 
 
 def stratum_state(params: PqParams, stratum: int) -> ReducedState:

@@ -170,6 +170,14 @@ def reduced_norm(s):
     return float(np.sqrt((np.abs(s.xp) ** 2 + np.abs(s.xo) ** 2 + np.abs(s.xm) ** 2).sum()))
 
 
+def inner(s1, s2):
+    """Hermitian inner product <s1, s2> of two reduced states, conjugate-linear
+    in s1, as one vdot over both coefficient arrays zero-padded to one length."""
+    L = max(s1.length, s2.length)
+    a, b = (np.pad(s.coefficients(), ((0, 0), (0, L - s.length))) for s in (s1, s2))
+    return complex(np.vdot(a, b))
+
+
 JacobiMatrixT = namedtuple("JacobiMatrixT", "diag offdiag")
 
 

@@ -207,7 +207,7 @@ def test_criterion_7_orthogonal_polynomial_suite():
 
     at_xi = normalized_sequence(law_from_pq(P463), 20,
                                 np.array([-P463.q / (1 - P463.p)]))[:, 0]
-    worst_special = max(abs(special_value(P463, n) - at_xi[n]) for n in range(21))
+    worst_special = max(abs(special_value(law_from_pq(P463), n) - at_xi[n]) for n in range(21))
 
     worst_orth = 0.0
     for law, _ in laws:

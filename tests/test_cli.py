@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -13,12 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spiderwalk.cli as cli
+import spiderwalk.errors
 import spiderwalk.verify as verify
 from spiderwalk import (
     ParamsOutOfRangeError,
+    ReducedEvolver,
     SpidernetParams,
+    SpiderwalkError,
     law_from_pq,
     params_from_spidernet,
     quadrature_nodes,
@@ -133,6 +139,23 @@ def test_amplitude(capsys):
     assert len(rows) == 21
     assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-10)
     assert all(float(r[3]) < 1e-12 for r in rows)
+    # a far stratum under an atom: the integral's atom term is the closed form
+    code, out, _ = run_cli(capsys, "amplitude", "1", "7", "1", "--l", "30", "--nmax", "60")
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 61 and all(float(r[3]) < 1e-12 for r in rows)
+
+
+def test_amplitude_reads_stratum_l_only(capsys, monkeypatch):
+    # the reduced column comes from the three cells at stratum l, not from a
+    # copy of the whole state; a stratum the walk never reaches reads 0
+    monkeypatch.setattr(ReducedEvolver, "state", lambda self: pytest.fail("state() ran"))
+    code, out, _ = run_cli(capsys, "amplitude", "5", "6", "4", "--l", "2", "--m", "1",
+                           "--nmax", "30")
+    assert code == 0 and len(read_csv(out)[1]) == 31
+    code, out, _ = run_cli(capsys, "amplitude", "4", "6", "3", "--l", "50", "--nmax", "3")
+    assert code == 0
+    assert [r[2] for r in read_csv(out)[1]] == ["0"] * 4
 
 
 def test_localize_single_and_sweep(capsys):
@@ -234,7 +257,9 @@ def test_error_reporting(capsys):
     ["rwalk", "4", "6", "3", "--nmax", "-1"],
     ["amplitude", "4", "6", "3", "--nmax", "-1"],
     ["amplitude", "4", "6", "3", "--l", "-1", "--nmax", "2"],
-], ids=["simulate-steps", "simulate-strata", "rwalk-nmax", "amplitude-nmax", "amplitude-l"])
+    ["amplitude", "4", "6", "3", "--m", "-1", "--nmax", "2"],
+], ids=["simulate-steps", "simulate-strata", "rwalk-nmax", "amplitude-nmax", "amplitude-l",
+        "amplitude-m"])
 def test_negative_counts_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -333,8 +358,11 @@ def test_readme_library_example_runs():
 @pytest.mark.parametrize("argv, kernel", [
     (["amplitude", "4", "6", "3", "--nmax", "3000000"], "amplitude"),
     (["amplitude", "4", "6", "3", "--l", "2", "--m", "1", "--nmax", "2097080"], "amplitude"),
+    # Psi_l or Psi_m alone would take 3 x 16 bytes per stratum
+    (["amplitude", "4", "6", "3", "--m", "3000000", "--nmax", "1"], "amplitude"),
+    (["amplitude", "4", "6", "3", "--l", "3000000", "--nmax", "1"], "amplitude"),
     (["rwalk", "4", "6", "3", "--nmax", "3000000"], "random_walk_return"),
-], ids=["amplitude", "amplitude-l-m", "rwalk"])
+], ids=["amplitude", "amplitude-l-m", "amplitude-m", "amplitude-l", "rwalk"])
 def test_quadrature_budget_checked_before_any_integral(capsys, monkeypatch, argv, kernel):
     law = law_from_pq(params_from_spidernet(SpidernetParams(4, 6, 3)))
     quadrature_nodes(law, 2097081)
@@ -384,3 +412,76 @@ def test_json_format(capsys):
     assert rec["qbar_origin"] == 0.125
     _, rows = read_csv(csv_out)
     assert rec["theta"] == pytest.approx(float(rows[0][6]), abs=1e-14)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rwalk", "1", "18014398509481985", "18014398509481984", "--nmax", "2"],
+    ["amplitude", "1", "36028797018963970", "36028797018963968", "--nmax", "2"],
+    ["rwalk", "--pqr", "1", "1e-300", "0", "--nmax", "2"],
+], ids=["c=b-1", "c=b-2", "pqr"])
+def test_one_minus_p_rounding_to_zero_is_refused(capsys, argv):
+    # p = c/b rounds to 1 once b >= 2**54 (b - c): the atom xi = -q/(1-p) has no value
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "4", "6", "3", "--steps", "3"],
+    ["simulate", "4", "6", "3", "--steps", "3", "--full"],
+    ["spectrum", "4", "6", "3", "--cutoff", "4"],
+    ["amplitude", "4", "6", "3", "--l", "1", "--nmax", "3"],
+    ["localize", "4", "6", "3"],
+    ["localize", "--sweep", "4", "3"],
+    ["figure2"],
+    ["rwalk", "4", "6", "3", "--nmax", "3"],
+    ["verify"],
+], ids=" ".join)
+def test_cells_are_the_scalars_the_formatters_handle(monkeypatch, argv):
+    cells = []
+    monkeypatch.setattr(cli, "_emit", lambda columns, rows, args: cells.extend(
+        v for row in rows for v in row))
+    assert main(argv) == 0
+    # the types _fmt and _json_value handle
+    assert cells and {type(v) for v in cells} <= {float, np.float64, bool, int, str}
+
+
+@st.composite
+def cli_parameters(draw):
+    """``a b c`` with b log-uniform up to 2**62 and c at the ends, the middle
+    and the localization threshold floor(b - sqrt(b)) of 1 .. b - 1, or an
+    edge ``--pqr`` triple."""
+    if draw(st.integers(0, 7)) == 0:
+        return ["--pqr", *draw(st.sampled_from(
+            [("1", "1e-300", "0"), ("0.5", "0.5", "0"), ("0.4", "0.4", "0.2")]))]
+    k = draw(st.integers(1, 62))
+    b = draw(st.integers(max(2, 1 << (k - 1)), 1 << k))
+    cs = {1, 2, b - 2, b - 1, b // 2, b - math.isqrt(b - 1) - 1}
+    c = draw(st.sampled_from(sorted(c for c in cs if 1 <= c <= b - 1)))
+    return [str(draw(st.integers(1, 8))), str(b), str(c)]
+
+
+@settings(max_examples=25)
+@given(cli_parameters())
+@example(["1", "18014398509481985", "18014398509481984"])
+@example(["1", "36028797018963970", "36028797018963968"])
+@example(["--pqr", "1", "1e-300", "0"])
+def test_no_exception_escapes_the_error_taxonomy(params):
+    # every run prints rows, or exits 1 with one JSON line naming a
+    # SpiderwalkError (spectrum's ConvergenceFailureError among them)
+    commands = [["rwalk", *params, "--nmax", "2"],
+                ["amplitude", *params, "--l", "1", "--m", "1", "--nmax", "2"],
+                ["spectrum", *params, "--cutoff", "4"]]
+    if params[0] != "--pqr":
+        commands += [["localize", *params], ["simulate", *params, "--steps", "3"]]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            assert len(read_csv(out.getvalue())[1]) >= 1, argv
+        else:
+            assert code == 1 and out.getvalue() == "", argv
+            assert err.getvalue().count("\n") == 1, argv
+            error = getattr(spiderwalk.errors, json.loads(err.getvalue())["error"])
+            assert issubclass(error, SpiderwalkError), argv

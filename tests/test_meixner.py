@@ -180,15 +180,18 @@ def test_normalized_scaling():
 
 
 def test_special_value():
-    assert special_value(P463, 0) == 1.0
-    assert special_value(P463, 1) == pytest.approx(-np.sqrt(2.0 / 3.0))
+    assert special_value(LAW463, 0) == 1.0
+    assert special_value(LAW463, 1) == pytest.approx(-np.sqrt(2.0 / 3.0))
     at_xi = normalized_sequence(LAW463, 20, np.array([LAW463.atom_location]))[:, 0]
     for n in range(1, 21):
-        assert abs(special_value(P463, n) - at_xi[n]) < 1e-10
+        assert abs(special_value(LAW463, n) - at_xi[n]) < 1e-10
+        # the walk law's form (1/sqrt(p)) (-sqrt(pq) / (1-p))^n
+        assert special_value(LAW463, n) == pytest.approx(
+            np.sqrt(2.0) * (-1.0 / np.sqrt(3.0)) ** n, rel=1e-14)
     with pytest.raises(ParamsOutOfRangeError):
-        special_value(PTREE, 1)         # non-atomic regime
+        special_value(LAWTREE, 1)       # non-atomic regime
     with pytest.raises(OutOfDomainError):
-        special_value(P463, -1)
+        special_value(LAW463, -1)
 
 
 def test_total_mass():

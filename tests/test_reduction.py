@@ -11,6 +11,7 @@ from oracles import (
     cutoff_walk_matrix,
     discrete_spectral_measure,
     eigensystem_T,
+    inner,
     jacobi_dense,
     reduced_norm,
 )
@@ -37,7 +38,6 @@ from spiderwalk import (
     u_eigensystem,
 )
 from spiderwalk.meixner import normalized_sequence
-from spiderwalk.reduction import inner
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)
@@ -114,8 +114,8 @@ def test_reduced_state_basics():
         ReducedState([1.0, 0.0], [0.0], [0.0])
     z = ReducedState.zeros(3)
     assert z.length == 3 and reduced_norm(z) == 0.0
-    c = s.coefficients(2)
-    assert c.shape == (3, 3) and c[0, 0] == 1.0 and np.count_nonzero(c) == 1
+    c = s.coefficients()
+    assert c.shape == (3, 1) and c[0, 0] == 1.0 and np.count_nonzero(c) == 1
 
 
 def test_coin_fixes_ladder_vectors(cutoff_shift):
@@ -205,12 +205,16 @@ def test_evolver_matches_cutoff_walk():
         for start in starts:
             N = start.length + steps + 2
             u = cutoff_walk_matrix(params, N)
+            psi = np.array([cutoff_psi_vector(params, N, l) for l in range(N + 1)])
             vec = _to_cutoff(start, N)
             ev = ReducedEvolver(params, start, steps)
             for _ in range(steps):
                 vec = u @ vec
                 ev.step()
                 assert np.max(np.abs(_to_cutoff(ev.state(), N) - vec)) < 1e-13
+                # <Psi_l, .> up to one stratum past the active ones, which reads 0
+                amps = [ev.ladder_amplitude(l) for l in range(ev.active + 2)]
+                assert np.max(np.abs(amps - psi[:ev.active + 2] @ vec)) < 1e-13
                 probs = ev.stratum_probabilities()
                 want = _cutoff_stratum_probabilities(vec, N)
                 assert len(probs) == ev.active + 1
@@ -247,12 +251,36 @@ def test_evolver_read_guards():
     for _ in range(8):
         ev.step()
     ev.stratum_probability(2)
+    ev.ladder_amplitude(2)
     with pytest.raises(SpiderwalkError):
         ev.stratum_probability(3)
+    with pytest.raises(RadiusTooSmallError):
+        ev.ladder_amplitude(3)
     with pytest.raises(SpiderwalkError):
         ev.stratum_probability(-1)
+    with pytest.raises(InvalidParamsError):
+        ev.ladder_amplitude(-1)
     with pytest.raises(SpiderwalkError):
         ev.state()
+
+
+@pytest.mark.parametrize("params", EVOLVER_CASES)
+def test_ladder_amplitude_against_inner_product(params):
+    # <Psi_l, .> from the three cells at stratum l, against one vdot with the
+    # padded Psi_l; equal to the bit at the root, where it is the "+" cell.
+    # A state of length 6 fills 8 cells: l = 7 lies past the active strata
+    # and l = 8 past the arrays, and both read 0.
+    rng = np.random.default_rng(11)
+    complex_state = _random_reduced(rng, 6)
+    real_state = ReducedState(complex_state.xp.real, complex_state.xo.real,
+                              complex_state.xm.real)
+    for state in (complex_state, real_state):
+        ev = ReducedEvolver(params, state, 0)
+        assert ev.ladder_amplitude(0) == inner(stratum_state(params, 0), state)
+        for l in range(1, 9):
+            want = inner(stratum_state(params, l), state)
+            assert abs(ev.ladder_amplitude(l) - want) < 1e-15, l
+        assert ev.ladder_amplitude(7) == ev.ladder_amplitude(8) == 0.0
 
 
 def _per_step_cells(ev, steps, upto):
@@ -272,8 +300,9 @@ def _per_step_reads(ev, steps, reach):
         probs = np.zeros(reach + 1)
         read = ev.stratum_probabilities()[:reach + 1]
         probs[:len(read)] = read
-        rows.append([ev.origin_amplitude().real, ev.origin_probability(), *probs]
-                    + [ev.stratum_probability(l) for l in range(reach + 1)])
+        rows.append([ev.origin_probability(), *probs]
+                    + [ev.stratum_probability(l) for l in range(reach + 1)]
+                    + [ev.ladder_amplitude(l) for l in range(reach + 1)])
     return np.array(rows)
 
 
@@ -591,10 +620,10 @@ def test_cutoff_independence():
         results.append(float(cutoff_psi_vector(P463, N, l) @ vec))
     assert abs(results[0] - results[1]) < 1e-13
 
-    ev = ReducedEvolver(P463, stratum_state(P463, m), n)
+    ev = ReducedEvolver(P463, stratum_state(P463, m), n, reach=l)
     for _ in range(n):
         ev.step()
-    assert abs(results[0] - inner(stratum_state(P463, l), ev.state()).real) < 1e-12
+    assert abs(results[0] - ev.ladder_amplitude(l)) < 1e-12
 
 
 def test_discrete_spectral_measure():

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import inner
 from spiderwalk import (
     GraphEvolver,
     ReducedEvolver,
@@ -20,7 +21,6 @@ from spiderwalk import (
     params_from_spidernet,
     stratum_state,
 )
-from spiderwalk.reduction import inner
 
 # graphs of draws above this many half-edges are not built
 MAX_DRAWN_HALF_EDGES = 200_000
@@ -91,8 +91,10 @@ def test_graph_walk_matches_embedded_reduced_walk(walk):
 @example(SpidernetParams(2, 3, 1), 60, 3, 3)
 def test_reduced_walk_matches_spectral_integral(sp, n, l, m):
     params = params_from_spidernet(sp)
-    got = inner(stratum_state(params, l), _evolved(params, stratum_state(params, m), n).state())
-    assert abs(amplitude(law_from_pq(params), l, m, n) - got.real) < 1e-12
+    ev = _evolved(params, stratum_state(params, m), n)
+    got = ev.ladder_amplitude(l)
+    assert abs(got - inner(stratum_state(params, l), ev.state())) < 1e-15
+    assert abs(amplitude(law_from_pq(params), l, m, n) - got) < 1e-12
 
 
 @given(spidernets(), st.integers(0, 60))

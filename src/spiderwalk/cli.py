@@ -170,10 +170,9 @@ def _cmd_spectrum(args) -> int:
     columns = ["theta", "eig_re", "eig_im", "multiplicity", "trace", "trace_expected"]
     rows = [[0.0, 1.0, 0.0, 1, trace, expected]]
     for theta in system.thetas:
-        rows.append([float(theta), float(np.cos(theta)), float(np.sin(theta)),
-                     1, trace, expected])
-        rows.append([float(theta), float(np.cos(theta)), -float(np.sin(theta)),
-                     1, trace, expected])
+        re, im = float(np.cos(theta)), float(np.sin(theta))
+        rows.append([float(theta), re, im, 1, trace, expected])
+        rows.append([float(theta), re, -im, 1, trace, expected])
     rows.append([float(np.pi), -1.0, 0.0, system.minus_one_multiplicity,
                  trace, expected])
     rows.sort(key=lambda r: (r[0], -r[2]))

@@ -23,11 +23,13 @@ from its three coefficients), the isometric embedding back into a concrete
 graph, and the spectrum of the finite-path cutoff walk U_N.  That spectrum
 comes from the eigenvalues of the tridiagonal T_N, the walk compressed onto
 Psi_0 .. Psi_N, with diagonal (0, r, ..., r, 0) and off-diagonal
-(sqrt(q), sqrt(pq), ..., sqrt(pq), sqrt(p)).  They are found as the roots
-of det(x - T_N) in closed form, a three-term Chebyshev sum, from
-(p, q, r, N) alone, in O(N) memory and without eigenvectors.  Each root
-is certified by a sign change of that closed form within ``_ROOT_TOL``,
-and the roots are counted to N + 1.
+(sqrt(q), sqrt(pq), ..., sqrt(pq), sqrt(p)), found from (p, q, r, N) alone
+in O(N) memory and without eigenvectors.  In the band
+|x - r| < 2 sqrt(pq) they are the roots of det(x - T_N) in closed form, a
+three-term sum of sin(k phi); T_N's Sturm count, the number of its
+eigenvalues below x, checks how many the band holds, finds the few outside
+it and proves the eigenvalue 1 (and -1 when r = 0).  Each eigenvalue is
+certified within max(1e-10 * 2 sqrt(pq), 2 ulps of x).
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ __all__ = [
 ]
 
 _TOL = 1e-14
-#: How far the top eigenvalue of T_N may sit from 1.
-_TOP_EIGENVALUE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ def embed(g: Spidernet, state: ReducedState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # A cap on the cutoff N.  The spectrum takes O(N) memory and time, so the cap
-# bounds the ~2N printed rows and the work of one solve, ~30 ms at 4096.
+# bounds the ~2N printed rows and the work of one solve, ~25 ms at 4096.
 MAX_CUTOFF = 4096
 
 
@@ -315,7 +315,7 @@ def _check_cutoff(cutoff: int) -> None:
         raise InvalidParamsError(f"cutoff must lie in 2..{MAX_CUTOFF}, got {cutoff}")
 
 
-# -- det(x - T_N) in closed form ----------------------------------------------
+# -- eigenvalues of T_N -------------------------------------------------------
 #
 # With s = sqrt(pq), y = (x - r) / (2s) and U_k the Chebyshev polynomials of
 # the second kind, det(x - T_N) = x P_N - p P_{N-1} for the monic free
@@ -323,126 +323,125 @@ def _check_cutoff(cutoff: int) -> None:
 #
 #     det(x - T_N) = s^(N-1) (x^2 U_{N-1} - ((p+q)/s) x U_{N-2} + U_{N-3}).
 #
-# For p = q, T_N is mirror-symmetric, and its even and odd eigenvectors
-# split det(x - T_N) into two factors of the same shape; their roots are
-# found apart, which separates the two bound states that mirror each other
-# and are equal in float64.  Each factor is F = sum_i a_i(x) U_{K-1-i}(y).
-# Up to a positive factor, sin(phi) F = sum_i a_i sin((K-i) phi) in the
-# band y = cos(phi), and F = sum_i a_i e^{-iu} (1 - e^{-2(K-i)u}) outside
-# it, y = cosh(u); both keep their relative accuracy near the band edges.
+# In the band y = cos(phi), sin(phi) U_{k-1}(y) = sin(k phi).  Elsewhere the
+# Sturm count decides: the number of eigenvalues of T_N below x is that of
+# negative pivots of T_N - x (Barth, Martin & Wilkinson, Numer. Math. 9
+# (1967) 386-393; Demmel, Applied Numerical Linear Algebra (1997) 5.3.4).
 
-# How far a returned eigenvalue of T_N may sit from the one its sign change
-# proves, as the residual bound of the eigensolver this replaced did.
+# A certified eigenvalue lies within max(_ROOT_TOL 2s, 2 ulps) of the one
+# its sign change or counts prove: relative to the band, where x resolves it.
 _ROOT_TOL = 1e-10
-# Bisection halvings: every initial bracket shrinks below one ulp.
+# Bisection halvings of the band form: every bracket shrinks below one ulp.
 _BISECTIONS = 64
-# Sample points per region (band, below, above): max(4N, _MIN_SAMPLES), refined
-# eightfold while they separate fewer than N + 1 roots, up to _MAX_SAMPLES.
+# Band samples, uniform in phi: max(4N, _MIN_SAMPLES).
 _MIN_SAMPLES = 64
-_MAX_SAMPLES = 1 << 18
+# A zero pivot counts as negative; pq / _PIVMIN stays finite.
+_PIVMIN = float(np.finfo(float).tiny)
 
 
-def _char_factors(params: PqParams, cutoff: int):
-    """(K, a) pairs whose F = sum_i a(x)[i] U_{K-1-i}(y) multiply, up to a
-    positive constant, to det(x - T_N)."""
-    p, q, N, m = params.p, params.q, cutoff, cutoff // 2
-    if p != q:
-        c = (p + q) / np.sqrt(p * q)
-        return [(N, lambda x: (x * x, -c * x, 1.0))]
-    if N % 2:
-        return [(m + 1, lambda x: (x, -1.0 - x, 1.0)),
-                (m + 1, lambda x: (x, x - 1.0, -1.0))]
-    return [(m + 1, lambda x: (x, -1.0, -x, 1.0)), (m, lambda x: (x, -1.0))]
-
-
-def _factor_values(params: PqParams, K: int, a, x: np.ndarray) -> np.ndarray:
-    """Values with the sign of the factor (K, a) at the points x."""
-    y = (x - params.r) / (2.0 * np.sqrt(params.p * params.q))
-    # U_k(-y) = (-1)^k U_k(y): evaluate at |y| >= 0, where phi <= pi/2
-    flip = np.where(y < 0, -1.0, 1.0)
-    coeffs = [np.broadcast_to(ai, x.shape) * flip ** i for i, ai in enumerate(a(x))]
-    y = np.abs(y)
-    out = np.empty_like(x)
-    band, outside = y < 1, y > 1
-    phi = np.arccos(y[band])
-    out[band] = sum(ai[band] * np.sin((K - i) * phi) for i, ai in enumerate(coeffs))
-    u = np.arccosh(y[outside])
-    out[outside] = sum(ai[outside] * np.exp(-i * u) * -np.expm1(-2 * (K - i) * u)
-                       for i, ai in enumerate(coeffs))
-    edge = y == 1                               # U_k(1) = k + 1
-    out[edge] = sum(ai[edge] * (K - i) for i, ai in enumerate(coeffs))
-    return out * flip ** (K - 1)
-
-
-def _gershgorin_bound(params: PqParams, cutoff: int) -> float:
-    """Largest Gershgorin row sum of T_N, each row |T_ii| + T_i,i+1 + T_i,i-1
-    added in that order: sqrt(q), (r + s) + sqrt(q), (r + s) + s,
-    (r + sqrt(p)) + s and sqrt(p), with s = sqrt(pq); at N = 2 the middle
-    row is (r + sqrt(p)) + sqrt(q).  The bound fixes the sample grid, and so
-    every bisection path, to the bit."""
-    p, q, r = params.p, params.q, params.r
-    s, sp, sq = np.sqrt(p * q), np.sqrt(p), np.sqrt(q)
-    if cutoff == 2:
-        return max(sq, (r + sp) + sq, sp)
-    # T_3 has no row (r + s) + s, but that row never exceeds (r + sqrt(p)) + s
-    return max(sq, (r + s) + sq, (r + s) + s, (r + sp) + s, sp)
-
-
-def _sample_points(params: PqParams, cutoff: int, M: int) -> np.ndarray:
-    """Ascending points: M in the band, uniform in phi, and M on each side of
-    it, uniform in u out to the Gershgorin bound of T_N."""
-    r, s = params.r, np.sqrt(params.p * params.q)
-    bound = _gershgorin_bound(params, cutoff)
-    parts = [r + 2.0 * s * np.cos(np.pi * (np.arange(M) + 0.5) / M)]
-    for side in (-1.0, 1.0):
-        u = np.arccosh(max((bound - side * r) / (2.0 * s), 1.0)) * (np.arange(M) + 1.0) / M
-        parts.append(r + side * 2.0 * s * np.cosh(u))
-    return np.sort(np.concatenate(parts))
-
-
-def _bisect_roots(params: PqParams, cutoff: int):
-    """Roots of each factor of det(x - T_N): one per sign change between
-    neighbouring sample points, bisected in x.  The samples are refined
-    until they separate N + 1 roots, or up to _MAX_SAMPLES per region."""
-    factors = _char_factors(params, cutoff)
-    M = max(4 * cutoff, _MIN_SAMPLES)
-    while True:
-        x = _sample_points(params, cutoff, M)
-        positive = [_factor_values(params, K, a, x) >= 0 for K, a in factors]
-        cells = [np.flatnonzero(sg[1:] != sg[:-1]) for sg in positive]
-        if sum(map(len, cells)) >= cutoff + 1 or M * 8 > _MAX_SAMPLES:
+def _sturm_count(params: PqParams, cutoff: int, x: float) -> int:
+    """Number of eigenvalues of T_N below x: the negative pivots of
+    T_N - x = L D L^T, from the diagonal (0, r, ..., r, 0) and the squared
+    off-diagonal (q, pq, ..., pq, p).  The interior pivots follow
+    d -> (r - x) - pq/d; once d repeats exactly, so do all later ones, so
+    outside the band x = r +- 2s cosh(u) the loop stops after ~1/u steps."""
+    p, q, N, x = params.p, params.q, cutoff, float(x)
+    pq, a = p * q, params.r - x
+    d = -x or -_PIVMIN
+    neg = int(d < 0)
+    d = (a - q / d) or -_PIVMIN
+    neg += d < 0
+    for i in range(2, N):
+        e = (a - pq / d) or -_PIVMIN
+        if e == d:
+            neg += (N - i) * (d < 0)
             break
-        M *= 8
-    roots = []
-    for (K, a), sg, j in zip(factors, positive, cells):
-        lo, hi, lo_positive = x[j], x[j + 1], sg[j]
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            same = (_factor_values(params, K, a, mid) >= 0) == lo_positive
-            lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        roots.append(0.5 * (lo + hi))
-    return roots
+        d = e
+        neg += d < 0
+    d = (-x - p / d) or -_PIVMIN
+    return neg + (d < 0)
 
 
-def _certified_eigenvalues(params: PqParams, cutoff: int, roots) -> np.ndarray:
-    """All N + 1 eigenvalues of T_N, descending, from the roots of each
-    factor.  Every root must carry a sign change of its factor across
-    [x - _ROOT_TOL, x + _ROOT_TOL], and the intervals of one factor must be
-    disjoint.  Factors share no root (the eigenvalues of T_N are simple), so
-    N + 1 such roots account for every eigenvalue.  Raises
-    ConvergenceFailureError otherwise."""
-    for (K, a), x in zip(_char_factors(params, cutoff), roots):
-        x = np.sort(x)
-        lo = _factor_values(params, K, a, x - _ROOT_TOL)
-        hi = _factor_values(params, K, a, x + _ROOT_TOL)
-        if not (np.all(np.sign(lo) != np.sign(hi)) and np.all(np.diff(x) > 2 * _ROOT_TOL)):
-            raise ConvergenceFailureError(
-                f"an eigenvalue of T_N is not isolated within {_ROOT_TOL}")
-    vals = np.sort(np.concatenate(roots))[::-1]
-    if len(vals) != cutoff + 1:
-        raise ConvergenceFailureError(
-            f"found {len(vals)} of the {cutoff + 1} eigenvalues of T_N")
-    return vals
+def _count_root(params: PqParams, cutoff: int, k: int, lo: float, hi: float) -> float:
+    """The eigenvalue lambda_k of T_N (ascending, from 0), given
+    count(lo) <= k < count(hi), bisected on the count to neighbouring floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if _sturm_count(params, cutoff, mid) > k:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _band_samples(params: PqParams, cutoff: int) -> np.ndarray:
+    """Ascending points of the band, uniform in phi, less any that round
+    onto or past an edge."""
+    M = max(4 * cutoff, _MIN_SAMPLES)
+    r, s = params.r, np.sqrt(params.p * params.q)
+    x = np.sort(r + 2.0 * s * np.cos(np.pi * (np.arange(M) + 0.5) / M))
+    return x[np.abs(x - r) < 2.0 * s]
+
+
+def _band_form(params: PqParams, cutoff: int, x: np.ndarray) -> np.ndarray:
+    """x^2 sin(N phi) - ((p+q)/s) x sin((N-1) phi) + sin((N-2) phi) at
+    x = r + 2s cos(phi): sin(phi) det(x - T_N) up to a positive factor in
+    the band, and 0 on and beyond its edges."""
+    p, q, N = params.p, params.q, cutoff
+    s = np.sqrt(p * q)
+    y = (x - params.r) / (2.0 * s)
+    # U_k(-y) = (-1)^k U_k(y): evaluate at |y|, where phi <= pi/2
+    flip = np.where(y < 0, -1.0, 1.0)
+    phi = np.arccos(np.minimum(np.abs(y), 1.0))
+    c = (p + q) / s
+    form = x * x * np.sin(N * phi) - flip * c * x * np.sin((N - 1) * phi) + np.sin((N - 2) * phi)
+    return form * flip ** (N - 1)
+
+
+def _band_roots(params: PqParams, cutoff: int, x: np.ndarray) -> np.ndarray:
+    """Roots of the band form, one per sign change between neighbouring
+    band samples x, bisected in x."""
+    positive = _band_form(params, cutoff, x) >= 0
+    j = np.flatnonzero(positive[1:] != positive[:-1])
+    lo, hi, lo_positive = x[j], x[j + 1], positive[j]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        same = (_band_form(params, cutoff, mid) >= 0) == lo_positive
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _certified_eigenvalues(params: PqParams, cutoff: int) -> np.ndarray:
+    """All N + 1 eigenvalues of T_N, descending.  Counts at 1 +- t prove
+    the top one, 1, and at -1 +- t the bottom one, -1, when r = 0.  Each root
+    of the band form carries a sign change across +-tol, these intervals are
+    disjoint, and the roots number as many as the counts at the outermost
+    band samples differ by.  The rest are bisected on the count."""
+    N, p, q, r = cutoff, params.p, params.q, params.r
+    s = np.sqrt(p * q)
+    # 1 is an eigenvalue when p + q + r = 1, which the parameters may miss by
+    # up to 1e-14 (r snaps to 0 within that), and 1 by about as much
+    t = max(_ROOT_TOL * 2.0 * s, 2.0 * np.spacing(1.0), 2.0 * abs((1.0 - r) - (p + q)))
+    pinned = int(r == 0)
+    bottom = -1.0 + t if pinned else -1.0 - t
+    ends = ((-1.0 - t, 0), (bottom, pinned), (1.0 - t, N), (1.0 + t, N + 1))
+    if any(_sturm_count(params, N, x) != n for x, n in ends):
+        raise ConvergenceFailureError(f"the eigenvalue 1 or -1 of T_N is not isolated within {t:.3g}")
+    x = _band_samples(params, N)
+    band = np.sort(_band_roots(params, N, x))
+    tol = np.maximum(_ROOT_TOL * 2.0 * s, 2.0 * np.spacing(np.abs(band)))
+    lo, hi = _band_form(params, N, band - tol), _band_form(params, N, band + tol)
+    if not (np.all(np.sign(lo) * np.sign(hi) < 0) and np.all(band[1:] - tol[1:] > band[:-1] + tol[:-1])):
+        raise ConvergenceFailureError("an eigenvalue of T_N is not isolated within its tolerance")
+    n_lo, n_hi = _sturm_count(params, N, x[0]), _sturm_count(params, N, x[-1])
+    # n_lo eigenvalues lie below the samples, and N + 1 - n_hi above them
+    found = n_lo + len(band) + N + 1 - n_hi
+    if found != N + 1 or n_hi > N:
+        raise ConvergenceFailureError(f"found {found} of the {N + 1} eigenvalues of T_N")
+    below = [_count_root(params, N, k, bottom, x[0]) for k in range(pinned, n_lo)]
+    above = [_count_root(params, N, k, x[-1], 1.0 - t) for k in range(n_hi, N)]
+    return np.concatenate([[-1.0] * pinned, below, band, above, [1.0]])[::-1]
 
 
 @dataclass
@@ -481,19 +480,17 @@ def u_eigensystem(params: PqParams, cutoff: int) -> UEigensystem:
 
     Eigenvalues of U_N are 1, the pairs e^{+-i theta_j} with
     cos(theta_j) an interior eigenvalue of T_N, and -1 with multiplicity
-    N - 2 (r > 0) or N (r = 0).  The eigenvalues of T_N are the roots of
-    det(x - T_N) in closed form, each certified by a sign change within
-    ``_ROOT_TOL`` and counted to N + 1.  A top eigenvalue away from 1, or
-    an interior one that rounds to +-1, where sin theta = 0, raises
-    ConvergenceFailureError.
+    N - 2 (r > 0) or N (r = 0).  The eigenvalues of T_N come from its
+    closed-form determinant in the band and its Sturm count outside, each
+    certified within max(``_ROOT_TOL`` 2 sqrt(pq), 2 ulps).  A failed
+    certificate, or an interior eigenvalue that rounds to +-1, where
+    sin theta = 0, raises ConvergenceFailureError.
     """
     N = cutoff
     _check_cutoff(N)
     if not params.p * params.q > 0:
         raise ConvergenceFailureError("pq underflows: the band of T_N collapses onto r")
-    vals = _certified_eigenvalues(params, N, _bisect_roots(params, N))
-    if abs(vals[0] - 1.0) > _TOP_EIGENVALUE_TOL:
-        raise ConvergenceFailureError(f"top eigenvalue {vals[0]} is not 1")
+    vals = _certified_eigenvalues(params, N)
     # interior eigenvalues: drop lambda_0 = 1, and lambda_N = -1 when r = 0
     k_last = N if params.r > 0 else N - 1
     thetas = np.arccos(np.clip(vals[1:k_last + 1], -1.0, 1.0))

@@ -82,23 +82,40 @@ def perturbed_eigensolver(monkeypatch):
 
 
 def _patch_roots(monkeypatch, edit):
-    solve = reduction._bisect_roots
+    solve = reduction._band_roots
 
-    def patched(params, cutoff):
-        roots = solve(params, cutoff)
-        roots[0] = edit(roots[0])
-        return roots
+    def patched(params, cutoff, x):
+        return edit(solve(params, cutoff, x))
 
-    monkeypatch.setattr(reduction, "_bisect_roots", patched)
+    monkeypatch.setattr(reduction, "_band_roots", patched)
 
 
 @pytest.fixture
 def shifted_root(monkeypatch):
-    """Moves one root of det(x - T_N) found by the closed-form solve by 1e-6."""
+    """Moves one root of det(x - T_N) found in the band by 1e-6."""
     _patch_roots(monkeypatch, lambda x: x + np.where(np.arange(len(x)) == 3, 1e-6, 0.0))
 
 
 @pytest.fixture
 def dropped_root(monkeypatch):
-    """Drops one root of det(x - T_N) found by the closed-form solve."""
+    """Drops one root of det(x - T_N) found in the band."""
     _patch_roots(monkeypatch, lambda x: np.delete(x, 3))
+
+
+@pytest.fixture
+def merged_root(monkeypatch):
+    """Replaces one root of det(x - T_N) found in the band by its neighbour
+    moved by 1e-12: it still carries a sign change, of the neighbour's root."""
+    _patch_roots(monkeypatch, lambda x: np.where(np.arange(len(x)) == 3, np.roll(x, -1) - 1e-12, x))
+
+
+@pytest.fixture
+def miscounted(monkeypatch):
+    """Makes the Sturm count of T_N at the top band sample one too high."""
+    count = reduction._sturm_count
+
+    def patched(params, cutoff, x):
+        top = reduction._band_samples(params, cutoff)[-1]
+        return count(params, cutoff, x) + (x == top)
+
+    monkeypatch.setattr(reduction, "_sturm_count", patched)

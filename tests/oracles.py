@@ -192,6 +192,21 @@ def build_T(params, cutoff):
     return JacobiMatrixT(diag, offdiag)
 
 
+def sturm_count(params, cutoff, x):
+    """Number of eigenvalues of T_N below x: the negative pivots of
+    T_N - x = L D L^T, all N + 1 of them, from the diagonal (0, r, ..., r, 0)
+    and the squared off-diagonal (q, pq, ..., pq, p), a zero pivot counted
+    as negative."""
+    p, q, r = params.p, params.q, params.r
+    diag = [0.0] + [r] * (cutoff - 1) + [0.0]
+    off2 = [0.0, q] + [p * q] * (cutoff - 2) + [p]
+    neg, d = 0, 1.0
+    for k in range(cutoff + 1):
+        d = ((diag[k] - x) - off2[k] / d) or -np.finfo(float).tiny
+        neg += d < 0
+    return neg
+
+
 def jacobi_dense(t):
     """T_N as a dense symmetric matrix."""
     return np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1)

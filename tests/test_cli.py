@@ -298,6 +298,22 @@ def test_spectrum_fails_on_a_bad_eigenpair(capsys, shifted_root):
     assert json.loads(err)["error"] == "ConvergenceFailureError"
 
 
+def test_spectrum_fails_on_a_miscounted_band(capsys, miscounted):
+    code, out, err = run_cli(capsys, "spectrum", "4", "6", "3", "--cutoff", "8")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ConvergenceFailureError"
+
+
+@pytest.mark.parametrize("abc, cutoff", [(["1", str(10**12), "3"], "400"),
+                                         (["1", str(10**15), "7"], "4096")])
+def test_spectrum_refuses_eigenvalues_closer_than_two_ulps(capsys, abc, cutoff):
+    # neighbouring eigenvalues of T_N lie less than 2 ulps apart in x, where
+    # no certificate can tell them apart
+    code, out, err = run_cli(capsys, "spectrum", *abc, "--cutoff", cutoff)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ConvergenceFailureError"
+
+
 def test_no_subcommand_imports_scipy():
     # scipy is a test dependency: a lazy import would only move its start-up
     # cost into a command's compute time

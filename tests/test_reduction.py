@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import spiderwalk.reduction as reduction
 from oracles import (
     build_T,
     cutoff_dim,
@@ -528,11 +529,24 @@ def test_residual_check_rejects_perturbed_eigenvector(perturbed_eigensolver):
 
 
 @pytest.mark.parametrize("fault, message", [("shifted_root", "not isolated"),
-                                            ("dropped_root", "found 8 of the 9")])
+                                            ("dropped_root", "found 8 of the 9"),
+                                            ("merged_root", "not isolated")])
 def test_certificate_rejects_a_bad_root(request, fault, message):
     request.getfixturevalue(fault)
     with pytest.raises(ConvergenceFailureError, match=message):
         u_eigensystem(P463, 8)
+
+
+@pytest.mark.parametrize("params, lo, hi", [(P463, 1.0, 2.0), (PTREE, -1.0, -1.0 + 1e-9)],
+                         ids=["top", "bottom-tree"])
+def test_certificate_rejects_a_miscounted_end(monkeypatch, params, lo, hi):
+    # one eigenvalue fewer below the points in (lo, hi): no eigenvalue of
+    # T_N sits at 1, or at -1 when r = 0
+    count = reduction._sturm_count
+    monkeypatch.setattr(reduction, "_sturm_count",
+                        lambda p, N, x: count(p, N, x) - (lo < x < hi))
+    with pytest.raises(ConvergenceFailureError, match="eigenvalue 1 or -1"):
+        u_eigensystem(params, 8)
 
 
 def _u_eigenvectors(params, N, shift):

@@ -4,8 +4,9 @@ Every subcommand emits a table, CSV by default or JSON records with
 ``--format json``, to stdout or to ``-o FILE``.  Relative output paths
 are resolved against ``$SPIDERWALK_OUTPUT_DIR`` when that is set.  Floats
 are printed with 15 significant digits and all computations are
-deterministic, so repeated runs are byte-identical.  Errors exit with a
-non-zero status and a one-line JSON object on stderr.
+deterministic, so repeated runs are byte-identical.  Errors, usage errors
+among them, exit with a non-zero status and a one-line JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _pq_from_args(args) -> PqParams:
         _reject_abc(args, "--pqr")
         p, q, r = args.pqr
         return PqParams(p, q, r)
-    return params_from_spidernet(SpidernetParams(args.a, args.b, args.c))
+    return params_from_spidernet(_require_abc(args, "--pqr P Q R"))
 
 
 def _reject_abc(args, flag: str) -> None:
@@ -123,9 +124,10 @@ def _count(value: int, flag: str) -> int:
     return value
 
 
-def _require_abc(args) -> SpidernetParams:
+def _require_abc(args, alternative: str | None = None) -> SpidernetParams:
     if args.a is None or args.b is None or args.c is None:
-        raise SpiderwalkError("this command needs the spidernet parameters a b c")
+        instead = f" or {alternative}" if alternative else ""
+        raise InvalidParamsError(f"this command needs the spidernet parameters a b c{instead}")
     return SpidernetParams(args.a, args.b, args.c)
 
 
@@ -221,7 +223,7 @@ def _cmd_localize(args) -> int:
                 rows.append([1, b, c, rep.localized, float(rep.w), float(rep.xi),
                              rep.theta, float(rep.qbar_origin)])
     else:
-        sp = _require_abc(args)
+        sp = _require_abc(args, "--sweep BMAX CMAX")
         rep = classify(sp)
         rows.append([sp.a, sp.b, sp.c, rep.localized, float(rep.w), float(rep.xi),
                      rep.theta, float(rep.qbar_origin)])
@@ -262,8 +264,15 @@ def _cmd_verify(args) -> int:
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors like every other error, as InvalidParamsError."""
+
+    def error(self, message):
+        raise InvalidParamsError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spiderwalk",
         description="Grover quantum walks on spidernets S(a, b, c): simulation, "
                     "spectra, amplitudes, and localization analysis.")
@@ -322,9 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except SpiderwalkError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

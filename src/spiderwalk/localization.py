@@ -20,7 +20,7 @@ stratum bounds below the time-averaged distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +29,10 @@ from .errors import InvalidParamsError, NotLocalizedError
 from .graph import SpidernetParams
 from .meixner import (
     FreeMeixnerLaw,
+    _band_rule,
     integrate,
     law_from_pq,
-    normalized_sequence,
+    quadrature_nodes,
     special_value,
 )
 from .reduction import PqParams, ReducedEvolver, ReducedState
@@ -48,27 +49,40 @@ __all__ = [
 ]
 
 
-def _chebyshev_T(n: int, x: np.ndarray) -> np.ndarray:
-    # stable for |x| <= 1, which covers the support of every walk law
-    return np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
-
-
 def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
     """<Psi_l, U^n Psi_m> as the spectral integral of T_|n| p_l p_m, a
-    polynomial of degree |n| + l + m."""
+    polynomial of degree |n| + l + m.
+
+    At each band node T_|n|(x) = cos(|n| theta), with theta = arccos(x) as
+    arctan2(sqrt((1 - x)(1 + x)), x) from the phi form of 1 - x, which keeps
+    its digits where the band nears x = 1.  p_k(x) comes from its closed
+    form in phi, so memory is O(nodes) for any l and m.
+    """
     if l < 0 or m < 0:
         raise InvalidParamsError("ladder indices must be non-negative")
-    deg = max(l, m)
+    nodes = quadrature_nodes(law, abs(n) + l + m)
+    x, one_minus_x, weight = _band_rule(law, nodes)
 
-    def f(x):
-        seq = normalized_sequence(law, deg, x)
-        return _chebyshev_T(abs(n), x) * seq[l] * seq[m]
+    def sin_multiple(j):
+        # sin(j phi) at phi = (2i + 1) pi / 2M, the argument reduced mod 2 pi in integers
+        return np.sin((j * np.arange(1, 2 * nodes, 2) % (4 * nodes)) * (0.5 * np.pi / nodes))
 
-    total = integrate(replace(law, atom_mass=0.0), f, abs(n) + l + m)
+    def poly(k):
+        if k < 2:
+            return x / np.sqrt(law.q) if k else 1.0
+        # p_k sin(phi) = (x / sqrt(q)) sin(k phi) - sin((k-1) phi) / sqrt(p)
+        return ((x / np.sqrt(law.q)) * sin_multiple(k)
+                - sin_multiple(k - 1) / np.sqrt(law.p)) / sin_multiple(1)
+
+    theta = np.arctan2(np.sqrt(one_minus_x * (1.0 + x)), x)
+    integrand = np.cos(abs(n) * theta) * weight
+    if l or m:
+        p_l = poly(l)
+        integrand *= p_l * (p_l if m == l else poly(m))
+    total = float(integrand.sum())
     if law.has_atom:
-        xi = np.array([law.atom_location])
-        atom = _chebyshev_T(abs(n), xi)[0] * special_value(law, l) * special_value(law, m)
-        total += law.atom_mass * float(atom)
+        atom = np.cos(abs(n) * np.arccos(law.atom_location))
+        total += law.atom_mass * float(atom * special_value(law, l) * special_value(law, m))
     return total
 
 
@@ -161,10 +175,10 @@ def exp_localization_bound(sp: SpidernetParams, l: int) -> tuple[float, float]:
     if l < 1:
         raise InvalidParamsError("the bounds apply to strata l >= 1")
     a, b, c = sp.a, sp.b, sp.c
-    if (b - c) ** 2 <= c:
+    rep = classify(sp)
+    if not rep.localized:
         raise NotLocalizedError(f"S({a},{b},{c}) does not localize (b <= c + sqrt(c))")
-    w = Fraction((b - c) ** 2 - c, (b - c) * (b - c + 1))
-    base = w * w
+    base = rep.w * rep.w
     stratum = Fraction(b, 2 * c) * base * Fraction(c, (b - c) ** 2) ** l
     vertex = Fraction(b, 2 * a) * base * Fraction(1, (b - c) ** 2) ** l
     return float(stratum), float(vertex)

@@ -93,21 +93,70 @@ def half_edge_permutation(g, vertex_perm):
 
 # -- free Meixner laws ---------------------------------------------------------
 
+#: A free Meixner law by its Jacobi data: squared off-diagonal
+#: (omega1, omega, omega, ...) and diagonal (0, alpha, alpha, ...).  The
+#: walk law of (p, q, r) is (q, pq, r); the oracles below also take laws that
+#: no walk produces, such as the semicircle (1, 1, 0).
+JacobiLaw = namedtuple("JacobiLaw", "omega1 omega alpha")
+
+
+def jacobi_law(law):
+    """The Jacobi data of ``law``: a JacobiLaw as it is, a walk law as (q, pq, r)."""
+    if isinstance(law, JacobiLaw):
+        return law
+    return JacobiLaw(law.q, law.p * law.q, law.r)
+
+
 def support(law):
     """[alpha - 2 sqrt(omega), alpha + 2 sqrt(omega)]."""
+    law = jacobi_law(law)
     h = 2.0 * np.sqrt(law.omega)
     return (law.alpha - h, law.alpha + h)
+
+
+def denominator(law, x):
+    """D(x) = (omega - omega1) x^2 + omega1 alpha x + omega1^2."""
+    o1, om, al = jacobi_law(law)
+    return (om - o1) * x * x + o1 * al * x + o1 * o1
 
 
 def density(law, x):
     """rho(x) = (omega1 / 2 pi) sqrt(4 omega - (x - alpha)^2) / D(x) on the
     support (1e-12 slack at the edges)."""
+    law = jacobi_law(law)
     x = np.asarray(x, dtype=float)
     lo, hi = support(law)
     if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
         raise OutOfSupportError(f"point outside the support [{lo}, {hi}]")
     radicand = np.maximum(4.0 * law.omega - (x - law.alpha) ** 2, 0.0)
-    return (law.omega1 / (2.0 * np.pi)) * np.sqrt(radicand) / law.denominator(x)
+    return (law.omega1 / (2.0 * np.pi)) * np.sqrt(radicand) / denominator(law, x)
+
+
+def chebyshev_amplitudes(pqr, l, m, nmax):
+    """<e_l, T_n(J) e_m>, n <= nmax, for the Jacobi matrix J of the walk law
+    of the exact ``pqr`` (diagonal 0, r, r, ...; off-diagonal sqrt(q),
+    sqrt(pq), ...), by the Chebyshev recurrence in extended precision."""
+    p, q, r = (np.longdouble(v.numerator) / np.longdouble(v.denominator) for v in pqr)
+    size = nmax + max(l, m) + 2
+    diag = np.full(size, r)
+    diag[0] = 0
+    off = np.full(size - 1, np.sqrt(p * q))
+    off[0] = np.sqrt(q)
+
+    def apply(v):
+        out = diag * v
+        out[:-1] += off * v[1:]
+        out[1:] += off * v[:-1]
+        return out
+
+    prev = np.zeros(size, dtype=np.longdouble)
+    prev[m] = 1
+    cur = apply(prev)
+    out = [prev[l], cur[l]]
+    for _ in range(nmax - 1):
+        prev, cur = cur, 2 * apply(cur) - prev
+        out.append(cur[l])
+    return np.array(out[:nmax + 1], dtype=float)
 
 
 def chebyshev_U(n, x):
@@ -127,11 +176,28 @@ def orth_poly_recurrence(law, n, x):
     with omega_1 = omega1 and omega_k = omega afterwards."""
     if n < 0:
         raise OutOfDomainError("polynomial degree must be non-negative")
+    law = jacobi_law(law)
     x = np.asarray(x, dtype=float)
     prev, cur = np.ones_like(x), x
     for k in range(1, n):
         prev, cur = cur, (x - law.alpha) * cur - (law.omega1 if k == 1 else law.omega) * prev
     return prev if n == 0 else cur
+
+
+def orthonormal_sequence(law, nmax, x):
+    """p_0 .. p_nmax at x, shape (nmax + 1, len(x)): the monic P_k of
+    :func:`orth_poly_recurrence` over sqrt(omega1 omega^(k-1))."""
+    law = jacobi_law(law)
+    monic = np.empty((nmax + 1, len(x)))
+    monic[0] = 1.0
+    if nmax >= 1:
+        monic[1] = x
+    for k in range(1, nmax):
+        om = law.omega1 if k == 1 else law.omega
+        monic[k + 1] = (x - law.alpha) * monic[k] - om * monic[k - 1]
+    scales = np.ones(nmax + 1)
+    scales[1:] = np.sqrt(law.omega1 * law.omega ** (np.arange(1, nmax + 1) - 1.0))
+    return monic / scales[:, None]
 
 
 def orth_poly_closed_cheb(law, n, x):
@@ -140,7 +206,7 @@ def orth_poly_closed_cheb(law, n, x):
     W_k = U_k((x - alpha) / (2 sqrt(om)))."""
     if n < 2:
         return orth_poly_recurrence(law, n, x)
-    o1, om, al = law.omega1, law.omega, law.alpha
+    o1, om, al = jacobi_law(law)
     y = (np.asarray(x, dtype=float) - al) / (2.0 * np.sqrt(om))
     return (om ** (n / 2.0) * chebyshev_U(n, y)
             + al * om ** ((n - 1) / 2.0) * chebyshev_U(n - 1, y)
@@ -154,6 +220,7 @@ def orth_poly_closed_R(law, n, x):
           / (2^{n-1} (R_+ - R_-))."""
     if n < 1:
         return orth_poly_recurrence(law, n, x)
+    law = jacobi_law(law)
     x = np.asarray(x, dtype=float)
     disc = (x - law.alpha) ** 2 - 4.0 * law.omega
     if np.any(disc <= 0):

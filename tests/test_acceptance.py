@@ -17,6 +17,7 @@ from oracles import (
     orth_poly_closed_cheb,
     orth_poly_closed_R,
     orth_poly_recurrence,
+    orthonormal_sequence,
 )
 from spiderwalk import (
     GraphEvolver,
@@ -36,7 +37,7 @@ from spiderwalk import (
     stratum_state,
     u_eigensystem,
 )
-from spiderwalk.meixner import normalized_sequence, special_value
+from spiderwalk.meixner import special_value
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 P342 = PqParams(0.5, 0.25, 0.25)
@@ -191,8 +192,8 @@ def test_criterion_7_orthogonal_polynomial_suite():
     worst_forms = 0.0
     for law, _ in laws:
         xs = rng.uniform(-1, 1, 50)
-        half_width = 2.0 * math.sqrt(law.omega)
-        outside = law.alpha + np.concatenate([
+        half_width = 2.0 * math.sqrt(law.p * law.q)
+        outside = law.r + np.concatenate([
             half_width + rng.uniform(0.01, 0.6, 25),
             -half_width - rng.uniform(0.01, 0.6, 25)])
         for n in range(13):
@@ -205,8 +206,8 @@ def test_criterion_7_orthogonal_polynomial_suite():
             worst_forms = max(worst_forms, float(np.max(
                 np.abs(rec_o - rform) / np.maximum(np.abs(rec_o), 1.0))))
 
-    at_xi = normalized_sequence(law_from_pq(P463), 20,
-                                np.array([-P463.q / (1 - P463.p)]))[:, 0]
+    at_xi = orthonormal_sequence(law_from_pq(P463), 20,
+                                 np.array([-P463.q / (1 - P463.p)]))[:, 0]
     worst_special = max(abs(special_value(law_from_pq(P463), n) - at_xi[n]) for n in range(21))
 
     worst_orth = 0.0
@@ -216,7 +217,7 @@ def test_criterion_7_orthogonal_polynomial_suite():
                 val = integrate(
                     law,
                     lambda x: (lambda s: s[mdeg] * s[ndeg])(
-                        normalized_sequence(law, ndeg, x)),
+                        orthonormal_sequence(law, ndeg, x)),
                     mdeg + ndeg)
                 worst_orth = max(worst_orth, abs(val - (mdeg == ndeg)))
 

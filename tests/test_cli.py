@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import chebyshev_amplitudes
 
 import spiderwalk.cli as cli
 import spiderwalk.errors
@@ -146,6 +148,30 @@ def test_amplitude(capsys):
     assert len(rows) == 61 and all(float(r[3]) < 1e-12 for r in rows)
 
 
+# far strata and narrow bands, where the integral once printed 0.7126 for 1,
+# inf, or answers 1e-8 off, or ran out of memory at l = 100000; now within
+# ~2e-15, which takes sin(k phi) reduced in integers and theta from 1 - x
+@pytest.mark.parametrize("argv", [
+    ["4", "6", "3", "--l", "300", "--m", "300", "--nmax", "0"],
+    ["1", "1000000", "3", "--l", "30", "--m", "30", "--nmax", "60"],
+    ["2", "50", "3", "--l", "150", "--m", "40", "--nmax", "120"],
+    ["1", "100000000", "3", "--l", "10", "--m", "4", "--nmax", "20"],
+    ["1", "1000000000", "7", "--l", "10", "--m", "4", "--nmax", "20"],
+    ["4", "6", "3", "--l", "100000", "--nmax", "0"],
+], ids=" ".join)
+def test_amplitude_across_the_plane(capsys, argv):
+    code, out, _ = run_cli(capsys, "amplitude", *argv)
+    assert code == 0
+    rows = np.array(read_csv(out)[1], dtype=float)
+    b, c = int(argv[1]), int(argv[2])
+    l, m, nmax = (int(argv[argv.index(flag) + 1]) if flag in argv else 0
+                  for flag in ("--l", "--m", "--nmax"))
+    want = chebyshev_amplitudes((Fraction(c, b), Fraction(1, b), Fraction(b - c - 1, b)),
+                                l, m, nmax)
+    assert np.max(np.abs(rows[:, 1] - want)) < 1e-14
+    assert np.max(rows[:, 3]) < 1e-14
+
+
 def test_amplitude_reads_stratum_l_only(capsys, monkeypatch):
     # the reduced column comes from the three cells at stratum l, not from a
     # copy of the whole state; a stratum the walk never reaches reads 0
@@ -241,14 +267,43 @@ def test_error_reporting(capsys):
     assert code == 1
     assert json.loads(err)["error"] == "UnrealizableWiringError"
 
-    code, _, err = run_cli(capsys, "spectrum", "--cutoff", "4")
-    assert code == 1
-    assert "message" in json.loads(err)
+    # a b c missing, or only part of it, where --pqr is the alternative
+    for argv in (["spectrum", "--cutoff", "4"], ["spectrum", "--cutoff", "10"],
+                 ["amplitude", "4", "6", "--nmax", "3"], ["rwalk", "--nmax", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidParamsError", argv
+        assert "a b c or --pqr" in payload["message"], argv
 
     # non-finite parameters are rejected up front, not deep inside scipy
     code, _, err = run_cli(capsys, "spectrum", "--pqr", "0.5", "0.5", "nan", "--cutoff", "4")
     assert code == 1
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "4", "6", "3"],
+    ["simulate", "4", "6", "x", "--steps", "3"],
+    ["bogus"],
+    [],
+    ["rwalk", "--pqr", "0.5", "0.3", "--nmax", "3"],
+    ["localize", "4", "6", "3", "--format", "xml"],
+], ids=" ".join)
+def test_usage_errors_are_one_json_line(capsys, argv):
+    # argparse's own errors take the same path as every other error
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvalidParamsError"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["simulate", "--help"])
+    assert done.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: spiderwalk simulate") and captured.err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import cutoff_psi_vector, cutoff_walk_matrix
+from oracles import chebyshev_amplitudes, cutoff_psi_vector, cutoff_walk_matrix
 from spiderwalk import (
     InvalidParamsError,
     NotLocalizedError,
@@ -87,33 +88,6 @@ def test_asymptotic_amplitude_zero_at_threshold():
     assert all(asymptotic_amplitude(params, l, n) == 0.0 for l in range(3) for n in range(5))
 
 
-def chebyshev_amplitudes(pqr, l, m, nmax):
-    """Independent oracle: <e_l, T_n(J) e_m>, n <= nmax, for the Jacobi matrix
-    J of the law (diagonal 0, r, r, ...; off-diagonal sqrt(q), sqrt(pq), ...),
-    by the Chebyshev recurrence in extended precision."""
-    p, q, r = (np.longdouble(v.numerator) / np.longdouble(v.denominator) for v in pqr)
-    size = nmax + max(l, m) + 2
-    diag = np.full(size, r)
-    diag[0] = 0
-    off = np.full(size - 1, np.sqrt(p * q))
-    off[0] = np.sqrt(q)
-
-    def apply(v):
-        out = diag * v
-        out[:-1] += off * v[1:]
-        out[1:] += off * v[:-1]
-        return out
-
-    prev = np.zeros(size, dtype=np.longdouble)
-    prev[m] = 1
-    cur = apply(prev)
-    out = [prev[l], cur[l]]
-    for _ in range(nmax - 1):
-        prev, cur = cur, 2 * apply(cur) - prev
-        out.append(cur[l])
-    return np.array(out[:nmax + 1], dtype=float)
-
-
 def _exact_pqr(case):
     if isinstance(case, SpidernetParams):
         b, c = case.b, case.c
@@ -147,6 +121,18 @@ def test_amplitude_against_extended_precision(case):
         want = chebyshev_amplitudes(pqr, l, m, nmax)
         got = np.array([amplitude(law, l, m, n) for n in range(nmax + 1)])
         assert np.max(np.abs(got - want)) < 1e-12, (l, m)
+
+
+def test_amplitude_memory_does_not_grow_with_the_strata():
+    # O(nodes): a table of p_0 .. p_l at every node would take 3.2 GB here
+    tracemalloc.start()
+    try:
+        value = amplitude(LAW463, 20000, 20000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - 1.0) < 1e-12
+    assert peak < 50 << 20
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES, ids=str)

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -6,12 +5,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    JacobiLaw,
     OutOfSupportError,
     chebyshev_U,
     density,
+    jacobi_law,
     orth_poly_closed_cheb,
     orth_poly_closed_R,
     orth_poly_recurrence,
+    orthonormal_sequence,
     support,
 )
 from spiderwalk import (
@@ -27,18 +29,24 @@ from spiderwalk import (
     params_from_spidernet,
     quadrature_nodes,
 )
-from spiderwalk.meixner import FreeMeixnerLaw, normalized_sequence, special_value
+from spiderwalk.meixner import special_value
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)
 
 LAW463 = law_from_pq(P463)
 LAWTREE = law_from_pq(PTREE)
-GENERIC = FreeMeixnerLaw(0.3, 0.2, 0.1)
+# S(1, 2, 1): p = q = 1/2 and the threshold put both 1 and xi on the
+# support edges, so 1/D has no pole to limit the midpoint rule
+LAWFREE = law_from_pq(params_from_spidernet(SpidernetParams(1, 2, 1)))
+# Jacobi data that no walk law has, for the oracles alone
+GENERIC = JacobiLaw(0.3, 0.2, 0.1)
+SEMICIRCLE = JacobiLaw(1.0, 1.0, 0.0)
 
 
 def jacobi_moment(law, m):
     """Independent oracle: <e0, J^m e0> on a truncated Jacobi matrix."""
+    law = jacobi_law(law)
     size = m + 2
     j = np.zeros((size, size))
     for k in range(size - 1):
@@ -63,9 +71,8 @@ def exact_moments(p, q, r, nmax):
 
 
 def test_law_from_pq_walk_values():
-    assert LAW463.omega1 == pytest.approx(1.0 / 6.0)
-    assert LAW463.omega == pytest.approx(1.0 / 12.0)
-    assert LAW463.alpha == pytest.approx(1.0 / 3.0)
+    assert (LAW463.p, LAW463.q, LAW463.r) == (P463.p, P463.q, P463.r)
+    assert jacobi_law(LAW463) == pytest.approx((1.0 / 6.0, 1.0 / 12.0, 1.0 / 3.0))
     assert LAW463.atom_location == pytest.approx(-1.0 / 3.0)
     assert LAW463.atom_mass == pytest.approx(0.5)
     lo, hi = support(LAW463)
@@ -82,12 +89,18 @@ def test_law_from_pq_boundary_and_trees():
 
 
 def test_law_validation():
-    with pytest.raises(InvalidParamsError):
-        FreeMeixnerLaw(0.0, 0.2, 0.1)
-    with pytest.raises(InvalidParamsError):
-        FreeMeixnerLaw(0.3, 0.2, 0.1, atom_mass=1.5)
-    with pytest.raises(InvalidParamsError):
-        FreeMeixnerLaw(0.3, 0.2, 0.1, atom_location=None, atom_mass=0.2)
+    # the law is built from validated (p, q, r) only: law_from_pq refuses
+    # p < q and a p whose 1 - p rounds to 0, and the mass it records is the
+    # exact w of classify, rounded once
+    with pytest.raises(ParamsOutOfRangeError):
+        law_from_pq(PqParams(0.2, 0.5, 0.3))
+    with pytest.raises(ParamsOutOfRangeError):
+        law_from_pq(PqParams(1.0, 1e-300, 0.0))
+    for sp in (SpidernetParams(1, 10 ** 9, 999968377), SpidernetParams(4, 6, 3),
+               SpidernetParams(1, 12, 2)):
+        law = law_from_pq(params_from_spidernet(sp))
+        assert law.atom_mass == float(classify(sp).w)
+        assert 0.0 < law.atom_mass < 1.0
 
 
 def test_density():
@@ -103,11 +116,10 @@ def test_density():
 
 
 def test_density_semicircle():
-    semi = FreeMeixnerLaw(1.0, 1.0, 0.0)
-    assert density(semi, 0.0) == pytest.approx(1.0 / np.pi)
+    assert density(SEMICIRCLE, 0.0) == pytest.approx(1.0 / np.pi)
     xs = np.linspace(-2, 2, 201)
     expected = np.sqrt(np.maximum(4 - xs ** 2, 0.0)) / (2 * np.pi)
-    assert np.max(np.abs(density(semi, xs) - expected)) < 1e-14
+    assert np.max(np.abs(density(SEMICIRCLE, xs) - expected)) < 1e-14
 
 
 def test_chebyshev_U():
@@ -134,8 +146,8 @@ def test_three_forms_agree():
     rng = np.random.default_rng(1)
     xs = rng.uniform(-1, 1, 50)
     for law in (LAW463, LAWTREE, GENERIC):
-        half_width = 2.0 * np.sqrt(law.omega)
-        outside = law.alpha + np.concatenate([
+        half_width = 2.0 * np.sqrt(jacobi_law(law).omega)
+        outside = jacobi_law(law).alpha + np.concatenate([
             half_width + rng.uniform(0.01, 0.5, 25),
             -half_width - rng.uniform(0.01, 0.5, 25),
         ])
@@ -152,13 +164,13 @@ def test_three_forms_agree():
 
 def test_closed_R_rejects_support_band():
     with pytest.raises(OutOfDomainError):
-        orth_poly_closed_R(LAW463, 3, LAW463.alpha)
+        orth_poly_closed_R(LAW463, 3, LAW463.r)
 
 
 def test_recurrence_residual():
     rng = np.random.default_rng(6)
     xs = rng.uniform(-1, 1, 30)
-    for law in (LAW463, GENERIC):
+    for law in (jacobi_law(LAW463), GENERIC):
         for n in range(1, 12):
             omega_n = law.omega1 if n == 1 else law.omega
             resid = (xs * orth_poly_recurrence(law, n, xs)
@@ -172,17 +184,29 @@ def test_recurrence_residual():
 
 def test_normalized_scaling():
     xs = np.linspace(-1, 1, 7)
-    seq = normalized_sequence(LAW463, 5, xs)
+    seq = orthonormal_sequence(LAW463, 5, xs)
+    jac = jacobi_law(LAW463)
     for n in range(6):
-        scale = 1.0 if n == 0 else np.sqrt(LAW463.omega1 * LAW463.omega ** (n - 1))
+        scale = 1.0 if n == 0 else np.sqrt(jac.omega1 * jac.omega ** (n - 1))
         expect = orth_poly_recurrence(LAW463, n, xs) / scale
         assert np.max(np.abs(seq[n] - expect)) < 1e-13
+    # the closed form amplitude uses on the band x = r + 2 sqrt(pq) cos(phi):
+    # p_k sin(phi) = (x / sqrt(q)) sin(k phi) - sin((k-1) phi) / sqrt(p)
+    for law in (LAW463, LAWTREE, LAWFREE):
+        p, q = law.p, law.q
+        phi = np.linspace(0.05, np.pi - 0.05, 9)
+        x = law.r + 2.0 * np.sqrt(p * q) * np.cos(phi)
+        seq = orthonormal_sequence(law, 12, x)
+        for k in range(1, 13):
+            closed = (x / np.sqrt(q)) * np.sin(k * phi) - np.sin((k - 1) * phi) / np.sqrt(p)
+            scale = max(1.0, np.max(np.abs(closed)))
+            assert np.max(np.abs(seq[k] * np.sin(phi) - closed)) < 1e-12 * scale
 
 
 def test_special_value():
     assert special_value(LAW463, 0) == 1.0
     assert special_value(LAW463, 1) == pytest.approx(-np.sqrt(2.0 / 3.0))
-    at_xi = normalized_sequence(LAW463, 20, np.array([LAW463.atom_location]))[:, 0]
+    at_xi = orthonormal_sequence(LAW463, 20, np.array([LAW463.atom_location]))[:, 0]
     for n in range(1, 21):
         assert abs(special_value(LAW463, n) - at_xi[n]) < 1e-10
         # the walk law's form (1/sqrt(p)) (-sqrt(pq) / (1-p))^n
@@ -195,13 +219,13 @@ def test_special_value():
 
 
 def test_total_mass():
-    for law in (LAW463, LAWTREE, GENERIC, law_from_pq(PqParams(0.5, 0.25, 0.25))):
+    for law in (LAW463, LAWTREE, LAWFREE, law_from_pq(PqParams(0.5, 0.25, 0.25))):
         mass = integrate(law, lambda x: np.ones_like(x), 0)
         assert abs(mass - 1.0) < 1e-13
 
 
 def test_moments_match_jacobi_oracle():
-    for law in (LAW463, LAWTREE, GENERIC):
+    for law in (LAW463, LAWTREE, LAWFREE):
         for m in range(13):
             got = integrate(law, lambda x, m=m: x ** m, m)
             assert abs(got - jacobi_moment(law, m)) < 1e-13
@@ -213,23 +237,22 @@ def test_orthonormality():
             for ndeg in range(mdeg, 6):
                 val = integrate(
                     law,
-                    lambda x: normalized_sequence(law, ndeg, x)[mdeg]
-                    * normalized_sequence(law, ndeg, x)[ndeg],
+                    lambda x: orthonormal_sequence(law, ndeg, x)[mdeg]
+                    * orthonormal_sequence(law, ndeg, x)[ndeg],
                     mdeg + ndeg,
                 )
                 assert abs(val - (1.0 if mdeg == ndeg else 0.0)) < 1e-13
 
 
 # laws whose nearest pole of 1/D differs: both poles, x = 1 removable (c = 1),
-# xi removable (threshold), both removable, a pole 0.011 from the support in
-# phi, and a general law with every root of D counted
+# xi removable (threshold), both removable, and a pole 0.011 from the support
+# in phi
 RULE_LAWS = [
     LAW463,
     law_from_pq(params_from_spidernet(SpidernetParams(1, 4, 1))),
     law_from_pq(params_from_spidernet(SpidernetParams(5, 6, 4))),
-    law_from_pq(params_from_spidernet(SpidernetParams(1, 2, 1))),
+    LAWFREE,
     law_from_pq(PqParams(0.45, 0.44, 0.11)),
-    GENERIC,
 ]
 
 
@@ -241,7 +264,7 @@ def test_midpoint_rule_node_doubling():
 
             def f(x):
                 # a Chebyshev series on the support, so values stay O(1)
-                y = (x - law.alpha) / (2.0 * np.sqrt(law.omega))
+                y = (x - law.r) / (2.0 * np.sqrt(law.p * law.q))
                 return np.polynomial.chebyshev.chebval(y, coef)
 
             nodes = quadrature_nodes(law, degree)
@@ -253,18 +276,12 @@ def test_midpoint_rule_node_doubling():
 
 
 def test_midpoint_rule_exact_on_polynomials():
-    # no pole: M = ceil((d+1)/2) + 1 nodes, and the semicircle moments are
-    # the Catalan numbers
-    semi = FreeMeixnerLaw(1.0, 1.0, 0.0)
+    # no pole: M = ceil((d+1)/2) + 1 nodes
     for d in range(0, 41):
-        assert quadrature_nodes(semi, d) == (d + 2) // 2 + 1
-        want = 0 if d % 2 else math.comb(d, d // 2) // (d // 2 + 1)
-        got = integrate(semi, lambda x: x ** d, d)
-        assert abs(got - want) <= 1e-15 * 2.0 ** d        # roundoff of sup |x^d|
+        assert quadrature_nodes(LAWFREE, d) == (d + 2) // 2 + 1
     # walk laws against exact moments e_0^T J^d e_0
-    for law in RULE_LAWS[:5]:
-        p, q, r = (Fraction(v).limit_denominator(100) for v in
-                   (law.omega / law.omega1, law.omega1, law.alpha))
+    for law in RULE_LAWS:
+        p, q, r = (Fraction(v).limit_denominator(100) for v in (law.p, law.q, law.r))
         for d, want in enumerate(exact_moments(p, q, r, 40)):
             assert abs(integrate(law, lambda x: x ** d, d) - want) < 1e-14
 
@@ -281,12 +298,11 @@ def test_node_budget_rejects_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     # too high a degree is rejected the same way, even without poles
-    semi = FreeMeixnerLaw(1.0, 1.0, 0.0)
-    assert quadrature_nodes(semi, 2 * MAX_QUADRATURE_NODES - 4) == MAX_QUADRATURE_NODES
+    assert quadrature_nodes(LAWFREE, 2 * MAX_QUADRATURE_NODES - 4) == MAX_QUADRATURE_NODES
     with pytest.raises(ParamsOutOfRangeError):
-        quadrature_nodes(semi, 2 * MAX_QUADRATURE_NODES - 2)
+        quadrature_nodes(LAWFREE, 2 * MAX_QUADRATURE_NODES - 2)
     with pytest.raises(InvalidParamsError):
-        quadrature_nodes(semi, -1)
+        quadrature_nodes(LAWFREE, -1)
 
 
 def test_threshold_atom_decided_exactly():
@@ -307,8 +323,8 @@ def test_atom_sits_outside_support_and_density_stays_finite():
     lo, hi = support(LAW463)
     assert not lo < LAW463.atom_location < hi
     # D(x) has roots only at 1 and xi, both off the open support interval
-    roots = np.roots([LAW463.omega - LAW463.omega1,
-                      LAW463.omega1 * LAW463.alpha, LAW463.omega1 ** 2])
+    o1, om, al = jacobi_law(LAW463)
+    roots = np.roots([om - o1, o1 * al, o1 ** 2])
     for root in roots:
         assert not lo + 1e-9 < root.real < hi - 1e-9
     xs = np.linspace(lo, hi, 501)

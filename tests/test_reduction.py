@@ -14,6 +14,7 @@ from oracles import (
     eigensystem_T,
     inner,
     jacobi_dense,
+    orthonormal_sequence,
     reduced_norm,
 )
 from spiderwalk import (
@@ -38,7 +39,6 @@ from spiderwalk import (
     stratum_state,
     u_eigensystem,
 )
-from spiderwalk.meixner import normalized_sequence
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)
@@ -462,7 +462,7 @@ def test_eigenvectors_follow_orthonormal_polynomials():
     N = 8
     law = law_from_pq(P463)
     vals, vecs = eigensystem_T(build_T(P463, N))
-    pn = normalized_sequence(law, N, vals)       # pn[n, j] = p_n(lambda_j)
+    pn = orthonormal_sequence(law, N, vals)       # pn[n, j] = p_n(lambda_j)
     worst = 0.0
     for j in range(N + 1):
         scale = vecs[0, j]

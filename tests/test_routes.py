@@ -2,13 +2,17 @@
 explicit graph, the reduced ladder walk and the spectral integral agree,
 and the exact and the float localization decisions never disagree."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from oracles import inner
 from spiderwalk import (
     GraphEvolver,
+    ParamsOutOfRangeError,
     ReducedEvolver,
     ReducedState,
     SpidernetParams,
@@ -19,6 +23,8 @@ from spiderwalk import (
     isotropic_initial_state,
     law_from_pq,
     params_from_spidernet,
+    quadrature_nodes,
+    random_walk_return,
     stratum_state,
 )
 
@@ -35,6 +41,37 @@ def spidernets(draw):
     m = b - c - 1
     a = m + 1 + (2 if m % 2 else 1) * draw(st.integers(0, 3))
     return SpidernetParams(a, b, c)
+
+
+@st.composite
+def plane_spidernets(draw):
+    """Realizable S(a, b, c) with b log-uniform up to 10^9 and c in
+    {1, 2, 3, b - 1, floor(b - sqrt(b))}, or on the threshold
+    (b, c) = (k^2 + k, k^2); a = b - c is realizable for every (b, c)."""
+    if draw(st.integers(0, 5)) == 0:
+        e = draw(st.integers(0, 14))
+        k = draw(st.integers(1 << e, min(1 << (e + 1), 31622)))
+        b, c = k * k + k, k * k
+    else:
+        e = draw(st.integers(1, 30))
+        b = draw(st.integers(max(2, 1 << (e - 1)), min(1 << e, 10 ** 9)))
+        cs = {1, 2, 3, b - 1, b - math.isqrt(b - 1) - 1}
+        c = draw(st.sampled_from(sorted(c for c in cs if 1 <= c <= b - 1)))
+    return SpidernetParams(b - c, b, c)
+
+
+def exact_moment(sp, n):
+    """e_0^T J^n e_0 for the walk law of S(a, b, c), exactly: the recurrence
+    v_k <- r v_k + s_k v_{k+1} + v_{k-1} (s_0 = q, s_k = pq) in integers,
+    scaled by b^2 per step."""
+    b, c = sp.b, sp.c
+    size = n // 2 + 2
+    v = [1] + [0] * (size - 1)
+    for _ in range(n):
+        v = [(b * (b - c - 1) * v[k] if k else 0)
+             + ((c if k else b) * v[k + 1] if k + 1 < size else 0)
+             + (b * b * v[k - 1] if k else 0) for k in range(size)]
+    return float(Fraction(v[0], b ** (2 * n)))
 
 
 def half_edges(sp, radius):
@@ -83,18 +120,45 @@ def test_graph_walk_matches_embedded_reduced_walk(walk):
     assert np.max(np.abs(ev.state() - embed(g, reduced))) < 1e-12
 
 
-@given(spidernets(), st.integers(0, 60), st.integers(0, 3), st.integers(0, 3))
+def _law_within_budget(sp, degree):
+    """The walk law of sp, or a rejected draw where xi lies so close to the
+    band that degree ``degree`` needs more than MAX_QUADRATURE_NODES nodes
+    (floor(b - sqrt(b)) for b just above a square near 10^9)."""
+    law = law_from_pq(params_from_spidernet(sp))
+    try:
+        quadrature_nodes(law, degree)
+    except ParamsOutOfRangeError:
+        reject()
+    return law
+
+
+@given(st.one_of(spidernets(), plane_spidernets()), st.integers(0, 60),
+       st.integers(0, 300), st.integers(0, 300))
 @example(SpidernetParams(2, 6, 4), 60, 0, 0)
 @example(SpidernetParams(3, 12, 9), 60, 2, 1)
 @example(SpidernetParams(4, 20, 16), 60, 1, 3)
 @example(SpidernetParams(3, 4, 3), 60, 0, 2)
 @example(SpidernetParams(2, 3, 1), 60, 3, 3)
+@example(SpidernetParams(1, 10 ** 9, 999968377), 60, 3, 2)
+@example(SpidernetParams(1, 10 ** 9, 999999999), 60, 1, 0)
+@example(SpidernetParams(999999000, 10 ** 9, 1000), 40, 300, 300)
 def test_reduced_walk_matches_spectral_integral(sp, n, l, m):
+    law = _law_within_budget(sp, n + l + m)
     params = params_from_spidernet(sp)
     ev = _evolved(params, stratum_state(params, m), n)
     got = ev.ladder_amplitude(l)
     assert abs(got - inner(stratum_state(params, l), ev.state())) < 1e-15
-    assert abs(amplitude(law_from_pq(params), l, m, n) - got) < 1e-12
+    assert abs(amplitude(law, l, m, n) - got) < 1e-12
+
+
+@given(st.one_of(spidernets(), plane_spidernets()), st.integers(0, 60))
+@example(SpidernetParams(2, 2, 1), 60)
+@example(SpidernetParams(1000, 10 ** 6, 999000), 0)
+@example(SpidernetParams(1, 10 ** 9, 999999999), 60)
+@example(SpidernetParams(1, 10 ** 9, 1), 60)
+def test_random_walk_return_matches_exact_moments(sp, n):
+    law = _law_within_budget(sp, n)
+    assert abs(random_walk_return(law, n) - exact_moment(sp, n)) < 1e-14
 
 
 @given(spidernets(), st.integers(0, 60))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -47,6 +48,10 @@ _ENV_OUTPUT_DIR = "SPIDERWALK_OUTPUT_DIR"
 # A cap on the rows of ``localize --sweep``, which classifies and holds every
 # row before printing: ~2 s and ~80 MB peak RSS at the cap.
 MAX_SWEEP_ROWS = 100_000
+# A cap on the cells of a ``simulate`` table, (steps + 1) (strata + 2), checked
+# before the walk is built; it also bounds the reduced walk's arrays and its
+# read buffer.  ~130 MB peak RSS at the cap (50 000 steps, 18 strata).
+MAX_TABLE_CELLS = 1_000_000
 
 
 # A cell is a float (np.float64 among them, a subclass of float), a bool, an
@@ -57,6 +62,21 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+# A row of ints and floats only prints through one %-format, and
+# "%.15g" % v == format(v, ".15g") for every float, np.float64 among them.
+@functools.lru_cache(maxsize=64)
+def _row_format(kinds) -> str | None:
+    fields = []
+    for kind in kinds:
+        if issubclass(kind, float):
+            fields.append("%.15g")
+        elif issubclass(kind, int) and not issubclass(kind, bool):
+            fields.append("%d")
+        else:
+            return None
+    return ",".join(fields) + "\n"
 
 
 def _json_value(value):
@@ -74,7 +94,11 @@ def _emit(columns, rows, args) -> None:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            fmt = _row_format(tuple(map(type, row)))
+            if fmt is None:
+                writer.writerow([_fmt(v) for v in row])
+            else:
+                buf.write(fmt % tuple(row))
         text = buf.getvalue()
     if args.output:
         path = args.output
@@ -137,13 +161,18 @@ def _cmd_simulate(args) -> int:
     sp = _require_abc(args)
     steps = _count(args.steps, "--steps")
     n_strata = _count(args.strata, "--strata") if args.strata is not None else min(steps, 6)
+    n_cells = (steps + 1) * (n_strata + 2)
+    if n_cells > MAX_TABLE_CELLS:
+        raise InvalidParamsError(
+            f"--steps {steps} with {n_strata} strata makes a table of {n_cells} cells, "
+            f"more than {MAX_TABLE_CELLS}")
     columns = ["n", "p_origin"] + [f"p_stratum_{l}" for l in range(1, n_strata + 1)]
-    rows = []
     if args.full:
         # radius steps is exact, as the boundary stratum's truncated coin
         # never runs; the root has edges only from radius 1 on
         g = build_spidernet(sp, max(steps, 1))
         ev = GraphEvolver(g, isotropic_initial_state(g))
+        rows = []
         for n in range(steps + 1):
             if n > 0:
                 ev.step()
@@ -154,11 +183,9 @@ def _cmd_simulate(args) -> int:
     else:
         params = params_from_spidernet(sp)
         ev = ReducedEvolver(params, ReducedState.origin(), steps, reach=n_strata)
-        for n in range(steps + 1):
-            if n > 0:
-                ev.step()
-            probs = ev.stratum_probabilities()
-            rows.append([n, *probs] + [0.0] * (n_strata + 1 - len(probs)))
+        probs = ev.stratum_probability_rows(steps)
+        pad = [0.0] * (n_strata + 1 - probs.shape[1])
+        rows = [[n] + row + pad for n, row in enumerate(probs.tolist())]
     _emit(columns, rows, args)
     return 0
 

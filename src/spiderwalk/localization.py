@@ -135,6 +135,11 @@ def classify(sp: SpidernetParams) -> LocalizationReport:
     )
 
 
+# Stratum probabilities per bulk read of cesaro_strata, so that its memory
+# does not grow with the horizon.
+_BLOCK_CELLS = 1 << 16
+
+
 def cesaro_origin(params: PqParams, horizon: int) -> float:
     """Time-averaged origin probability (1/N) sum_{n<N} |<Psi_0, U^n Psi_0>|^2."""
     return float(cesaro_strata(params, horizon, 0)[0])
@@ -151,12 +156,18 @@ def cesaro_strata(params: PqParams, horizon: int, max_stratum: int) -> np.ndarra
     if max_stratum < 0:
         raise InvalidParamsError(f"max_stratum must be non-negative, got {max_stratum}")
     ev = ReducedEvolver(params, ReducedState.origin(), horizon - 1, reach=max_stratum)
+    block = max(1, _BLOCK_CELLS // (min(max_stratum, horizon - 1) + 1))
     acc = np.zeros(max_stratum + 1)
-    for n in range(horizon):
-        if n > 0:
-            ev.step()
-        probs = ev.stratum_probabilities()
-        acc[:len(probs)] += probs
+    done = 0                                    # states summed so far
+    while done < horizon:
+        n = min(block, horizon - done)
+        # a read starts at the state the previous read ended on
+        skip = 1 if done else 0
+        rows = ev.stratum_probability_rows(n - 1 + skip)[skip:]
+        w = rows.shape[1]
+        # row by row in step order, as a per-step sum adds them
+        acc[:w] = np.add.accumulate(np.vstack([acc[:w], rows]))[-1]
+        done += n
     return acc / horizon
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -6,7 +8,7 @@ from hypothesis import settings
 import oracles
 import spiderwalk.reduction as reduction
 from oracles import cutoff_dim, cutoff_index, half_edge_index
-from spiderwalk import SpidernetParams, build_spidernet
+from spiderwalk import SpidernetParams, build_spidernet, origin_amplitude_series
 
 # reproducible property tests: the same examples on every run, and no
 # per-example deadline on a loaded machine
@@ -25,6 +27,13 @@ def big_442():
     """S(4,4,2) at radius 12: realizable stand-in with the same (p, q, r)
     as the unrealizable S(3,4,2)."""
     return build_spidernet(SpidernetParams(4, 4, 2), 12)
+
+
+@pytest.fixture(scope="session")
+def origin_series_20k():
+    """origin_amplitude_series(params, 20 000), computed once per params:
+    criterion 4 and the check of the underflow front read the same series."""
+    return functools.cache(lambda params: origin_amplitude_series(params, 20_000))
 
 
 @pytest.fixture(scope="session")

@@ -108,7 +108,7 @@ def test_criterion_3_three_way_equivalence(big_463, big_442):
                f"max|reduced-integral|={worst_int:.2e} (n<=200, tol 1e-12)")
 
 
-def test_criterion_4_cesaro_convergence():
+def test_criterion_4_cesaro_convergence(origin_series_20k):
     # the "no localization" leg uses the tree S(3,4,3); S(3,4,2) itself is
     # localized with limit w^2/2 = 1/18 and is checked against that value
     cases = [
@@ -119,7 +119,7 @@ def test_criterion_4_cesaro_convergence():
     details = []
     ok = True
     for label, params, limit in cases:
-        probs = origin_amplitude_series(params, 20_000) ** 2
+        probs = origin_series_20k(params) ** 2
         avg = np.cumsum(probs) / np.arange(1, len(probs) + 1)
         dev = np.abs(avg - limit)
 

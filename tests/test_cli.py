@@ -329,6 +329,46 @@ def test_oversized_full_rejected_before_allocation(capsys, steps):
                          "simulate", "4", "6", "3", "--steps", steps, "--full")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--steps", "2", "--strata", "1000000"],
+    ["--steps", "1000000000"],
+    ["--steps", "1000000000", "--strata", "0"],
+    ["--steps", "2", "--strata", "1000000", "--full"],
+], ids=["wide", "long", "long-no-strata", "wide-full"])
+def test_oversized_table_rejected_before_allocation(capsys, argv):
+    # the table, the reduced walk's arrays and its read buffer all grow
+    # with (steps + 1) (strata + 2)
+    assert_refused_early(capsys, "InvalidParamsError", "simulate", "4", "6", "3", *argv)
+
+
+def test_table_at_the_cap_is_answered(capsys):
+    steps, strata = 9, cli.MAX_TABLE_CELLS // 10 - 2
+    code, out, _ = run_cli(capsys, "simulate", "4", "6", "3", "--steps", str(steps),
+                           "--strata", str(strata))
+    header, rows = read_csv(out)
+    assert code == 0 and len(rows) * len(header) == cli.MAX_TABLE_CELLS
+    code, _, err = run_cli(capsys, "simulate", "4", "6", "3", "--steps", str(steps),
+                           "--strata", str(strata + 1))
+    assert code == 1 and json.loads(err)["error"] == "InvalidParamsError"
+
+
+def test_number_rows_print_as_the_csv_writer_does(capsys):
+    # rows of ints and floats take one %-format each; the rest go through
+    # csv.writer, cell by cell
+    floats = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, math.inf, -math.inf,
+              math.nan, 0.1, 1 / 3, 123456789012345.67, np.float64(-2 / 3), np.float64(-0.0)]
+    ints = [0, -7, 2 ** 70]
+    rows = [ints + floats, floats[::-1] + ints, [True, 1.5, "x,y"], [1, False], [2, "z"], ints]
+    args = cli._build_parser().parse_args(["verify"])
+    cli._emit(["a", "b"], rows, args)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["a", "b"])
+    for row in rows:
+        writer.writerow([cli._fmt(v) for v in row])
+    assert capsys.readouterr().out == buf.getvalue()
+
+
 @pytest.mark.parametrize("cutoff", ["4097", "1000000000"])
 def test_oversized_cutoff_rejected_before_allocation(capsys, cutoff):
     # the eigenvectors of T_N alone would take 8 (N+1)^2 bytes

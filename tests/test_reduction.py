@@ -16,6 +16,7 @@ from oracles import (
     jacobi_dense,
     orthonormal_sequence,
     reduced_norm,
+    unflushed_ladder_walk,
 )
 from spiderwalk import (
     MAX_CUTOFF,
@@ -216,7 +217,7 @@ def test_evolver_matches_cutoff_walk():
                 # <Psi_l, .> up to one stratum past the active ones, which reads 0
                 amps = [ev.ladder_amplitude(l) for l in range(ev.active + 2)]
                 assert np.max(np.abs(amps - psi[:ev.active + 2] @ vec)) < 1e-13
-                probs = ev.stratum_probabilities()
+                probs = ev.stratum_probability_rows(0)[0]
                 want = _cutoff_stratum_probabilities(vec, N)
                 assert len(probs) == ev.active + 1
                 assert np.max(np.abs(probs - want[:len(probs)])) < 1e-13
@@ -231,6 +232,13 @@ def test_evolver_horizon_guard():
     ev.step()
     with pytest.raises(RadiusTooSmallError):
         ev.step()
+    # the bulk read refuses before it steps
+    ev = ReducedEvolver(P463, ReducedState.origin(), 3)
+    with pytest.raises(RadiusTooSmallError):
+        ev.stratum_probability_rows(4)
+    with pytest.raises(InvalidParamsError):
+        ev.stratum_probability_rows(-1)
+    assert ev.active == 0 and ev.stratum_probability_rows(3).shape == (4, 4)
 
 
 def test_evolver_rejects_negative_counts():
@@ -298,10 +306,7 @@ def _per_step_reads(ev, steps, reach):
     for n in range(steps + 1):
         if n > 0:
             ev.step()
-        probs = np.zeros(reach + 1)
-        read = ev.stratum_probabilities()[:reach + 1]
-        probs[:len(read)] = read
-        rows.append([ev.origin_probability(), *probs]
+        rows.append([ev.origin_probability()]
                     + [ev.stratum_probability(l) for l in range(reach + 1)]
                     + [ev.ladder_amplitude(l) for l in range(reach + 1)])
     return np.array(rows)
@@ -326,6 +331,65 @@ def test_lightcone_truncation_is_exact(params):
             ReducedEvolver(params, ReducedState.origin(), N, reach=reach), N, reach)
         assert np.array_equal(reads, _per_step_reads(
             ReducedEvolver(params, ReducedState.origin(), N), N, reach))
+        # the bulk read, in one call or several, gives the per-stratum reads
+        bulk = ReducedEvolver(params, ReducedState.origin(), N, reach=reach)
+        rows = bulk.stratum_probability_rows(N)
+        assert rows.shape == (N + 1, reach + 1)
+        assert np.array_equal(rows, reads[:, 1:reach + 2])
+        pieces = ReducedEvolver(params, ReducedState.origin(), N, reach=reach)
+        first = pieces.stratum_probability_rows(0)
+        assert first.shape == (1, 1)
+        rows = np.vstack([first] + [pieces.stratum_probability_rows(k)[1:, :1]
+                                    for k in (1, 2, N - 3)])
+        assert np.array_equal(rows, reads[:, 1:2])
+
+
+@pytest.mark.parametrize("bc, front", [
+    ((6, 3), "retreats"),       # localizing
+    ((10, 2), "retreats"),
+    ((100_000, 3), "retreats"),
+    ((4, 3), None),             # tree
+    ((2, 1), "stays"),          # p = q: the walk moves out ballistically
+], ids=["S63", "S102", "S1e5_3", "S43", "S21"])
+def test_front_bounds_the_nonzero_cells(bc, front):
+    steps = 4000
+    ev = ReducedEvolver(params_from_spidernet(SpidernetParams(1, *bc)),
+                        ReducedState.origin(), steps)
+    lag = 0
+    for _ in range(steps):
+        ev.step()
+        assert 0 <= ev.front <= ev.active
+        assert not np.any(ev.xp[ev.front + 1:]) and not np.any(ev.xo[ev.front + 1:])
+        assert not np.any(ev.xm[ev.front + 1:])
+        lag = max(lag, ev.active - ev.front)
+    if front is not None:
+        assert (lag > 0) == (front == "retreats")
+
+
+@pytest.mark.parametrize("abc", [(4, 6, 3), (5, 6, 4)])
+def test_front_matches_the_unflushed_walk(abc):
+    # the flush changes no bit of the read strata over the ladder jobs' horizon
+    params = params_from_spidernet(SpidernetParams(*abc))
+    ev = ReducedEvolver(params, ReducedState.origin(), 10_000, reach=4)
+    assert np.array_equal(_per_step_cells(ev, 10_000, 4),
+                          unflushed_ladder_walk(params, 10_000, 4))
+
+
+@pytest.mark.parametrize("params", [
+    P463, PqParams(0.75, 0.25, 0.0), PqParams(0.5, 0.25, 0.25),
+], ids=["S463", "S343", "S342"])
+def test_front_keeps_the_origin_series_of_criterion_4(params, origin_series_20k):
+    assert np.array_equal(origin_series_20k(params),
+                          unflushed_ladder_walk(params, 20_000, 0)[:, 0, 0])
+
+
+def test_front_moves_last_digits_for_s_10_2():
+    # rounding flips climb from the flushed tail to the origin by step 17 310
+    params = params_from_spidernet(SpidernetParams(1, 10, 2))
+    series = origin_amplitude_series(params, 20_000)
+    unflushed = unflushed_ladder_walk(params, 20_000, 0)[:, 0, 0]
+    assert not np.array_equal(series, unflushed)
+    assert np.max(np.abs(series - unflushed)) < 1e-13
 
 
 def test_evolver_complex_state_is_phase_times_real():

@@ -166,7 +166,7 @@ def test_random_walk_return_matches_exact_moments(sp, n):
 @example(SpidernetParams(1, 2, 1), 60)
 def test_stratum_probabilities_sum_to_one(sp, n):
     ev = _evolved(params_from_spidernet(sp), ReducedState.origin(), n)
-    assert abs(ev.stratum_probabilities().sum() - 1.0) < 1e-13
+    assert abs(ev.stratum_probability_rows(0).sum() - 1.0) < 1e-13
 
 
 @given(st.one_of(spidernets(), st.sampled_from(PINNED)))

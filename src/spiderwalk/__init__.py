@@ -1,13 +1,19 @@
 """Grover quantum walks on spidernets S(a, b, c).
 
-Three independent routes to the same transition amplitudes:
+Three independent routes to the same transition amplitudes, one module
+each:
 
-* explicit evolution on the graph (:mod:`spiderwalk.walk`),
-* a one-dimensional three-component reduction (:mod:`spiderwalk.reduction`),
-* a spectral integral against a free Meixner law (:mod:`spiderwalk.meixner`),
+* explicit evolution on the graph (:mod:`spiderwalk.graph` builds it,
+  :mod:`spiderwalk.walk` steps it),
+* a one-dimensional three-component reduction, with the Cesaro averages
+  and amplitude series it drives (:mod:`spiderwalk.reduction`),
+* a spectral integral against a free Meixner law, whose atom decides
+  localization, with its closed-form constants and bounds
+  (:mod:`spiderwalk.meixner`),
 
-plus closed-form localization constants and bounds
-(:mod:`spiderwalk.localization`).  The package exports the error classes,
+plus the cross-validation battery (:mod:`spiderwalk.verify`), the command
+line (:mod:`spiderwalk.cli`) and the error classes
+(:mod:`spiderwalk.errors`).  The package exports the error classes,
 the size caps, the names of the README's library example and the
 computations that the command line runs; the rest is importable from its
 submodule.
@@ -25,23 +31,28 @@ from .errors import (
     UnrealizableWiringError,
 )
 from .graph import MAX_HALF_EDGES, SpidernetParams, build_spidernet
-from .localization import (
+from .meixner import (
+    MAX_QUADRATURE_NODES,
     amplitude,
     asymptotic_amplitude,
-    cesaro_origin,
-    cesaro_strata,
     classify,
     exp_localization_bound,
-    origin_amplitude_series,
+    integrate,
+    law_from_pq,
+    law_from_spidernet,
+    quadrature_nodes,
     random_walk_return,
 )
-from .meixner import MAX_QUADRATURE_NODES, integrate, law_from_pq, quadrature_nodes
 from .reduction import (
     MAX_CUTOFF,
+    MAX_LADDER_CELLS,
     PqParams,
     ReducedEvolver,
     ReducedState,
+    cesaro_origin,
+    cesaro_strata,
     embed,
+    origin_amplitude_series,
     params_from_spidernet,
     stratum_state,
     u_eigensystem,
@@ -62,6 +73,7 @@ __all__ = [
     "NotLocalizedError",
     "MAX_HALF_EDGES",
     "MAX_CUTOFF",
+    "MAX_LADDER_CELLS",
     "MAX_QUADRATURE_NODES",
     "SpidernetParams",
     "build_spidernet",
@@ -77,6 +89,7 @@ __all__ = [
     "embed",
     "u_eigensystem",
     "law_from_pq",
+    "law_from_spidernet",
     "quadrature_nodes",
     "integrate",
     "amplitude",

@@ -25,17 +25,19 @@ import numpy as np
 from . import verify as verify_mod
 from .errors import InvalidParamsError, SpiderwalkError
 from .graph import SpidernetParams, build_spidernet
-from .localization import (
+from .meixner import (
     amplitude,
     classify,
-    origin_amplitude_series,
+    law_from_pq,
+    law_from_spidernet,
+    quadrature_nodes,
     random_walk_return,
 )
-from .meixner import law_from_pq, quadrature_nodes
 from .reduction import (
     PqParams,
     ReducedEvolver,
     ReducedState,
+    origin_amplitude_series,
     params_from_spidernet,
     stratum_state,
     u_eigensystem,
@@ -211,7 +213,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_amplitude(args) -> int:
     params = _pq_from_args(args)
-    law = law_from_pq(params)
+    # with a b c, the atom comes from (b, c) exactly
+    law = law_from_pq(params) if args.pqr is not None else law_from_spidernet(_require_abc(args))
     l, m, nmax = _count(args.l, "--l"), _count(args.m, "--m"), _count(args.nmax, "--nmax")
     # the last integral has the highest degree: refuse it before any work
     quadrature_nodes(law, nmax + l + m)
@@ -274,7 +277,7 @@ def _cmd_figure2(args) -> int:
 
 def _cmd_rwalk(args) -> int:
     params = _pq_from_args(args)
-    law = law_from_pq(params)
+    law = law_from_pq(params) if args.pqr is not None else law_from_spidernet(_require_abc(args))
     nmax = _count(args.nmax, "--nmax")
     quadrature_nodes(law, nmax)                 # the last moment's budget
     columns = ["n", "return_probability"]

@@ -1,4 +1,5 @@
-"""The spectral law of the reduced walk (p, q, r) and integrals against it.
+"""Route 3: the spectral law of the reduced walk (p, q, r), integrals and
+amplitudes against it, and the localization its atom decides.
 
 The law mu is the free Meixner law with Jacobi coefficients q, pq, pq, ...
 (off-diagonal squares) and 0, r, r, ... (diagonal).  On its band
@@ -23,27 +24,47 @@ so an amplitude integrand costs O(nodes) memory for any strata.  In phi
 every integrand is even, 2 pi-periodic and analytic in a strip around the
 real axis, so the midpoint rule (the periodic trapezoidal rule) converges
 geometrically; see Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458.
+
+Every ladder-to-ladder amplitude of the reduced walk is such an integral,
+
+    <Psi_l, U^n Psi_m> = integral of T_|n|(x) p_l(x) p_m(x) dmu(x),
+
+with T the Chebyshev polynomial of the first kind (cos(n theta) under
+x = cos theta).  The atom's term w p_l(xi) p_m(xi) cos(n arccos xi) does not
+decay, while the band's does (Riemann-Lebesgue), so the atom decides
+localization:
+
+    w > 0  <=>  b > c + sqrt(c)   for S(a, b, c),
+
+with time-averaged origin probability w^2 / 2 and exponentially decaying
+stratum bounds below the time-averaged distribution.  :func:`classify`
+decides it from the integers (b, c), and so does the law of
+:func:`law_from_spidernet`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParamsError, OutOfDomainError, ParamsOutOfRangeError
-from .reduction import PqParams
+from .errors import InvalidParamsError, NotLocalizedError, OutOfDomainError, ParamsOutOfRangeError
+from .graph import SpidernetParams
+from .reduction import PqParams, params_from_spidernet
 
 __all__ = [
-    "FreeMeixnerLaw",
     "law_from_pq",
-    "special_value",
+    "law_from_spidernet",
     "MAX_QUADRATURE_NODES",
     "quadrature_nodes",
     "integrate",
+    "amplitude",
+    "asymptotic_amplitude",
+    "classify",
+    "exp_localization_bound",
+    "random_walk_return",
 ]
 
 # A cap on the midpoint nodes of one integral (8 MiB per float64 node
@@ -55,7 +76,7 @@ MAX_QUADRATURE_NODES = 1 << 20
 @dataclass(frozen=True)
 class FreeMeixnerLaw:
     """Spectral law of the reduced walk (p, q, r), as :func:`law_from_pq`
-    builds it.
+    and :func:`law_from_spidernet` build it.
 
     ``atom_location`` is the atom candidate xi = -q / (1 - p), recorded with
     zero ``atom_mass`` in the non-localized regime.  ``poles`` lists the
@@ -78,26 +99,37 @@ class FreeMeixnerLaw:
 def law_from_pq(params: PqParams) -> FreeMeixnerLaw:
     """Spectral law of the reduced walk (p, q, r).
 
-    Only p >= q is admissible.  The density's denominator vanishes at 1 and
+    Only q <= p < 1 is admissible.  The density's denominator vanishes at 1 and
     at xi = -q/(1-p), the atom candidate, of mass
     ((1-p)^2 - pq) / ((1-p)(1-p+q)) when the numerator is positive.  Its
     sign decides the atom and its zero puts xi on the support edge, as
     p = q puts 1 there.  Both are decided, and the mass is rounded from
-    its exact value, from (b, c) as :func:`~spiderwalk.classify` does when
-    (p, q) is (c/b, 1/b) in floating point, else from the binary values of
-    p, q.
+    its exact value, from (b, c) as :func:`classify` does when (p, q) is
+    (c/b, 1/b) in floating point, else from the binary values of p, q.
+    From b ~ 2^50 on, (c/b, 1/b) can round to another (b, c) or to none:
+    :func:`law_from_spidernet` takes (b, c) themselves.
     """
-    p, q, r = params.p, params.q, params.r
-    if p < q:
-        raise ParamsOutOfRangeError(f"needs p >= q, got p={p} < q={q}")
-    if not p < 1.0:
-        raise ParamsOutOfRangeError(f"needs p < 1, got p={p}: 1 - p rounds to 0")
+    p, q = params.p, params.q
     b = round(1.0 / q) if q > 2.0 ** -53 else 0     # 1/q overflows for tiny q
     c = round(p * b)
     if b >= 2 and q == 1.0 / b and p == c / b:      # S(a, b, c) exactly
-        one_minus_p, exact_q = Fraction(b - c, b), Fraction(1, b)
-    else:
-        one_minus_p, exact_q = 1 - Fraction(p), Fraction(q)
+        return _law(params, Fraction(b - c, b), Fraction(1, b))
+    return _law(params, 1 - Fraction(p), Fraction(q))
+
+
+def law_from_spidernet(sp: SpidernetParams) -> FreeMeixnerLaw:
+    """Spectral law of the reduced walk of S(a, b, c), its atom decided and
+    weighed from (b, c) exactly: ``has_atom`` and ``atom_mass`` are
+    :func:`classify`'s ``localized`` and ``float(w)`` for every (b, c)."""
+    return _law(params_from_spidernet(sp), Fraction(sp.b - sp.c, sp.b), Fraction(1, sp.b))
+
+
+def _law(params: PqParams, one_minus_p: Fraction, exact_q: Fraction) -> FreeMeixnerLaw:
+    """The law of the floats (p, q, r), with the atom decided and weighed
+    from the exact 1 - p and q."""
+    p, q, r = params.p, params.q, params.r
+    if not q <= p < 1.0:                    # p = 1 leaves xi = -q / (1 - p) no value
+        raise ParamsOutOfRangeError(f"needs q <= p < 1, got p={p}, q={q}")
     numer = one_minus_p ** 2 - (1 - one_minus_p) * exact_q
     mass = float(numer / (one_minus_p * (one_minus_p + exact_q))) if numer > 0 else 0.0
     xi = -q / (1.0 - p)
@@ -135,8 +167,12 @@ def quadrature_nodes(law: FreeMeixnerLaw, degree: int) -> int:
     """
     if degree < 0:
         raise InvalidParamsError(f"degree must be non-negative, got {degree}")
-    h = 2.0 * math.sqrt(law.p * law.q)
-    a = min((abs(cmath.acos((x - law.r) / h).imag) for x in law.poles), default=math.inf)
+    s, one_minus_p = math.sqrt(law.p * law.q), law.q + law.r
+    # cosh(a) - 1 at each pole as a square over a positive term, not as
+    # |x* - r| / 2s - 1: xi = -q / (1 - p) loses digits to 1 - p as p nears 1
+    excess = {1.0: (math.sqrt(law.p) - math.sqrt(law.q)) ** 2 / (2.0 * s),
+              law.atom_location: (one_minus_p - s) ** 2 / (2.0 * s * one_minus_p)}
+    a = min((math.acosh(1.0 + excess[x]) for x in law.poles), default=math.inf)
     base = (degree + 2) // 2 + 1
     if a == 0 or base + 18.5 / a > MAX_QUADRATURE_NODES:
         raise ParamsOutOfRangeError(
@@ -175,3 +211,121 @@ def integrate(law: FreeMeixnerLaw, f, degree: int) -> float:
     if law.has_atom:
         total += law.atom_mass * float(np.asarray(f(np.array([law.atom_location])))[0])
     return total
+
+
+def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
+    """<Psi_l, U^n Psi_m> as the spectral integral of T_|n| p_l p_m, a
+    polynomial of degree |n| + l + m.
+
+    At each band node T_|n|(x) = cos(|n| theta), with theta = arccos(x) as
+    arctan2(sqrt((1 - x)(1 + x)), x) from the phi form of 1 - x, which keeps
+    its digits where the band nears x = 1.  p_k(x) comes from its closed
+    form in phi, so memory is O(nodes) for any l and m.
+    """
+    if l < 0 or m < 0:
+        raise InvalidParamsError("ladder indices must be non-negative")
+    nodes = quadrature_nodes(law, abs(n) + l + m)
+    x, one_minus_x, weight = _band_rule(law, nodes)
+
+    def sin_multiple(j):
+        # sin(j phi) at phi = (2i + 1) pi / 2M, the argument reduced mod 2 pi in integers
+        return np.sin((j * np.arange(1, 2 * nodes, 2) % (4 * nodes)) * (0.5 * np.pi / nodes))
+
+    def poly(k):
+        if k < 2:
+            return x / np.sqrt(law.q) if k else 1.0
+        # p_k sin(phi) = (x / sqrt(q)) sin(k phi) - sin((k-1) phi) / sqrt(p)
+        return ((x / np.sqrt(law.q)) * sin_multiple(k)
+                - sin_multiple(k - 1) / np.sqrt(law.p)) / sin_multiple(1)
+
+    theta = np.arctan2(np.sqrt(one_minus_x * (1.0 + x)), x)
+    integrand = np.cos(abs(n) * theta) * weight
+    if l or m:
+        p_l = poly(l)
+        integrand *= p_l * (p_l if m == l else poly(m))
+    total = float(integrand.sum())
+    if law.has_atom:
+        atom = np.cos(abs(n) * np.arccos(law.atom_location))
+        total += law.atom_mass * float(atom * special_value(law, l) * special_value(law, m))
+    return total
+
+
+def asymptotic_amplitude(params: PqParams, l: int, n: int) -> float:
+    """Non-decaying part of <Psi_l, U^n Psi_0>: w p_l(xi) cos(n theta~).
+
+    Zero identically when the law has no atom (no localization).
+    """
+    if l < 0:
+        raise InvalidParamsError("ladder index must be non-negative")
+    law = law_from_pq(params)
+    if not law.has_atom:
+        return 0.0
+    theta = np.arccos(law.atom_location)
+    return law.atom_mass * special_value(law, l) * float(np.cos(n * theta))
+
+
+@dataclass(frozen=True)
+class LocalizationReport:
+    """Closed-form localization data of a spidernet.
+
+    ``w`` is the atom mass of the spectral law, ``xi = cos(theta)`` the
+    atom location, ``qbar_origin = w^2/2`` the Cesaro limit of the origin
+    probability.  All three are exact rationals; ``theta`` is the float
+    arc angle.  ``localized`` is True exactly when b > c + sqrt(c).
+    """
+
+    params: SpidernetParams
+    localized: bool
+    w: Fraction
+    xi: Fraction
+    theta: float
+    qbar_origin: Fraction
+
+
+def classify(sp: SpidernetParams) -> LocalizationReport:
+    """Exact localization classification of S(a, b, c) from (b, c) alone."""
+    b, c = sp.b, sp.c
+    numer = (b - c) ** 2 - c
+    localized = numer > 0                      # integer form of b > c + sqrt(c)
+    w = Fraction(numer, (b - c) * (b - c + 1)) if localized else Fraction(0)
+    xi = Fraction(-1, b - c)
+    return LocalizationReport(
+        params=sp,
+        localized=localized,
+        w=w,
+        xi=xi,
+        theta=float(np.arccos(float(xi))),
+        qbar_origin=w * w / 2,
+    )
+
+
+def exp_localization_bound(sp: SpidernetParams, l: int) -> tuple[float, float]:
+    """Exponential lower bounds for the time-averaged distribution.
+
+    Returns (stratum_bound, vertex_bound) for stratum V_l, l >= 1:
+
+        liminf (1/N) sum P(X_n in V_l)  >=  (b/2c) w^2 (c/(b-c)^2)^l
+        liminf (1/N) sum P(X_n = u)     >=  (b/2a) w^2 (1/(b-c)^2)^l
+
+    (the vertex form uses rotational symmetry, P(X_n = u) constant on
+    strata).  Only meaningful in the localized regime; raises
+    NotLocalizedError when b <= c + sqrt(c).
+    """
+    if l < 1:
+        raise InvalidParamsError("the bounds apply to strata l >= 1")
+    a, b, c = sp.a, sp.b, sp.c
+    rep = classify(sp)
+    if not rep.localized:
+        raise NotLocalizedError(f"S({a},{b},{c}) does not localize (b <= c + sqrt(c))")
+    base = rep.w * rep.w
+    stratum = Fraction(b, 2 * c) * base * Fraction(c, (b - c) ** 2) ** l
+    vertex = Fraction(b, 2 * a) * base * Fraction(1, (b - c) ** 2) ** l
+    return float(stratum), float(vertex)
+
+
+def random_walk_return(law: FreeMeixnerLaw, n: int) -> float:
+    """n-step return probability of the isotropic random walk: the n-th
+    moment of the spectral law."""
+    if n < 0:
+        raise InvalidParamsError("n must be non-negative")
+    return integrate(law, lambda x: x ** n, n)

@@ -1,4 +1,4 @@
-"""One-dimensional reduction of the spidernet Grover walk.
+"""Route 2: the one-dimensional reduction of the spidernet Grover walk.
 
 The isotropic vectors
 
@@ -21,9 +21,12 @@ The module provides the reduced state, its one evolution kernel
 :class:`ReducedEvolver` (in place, stepping only the cells inside the light
 cone of the read strata and short of the walk's underflow front, reading a
 stratum from its three coefficients, one step at a time or every step's
-probabilities in bulk), the isometric embedding back into a concrete
-graph, and the spectrum of the finite-path cutoff walk U_N.  That spectrum
-comes from the eigenvalues of the tridiagonal T_N, the walk compressed onto
+probabilities in bulk), the drivers built on it (the origin amplitude
+series and the Cesaro averages of the stratum probabilities, whose origin
+value tends to w^2 / 2 for the atom mass w of :mod:`spiderwalk.meixner`),
+the isometric embedding back into a concrete graph, and the spectrum of
+the finite-path cutoff walk U_N.  That spectrum comes from the
+eigenvalues of the tridiagonal T_N, the walk compressed onto
 Psi_0 .. Psi_N, with diagonal (0, r, ..., r, 0) and off-diagonal
 (sqrt(q), sqrt(pq), ..., sqrt(pq), sqrt(p)), found from (p, q, r, N) alone
 in O(N) memory and without eigenvectors.  In the band
@@ -54,13 +57,26 @@ __all__ = [
     "params_from_spidernet",
     "ReducedState",
     "ReducedEvolver",
+    "MAX_LADDER_CELLS",
     "stratum_state",
+    "cesaro_origin",
+    "cesaro_strata",
+    "origin_amplitude_series",
     "embed",
     "MAX_CUTOFF",
     "u_eigensystem",
 ]
 
 _TOL = 1e-14
+
+# A cap on the cells of one ladder array: a reduced state's strata, an
+# evolver's preallocated strata (its length + max_steps + 2) and
+# cesaro_strata's sums.  Larger sizes are rejected with InvalidParamsError
+# before anything is allocated.  It lies above every size the CLI
+# reaches (amplitude's M + nmax stays under ~2.1e6 within the quadrature
+# budget, simulate's steps under 5e5 within its table cap); an evolver of a
+# real state takes ~200 MB at the cap.
+MAX_LADDER_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -122,6 +138,8 @@ class ReducedState:
 
     @classmethod
     def zeros(cls, length: int) -> "ReducedState":
+        if length >= MAX_LADDER_CELLS:
+            raise InvalidParamsError(f"length must be below {MAX_LADDER_CELLS}, got {length}")
         z = np.zeros(length + 1, dtype=np.complex128)
         return cls(z, z.copy(), z.copy())
 
@@ -172,8 +190,9 @@ class ReducedEvolver:
 
     def __init__(self, params: PqParams, state: ReducedState, max_steps: int,
                  reach: int | None = None):
-        if max_steps < 0:
-            raise InvalidParamsError(f"max_steps must be non-negative, got {max_steps}")
+        L, room = state.length, MAX_LADDER_CELLS - state.length - 2
+        if not 0 <= max_steps <= room:
+            raise InvalidParamsError(f"max_steps must lie in 0..{room}, got {max_steps}")
         if reach is not None and reach < 0:
             raise InvalidParamsError(f"reach must be non-negative, got {reach}")
         self.params = params
@@ -181,7 +200,6 @@ class ReducedEvolver:
         coeffs = state.coefficients()
         if not coeffs.imag.any():
             coeffs = coeffs.real
-        L = state.length
         cap = L + max_steps + 2
         # xp, xo, xm are the rows of one array, so a read copies all three at once
         self._cells = np.zeros((3, cap), dtype=coeffs.dtype)
@@ -303,6 +321,59 @@ def stratum_state(params: PqParams, stratum: int) -> ReducedState:
     s.xo[stratum] = np.sqrt(params.r)
     s.xm[stratum] = np.sqrt(params.q)
     return s
+
+
+# Stratum probabilities per bulk read of cesaro_strata, so that its memory
+# does not grow with the horizon.
+_BLOCK_CELLS = 1 << 16
+
+
+def cesaro_origin(params: PqParams, horizon: int) -> float:
+    """Time-averaged origin probability (1/N) sum_{n<N} |<Psi_0, U^n Psi_0>|^2."""
+    return float(cesaro_strata(params, horizon, 0)[0])
+
+
+def cesaro_strata(params: PqParams, horizon: int, max_stratum: int) -> np.ndarray:
+    """Time-averaged stratum probabilities of the reduced walk.
+
+    Entry l is (1/N) sum_{n<N} P(X_n in V_l) for l = 0 .. max_stratum,
+    horizon N, starting from the isotropic root state.
+    """
+    if horizon < 1:
+        raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
+    if not 0 <= max_stratum < MAX_LADDER_CELLS:
+        raise InvalidParamsError(f"need 0 <= max_stratum < {MAX_LADDER_CELLS}, got {max_stratum}")
+    ev = ReducedEvolver(params, ReducedState.origin(), horizon - 1, reach=max_stratum)
+    block = max(1, _BLOCK_CELLS // (min(max_stratum, horizon - 1) + 1))
+    acc = np.zeros(max_stratum + 1)
+    done = 0                                    # states summed so far
+    while done < horizon:
+        n = min(block, horizon - done)
+        # a read starts at the state the previous read ended on
+        skip = 1 if done else 0
+        rows = ev.stratum_probability_rows(n - 1 + skip)[skip:]
+        w = rows.shape[1]
+        # row by row in step order, as a per-step sum adds them
+        acc[:w] = np.add.accumulate(np.vstack([acc[:w], rows]))[-1]
+        done += n
+    return acc / horizon
+
+
+def origin_amplitude_series(params: PqParams, nmax: int) -> np.ndarray:
+    """<Psi_0, U^n Psi_0> for n = 0 .. nmax from the reduced evolution.
+
+    One pass of the evolver; real values (the walk matrix is real and the
+    initial state is real).
+    """
+    if nmax < 0:
+        raise InvalidParamsError(f"nmax must be non-negative, got {nmax}")
+    ev = ReducedEvolver(params, ReducedState.origin(), nmax, reach=0)
+    out = np.empty(nmax + 1)
+    for k in range(nmax + 1):
+        if k > 0:
+            ev.step()
+        out[k] = ev.ladder_amplitude(0)
+    return out
 
 
 def embed(g: Spidernet, state: ReducedState) -> np.ndarray:

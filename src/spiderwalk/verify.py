@@ -17,21 +17,22 @@ import numpy as np
 
 from .errors import UnrealizableWiringError
 from .graph import SpidernetParams, build_spidernet
-from .localization import (
+from .meixner import (
     amplitude,
     asymptotic_amplitude,
-    cesaro_origin,
     classify,
     exp_localization_bound,
-    origin_amplitude_series,
+    integrate,
+    law_from_pq,
     random_walk_return,
 )
-from .meixner import integrate, law_from_pq
 from .reduction import (
     PqParams,
     ReducedEvolver,
     ReducedState,
+    cesaro_origin,
     embed,
+    origin_amplitude_series,
     params_from_spidernet,
     u_eigensystem,
 )

@@ -454,6 +454,27 @@ def test_quadrature_budget_rejected_before_allocation(capsys, command):
                          command, "--pqr", "0.5", "0.49999999", "0.00000001", "--nmax", "3")
 
 
+# S(1, k^2 + k + d, k^2) for k = 59414673, d = 1 and k = 2^27 - 1, d = 1, 0,
+# where the floats (c/b, 1/b) no longer determine (b, c).  One step off the
+# threshold the atom's pole lies ~d/k from the band in phi, past the node
+# budget; on it the pole is removable and there is no atom
+@pytest.mark.parametrize("argv, answered", [
+    (["rwalk", "1", "3530103427111603", "3530103367696929", "--nmax", "0"], False),
+    (["rwalk", "1", "18014398375264257", "18014398241046529", "--nmax", "1"], False),
+    (["amplitude", "1", "18014398375264257", "18014398241046529", "--nmax", "1"], False),
+    (["rwalk", "1", "18014398375264256", "18014398241046529", "--nmax", "1"], True),
+    (["amplitude", "1", "18014398375264256", "18014398241046529", "--nmax", "1"], True),
+], ids=["rwalk-off-2^51", "rwalk-off-2^54", "amplitude-off-2^54", "rwalk-on-2^54",
+        "amplitude-on-2^54"])
+def test_large_b_near_the_threshold_keeps_the_total_mass(capsys, argv, answered):
+    code, out, err = run_cli(capsys, *argv)
+    if answered:
+        _, rows = read_csv(out)
+        assert code == 0 and abs(float(rows[0][1]) - 1.0) < 1e-13     # the value at n = 0
+    else:
+        assert code == 1 and out == "" and json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
 def test_readme_library_example_runs():
     # the README's python block: three routes to one origin probability
     block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]

@@ -1,5 +1,6 @@
 """Every error the package raises belongs to the SpiderwalkError taxonomy,
-and every public name has a caller outside the tests."""
+every public name has a caller outside the tests, and no module imports
+another's private names."""
 
 import ast
 import importlib
@@ -70,6 +71,20 @@ def test_imports_are_used_and_all_resolves():
                 offenders += [f"{path.name}:{node.lineno} imports unused {name}"
                               for name in _bound_names(node)
                               if name not in used and name not in exported]
+    assert not offenders, offenders
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore is its module's own decision
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "spiderwalk":
+                continue
+            offenders += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
     assert not offenders, offenders
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import spiderwalk.localization as localization
+import spiderwalk.reduction as reduction
 from oracles import chebyshev_amplitudes, cutoff_psi_vector, cutoff_walk_matrix
 from spiderwalk import (
     InvalidParamsError,
@@ -211,7 +211,7 @@ def test_cesaro_strata_matches_per_stratum_loop(abc, horizon, max_stratum):
 @pytest.mark.parametrize("block_cells, max_stratum", [(7, 4), (1, 4), (12, 0)])
 def test_cesaro_strata_reads_in_blocks(monkeypatch, block_cells, max_stratum):
     # blocks of 1, 2 and 12 states sum as one per-step loop does
-    monkeypatch.setattr(localization, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(reduction, "_BLOCK_CELLS", block_cells)
     params = params_from_spidernet(SpidernetParams(4, 6, 3))
     for horizon in (1, 2, 13, 300):
         assert np.array_equal(cesaro_strata(params, horizon, max_stratum),

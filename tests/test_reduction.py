@@ -32,6 +32,7 @@ from spiderwalk import (
     SpidernetParams,
     SpiderwalkError,
     build_spidernet,
+    cesaro_strata,
     embed,
     isotropic_initial_state,
     law_from_pq,
@@ -246,6 +247,39 @@ def test_evolver_rejects_negative_counts():
         ReducedEvolver(P463, ReducedState.origin(), -5)
     with pytest.raises(InvalidParamsError):
         ReducedEvolver(P463, ReducedState.origin(), 5, reach=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ReducedEvolver(P463, ReducedState.origin(), 10 ** 11),
+    lambda: origin_amplitude_series(P463, 10 ** 11),
+    lambda: cesaro_strata(P463, 10 ** 11, 0),
+    lambda: cesaro_strata(P463, 5, 10 ** 10),
+], ids=["evolver", "origin-series", "cesaro-horizon", "cesaro-strata"])
+def test_oversized_ladder_rejected_before_allocation(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParamsError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_ladder_cap_admits_its_own_size(monkeypatch):
+    # amplitude's Psi_M evolved nmax steps, M + nmax <= 2097081 within the
+    # quadrature budget of S(4,6,3), lies below the cap
+    assert 2097081 + 2 <= reduction.MAX_LADDER_CELLS
+    monkeypatch.setattr(reduction, "MAX_LADDER_CELLS", 100)
+    assert ReducedState.zeros(99).length == 99
+    assert len(ReducedEvolver(P463, ReducedState.origin(), 98).xp) == 100
+    assert len(cesaro_strata(P463, 5, 99)) == 100
+    for call in (lambda: ReducedState.zeros(100),
+                 lambda: ReducedEvolver(P463, ReducedState.origin(), 99),
+                 lambda: ReducedEvolver(P463, stratum_state(P463, 1), 98),
+                 lambda: cesaro_strata(P463, 5, 100)):
+        with pytest.raises(InvalidParamsError):
+            call()
 
 
 def test_evolver_read_guards():

@@ -22,6 +22,7 @@ from spiderwalk import (
     embed,
     isotropic_initial_state,
     law_from_pq,
+    law_from_spidernet,
     params_from_spidernet,
     quadrature_nodes,
     random_walk_return,
@@ -47,10 +48,11 @@ def spidernets(draw):
 def plane_spidernets(draw):
     """Realizable S(a, b, c) with b log-uniform up to 10^9 and c in
     {1, 2, 3, b - 1, floor(b - sqrt(b))}, or on the threshold
-    (b, c) = (k^2 + k, k^2); a = b - c is realizable for every (b, c)."""
+    (b, c) = (k^2 + k, k^2) with k < 2^27, so b < 2^54; a = b - c is
+    realizable for every (b, c)."""
     if draw(st.integers(0, 5)) == 0:
-        e = draw(st.integers(0, 14))
-        k = draw(st.integers(1 << e, min(1 << (e + 1), 31622)))
+        e = draw(st.integers(0, 26))
+        k = draw(st.integers(1 << e, (1 << (e + 1)) - 1))
         b, c = k * k + k, k * k
     else:
         e = draw(st.integers(1, 30))
@@ -124,7 +126,7 @@ def _law_within_budget(sp, degree):
     """The walk law of sp, or a rejected draw where xi lies so close to the
     band that degree ``degree`` needs more than MAX_QUADRATURE_NODES nodes
     (floor(b - sqrt(b)) for b just above a square near 10^9)."""
-    law = law_from_pq(params_from_spidernet(sp))
+    law = law_from_spidernet(sp)
     try:
         quadrature_nodes(law, degree)
     except ParamsOutOfRangeError:
@@ -142,6 +144,7 @@ def _law_within_budget(sp, degree):
 @example(SpidernetParams(1, 10 ** 9, 999968377), 60, 3, 2)
 @example(SpidernetParams(1, 10 ** 9, 999999999), 60, 1, 0)
 @example(SpidernetParams(999999000, 10 ** 9, 1000), 40, 300, 300)
+@example(SpidernetParams(1 << 27, (1 << 54) - (1 << 27), ((1 << 27) - 1) ** 2), 60, 3, 2)
 def test_reduced_walk_matches_spectral_integral(sp, n, l, m):
     law = _law_within_budget(sp, n + l + m)
     params = params_from_spidernet(sp)
@@ -156,6 +159,7 @@ def test_reduced_walk_matches_spectral_integral(sp, n, l, m):
 @example(SpidernetParams(1000, 10 ** 6, 999000), 0)
 @example(SpidernetParams(1, 10 ** 9, 999999999), 60)
 @example(SpidernetParams(1, 10 ** 9, 1), 60)
+@example(SpidernetParams(1 << 27, (1 << 54) - (1 << 27), ((1 << 27) - 1) ** 2), 60)
 def test_random_walk_return_matches_exact_moments(sp, n):
     law = _law_within_budget(sp, n)
     assert abs(random_walk_return(law, n) - exact_moment(sp, n)) < 1e-14
@@ -169,14 +173,29 @@ def test_stratum_probabilities_sum_to_one(sp, n):
     assert abs(ev.stratum_probability_rows(0).sum() - 1.0) < 1e-13
 
 
+def _assert_atoms_agree(sp):
+    """The law of S(a, b, c) has classify's atom, in has_atom and in mass;
+    so does the law of the floats (c/b, 1/b) while they determine (b, c)."""
+    rep = classify(sp)
+    laws = [law_from_spidernet(sp)]
+    if sp.b < 1 << 50:
+        laws.append(law_from_pq(params_from_spidernet(sp)))
+    for law in laws:
+        assert law.has_atom == rep.localized
+        assert law.atom_mass == float(rep.w)
+
+
 @given(st.one_of(spidernets(), st.sampled_from(PINNED)))
 def test_float_and_exact_localization_agree(sp):
-    assert law_from_pq(params_from_spidernet(sp)).has_atom == classify(sp).localized
+    _assert_atoms_agree(sp)
 
 
-@given(st.integers(2, 1000), st.integers(-1, 1))
+@given(st.integers(2, (1 << 27) - 1), st.integers(-1, 1))
+@example(59414673, 1)
+@example((1 << 27) - 1, 1)
+@example((1 << 27) - 1, 0)
 def test_localization_agrees_at_the_threshold(k, d):
-    # (b, c) = (k^2 + k, k^2 + d): on the threshold (b - c)^2 = c for d = 0
-    # and one step either side of it
-    sp = SpidernetParams(1, k * k + k, k * k + d)
-    assert law_from_pq(params_from_spidernet(sp)).has_atom == classify(sp).localized
+    # on the threshold (b - c)^2 = c for d = 0 and one step either side of
+    # it, in b and in c, for every b < 2^54
+    _assert_atoms_agree(SpidernetParams(1, k * k + k + d, k * k))
+    _assert_atoms_agree(SpidernetParams(1, k * k + k, k * k + d))

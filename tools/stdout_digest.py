@@ -1,0 +1,89 @@
+"""Digest the stdout of a fixed set of ``spiderwalk`` commands.
+
+    python3 tools/stdout_digest.py > digest.txt
+
+Runs ``spiderwalk.cli.main`` in-process, from the ``src/`` of the checkout
+the script sits in, and prints one ``<sha256 of stdout>  <argv>`` line per
+command, with ``  # exit N`` appended when the command fails.  Run it in
+two checkouts and ``diff`` the two outputs: equal lines show that those
+commands print byte-identical stdout.
+
+The commands are the README's examples, every CLI job of the benchmark
+workloads at seeds 0-11 (from ``perfbench/jobs.py``; its library jobs have
+no argv), ``figure2``, ``verify`` and the fixed list below, which reaches
+the options and regimes the others leave out.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import jobs  # noqa: E402  (perfbench/jobs.py)
+from spiderwalk import cli  # noqa: E402
+
+SEEDS = range(12)
+
+FIXED = [
+    ["figure2"],
+    ["verify"],
+    ["localize", "--sweep", "40", "25"],
+    ["localize", "1", "1000000000", "999968377", "--format", "json"],
+    ["simulate", "4", "6", "3", "--steps", "8", "--full", "--strata", "10"],
+    ["simulate", "1", "10", "2", "--steps", "3000", "--strata", "3"],
+    ["simulate", "3", "4", "3", "--steps", "40", "--format", "json"],
+    ["spectrum", "4", "6", "3", "--cutoff", "4000"],
+    ["spectrum", "--pqr", "0.75", "0.25", "0", "--cutoff", "50"],
+    ["spectrum", "1", "1000000000", "999968377", "--cutoff", "300"],
+    ["amplitude", "4", "6", "3", "--l", "3", "--m", "2", "--nmax", "60"],
+    ["amplitude", "6", "12", "9", "--l", "40", "--m", "7", "--nmax", "30"],
+    ["amplitude", "1", "1000000000", "999999999", "--l", "1", "--nmax", "40"],
+    ["amplitude", "--pqr", "0.5", "0.16666666666666666", "0.3333333333333333", "--nmax", "20"],
+    ["rwalk", "4", "6", "3", "--nmax", "40"],
+    ["rwalk", "--pqr", "0.5", "0.25", "0.25", "--nmax", "20", "--format", "json"],
+    ["rwalk", "1", "1000000", "999000", "--nmax", "20"],
+    # near the threshold with b from ~2^51 to 2^54 - 2^27
+    ["rwalk", "1", "3530103427111603", "3530103367696929", "--nmax", "0"],
+    ["rwalk", "1", "18014398375264257", "18014398241046529", "--nmax", "1"],
+    ["amplitude", "1", "18014398375264257", "18014398241046529", "--nmax", "1"],
+    ["rwalk", "1", "18014398375264256", "18014398241046529", "--nmax", "1"],
+    ["amplitude", "1", "18014398375264256", "18014398241046529", "--nmax", "2"],
+]
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``$ spiderwalk ...`` line of the README."""
+    with open(os.path.join(ROOT, "README.md")) as fp:
+        return [line.split()[2:] for line in fp if line.startswith("$ spiderwalk ")]
+
+
+def job_commands() -> list[list[str]]:
+    """The CLI argv of every benchmark job at the seeds in SEEDS."""
+    return [argv for workload in jobs.WORKLOADS for seed in SEEDS
+            for _, argv in jobs.jobs_for(workload, seed) if argv[0] != "lib"]
+
+
+def digest(argv: list[str]) -> str:
+    """``<sha256 of stdout>  <argv>``, and the exit code when it is not 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    line = f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  {' '.join(argv)}"
+    return line if code == 0 else f"{line}  # exit {code}"
+
+
+def main() -> int:
+    commands = {" ".join(argv): argv for argv in readme_commands() + job_commands() + FIXED}
+    for argv in commands.values():
+        print(digest(argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -48,12 +47,15 @@ __all__ = ["main"]
 
 _ENV_OUTPUT_DIR = "SPIDERWALK_OUTPUT_DIR"
 # A cap on the rows of ``localize --sweep``, which classifies and holds every
-# row before printing: ~2 s and ~80 MB peak RSS at the cap.
+# row before printing: ~0.5 s and ~80 MB peak RSS at the cap.
 MAX_SWEEP_ROWS = 100_000
 # A cap on the cells of a ``simulate`` table, (steps + 1) (strata + 2), checked
 # before the walk is built; it also bounds the reduced walk's arrays and its
 # read buffer.  ~130 MB peak RSS at the cap (50 000 steps, 18 strata).
 MAX_TABLE_CELLS = 1_000_000
+
+
+_BOOL_TEXT = {False: "false", True: "true"}
 
 
 # A cell is a float (np.float64 among them, a subclass of float), a bool, an
@@ -62,23 +64,41 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return format(float(value), ".15g")
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _BOOL_TEXT[value]
     return str(value)
 
 
-# A row of ints and floats only prints through one %-format, and
-# "%.15g" % v == format(v, ".15g") for every float, np.float64 among them.
-@functools.lru_cache(maxsize=64)
-def _row_format(kinds) -> str | None:
-    fields = []
-    for kind in kinds:
-        if issubclass(kind, float):
-            fields.append("%.15g")
-        elif issubclass(kind, int) and not issubclass(kind, bool):
-            fields.append("%d")
+def _csv_body(rows) -> str | None:
+    """The CSV lines of a table whose every column holds one kind of cell:
+    bools, ints or floats (np.float64 among them).  Each row prints through
+    one %-format, where "%.15g" % v == format(v, ".15g") for every float,
+    and a column that repeats its values, as a sweep's b, c, xi and theta
+    do, formats each of them once.  None for any other table."""
+    if len(set(map(len, rows))) != 1:
+        return None
+    columns, fields = list(zip(*rows)), []
+    for j, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds == {bool}:
+            columns[j] = map(_BOOL_TEXT.__getitem__, column)
+            fields.append("%s")
+            continue
+        if kinds == {int}:
+            field = "%d"
+        elif kinds <= {float, np.float64}:
+            field = "%.15g"
         else:
             return None
-    return ",".join(fields) + "\n"
+        # look for repeats in the first 64 cells before taking the set of the
+        # whole column (simulate's probabilities are all distinct); 0.0 and
+        # -0.0 are one key but print apart
+        if 2 * len(set(column[:64])) <= min(len(column), 64):
+            distinct = set(column)
+            if 2 * len(distinct) <= len(column) and 0 not in distinct:
+                text = {v: field % v for v in distinct}
+                columns[j], field = map(text.__getitem__, column), "%s"
+        fields.append(field)
+    return "".join(map((",".join(fields) + "\n").__mod__, zip(*columns)))
 
 
 def _json_value(value):
@@ -95,13 +115,11 @@ def _emit(columns, rows, args) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            fmt = _row_format(tuple(map(type, row)))
-            if fmt is None:
-                writer.writerow([_fmt(v) for v in row])
-            else:
-                buf.write(fmt % tuple(row))
-        text = buf.getvalue()
+        body = _csv_body(rows)
+        if body is None:
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+            body = ""
+        text = buf.getvalue() + body
     if args.output:
         path = args.output
         if not os.path.isabs(path):
@@ -234,7 +252,6 @@ def _cmd_amplitude(args) -> int:
 
 def _cmd_localize(args) -> int:
     columns = ["a", "b", "c", "localized", "w", "xi", "theta", "qbar_origin"]
-    rows = []
     if args.sweep is not None:
         _reject_abc(args, "--sweep")
         bmax, cmax = args.sweep
@@ -247,18 +264,42 @@ def _cmd_localize(args) -> int:
         if n_rows > MAX_SWEEP_ROWS:
             raise InvalidParamsError(
                 f"--sweep {bmax} {cmax} has {n_rows} rows, more than {MAX_SWEEP_ROWS}")
-        for b in range(2, bmax + 1):
-            for c in range(1, min(b - 1, cmax) + 1):
-                rep = classify(SpidernetParams(1, b, c))
-                rows.append([1, b, c, rep.localized, float(rep.w), float(rep.xi),
-                             rep.theta, float(rep.qbar_origin)])
+        rows = _sweep_rows(bmax, cmax)
     else:
         sp = _require_abc(args, "--sweep BMAX CMAX")
         rep = classify(sp)
-        rows.append([sp.a, sp.b, sp.c, rep.localized, float(rep.w), float(rep.xi),
-                     rep.theta, float(rep.qbar_origin)])
+        rows = [[sp.a, sp.b, sp.c, rep.localized, float(rep.w), float(rep.xi),
+                 rep.theta, float(rep.qbar_origin)]]
     _emit(columns, rows, args)
     return 0
+
+
+# From b - c = 8192 on, qbar's denominator 2 (b - c)^2 (b - c + 1)^2 exceeds
+# 2^53, so a double no longer holds it exactly
+_INEXACT_GAP = 8192
+
+
+def _sweep_rows(bmax: int, cmax: int) -> list[tuple]:
+    """The rows of ``localize --sweep``, a = 1 and (b, c) in order, with the
+    values :func:`classify` gives, computed in bulk from the integers.  With
+    numer = (b - c)^2 - c and den = (b - c) (b - c + 1), w = numer / den and
+    qbar = numer^2 / (2 den^2) are each one division of integers that doubles
+    hold exactly, so they round as float(Fraction) does; from
+    ``_INEXACT_GAP`` on, qbar comes from Python's int division instead."""
+    counts = np.minimum(np.arange(1, bmax), min(cmax, bmax))   # c = 1 .. min(b - 1, cmax)
+    b = np.repeat(np.arange(2, bmax + 1), counts)
+    c = np.arange(1, len(b) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    gap = b - c
+    numer, den = gap * gap - c, gap * (gap + 1)
+    localized = numer > 0
+    w = np.where(localized, numer / den, 0.0)
+    n, d = numer.astype(float), den.astype(float)
+    qbar = np.where(localized, n * n / (2.0 * d * d), 0.0)
+    for i in np.flatnonzero(localized & (gap >= _INEXACT_GAP)).tolist():
+        qbar[i] = int(numer[i]) ** 2 / (2 * int(den[i]) ** 2)
+    xi = -1.0 / gap
+    columns = (b, c, localized, w, xi, np.arccos(xi), qbar)
+    return list(zip([1] * len(b), *(column.tolist() for column in columns)))
 
 
 def _cmd_figure2(args) -> int:

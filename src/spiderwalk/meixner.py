@@ -250,14 +250,15 @@ def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
     return total
 
 
-def asymptotic_amplitude(params: PqParams, l: int, n: int) -> float:
+def asymptotic_amplitude(law: FreeMeixnerLaw, l: int, n: int) -> float:
     """Non-decaying part of <Psi_l, U^n Psi_0>: w p_l(xi) cos(n theta~).
 
-    Zero identically when the law has no atom (no localization).
+    Zero identically when the law has no atom (no localization); take the
+    law of S(a, b, c) from :func:`law_from_spidernet`, whose atom is
+    :func:`classify`'s for every (b, c).
     """
     if l < 0:
         raise InvalidParamsError("ladder index must be non-negative")
-    law = law_from_pq(params)
     if not law.has_atom:
         return 0.0
     theta = np.arccos(law.atom_location)

@@ -74,8 +74,9 @@ _TOL = 1e-14
 # cesaro_strata's sums.  Larger sizes are rejected with InvalidParamsError
 # before anything is allocated.  It lies above every size the CLI
 # reaches (amplitude's M + nmax stays under ~2.1e6 within the quadrature
-# budget, simulate's steps under 5e5 within its table cap); an evolver of a
-# real state takes ~200 MB at the cap.
+# budget, simulate's steps under 5e5 within its table cap).  An evolver holds
+# 9 arrays of its capacity, its cells and two coin products of three rows
+# each: ~300 MB for a real state at the cap.
 MAX_LADDER_CELLS = 1 << 22
 
 
@@ -172,7 +173,15 @@ class ReducedEvolver:
     coefficients are float64 when the initial state is real (the walk is
     real orthogonal, so they stay real) and complex128 otherwise.
 
-    A step updates cells ``1 .. M``, M = min(front, steps_left + reach + 1).
+    A step updates cells ``1 .. M``, M = min(front, steps_left + reach + 1),
+    in five array calls.  The coin's output rows are ordered coined "-",
+    new "o", coined "+", and each input row has a (3, 1) column of the
+    coin: a = c_+ x^+, b = c_o x^o, a += b, b = c_- x^-, and a + b goes
+    straight to the shifted destinations xp[0 .. M-1], xo[1 .. M] and
+    xm[2 .. M+1], the rows of the cells' buffer read as (3, capacity + 1).
+    Each coefficient is thus (c_+ x^+ + c_o x^o) + c_- x^-, rounded op by
+    op; the root's "+" moves to xm[1].
+
     ``reach`` is the largest stratum the caller will read: a cell further
     out than ``steps_left + reach`` cannot influence a read stratum before
     the horizon, so it goes stale, and reads beyond ``reach`` and
@@ -201,32 +210,29 @@ class ReducedEvolver:
         if not coeffs.imag.any():
             coeffs = coeffs.real
         cap = L + max_steps + 2
-        # xp, xo, xm are the rows of one array, so a read copies all three at once
-        self._cells = np.zeros((3, cap), dtype=coeffs.dtype)
+        # One buffer of 3 (cap + 1) cells.  Read as (3, cap), its rows are
+        # xp, xo, xm, so that a read copies all three at once; read as
+        # (3, cap + 1), its rows start at xp[0], xo[1] and xm[2], where the
+        # shift puts coined "-", new "o" and coined "+" of cells 1 .. M
+        buf = np.zeros(3 * (cap + 1), dtype=coeffs.dtype)
+        self._cells = buf[:3 * cap].reshape(3, cap)
         self._cells[:, :L + 1] = coeffs
+        self._dest = buf.reshape(3, cap + 1)
         self.xp, self.xo, self.xm = self._cells
-        # coined "+", coined "-" and a temporary, for at most cap - 2 cells
-        self._cp, self._cm, self._tmp = np.empty((3, cap - 2), dtype=coeffs.dtype)
+        # the coin's products, in the rows of the shift's destinations
+        self._a, self._b = np.empty((2, 3, cap), dtype=coeffs.dtype)
         self.active = L
         self.front = L
         self._left = max_steps
         p, q, r = params.p, params.q, params.r
-        self._cpp = 2 * p - 1
-        self._cpo = 2 * np.sqrt(p * r)
-        self._cpm = 2 * np.sqrt(p * q)
-        self._coo = 2 * r - 1
-        self._com = 2 * np.sqrt(q * r)
-        self._cmm = 2 * q - 1
+        cpp, cpo, cpm = 2 * p - 1, 2 * np.sqrt(p * r), 2 * np.sqrt(p * q)
+        coo, com, cmm = 2 * r - 1, 2 * np.sqrt(q * r), 2 * q - 1
+        # coin columns of the input cells "+", "o" and "-": rows coined "-",
+        # new "o", coined "+" of the coin 2 v v^T - I, which is symmetric
+        self._col_p, self._col_o, self._col_m = np.array(
+            [[[cpm], [cpo], [cpp]], [[com], [coo], [cpo]], [[cmm], [com], [cpm]]],
+            dtype=coeffs.dtype)
         self._psi = np.sqrt(p), np.sqrt(r), np.sqrt(q)
-
-    @staticmethod
-    def _mix(vp, vo, vm, c_p, c_o, c_m, out, tmp) -> None:
-        # out = (c_p vp + c_o vo) + c_m vm; out may alias vo
-        np.multiply(vp, c_p, out=tmp)
-        np.multiply(vo, c_o, out=out)
-        np.add(tmp, out, out=out)
-        np.multiply(vm, c_m, out=tmp)
-        np.add(out, tmp, out=out)
 
     def step(self) -> None:
         if self._left <= 0:
@@ -234,15 +240,18 @@ class ReducedEvolver:
         self._left -= 1
         M = self.front if self.reach is None else min(self.front, self._left + self.reach + 1)
         xp, xo, xm = self.xp, self.xo, self.xm
-        vp, vo, vm = xp[1:M + 1], xo[1:M + 1], xm[1:M + 1]
-        cp, cm, tmp = self._cp[:M], self._cm[:M], self._tmp[:M]
-        self._mix(vp, vo, vm, self._cpp, self._cpo, self._cpm, cp, tmp)
-        self._mix(vp, vo, vm, self._cpm, self._com, self._cmm, cm, tmp)
-        self._mix(vp, vo, vm, self._cpo, self._coo, self._com, vo, tmp)
-        # shift: coined "+" moves up into "-", coined "-" moves down into "+"
-        xm[1] = xp[0]
-        xm[2:M + 2] = cp
-        xp[0:M] = cm
+        # three (3, M) products: one (3, 3, M) broadcast costs twice as much,
+        # and np.add.reduce, starting from +0.0, would turn -0.0 into +0.0
+        a, b = self._a[:, :M], self._b[:, :M]
+        np.multiply(self._col_p, xp[1:M + 1], out=a)
+        np.multiply(self._col_o, xo[1:M + 1], out=b)
+        a += b
+        np.multiply(self._col_m, xm[1:M + 1], out=b)
+        # shift: coined "-" moves down into xp[0 .. M-1], coined "+" up into
+        # xm[2 .. M+1] and the root's "+" into xm[1]
+        root = xp[0]
+        np.add(a, b, out=self._dest[:, :M])
+        xm[1] = root
         xp[M:M + 2] = 0.0
         self.active += 1
         f = M + 1

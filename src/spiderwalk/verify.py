@@ -24,6 +24,7 @@ from .meixner import (
     exp_localization_bound,
     integrate,
     law_from_pq,
+    law_from_spidernet,
     random_walk_return,
 )
 from .reduction import (
@@ -121,9 +122,10 @@ def _check_cesaro():
 
 
 def _check_asymptotic():
-    params = params_from_spidernet(SpidernetParams(4, 6, 3))
-    amps = origin_amplitude_series(params, 400)
-    worst = max(abs(amps[n] - asymptotic_amplitude(params, 0, n))
+    sp = SpidernetParams(4, 6, 3)
+    amps = origin_amplitude_series(params_from_spidernet(sp), 400)
+    law = law_from_spidernet(sp)
+    worst = max(abs(amps[n] - asymptotic_amplitude(law, 0, n))
                 for n in range(350, 401))
     return worst < 5e-3, f"max |amp - wp(xi)cos| {worst:.2e} on [350,400]"
 

@@ -4,6 +4,7 @@ law ``law`` or reduced parameters ``params``.  The tests check the package
 against them.  They take only the tests' own inputs, so they validate no
 arguments and cap no sizes."""
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -245,32 +246,39 @@ def inner(s1, s2):
     return complex(np.vdot(a, b))
 
 
+def ladder_step(params, cells, M):
+    """One step of the reduced walk on (3, n) cells (xp, xo, xm), in place:
+    cells 1 .. M are coined op by op, each coefficient as
+    (c_+ x^+ + c_o x^o) + c_- x^- like the package's kernel, then shifted,
+    and xp[M], xp[M + 1] are cleared."""
+    p, q, r = params.p, params.q, params.r
+    # math.sqrt and np.sqrt both round the root correctly
+    cpp, cpo, cpm = 2 * p - 1, 2 * math.sqrt(p * r), 2 * math.sqrt(p * q)
+    coo, com, cmm = 2 * r - 1, 2 * math.sqrt(q * r), 2 * q - 1
+    xp, xo, xm = cells
+    vp, vo, vm = xp[1:M + 1], xo[1:M + 1], xm[1:M + 1]
+    cp = (cpp * vp + cpo * vo) + cpm * vm
+    cm = (cpm * vp + com * vo) + cmm * vm
+    xo[1:M + 1] = (cpo * vp + coo * vo) + com * vm
+    xm[1] = xp[0]
+    xm[2:M + 2] = cp
+    xp[0:M] = cm
+    xp[M:M + 2] = 0.0
+
+
 def unflushed_ladder_walk(params, steps, reach):
     """Cells 0 .. reach of the reduced walk from psi_0^+ after 0 .. steps
     steps, as a (steps + 1, 3, reach + 1) float array (xp, xo, xm).
 
     The ladder step without the underflow front: step n coins cells
     1 .. min(n - 1, steps - n + reach + 1), the whole light cone of the read
-    strata, subnormal tails included, each coefficient as
-    (c_+ x^+ + c_o x^o) + c_- x^- like the package's kernel."""
-    p, q, r = params.p, params.q, params.r
-    cpp, cpo, cpm = 2 * p - 1, 2 * np.sqrt(p * r), 2 * np.sqrt(p * q)
-    coo, com, cmm = 2 * r - 1, 2 * np.sqrt(q * r), 2 * q - 1
+    strata, subnormal tails included."""
     cells = np.zeros((3, steps + 2))
-    xp, xo, xm = cells
-    xp[0] = 1.0
+    cells[0, 0] = 1.0
     out = np.empty((steps + 1, 3, reach + 1))
     out[0] = cells[:, :reach + 1]
     for n in range(1, steps + 1):
-        M = min(n - 1, steps - n + reach + 1)
-        vp, vo, vm = xp[1:M + 1], xo[1:M + 1], xm[1:M + 1]
-        cp = (cpp * vp + cpo * vo) + cpm * vm
-        cm = (cpm * vp + com * vo) + cmm * vm
-        xo[1:M + 1] = (cpo * vp + coo * vo) + com * vm
-        xm[1] = xp[0]
-        xm[2:M + 2] = cp
-        xp[0:M] = cm
-        xp[M:M + 2] = 0.0
+        ladder_step(params, cells, min(n - 1, steps - n + reach + 1))
         out[n] = cells[:, :reach + 1]
     return out
 

@@ -27,6 +27,7 @@ from spiderwalk import (
     ReducedEvolver,
     SpidernetParams,
     SpiderwalkError,
+    classify,
     law_from_pq,
     params_from_spidernet,
     quadrature_nodes,
@@ -206,6 +207,30 @@ def test_localize_single_and_sweep(capsys):
     assert code == 0 and len(read_csv(out)[1]) == 1
 
 
+@pytest.mark.parametrize("bmax, cmax", [(90, 60), (9800, 1)])
+def test_sweep_rows_are_the_classify_rows(capsys, bmax, cmax):
+    # (90, 60) crosses (b - c)^2 = c at every c; (9800, 1) passes b - c = 8192,
+    # from where qbar's denominator no longer fits a double
+    sweep = ["localize", "--sweep", str(bmax), str(cmax)]
+    code, out, _ = run_cli(capsys, *sweep)
+    assert code == 0
+    header, rows = read_csv(out)
+    code, out, _ = run_cli(capsys, *sweep, "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    bc = [(b, c) for b in range(2, bmax + 1) for c in range(1, min(b - 1, cmax) + 1)]
+    assert len(rows) == len(records) == len(bc)
+    verdicts = set()
+    for row, record, (b, c) in zip(rows, records, bc):
+        rep = classify(SpidernetParams(1, b, c))
+        cells = [1, b, c, rep.localized, float(rep.w), float(rep.xi), rep.theta,
+                 float(rep.qbar_origin)]
+        assert row == [cli._fmt(v) for v in cells], (b, c)
+        assert record == {k: cli._json_value(v) for k, v in zip(header, cells)}, (b, c)
+        verdicts.add(rep.localized)
+    assert verdicts == {True, False}
+
+
 def test_figure2(capsys):
     code, out, _ = run_cli(capsys, "figure2")
     assert code == 0
@@ -353,20 +378,25 @@ def test_table_at_the_cap_is_answered(capsys):
 
 
 def test_number_rows_print_as_the_csv_writer_does(capsys):
-    # rows of ints and floats take one %-format each; the rest go through
-    # csv.writer, cell by cell
+    # tables of one kind of int, bool or float per column print a column at a
+    # time; the rest go through csv.writer, cell by cell
     floats = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, math.inf, -math.inf,
               math.nan, 0.1, 1 / 3, 123456789012345.67, np.float64(-2 / 3), np.float64(-0.0)]
     ints = [0, -7, 2 ** 70]
     rows = [ints + floats, floats[::-1] + ints, [True, 1.5, "x,y"], [1, False], [2, "z"], ints]
+    # one kind per column: repeated values, bools, ints, zeros of both signs,
+    # NaN and np.float64 beside float
+    table = [[i % 3, 2 ** 70 + i % 2, i % 4 == 0, floats[i % len(floats)],
+              [math.nan, 0.1, np.float64(0.1), -1e300][i % 4], float(i)] for i in range(60)]
     args = cli._build_parser().parse_args(["verify"])
-    cli._emit(["a", "b"], rows, args)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a", "b"])
-    for row in rows:
-        writer.writerow([cli._fmt(v) for v in row])
-    assert capsys.readouterr().out == buf.getvalue()
+    for rows in (rows, table):
+        cli._emit(["a", "b"], rows, args)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["a", "b"])
+        for row in rows:
+            writer.writerow([cli._fmt(v) for v in row])
+        assert capsys.readouterr().out == buf.getvalue()
 
 
 @pytest.mark.parametrize("cutoff", ["4097", "1000000000"])
@@ -514,7 +544,7 @@ def test_empty_sweep_rejected(capsys, sweep):
 # --sweep 448 447 has 100 128 rows; 10**18 would ask for ~5e35
 @pytest.mark.parametrize("sweep", [["448", "447"], [str(10 ** 18)] * 2])
 def test_oversized_sweep_rejected_before_classifying(capsys, monkeypatch, sweep):
-    monkeypatch.setattr(cli, "classify", lambda sp: pytest.fail("classify ran"))
+    monkeypatch.setattr(cli, "_sweep_rows", lambda *bounds: pytest.fail("the sweep ran"))
     assert_refused_early(capsys, "InvalidParamsError", "localize", "--sweep", *sweep)
 
 

@@ -20,6 +20,7 @@ from spiderwalk import (
     classify,
     exp_localization_bound,
     law_from_pq,
+    law_from_spidernet,
     origin_amplitude_series,
     params_from_spidernet,
     random_walk_return,
@@ -76,17 +77,28 @@ def test_amplitude_shifted(cutoff_shift):
 def test_asymptotic_amplitude():
     theta = np.arccos(-1.0 / 3.0)
     for n in (0, 3, 100):
-        assert asymptotic_amplitude(P463, 0, n) == pytest.approx(
+        assert asymptotic_amplitude(LAW463, 0, n) == pytest.approx(
             0.5 * np.cos(n * theta), abs=1e-14)
-    assert asymptotic_amplitude(PTREE, 0, 7) == 0.0
+    assert asymptotic_amplitude(LAWTREE, 0, 7) == 0.0
     with pytest.raises(ValueError):
-        asymptotic_amplitude(P463, -1, 0)
+        asymptotic_amplitude(LAW463, -1, 0)
 
 
 def test_asymptotic_amplitude_zero_at_threshold():
     # (b - c)^2 = c: no atom, so nothing survives (the float formula left 1.7e-16)
-    params = params_from_spidernet(SpidernetParams(5, 6, 4))
-    assert all(asymptotic_amplitude(params, l, n) == 0.0 for l in range(3) for n in range(5))
+    law = law_from_spidernet(SpidernetParams(5, 6, 4))
+    assert all(asymptotic_amplitude(law, l, n) == 0.0 for l in range(3) for n in range(5))
+
+
+@pytest.mark.parametrize("k, d", [(134229312, -1), (134234113, 1)])
+def test_asymptotic_amplitude_keeps_the_atom_of_b_c(k, d):
+    # one step off the threshold with b ~ 2^54, the float law of (c/b, 1/b)
+    # decides the atom the other way; the law of (b, c) decides it as classify
+    sp = SpidernetParams(1, k * k + k + d, k * k)
+    localized = classify(sp).localized
+    assert law_from_pq(params_from_spidernet(sp)).has_atom != localized
+    law = law_from_spidernet(sp)
+    assert all((asymptotic_amplitude(law, l, 0) != 0.0) == localized for l in range(3))
 
 
 def _exact_pqr(case):
@@ -152,10 +164,10 @@ def test_random_walk_return_against_exact_moments(case):
 
 def test_amplitude_approaches_asymptotics():
     amps = origin_amplitude_series(P463, 2000)
-    dev_late = max(abs(amps[n] - asymptotic_amplitude(P463, 0, n))
+    dev_late = max(abs(amps[n] - asymptotic_amplitude(LAW463, 0, n))
                    for n in range(900, 1001))
     assert dev_late < 1e-2
-    dev_later = max(abs(amps[n] - asymptotic_amplitude(P463, 0, n))
+    dev_later = max(abs(amps[n] - asymptotic_amplitude(LAW463, 0, n))
                     for n in range(1800, 2001))
     assert dev_later < dev_late
 

@@ -14,6 +14,7 @@ from oracles import (
     eigensystem_T,
     inner,
     jacobi_dense,
+    ladder_step,
     orthonormal_sequence,
     reduced_norm,
     unflushed_ladder_walk,
@@ -400,13 +401,40 @@ def test_front_bounds_the_nonzero_cells(bc, front):
         assert (lag > 0) == (front == "retreats")
 
 
-@pytest.mark.parametrize("abc", [(4, 6, 3), (5, 6, 4)])
+@pytest.mark.parametrize("abc", [(4, 6, 3), (5, 6, 4), (3, 4, 3)])
 def test_front_matches_the_unflushed_walk(abc):
-    # the flush changes no bit of the read strata over the ladder jobs' horizon
+    # the flush changes no bit of the read strata over the ladder jobs' horizon,
+    # signed zeros included: the tree's cells hold -0.0, which prints as "-0"
     params = params_from_spidernet(SpidernetParams(*abc))
     ev = ReducedEvolver(params, ReducedState.origin(), 10_000, reach=4)
-    assert np.array_equal(_per_step_cells(ev, 10_000, 4),
-                          unflushed_ladder_walk(params, 10_000, 4))
+    got, want = _per_step_cells(ev, 10_000, 4), unflushed_ladder_walk(params, 10_000, 4)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("params", EVOLVER_CASES)
+def test_step_matches_a_per_op_step_on_a_complex_state(params):
+    # every cell of the evolver, and its front, against the op-by-op step and
+    # the same flush
+    start = stratum_state(params, 3)
+    phase = np.exp(0.7j)
+    ev = ReducedEvolver(params, ReducedState(phase * start.xp, phase * start.xo,
+                                             phase * start.xm), 1500)
+    assert ev.xp.dtype == np.complex128
+    cells = np.stack([ev.xp, ev.xo, ev.xm])
+    for _ in range(1500):
+        M = ev.front
+        ev.step()
+        ladder_step(params, cells, M)
+        f = M + 1
+        while f > 0 and np.all(np.abs(cells[:, f]) < np.finfo(float).tiny):
+            cells[:, f] = 0.0
+            f -= 1
+        assert ev.front == f
+        got = np.stack([ev.xp, ev.xo, ev.xm])
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(got), part(cells))
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(cells)))
 
 
 @pytest.mark.parametrize("params", [

@@ -34,6 +34,8 @@ FIXED = [
     ["figure2"],
     ["verify"],
     ["localize", "--sweep", "40", "25"],
+    ["localize", "--sweep", "447", "446"],                # at the row cap
+    ["localize", "--sweep", "60", "7", "--format", "json"],
     ["localize", "1", "1000000000", "999968377", "--format", "json"],
     ["simulate", "4", "6", "3", "--steps", "8", "--full", "--strata", "10"],
     ["simulate", "1", "10", "2", "--steps", "3000", "--strata", "3"],
@@ -43,6 +45,7 @@ FIXED = [
     ["spectrum", "1", "1000000000", "999968377", "--cutoff", "300"],
     ["amplitude", "4", "6", "3", "--l", "3", "--m", "2", "--nmax", "60"],
     ["amplitude", "6", "12", "9", "--l", "40", "--m", "7", "--nmax", "30"],
+    ["amplitude", "4", "4", "3", "--l", "1", "--nmax", "40"],  # prints -0
     ["amplitude", "1", "1000000000", "999999999", "--l", "1", "--nmax", "40"],
     ["amplitude", "--pqr", "0.5", "0.16666666666666666", "0.3333333333333333", "--nmax", "20"],
     ["rwalk", "4", "6", "3", "--nmax", "40"],

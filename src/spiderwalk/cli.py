@@ -47,7 +47,7 @@ __all__ = ["main"]
 
 _ENV_OUTPUT_DIR = "SPIDERWALK_OUTPUT_DIR"
 # A cap on the rows of ``localize --sweep``, which classifies and holds every
-# row before printing: ~0.5 s and ~80 MB peak RSS at the cap.
+# row before printing: ~0.5 s in-process and ~90 MB peak RSS at the cap.
 MAX_SWEEP_ROWS = 100_000
 # A cap on the cells of a ``simulate`` table, (steps + 1) (strata + 2), checked
 # before the walk is built; it also bounds the reduced walk's arrays and its
@@ -71,9 +71,8 @@ def _fmt(value) -> str:
 def _csv_body(rows) -> str | None:
     """The CSV lines of a table whose every column holds one kind of cell:
     bools, ints or floats (np.float64 among them).  Each row prints through
-    one %-format, where "%.15g" % v == format(v, ".15g") for every float,
-    and a column that repeats its values, as a sweep's b, c, xi and theta
-    do, formats each of them once.  None for any other table."""
+    one %-format, where "%.15g" % v == format(v, ".15g") for every float.
+    None for any other table."""
     if len(set(map(len, rows))) != 1:
         return None
     columns, fields = list(zip(*rows)), []
@@ -82,22 +81,12 @@ def _csv_body(rows) -> str | None:
         if kinds == {bool}:
             columns[j] = map(_BOOL_TEXT.__getitem__, column)
             fields.append("%s")
-            continue
-        if kinds == {int}:
-            field = "%d"
+        elif kinds == {int}:
+            fields.append("%d")
         elif kinds <= {float, np.float64}:
-            field = "%.15g"
+            fields.append("%.15g")
         else:
             return None
-        # look for repeats in the first 64 cells before taking the set of the
-        # whole column (simulate's probabilities are all distinct); 0.0 and
-        # -0.0 are one key but print apart
-        if 2 * len(set(column[:64])) <= min(len(column), 64):
-            distinct = set(column)
-            if 2 * len(distinct) <= len(column) and 0 not in distinct:
-                text = {v: field % v for v in distinct}
-                columns[j], field = map(text.__getitem__, column), "%s"
-        fields.append(field)
     return "".join(map((",".join(fields) + "\n").__mod__, zip(*columns)))
 
 
@@ -274,18 +263,13 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-# From b - c = 8192 on, qbar's denominator 2 (b - c)^2 (b - c + 1)^2 exceeds
-# 2^53, so a double no longer holds it exactly
-_INEXACT_GAP = 8192
-
-
 def _sweep_rows(bmax: int, cmax: int) -> list[tuple]:
     """The rows of ``localize --sweep``, a = 1 and (b, c) in order, with the
     values :func:`classify` gives, computed in bulk from the integers.  With
-    numer = (b - c)^2 - c and den = (b - c) (b - c + 1), w = numer / den and
-    qbar = numer^2 / (2 den^2) are each one division of integers that doubles
-    hold exactly, so they round as float(Fraction) does; from
-    ``_INEXACT_GAP`` on, qbar comes from Python's int division instead."""
+    numer = (b - c)^2 - c and den = (b - c) (b - c + 1), w = numer / den is
+    one division of integers that doubles hold exactly, and qbar =
+    numer^2 / (2 den^2) one division of Python ints; both round as
+    float(Fraction) does."""
     counts = np.minimum(np.arange(1, bmax), min(cmax, bmax))   # c = 1 .. min(b - 1, cmax)
     b = np.repeat(np.arange(2, bmax + 1), counts)
     c = np.arange(1, len(b) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -293,13 +277,11 @@ def _sweep_rows(bmax: int, cmax: int) -> list[tuple]:
     numer, den = gap * gap - c, gap * (gap + 1)
     localized = numer > 0
     w = np.where(localized, numer / den, 0.0)
-    n, d = numer.astype(float), den.astype(float)
-    qbar = np.where(localized, n * n / (2.0 * d * d), 0.0)
-    for i in np.flatnonzero(localized & (gap >= _INEXACT_GAP)).tolist():
-        qbar[i] = int(numer[i]) ** 2 / (2 * int(den[i]) ** 2)
+    qbar = [n * n / (2 * d * d) if n > 0 else 0.0
+            for n, d in zip(numer.tolist(), den.tolist())]
     xi = -1.0 / gap
-    columns = (b, c, localized, w, xi, np.arccos(xi), qbar)
-    return list(zip([1] * len(b), *(column.tolist() for column in columns)))
+    columns = (b, c, localized, w, xi, np.arccos(xi))
+    return list(zip([1] * len(b), *(column.tolist() for column in columns), qbar))
 
 
 def _cmd_figure2(args) -> int:

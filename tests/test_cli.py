@@ -210,7 +210,8 @@ def test_localize_single_and_sweep(capsys):
 @pytest.mark.parametrize("bmax, cmax", [(90, 60), (9800, 1)])
 def test_sweep_rows_are_the_classify_rows(capsys, bmax, cmax):
     # (90, 60) crosses (b - c)^2 = c at every c; (9800, 1) passes b - c = 8192,
-    # from where qbar's denominator no longer fits a double
+    # from where qbar's denominator 2 (b - c)^2 (b - c + 1)^2 no longer fits a
+    # double
     sweep = ["localize", "--sweep", str(bmax), str(cmax)]
     code, out, _ = run_cli(capsys, *sweep)
     assert code == 0
@@ -229,6 +230,18 @@ def test_sweep_rows_are_the_classify_rows(capsys, bmax, cmax):
         assert record == {k: cli._json_value(v) for k, v in zip(header, cells)}, (b, c)
         verdicts.add(rep.localized)
     assert verdicts == {True, False}
+
+
+def test_sweep_theta_is_classify_theta_for_every_reachable_gap():
+    # --sweep BMAX 1 reaches every b - c = 1 .. BMAX - 1 in BMAX - 1 rows, and
+    # no sweep within MAX_SWEEP_ROWS reaches a larger b - c; the bulk arccos
+    # must agree with classify's scalar one on each of them
+    bmax = cli.MAX_SWEEP_ROWS + 1
+    rows = cli._sweep_rows(bmax, 1)
+    assert [row[1] - row[2] for row in rows] == list(range(1, bmax))
+    for k, row in enumerate(rows, start=1):
+        xi = float(Fraction(-1, k))
+        assert (row[5], row[6]) == (xi, float(np.arccos(xi))), k
 
 
 def test_figure2(capsys):

@@ -224,7 +224,7 @@ def _cmd_amplitude(args) -> int:
     law = law_from_pq(params) if args.pqr is not None else law_from_spidernet(_require_abc(args))
     l, m, nmax = _count(args.l, "--l"), _count(args.m, "--m"), _count(args.nmax, "--nmax")
     # the last integral has the highest degree: refuse it before any work
-    quadrature_nodes(law, nmax + l + m)
+    quadrature_nodes(nmax + l + m)
     # reduced-walk side: evolve Psi_m once, read <Psi_l, .> per step
     ev = ReducedEvolver(params, stratum_state(params, m), nmax, reach=l)
     columns = ["n", "integral", "reduced", "abs_diff"]
@@ -302,7 +302,7 @@ def _cmd_rwalk(args) -> int:
     params = _pq_from_args(args)
     law = law_from_pq(params) if args.pqr is not None else law_from_spidernet(_require_abc(args))
     nmax = _count(args.nmax, "--nmax")
-    quadrature_nodes(law, nmax)                 # the last moment's budget
+    quadrature_nodes(nmax)                      # the last moment's budget
     columns = ["n", "return_probability"]
     rows = [[n, random_walk_return(law, n)] for n in range(nmax + 1)]
     _emit(columns, rows, args)

@@ -21,9 +21,11 @@ orthonormal polynomials are closed-form in phi,
     p_k(x) sin(phi) = (x / sqrt(q)) sin(k phi) - sin((k-1) phi) / sqrt(p),   k >= 1,
 
 so an amplitude integrand costs O(nodes) memory for any strata.  In phi
-every integrand is even, 2 pi-periodic and analytic in a strip around the
-real axis, so the midpoint rule (the periodic trapezoidal rule) converges
-geometrically; see Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458.
+every integrand is even and 2 pi-periodic, a polynomial in cos(phi) plus a
+simple pole at x = 1 and one at xi, so the midpoint rule (the periodic
+trapezoidal rule) with floor(degree / 2) + 2 nodes is exact with two pole
+nodes, at 1 and at xi, whose weights are closed-form; see Trefethen &
+Weideman, SIAM Rev. 56 (2014) 385-458.
 
 Every ladder-to-ladder amplitude of the reduced walk is such an integral,
 
@@ -68,8 +70,8 @@ __all__ = [
 ]
 
 # A cap on the midpoint nodes of one integral (8 MiB per float64 node
-# array).  Laws whose pole 1 or xi lies within ~2e-5 of the support in phi
-# need more and are rejected before anything is allocated.
+# array): with M = floor(degree / 2) + 2 it caps the degree at 2^21 - 3
+# for every law, rejected before anything is allocated.
 MAX_QUADRATURE_NODES = 1 << 20
 
 
@@ -79,9 +81,7 @@ class FreeMeixnerLaw:
     and :func:`law_from_spidernet` build it.
 
     ``atom_location`` is the atom candidate xi = -q / (1 - p), recorded with
-    zero ``atom_mass`` in the non-localized regime.  ``poles`` lists the
-    points 1 and xi that limit :func:`integrate`: one exactly on a support
-    edge is removable there and is left out.
+    zero ``atom_mass`` in the non-localized regime.
     """
 
     p: float
@@ -89,7 +89,6 @@ class FreeMeixnerLaw:
     r: float
     atom_location: float
     atom_mass: float
-    poles: tuple[float, ...]
 
     @property
     def has_atom(self) -> bool:
@@ -126,76 +125,85 @@ def law_from_spidernet(sp: SpidernetParams) -> FreeMeixnerLaw:
 
 def _law(params: PqParams, one_minus_p: Fraction, exact_q: Fraction) -> FreeMeixnerLaw:
     """The law of the floats (p, q, r), with the atom decided and weighed
-    from the exact 1 - p and q."""
+    from the exact 1 - p and q, and xi = -q / (q + r), which is -1 exactly
+    for trees."""
     p, q, r = params.p, params.q, params.r
     if not q <= p < 1.0:                    # p = 1 leaves xi = -q / (1 - p) no value
         raise ParamsOutOfRangeError(f"needs q <= p < 1, got p={p}, q={q}")
+    # sqrt(pq) is then 0, else at least 2.2e-162, a normal float
+    if not p * q > 0.0:
+        raise ParamsOutOfRangeError(f"pq underflows: the band of p={p}, q={q} has no width")
     numer = one_minus_p ** 2 - (1 - one_minus_p) * exact_q
     mass = float(numer / (one_minus_p * (one_minus_p + exact_q))) if numer > 0 else 0.0
-    xi = -q / (1.0 - p)
-    poles = tuple(x for x, on_edge in ((1.0, p == q), (xi, numer == 0)) if not on_edge)
-    return FreeMeixnerLaw(p, q, r, xi, mass, poles)
+    return FreeMeixnerLaw(p, q, r, -q / (q + r), mass)
 
 
 def special_value(law: FreeMeixnerLaw, n: int) -> float:
-    """Closed-form p_n at the atom xi, the minimal solution of the three-term
-    recurrence there (Gautschi, SIAM Rev. 9 (1967) 24-82):
+    """Closed-form p_n at xi, in both regimes:
 
-        p_n(xi) = (xi / sqrt(q)) * (xi sqrt(pq) / q)^(n-1),   n >= 1."""
+        p_n(xi) = (xi / sqrt(q)) * (xi sqrt(pq) / q)^(n-1),   n >= 1.
+
+    With an atom it is the minimal solution of the three-term recurrence
+    there (Gautschi, SIAM Rev. 9 (1967) 24-82), |xi sqrt(pq) / q| < 1."""
     if n < 0:
         raise OutOfDomainError("polynomial degree must be non-negative")
     if n == 0:
         return 1.0
-    if not law.has_atom:
-        raise ParamsOutOfRangeError("the closed form needs an atom (atomic regime)")
     xi, q = law.atom_location, law.q
     return (xi / np.sqrt(q)) * (xi * np.sqrt(law.p * q) / q) ** (n - 1)
 
 
-def quadrature_nodes(law: FreeMeixnerLaw, degree: int) -> int:
-    """Midpoint nodes M that :func:`integrate` uses for a degree-``degree`` f.
-
-    The weight is analytic for |Im phi| < a, where a pole x* of it sits at
-    phi = arccos((x* - r) / (2 sqrt(pq))), so its Fourier coefficients
-    decay like e^{-aj}.  M nodes are exact up to trigonometric degree
-    2M - 1 and alias that tail at ~e^{-a(2M - degree)}:
-
-        M = ceil((degree + 1) / 2) + 1 + ceil(18.5 / a)
-
-    puts it near e^{-37} ~ 1e-16.  Raises ParamsOutOfRangeError, before
+def quadrature_nodes(degree: int) -> int:
+    """Midpoint nodes M = floor(degree / 2) + 2 that :func:`integrate` uses
+    for a polynomial f of degree ``degree``, 2M > degree + 2, for every law
+    (see :func:`_rule`).  Raises ParamsOutOfRangeError, before
     anything is allocated, when M would exceed MAX_QUADRATURE_NODES.
     """
     if degree < 0:
         raise InvalidParamsError(f"degree must be non-negative, got {degree}")
-    s, one_minus_p = math.sqrt(law.p * law.q), law.q + law.r
-    # cosh(a) - 1 at each pole as a square over a positive term, not as
-    # |x* - r| / 2s - 1: xi = -q / (1 - p) loses digits to 1 - p as p nears 1
-    excess = {1.0: (math.sqrt(law.p) - math.sqrt(law.q)) ** 2 / (2.0 * s),
-              law.atom_location: (one_minus_p - s) ** 2 / (2.0 * s * one_minus_p)}
-    a = min((math.acosh(1.0 + excess[x]) for x in law.poles), default=math.inf)
-    base = (degree + 2) // 2 + 1
-    if a == 0 or base + 18.5 / a > MAX_QUADRATURE_NODES:
+    if degree // 2 + 2 > MAX_QUADRATURE_NODES:
         raise ParamsOutOfRangeError(
-            f"integrating degree {degree} to roundoff needs more than "
-            f"{MAX_QUADRATURE_NODES} quadrature nodes (pole strip {a:.3g})")
-    return base + math.ceil(18.5 / a)
+            f"degree {degree} needs more than {MAX_QUADRATURE_NODES} quadrature nodes")
+    return degree // 2 + 2
 
 
-def _band_rule(law: FreeMeixnerLaw, nodes: int):
-    """The midpoint rule in the band angle: at phi_k = (k + 1/2) pi / M,
-    returns x, 1 - x and the weights w, so that sum w f(x) is the integral
-    of f against the continuous part of the law."""
+def _rule(law: FreeMeixnerLaw, nodes: int):
+    """The midpoint rule in the band angle plus its two pole nodes.
+
+    At phi_k = (k + 1/2) pi / M it returns x, 1 - x and the weights w_k,
+    then (a, G) at x = 1 and at xi, so that for f of degree below 2M
+
+        integral of f dmu = sum_k w_k f(x_k) + g_1 f(1) + (g_xi + w) f(xi),   g = G e^{-2 M a}.
+
+    In u = cos(phi) the weight is a polynomial plus one simple pole at
+    u = cosh(a) (x = 1) and one at u = -cosh(a) (x = xi), whose cosine
+    coefficients fall like e^{-j a}.  The rule aliases them onto f at the
+    pole times -2 t / (1 + t), t = e^{-2 M a}, so that
+
+        G = -2 sqrt(pq) sinh(a) / ((1 - p + q) (1 + t)).
+
+    cosh(a) - 1 at each pole is a square over a positive term, the gap the
+    weight's factor keeps there: where the pole is removable on a support
+    edge, it and G are 0, exactly for p = q and within the rounding of
+    (p, q, r) at the threshold.
+    """
     sin2_half = np.sin(np.arange(0.5, nodes) * (0.5 * np.pi / nodes)) ** 2
     cos2_half = sin2_half[::-1]             # phi_{M-1-k} = pi - phi_k
     p, q, r = law.p, law.q, law.r
     s = math.sqrt(p * q)
     one_minus_p = q + r                     # no cancellation for p near 1
+    gap_1, gap_xi = (math.sqrt(p) - math.sqrt(q)) ** 2, (one_minus_p - s) ** 2
     band = (4.0 * s) * sin2_half            # 2 sqrt(pq) (1 - cos(phi))
-    one_minus_x = (math.sqrt(p) - math.sqrt(q)) ** 2 + band
-    pole_xi = (one_minus_p - s) ** 2 + (4.0 * s * one_minus_p) * cos2_half   # (1-p)(x - xi)
+    one_minus_x = gap_1 + band
+    pole_xi = gap_xi + (4.0 * s * one_minus_p) * cos2_half     # (1-p)(x - xi)
     weight = sin2_half * cos2_half / (one_minus_x * pole_xi) * (8.0 * p * q / nodes)
+    poles = []
+    for excess in (gap_1 / (2.0 * s), gap_xi / (2.0 * s * one_minus_p)):
+        sinh = math.sqrt(excess) * math.sqrt(excess + 2.0)
+        a = math.log1p(excess + sinh)           # acosh(1 + excess), with its digits near 0
+        poles.append((a, -2.0 * s * sinh / ((one_minus_p + q) * (1.0 + math.exp(-2 * nodes * a)))))
     # x from r, not as 1 - (1 - x): r is exact for trees, where 1 - p - q is not
-    return (r + 2.0 * s) - band, one_minus_x, weight
+    return (r + 2.0 * s) - band, one_minus_x, weight, poles
 
 
 def integrate(law: FreeMeixnerLaw, f, degree: int) -> float:
@@ -203,14 +211,15 @@ def integrate(law: FreeMeixnerLaw, f, degree: int) -> float:
 
     ``f`` must accept a float ndarray and return values elementwise, and
     be a polynomial of degree at most ``degree``.  The continuous part is
-    the midpoint rule in phi with M from :func:`quadrature_nodes`; the
-    nodes never touch the support edges.
+    the midpoint rule in phi with M from :func:`quadrature_nodes`, whose
+    nodes never touch the support edges, plus the pole nodes at 1 and at
+    xi; the atom adds its mass to the weight at xi.
     """
-    x, _, weight = _band_rule(law, quadrature_nodes(law, degree))
-    total = float((f(x) * weight).sum())
-    if law.has_atom:
-        total += law.atom_mass * float(np.asarray(f(np.array([law.atom_location])))[0])
-    return total
+    nodes = quadrature_nodes(degree)
+    x, _, weight, ((a_1, g_1), (a_xi, g_xi)) = _rule(law, nodes)
+    f_1, f_xi = f(np.array([1.0, law.atom_location])).tolist()
+    return (float((f(x) * weight).sum()) + g_1 * math.exp(-2 * nodes * a_1) * f_1
+            + (g_xi * math.exp(-2 * nodes * a_xi) + law.atom_mass) * f_xi)
 
 
 def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
@@ -220,12 +229,19 @@ def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
     At each band node T_|n|(x) = cos(|n| theta), with theta = arccos(x) as
     arctan2(sqrt((1 - x)(1 + x)), x) from the phi form of 1 - x, which keeps
     its digits where the band nears x = 1.  p_k(x) comes from its closed
-    form in phi, so memory is O(nodes) for any l and m.
+    form in phi, so memory is O(nodes) for any l and m.  At the pole nodes
+    p_k is closed-form too, for k >= 1,
+
+        p_k(1) = e^{(k-1) a_1} / sqrt(q),   p_k(xi) = (xi / sqrt(q)) (-1)^(k-1) e^{-+(k-1) a_xi},
+
+    with the minus sign under an atom (:func:`special_value`), and each
+    pole term is one exponential of an integer times a, which neither
+    overflows nor cancels however far l, m and n reach.
     """
     if l < 0 or m < 0:
         raise InvalidParamsError("ladder indices must be non-negative")
-    nodes = quadrature_nodes(law, abs(n) + l + m)
-    x, one_minus_x, weight = _band_rule(law, nodes)
+    nodes = quadrature_nodes(abs(n) + l + m)
+    x, one_minus_x, weight, ((a_1, g_1), (a_xi, g_xi)) = _rule(law, nodes)
 
     def sin_multiple(j):
         # sin(j phi) at phi = (2i + 1) pi / 2M, the argument reduced mod 2 pi in integers
@@ -241,13 +257,18 @@ def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
     theta = np.arctan2(np.sqrt(one_minus_x * (1.0 + x)), x)
     integrand = np.cos(abs(n) * theta) * weight
     if l or m:
+        # one factor at a time: p_l p_m alone overflows where q is subnormal
         p_l = poly(l)
-        integrand *= p_l * (p_l if m == l else poly(m))
-    total = float(integrand.sum())
-    if law.has_atom:
-        atom = np.cos(abs(n) * np.arccos(law.atom_location))
-        total += law.atom_mass * float(atom * special_value(law, l) * special_value(law, m))
-    return total
+        integrand *= p_l
+        integrand *= p_l if m == l else poly(m)
+    h, xi = max(l - 1, 0) + max(m - 1, 0), law.atom_location
+    at_1 = g_1 * math.exp((h - 2 * nodes) * a_1)
+    at_xi = ((g_xi * math.exp(((-h if law.has_atom else h) - 2 * nodes) * a_xi)
+              + law.atom_mass * math.exp(-h * a_xi))
+             * (-1) ** h * xi ** ((l > 0) + (m > 0)) * math.cos(abs(n) * math.acos(xi)))
+    # 1 / sqrt(q) once per index k >= 1: 1 / q itself can overflow
+    c_l, c_m = (1.0 / math.sqrt(law.q) if k else 1.0 for k in (l, m))
+    return float(integrand.sum()) + (at_1 + at_xi) * c_l * c_m
 
 
 def asymptotic_amplitude(law: FreeMeixnerLaw, l: int, n: int) -> float:

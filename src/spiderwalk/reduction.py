@@ -73,8 +73,8 @@ _TOL = 1e-14
 # evolver's preallocated strata (its length + max_steps + 2) and
 # cesaro_strata's sums.  Larger sizes are rejected with InvalidParamsError
 # before anything is allocated.  It lies above every size the CLI
-# reaches (amplitude's M + nmax stays under ~2.1e6 within the quadrature
-# budget, simulate's steps under 5e5 within its table cap).  An evolver holds
+# reaches (amplitude's M + nmax stays at most 2^21 - 3 within the quadrature
+# degree cap, simulate's steps under 5e5 within its table cap).  An evolver holds
 # 9 arrays of its capacity, its cells and two coin products of three rows
 # each: ~300 MB for a real state at the cap.
 MAX_LADDER_CELLS = 1 << 22

@@ -28,8 +28,6 @@ from spiderwalk import (
     SpidernetParams,
     SpiderwalkError,
     classify,
-    law_from_pq,
-    params_from_spidernet,
     quadrature_nodes,
 )
 from spiderwalk.cli import main
@@ -159,6 +157,8 @@ def test_amplitude(capsys):
     ["1", "100000000", "3", "--l", "10", "--m", "4", "--nmax", "20"],
     ["1", "1000000000", "7", "--l", "10", "--m", "4", "--nmax", "20"],
     ["4", "6", "3", "--l", "100000", "--nmax", "0"],
+    ["4", "6", "4", "--l", "100000", "--nmax", "0"],      # no atom
+    ["4", "6", "5", "--l", "100000", "--nmax", "0"],      # a tree
 ], ids=" ".join)
 def test_amplitude_across_the_plane(capsys, argv):
     code, out, _ = run_cli(capsys, "amplitude", *argv)
@@ -491,31 +491,44 @@ def test_readme_examples_are_current(capsys):
 
 
 @pytest.mark.parametrize("command", ["amplitude", "rwalk"])
-def test_quadrature_budget_rejected_before_allocation(capsys, command):
-    # p - q = 1e-8 puts a pole of 1/D ~1e-8 from the support in phi
-    assert_refused_early(capsys, "ParamsOutOfRangeError",
-                         command, "--pqr", "0.5", "0.49999999", "0.00000001", "--nmax", "3")
+def test_pole_near_the_support_answered_in_small_memory(capsys, command):
+    # p - q = 1e-8 puts a pole of 1/D ~1e-8 from the support in phi; the
+    # pole nodes keep the rule at floor(n / 2) + 2 nodes.  For n <= 3 the
+    # moments and <e_0, T_n(J) e_0> are 1, 0, q and q r (resp. 2q - 1, 4qr)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, command, "--pqr", "0.5", "0.49999999", "0.00000001",
+                               "--nmax", "3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1 << 20
+    got = np.array(read_csv(out)[1], dtype=float)[:, 1]
+    q, r = Fraction(49999999, 10 ** 8), Fraction(1, 10 ** 8)
+    want = [1, 0, q, q * r] if command == "rwalk" else [1, 0, 2 * q - 1, 4 * q * r]
+    assert np.max(np.abs(got - np.array(want, dtype=float))) < 1e-15
 
 
 # S(1, k^2 + k + d, k^2) for k = 59414673, d = 1 and k = 2^27 - 1, d = 1, 0,
 # where the floats (c/b, 1/b) no longer determine (b, c).  One step off the
-# threshold the atom's pole lies ~d/k from the band in phi, past the node
-# budget; on it the pole is removable and there is no atom
-@pytest.mark.parametrize("argv, answered", [
-    (["rwalk", "1", "3530103427111603", "3530103367696929", "--nmax", "0"], False),
-    (["rwalk", "1", "18014398375264257", "18014398241046529", "--nmax", "1"], False),
-    (["amplitude", "1", "18014398375264257", "18014398241046529", "--nmax", "1"], False),
-    (["rwalk", "1", "18014398375264256", "18014398241046529", "--nmax", "1"], True),
-    (["amplitude", "1", "18014398375264256", "18014398241046529", "--nmax", "1"], True),
+# threshold the atom's pole lies ~d/k from the band in phi; on it the pole
+# is removable and there is no atom.  Rows are <e_0, J^n e_0> = <e_0, T_n(J) e_0>
+@pytest.mark.parametrize("argv", [
+    ["rwalk", "1", "3530103427111603", "3530103367696929", "--nmax", "0"],
+    ["rwalk", "1", "18014398375264257", "18014398241046529", "--nmax", "1"],
+    ["amplitude", "1", "18014398375264257", "18014398241046529", "--nmax", "1"],
+    ["rwalk", "1", "18014398375264256", "18014398241046529", "--nmax", "1"],
+    ["amplitude", "1", "18014398375264256", "18014398241046529", "--nmax", "1"],
 ], ids=["rwalk-off-2^51", "rwalk-off-2^54", "amplitude-off-2^54", "rwalk-on-2^54",
         "amplitude-on-2^54"])
-def test_large_b_near_the_threshold_keeps_the_total_mass(capsys, argv, answered):
-    code, out, err = run_cli(capsys, *argv)
-    if answered:
-        _, rows = read_csv(out)
-        assert code == 0 and abs(float(rows[0][1]) - 1.0) < 1e-13     # the value at n = 0
-    else:
-        assert code == 1 and out == "" and json.loads(err)["error"] == "ParamsOutOfRangeError"
+def test_large_b_near_the_threshold_keeps_the_total_mass(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    got = np.array(read_csv(out)[1], dtype=float)[:, 1]
+    b, c = int(argv[2]), int(argv[3])
+    want = chebyshev_amplitudes((Fraction(c, b), Fraction(1, b), Fraction(b - c - 1, b)),
+                                0, 0, int(argv[-1]))
+    assert abs(got[0] - 1.0) < 1e-13 and np.max(np.abs(got - want)) < 1e-13
 
 
 def test_readme_library_example_runs():
@@ -529,20 +542,19 @@ def test_readme_library_example_runs():
     assert all(f"{v:.16g}".startswith(claimed) for v in values)
 
 
-# the S(4,6,3) law integrates degrees up to 2097081 within MAX_QUADRATURE_NODES
+# every law integrates degrees up to 2097149 within MAX_QUADRATURE_NODES
 @pytest.mark.parametrize("argv, kernel", [
     (["amplitude", "4", "6", "3", "--nmax", "3000000"], "amplitude"),
-    (["amplitude", "4", "6", "3", "--l", "2", "--m", "1", "--nmax", "2097080"], "amplitude"),
+    (["amplitude", "4", "6", "3", "--l", "2", "--m", "1", "--nmax", "2097147"], "amplitude"),
     # Psi_l or Psi_m alone would take 3 x 16 bytes per stratum
     (["amplitude", "4", "6", "3", "--m", "3000000", "--nmax", "1"], "amplitude"),
     (["amplitude", "4", "6", "3", "--l", "3000000", "--nmax", "1"], "amplitude"),
     (["rwalk", "4", "6", "3", "--nmax", "3000000"], "random_walk_return"),
 ], ids=["amplitude", "amplitude-l-m", "amplitude-m", "amplitude-l", "rwalk"])
 def test_quadrature_budget_checked_before_any_integral(capsys, monkeypatch, argv, kernel):
-    law = law_from_pq(params_from_spidernet(SpidernetParams(4, 6, 3)))
-    quadrature_nodes(law, 2097081)
+    quadrature_nodes(2097149)
     with pytest.raises(ParamsOutOfRangeError):
-        quadrature_nodes(law, 2097082)
+        quadrature_nodes(2097150)
     monkeypatch.setattr(cli, kernel, lambda *args: pytest.fail(f"{kernel} ran"))
     assert_refused_early(capsys, "ParamsOutOfRangeError", *argv)
 
@@ -593,9 +605,12 @@ def test_json_format(capsys):
     ["rwalk", "1", "18014398509481985", "18014398509481984", "--nmax", "2"],
     ["amplitude", "1", "36028797018963970", "36028797018963968", "--nmax", "2"],
     ["rwalk", "--pqr", "1", "1e-300", "0", "--nmax", "2"],
-], ids=["c=b-1", "c=b-2", "pqr"])
+    ["rwalk", "--pqr", "0.4", "5e-324", "0.6", "--nmax", "1"],
+    ["amplitude", "--pqr", "1e-200", "1e-200", "1", "--nmax", "1"],
+], ids=["c=b-1", "c=b-2", "pqr", "pq-underflow-rwalk", "pq-underflow-amplitude"])
 def test_one_minus_p_rounding_to_zero_is_refused(capsys, argv):
-    # p = c/b rounds to 1 once b >= 2**54 (b - c): the atom xi = -q/(1-p) has no value
+    # p = c/b rounds to 1 once b >= 2**54 (b - c): the atom xi = -q/(1-p) has
+    # no value; and a pq that underflows to 0 leaves the band no width
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"

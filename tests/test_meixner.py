@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     JacobiLaw,
     OutOfSupportError,
+    chebyshev_amplitudes,
     chebyshev_U,
     density,
     jacobi_law,
@@ -23,13 +24,15 @@ from spiderwalk import (
     ParamsOutOfRangeError,
     PqParams,
     SpidernetParams,
+    amplitude,
     classify,
     integrate,
     law_from_pq,
+    law_from_spidernet,
     params_from_spidernet,
     quadrature_nodes,
 )
-from spiderwalk.meixner import special_value
+from spiderwalk.meixner import _rule, special_value
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)
@@ -37,7 +40,7 @@ PTREE = PqParams(0.75, 0.25, 0.0)
 LAW463 = law_from_pq(P463)
 LAWTREE = law_from_pq(PTREE)
 # S(1, 2, 1): p = q = 1/2 and the threshold put both 1 and xi on the
-# support edges, so 1/D has no pole to limit the midpoint rule
+# support edges, where the poles of 1/D are removable
 LAWFREE = law_from_pq(params_from_spidernet(SpidernetParams(1, 2, 1)))
 # Jacobi data that no walk law has, for the oracles alone
 GENERIC = JacobiLaw(0.3, 0.2, 0.1)
@@ -86,6 +89,11 @@ def test_law_from_pq_boundary_and_trees():
     assert LAWTREE.atom_mass == 0.0      # (1-p)^2 - pq = 1/16 - 3/16 < 0
     with pytest.raises(ParamsOutOfRangeError):
         law_from_pq(PqParams(0.2, 0.5, 0.3))
+    # r = 0 makes xi = -q / (q + r) exactly -1 for every b below 2^54; the
+    # rounded 1 - p would put -q / (1 - p) at -1.018 for b = 1474522135739904
+    for b in [2, 3, 10 ** 9, 1474522135739904, 1 << 53, (1 << 54) - 1,
+              *(((1 << k) + d) for k in range(10, 54) for d in (-1, 1))]:
+        assert law_from_spidernet(SpidernetParams(1, b, b - 1)).atom_location == -1.0, b
 
 
 def test_law_validation():
@@ -212,10 +220,21 @@ def test_special_value():
         # the walk law's form (1/sqrt(p)) (-sqrt(pq) / (1-p))^n
         assert special_value(LAW463, n) == pytest.approx(
             np.sqrt(2.0) * (-1.0 / np.sqrt(3.0)) ** n, rel=1e-14)
-    with pytest.raises(ParamsOutOfRangeError):
-        special_value(LAWTREE, 1)       # non-atomic regime
+    # the closed form holds without an atom too, where the recurrence is
+    # stable outside the band
+    at_xi = orthonormal_sequence(LAWTREE, 20, np.array([LAWTREE.atom_location]))[:, 0]
+    for n in range(21):
+        assert special_value(LAWTREE, n) == pytest.approx(at_xi[n], rel=1e-13)
     with pytest.raises(OutOfDomainError):
         special_value(LAW463, -1)
+
+
+def test_amplitude_stays_finite_for_subnormal_q():
+    # q = 1e-320 with pq > 0: p_l p_m alone would overflow at the band nodes
+    law = law_from_pq(PqParams(0.9, 1e-320, 0.1))
+    want = chebyshev_amplitudes(tuple(Fraction(v) for v in (0.9, 1e-320, 0.1)), 2, 3, 3)
+    got = [amplitude(law, 2, 3, n) for n in range(4)]
+    assert np.max(np.abs(np.array(got) - want)) < 1e-14
 
 
 def test_total_mass():
@@ -245,14 +264,15 @@ def test_orthonormality():
 
 
 # laws whose nearest pole of 1/D differs: both poles, x = 1 removable (c = 1),
-# xi removable (threshold), both removable, and a pole 0.011 from the support
-# in phi
+# xi removable (threshold), both removable, a pole 0.011 and one 1e-8 from
+# the support in phi
 RULE_LAWS = [
     LAW463,
     law_from_pq(params_from_spidernet(SpidernetParams(1, 4, 1))),
     law_from_pq(params_from_spidernet(SpidernetParams(5, 6, 4))),
     LAWFREE,
     law_from_pq(PqParams(0.45, 0.44, 0.11)),
+    law_from_pq(PqParams(0.5, 0.49999999, 0.00000001)),
 ]
 
 
@@ -267,42 +287,45 @@ def test_midpoint_rule_node_doubling():
                 y = (x - law.r) / (2.0 * np.sqrt(law.p * law.q))
                 return np.polynomial.chebyshev.chebval(y, coef)
 
-            nodes = quadrature_nodes(law, degree)
+            nodes = quadrature_nodes(degree)
             # degree + 2M asks for exactly twice the nodes
-            assert quadrature_nodes(law, degree + 2 * nodes) == 2 * nodes
+            assert quadrature_nodes(degree + 2 * nodes) == 2 * nodes
             coarse = integrate(law, f, degree)
             fine = integrate(law, f, degree + 2 * nodes)
             assert abs(coarse - fine) < 1e-13 * max(1.0, np.abs(coef).sum())
 
 
 def test_midpoint_rule_exact_on_polynomials():
-    # no pole: M = ceil((d+1)/2) + 1 nodes
+    # M = ceil((d+1)/2) + 1 nodes for every law, the two pole nodes aside
     for d in range(0, 41):
-        assert quadrature_nodes(LAWFREE, d) == (d + 2) // 2 + 1
+        assert quadrature_nodes(d) == (d + 2) // 2 + 1
     # walk laws against exact moments e_0^T J^d e_0
     for law in RULE_LAWS:
-        p, q, r = (Fraction(v).limit_denominator(100) for v in (law.p, law.q, law.r))
+        p, q, r = (Fraction(v).limit_denominator(10 ** 9) for v in (law.p, law.q, law.r))
         for d, want in enumerate(exact_moments(p, q, r, 40)):
             assert abs(integrate(law, lambda x: x ** d, d) - want) < 1e-14
 
 
 def test_node_budget_rejects_before_allocating():
-    # p - q = 1e-8 puts the pole at x = 1 ~1e-8 from the support in phi
+    # p - q = 1e-8 puts the pole at x = 1 ~1e-8 from the support in phi:
+    # the pole nodes keep the rule at 2 nodes, exact, in O(1) memory
     law = law_from_pq(PqParams(0.5, 0.49999999, 0.00000001))
     tracemalloc.start()
     try:
-        with pytest.raises(ParamsOutOfRangeError):
-            integrate(law, lambda x: np.ones_like(x), 0)
+        mass = integrate(law, lambda x: np.ones_like(x), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
-    # too high a degree is rejected the same way, even without poles
-    assert quadrature_nodes(LAWFREE, 2 * MAX_QUADRATURE_NODES - 4) == MAX_QUADRATURE_NODES
+    assert abs(mass - 1.0) < 1e-15 and peak < 1 << 20
+    exact = exact_moments(Fraction(1, 2), Fraction(49999999, 10 ** 8), Fraction(1, 10 ** 8), 20)
+    for d, want in enumerate(exact):
+        assert abs(integrate(law, lambda x: x ** d, d) - want) < 1e-14
+    # too high a degree is rejected before allocating, for every law
+    assert quadrature_nodes(2 * MAX_QUADRATURE_NODES - 3) == MAX_QUADRATURE_NODES
     with pytest.raises(ParamsOutOfRangeError):
-        quadrature_nodes(LAWFREE, 2 * MAX_QUADRATURE_NODES - 2)
+        quadrature_nodes(2 * MAX_QUADRATURE_NODES - 2)
     with pytest.raises(InvalidParamsError):
-        quadrature_nodes(LAWFREE, -1)
+        quadrature_nodes(-1)
 
 
 def test_threshold_atom_decided_exactly():
@@ -311,12 +334,15 @@ def test_threshold_atom_decided_exactly():
             sp = SpidernetParams(1, b, c)
             law = law_from_pq(params_from_spidernet(sp))
             assert law.has_atom == classify(sp).localized, (b, c)
-            # x = 1 is removable exactly when c = 1, xi exactly at the threshold
-            assert (1.0 in law.poles) == (c != 1), (b, c)
-            assert (law.atom_location in law.poles) == ((b - c) ** 2 != c), (b, c)
-    # raw (p, q): p == q drops x = 1 outside the spidernet family too
-    law = law_from_pq(PqParams(0.3, 0.3, 0.4))
-    assert law.poles == (law.atom_location,)
+            # the node of a removable pole weighs 0: exactly for x = 1 when
+            # c = 1; within rounding for xi at the threshold, which the
+            # floats (p, q, r) miss by an ulp
+            (_, g_1), (_, g_xi) = _rule(law, 5)[3]
+            assert (g_1 == 0.0) == (c == 1), (b, c)
+            assert (abs(g_xi) < 1e-15) == ((b - c) ** 2 == c), (b, c)
+    # raw (p, q): p == q removes x = 1 outside the spidernet family too
+    (_, g_1), (_, g_xi) = _rule(law_from_pq(PqParams(0.3, 0.3, 0.4)), 5)[3]
+    assert g_1 == 0.0 and g_xi < 0.0
 
 
 def test_atom_sits_outside_support_and_density_stays_finite():

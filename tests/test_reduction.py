@@ -268,9 +268,9 @@ def test_oversized_ladder_rejected_before_allocation(call):
 
 
 def test_ladder_cap_admits_its_own_size(monkeypatch):
-    # amplitude's Psi_M evolved nmax steps, M + nmax <= 2097081 within the
-    # quadrature budget of S(4,6,3), lies below the cap
-    assert 2097081 + 2 <= reduction.MAX_LADDER_CELLS
+    # amplitude's Psi_M evolved nmax steps, M + nmax <= 2097149 within the
+    # quadrature degree cap, lies below the cap
+    assert 2097149 + 2 <= reduction.MAX_LADDER_CELLS
     monkeypatch.setattr(reduction, "MAX_LADDER_CELLS", 100)
     assert ReducedState.zeros(99).length == 99
     assert len(ReducedEvolver(P463, ReducedState.origin(), 98).xp) == 100

@@ -6,13 +6,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import example, given, reject
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import inner
 from spiderwalk import (
     GraphEvolver,
-    ParamsOutOfRangeError,
     ReducedEvolver,
     ReducedState,
     SpidernetParams,
@@ -24,7 +23,6 @@ from spiderwalk import (
     law_from_pq,
     law_from_spidernet,
     params_from_spidernet,
-    quadrature_nodes,
     random_walk_return,
     stratum_state,
 )
@@ -122,18 +120,6 @@ def test_graph_walk_matches_embedded_reduced_walk(walk):
     assert np.max(np.abs(ev.state() - embed(g, reduced))) < 1e-12
 
 
-def _law_within_budget(sp, degree):
-    """The walk law of sp, or a rejected draw where xi lies so close to the
-    band that degree ``degree`` needs more than MAX_QUADRATURE_NODES nodes
-    (floor(b - sqrt(b)) for b just above a square near 10^9)."""
-    law = law_from_spidernet(sp)
-    try:
-        quadrature_nodes(law, degree)
-    except ParamsOutOfRangeError:
-        reject()
-    return law
-
-
 @given(st.one_of(spidernets(), plane_spidernets()), st.integers(0, 60),
        st.integers(0, 300), st.integers(0, 300))
 @example(SpidernetParams(2, 6, 4), 60, 0, 0)
@@ -145,8 +131,11 @@ def _law_within_budget(sp, degree):
 @example(SpidernetParams(1, 10 ** 9, 999999999), 60, 1, 0)
 @example(SpidernetParams(999999000, 10 ** 9, 1000), 40, 300, 300)
 @example(SpidernetParams(1 << 27, (1 << 54) - (1 << 27), ((1 << 27) - 1) ** 2), 60, 3, 2)
+@example(SpidernetParams(31622, 999950884, 999919262), 60, 3, 2)
+@example(SpidernetParams((1 << 26) + 1, (1 << 52) + (1 << 26) + 1, 1 << 52), 40, 10, 4)
+@example(SpidernetParams((1 << 26) - 1, (1 << 52) + (1 << 26) - 1, 1 << 52), 40, 10, 4)
 def test_reduced_walk_matches_spectral_integral(sp, n, l, m):
-    law = _law_within_budget(sp, n + l + m)
+    law = law_from_spidernet(sp)
     params = params_from_spidernet(sp)
     ev = _evolved(params, stratum_state(params, m), n)
     got = ev.ladder_amplitude(l)
@@ -160,9 +149,11 @@ def test_reduced_walk_matches_spectral_integral(sp, n, l, m):
 @example(SpidernetParams(1, 10 ** 9, 999999999), 60)
 @example(SpidernetParams(1, 10 ** 9, 1), 60)
 @example(SpidernetParams(1 << 27, (1 << 54) - (1 << 27), ((1 << 27) - 1) ** 2), 60)
+@example(SpidernetParams(31622, 999950884, 999919262), 60)
+@example(SpidernetParams((1 << 26) + 1, (1 << 52) + (1 << 26) + 1, 1 << 52), 60)
+@example(SpidernetParams((1 << 26) - 1, (1 << 52) + (1 << 26) - 1, 1 << 52), 60)
 def test_random_walk_return_matches_exact_moments(sp, n):
-    law = _law_within_budget(sp, n)
-    assert abs(random_walk_return(law, n) - exact_moment(sp, n)) < 1e-14
+    assert abs(random_walk_return(law_from_spidernet(sp), n) - exact_moment(sp, n)) < 1e-14
 
 
 @given(spidernets(), st.integers(0, 60))

@@ -57,6 +57,11 @@ FIXED = [
     ["amplitude", "1", "18014398375264257", "18014398241046529", "--nmax", "1"],
     ["rwalk", "1", "18014398375264256", "18014398241046529", "--nmax", "1"],
     ["amplitude", "1", "18014398375264256", "18014398241046529", "--nmax", "2"],
+    # poles of the weight near the band, far strata, and a pq that underflows
+    ["rwalk", "--pqr", "0.5", "0.49999999", "0.00000001", "--nmax", "20"],
+    ["rwalk", "31622", "999950884", "999919262", "--nmax", "2"],
+    ["amplitude", "4", "6", "4", "--l", "100000", "--nmax", "1"],
+    ["rwalk", "--pqr", "0.4", "5e-324", "0.6", "--nmax", "1"],
 ]
 
 

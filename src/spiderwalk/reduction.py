@@ -30,11 +30,13 @@ eigenvalues of the tridiagonal T_N, the walk compressed onto
 Psi_0 .. Psi_N, with diagonal (0, r, ..., r, 0) and off-diagonal
 (sqrt(q), sqrt(pq), ..., sqrt(pq), sqrt(p)), found from (p, q, r, N) alone
 in O(N) memory and without eigenvectors.  In the band
-|x - r| < 2 sqrt(pq) they are the roots of det(x - T_N) in closed form, a
-three-term sum of sin(k phi); T_N's Sturm count, the number of its
-eigenvalues below x, checks how many the band holds, finds the few outside
-it and proves the eigenvalue 1 (and -1 when r = 0).  Each eigenvalue is
-certified within max(1e-10 * 2 sqrt(pq), 2 ulps of x).
+x = r + 2 sqrt(pq) cos(phi) they are the roots of a two-term closed form
+of det(x - T_N) in sin(k phi), bisected in the band angle phi from the
+nearer edge; the Sturm counts of T_N - 1 and T_N + 1 at y = x -+ 1, the
+number of eigenvalues below x, check how many the band holds, find the
+few outside it and prove the eigenvalue 1 (and -1 when r = 0).  The arc
+angles theta come from 1 - x and 1 + x, which keep their digits near the
+band edges and near +-1.
 """
 
 from __future__ import annotations
@@ -426,30 +428,32 @@ def embed(g: Spidernet, state: ReducedState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # A cap on the cutoff N.  The spectrum takes O(N) memory and time, so the cap
-# bounds the ~2N printed rows and the work of one solve, ~25 ms at 4096.
+# bounds the ~2N printed rows and the work of one solve, ~45 ms at 4096.
 MAX_CUTOFF = 4096
-
-
-def _check_cutoff(cutoff: int) -> None:
-    if not 2 <= cutoff <= MAX_CUTOFF:
-        raise InvalidParamsError(f"cutoff must lie in 2..{MAX_CUTOFF}, got {cutoff}")
 
 
 # -- eigenvalues of T_N -------------------------------------------------------
 #
-# With s = sqrt(pq), y = (x - r) / (2s) and U_k the Chebyshev polynomials of
+# With s = sqrt(pq), x = r + 2s cos(phi) and U_k the Chebyshev polynomials of
 # the second kind, det(x - T_N) = x P_N - p P_{N-1} for the monic free
-# Meixner polynomials P_k = s^k ((x/s) U_{k-1}(y) - U_{k-2}(y) / p), so
+# Meixner polynomials P_k = s^k ((x/s) U_{k-1} - U_{k-2} / p) at cos(phi).
+# U_{N-3} = 2 cos(phi) U_{N-2} - U_{N-1} and p + q + r = 1 leave two terms,
 #
-#     det(x - T_N) = s^(N-1) (x^2 U_{N-1} - ((p+q)/s) x U_{N-2} + U_{N-3}).
+#     sin(phi) det(x - T_N) = s^(N-1) (x - 1) ((1 + x) sin(N phi) + (r/s) sin((N-1) phi)),
 #
-# In the band y = cos(phi), sin(phi) U_{k-1}(y) = sin(k phi).  Elsewhere the
-# Sturm count decides: the number of eigenvalues of T_N below x is that of
-# negative pivots of T_N - x (Barth, Martin & Wilkinson, Numer. Math. 9
-# (1967) 386-393; Demmel, Applied Numerical Linear Algebra (1997) 5.3.4).
+# and x < 1 in the band, so its eigenvalues there are the roots of the
+# bracket, the band form.  Each is found in the band angle a from the nearer
+# edge, a = phi (side 1) up to just past pi/2 and a = pi - phi (side -1)
+# beyond, where sin(k phi) = -(-1)^k sin(k a): the band form is then
+# (1 + x) sin(N a) + side (r/s) sin((N-1) a) up to a constant sign.
+# Elsewhere the Sturm count decides: the number of eigenvalues of T_N below
+# x is that of negative pivots of T_N - x (Barth, Martin & Wilkinson,
+# Numer. Math. 9 (1967) 386-393; Demmel, Applied Numerical Linear Algebra
+# (1997) 5.3.4), taken at y = x -+ 1 on T_N -+ 1, where an eigenvalue near
+# +-1 keeps the digits of its distance to it.
 
-# A certified eigenvalue lies within max(_ROOT_TOL 2s, 2 ulps) of the one
-# its sign change or counts prove: relative to the band, where x resolves it.
+# A band root is certified within _ROOT_TOL in a, and 1 and -1 within
+# max(_ROOT_TOL 2s, a few ulps) in y: relative to the band.
 _ROOT_TOL = 1e-10
 # Bisection halvings of the band form: every bracket shrinks below one ulp.
 _BISECTIONS = 64
@@ -459,109 +463,129 @@ _MIN_SAMPLES = 64
 _PIVMIN = float(np.finfo(float).tiny)
 
 
-def _sturm_count(params: PqParams, cutoff: int, x: float) -> int:
-    """Number of eigenvalues of T_N below x: the negative pivots of
-    T_N - x = L D L^T, from the diagonal (0, r, ..., r, 0) and the squared
-    off-diagonal (q, pq, ..., pq, p).  The interior pivots follow
-    d -> (r - x) - pq/d; once d repeats exactly, so do all later ones, so
-    outside the band x = r +- 2s cosh(u) the loop stops after ~1/u steps."""
-    p, q, N, x = params.p, params.q, cutoff, float(x)
-    pq, a = p * q, params.r - x
-    d = -x or -_PIVMIN
+def _edge_gaps(params: PqParams, a, side):
+    """1 - x and 1 + x at x = r + side 2s cos(a), as sums of non-negative
+    terms: (sqrt(p) - sqrt(q))^2 + 4s sin^2(a/2) and
+    (2r + (sqrt(p) - sqrt(q))^2) + 4s cos^2(a/2), sin and cos swapped
+    where side is -1."""
+    p, q, r = params.p, params.q, params.r
+    s, gap = np.sqrt(p * q), (np.sqrt(p) - np.sqrt(q)) ** 2
+    sin2, cos2 = np.sin(0.5 * a) ** 2, np.cos(0.5 * a) ** 2
+    near, far = np.where(side > 0, sin2, cos2), np.where(side > 0, cos2, sin2)
+    return gap + 4.0 * s * near, (2.0 * r + gap) + 4.0 * s * far
+
+
+def _sturm_count(params: PqParams, cutoff: int, y: float, end: float) -> int:
+    """Number of eigenvalues of T_N below end + y, end = +-1: the negative
+    pivots of (T_N - end) - y = L D L^T, from the diagonal
+    (-end, r - end, ..., r - end, -end), with r - 1 taken as -(p + q), and
+    the squared off-diagonal (q, pq, ..., pq, p).  Each pivot subtracts y
+    last, so that the count changes where the rest of it equals y.  The
+    interior pivots follow d -> ((r - end) - pq/d) - y; once d repeats
+    exactly, so do all later ones, so outside the band x = r +- 2s cosh(u)
+    the loop stops after ~1/u steps."""
+    p, q, N, y = params.p, params.q, cutoff, float(y)
+    pq, a = p * q, -(p + q) if end > 0 else 1.0 + params.r
+    d = (-end - y) or -_PIVMIN
     neg = int(d < 0)
-    d = (a - q / d) or -_PIVMIN
+    d = ((a - q / d) - y) or -_PIVMIN
     neg += d < 0
     for i in range(2, N):
-        e = (a - pq / d) or -_PIVMIN
+        e = ((a - pq / d) - y) or -_PIVMIN
         if e == d:
             neg += (N - i) * (d < 0)
             break
         d = e
         neg += d < 0
-    d = (-x - p / d) or -_PIVMIN
+    d = ((-end - p / d) - y) or -_PIVMIN
     return neg + (d < 0)
 
 
-def _count_root(params: PqParams, cutoff: int, k: int, lo: float, hi: float) -> float:
-    """The eigenvalue lambda_k of T_N (ascending, from 0), given
-    count(lo) <= k < count(hi), bisected on the count to neighbouring floats."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if _sturm_count(params, cutoff, mid) > k:
-            hi = mid
-        else:
-            lo = mid
+def _count_root(params: PqParams, cutoff: int, k: int, end: float, lo: float, hi: float) -> float:
+    """y = lambda_k - end for the eigenvalue lambda_k of T_N (ascending, from
+    0), given count(lo) <= k < count(hi) in y, bisected on the count to
+    neighbouring floats."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if _sturm_count(params, cutoff, mid, end) > k else (mid, hi)
+    return mid
 
 
-def _band_samples(params: PqParams, cutoff: int) -> np.ndarray:
-    """Ascending points of the band, uniform in phi, less any that round
-    onto or past an edge."""
-    M = max(4 * cutoff, _MIN_SAMPLES)
-    r, s = params.r, np.sqrt(params.p * params.q)
-    x = np.sort(r + 2.0 * s * np.cos(np.pi * (np.arange(M) + 0.5) / M))
-    return x[np.abs(x - r) < 2.0 * s]
+def _sin_multiple(k: int, a: np.ndarray) -> np.ndarray:
+    """sin(k a) for 0 <= k <= MAX_CUTOFF and 0 <= a <= pi.  k a splits
+    exactly into A + B, A a multiple of 2^-38 and |B| <= 2^-27, and
+    sin(A) + B cos(A) misses sin(k a) by at most B^2 |sin(A)| + |B|^3, so
+    the sign of the band form holds up to its roots."""
+    head = np.round(a * 2.0 ** 38) * 2.0 ** -38
+    return np.sin(k * head) + k * (a - head) * np.cos(k * head)
 
 
-def _band_form(params: PqParams, cutoff: int, x: np.ndarray) -> np.ndarray:
-    """x^2 sin(N phi) - ((p+q)/s) x sin((N-1) phi) + sin((N-2) phi) at
-    x = r + 2s cos(phi): sin(phi) det(x - T_N) up to a positive factor in
-    the band, and 0 on and beyond its edges."""
-    p, q, N = params.p, params.q, cutoff
-    s = np.sqrt(p * q)
-    y = (x - params.r) / (2.0 * s)
-    # U_k(-y) = (-1)^k U_k(y): evaluate at |y|, where phi <= pi/2
-    flip = np.where(y < 0, -1.0, 1.0)
-    phi = np.arccos(np.minimum(np.abs(y), 1.0))
-    c = (p + q) / s
-    form = x * x * np.sin(N * phi) - flip * c * x * np.sin((N - 1) * phi) + np.sin((N - 2) * phi)
-    return form * flip ** (N - 1)
+def _band_form(params: PqParams, cutoff: int, a: np.ndarray, side) -> np.ndarray:
+    """(1 + x) sin(N a) + side (r/s) sin((N-1) a) at x = r + side 2s cos(a),
+    0 < a < pi: of the sign of -det(x - T_N) for side 1 and of
+    (-1)^N det(x - T_N) for side -1."""
+    _, one_plus_x = _edge_gaps(params, a, side)
+    return (one_plus_x * _sin_multiple(cutoff, a)
+            + side * (params.r / np.sqrt(params.p * params.q)) * _sin_multiple(cutoff - 1, a))
 
 
-def _band_roots(params: PqParams, cutoff: int, x: np.ndarray) -> np.ndarray:
-    """Roots of the band form, one per sign change between neighbouring
-    band samples x, bisected in x."""
-    positive = _band_form(params, cutoff, x) >= 0
-    j = np.flatnonzero(positive[1:] != positive[:-1])
-    lo, hi, lo_positive = x[j], x[j + 1], positive[j]
+def _band_roots(params: PqParams, cutoff: int, a: np.ndarray, side: np.ndarray):
+    """Roots (a, side) of the band form, one per sign change between
+    neighbouring samples on the same side, bisected in a."""
+    positive = _band_form(params, cutoff, a, side) >= 0
+    j = np.flatnonzero((positive[1:] != positive[:-1]) & (side[1:] == side[:-1]))
+    lo, hi, lo_positive, side = a[j], a[j + 1], positive[j], side[j]
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        same = (_band_form(params, cutoff, mid) >= 0) == lo_positive
+        same = (_band_form(params, cutoff, mid, side) >= 0) == lo_positive
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), side
 
 
-def _certified_eigenvalues(params: PqParams, cutoff: int) -> np.ndarray:
-    """All N + 1 eigenvalues of T_N, descending.  Counts at 1 +- t prove
-    the top one, 1, and at -1 +- t the bottom one, -1, when r = 0.  Each root
-    of the band form carries a sign change across +-tol, these intervals are
-    disjoint, and the roots number as many as the counts at the outermost
-    band samples differ by.  The rest are bisected on the count."""
+def _certified_eigenvalues(params: PqParams, cutoff: int):
+    """The interior eigenvalues x of T_N, all but 1 and, when r = 0, -1, as
+    (1 - x, 1 + x, x).  Counts on T_N - 1 at -+t_1 prove the top eigenvalue,
+    1, and on T_N + 1 at +-t the bottom one, -1, when r = 0.  The band roots
+    a_k each carry a sign change across a_k +- _ROOT_TOL, these intervals
+    are disjoint in phi, and the roots number as many as the counts at the
+    outermost samples differ by.  The rest are bisected on the count in y."""
     N, p, q, r = cutoff, params.p, params.q, params.r
     s = np.sqrt(p * q)
-    # 1 is an eigenvalue when p + q + r = 1, which the parameters may miss by
-    # up to 1e-14 (r snaps to 0 within that), and 1 by about as much
+    # a y below an ulp of T_N - 1's diagonal -(p + q) is lost
+    t_1 = max(_ROOT_TOL * 2.0 * s, 4.0 * np.spacing(p + q))
+    # -1 is an eigenvalue when r = 0 and p + q = 1, which the parameters may
+    # miss by up to 1e-14 (r snaps to 0 within that)
     t = max(_ROOT_TOL * 2.0 * s, 2.0 * np.spacing(1.0), 2.0 * abs((1.0 - r) - (p + q)))
     pinned = int(r == 0)
-    bottom = -1.0 + t if pinned else -1.0 - t
-    ends = ((-1.0 - t, 0), (bottom, pinned), (1.0 - t, N), (1.0 + t, N + 1))
-    if any(_sturm_count(params, N, x) != n for x, n in ends):
-        raise ConvergenceFailureError(f"the eigenvalue 1 or -1 of T_N is not isolated within {t:.3g}")
-    x = _band_samples(params, N)
-    band = np.sort(_band_roots(params, N, x))
-    tol = np.maximum(_ROOT_TOL * 2.0 * s, 2.0 * np.spacing(np.abs(band)))
-    lo, hi = _band_form(params, N, band - tol), _band_form(params, N, band + tol)
-    if not (np.all(np.sign(lo) * np.sign(hi) < 0) and np.all(band[1:] - tol[1:] > band[:-1] + tol[:-1])):
+    bottom = t if pinned else -t
+    ends = ((-1.0, -t, 0), (-1.0, bottom, pinned), (1.0, -t_1, N), (1.0, t_1, N + 1))
+    if any(_sturm_count(params, N, y, end) != n for end, y, n in ends):
+        raise ConvergenceFailureError(
+            f"the eigenvalue 1 or -1 of T_N is not isolated within {max(t, t_1):.3g}")
+    # samples phi_k = (k + 1/2) pi / M in ascending phi, a = phi up to the
+    # first past pi/2 and a = pi - phi from it on
+    M = max(4 * N, _MIN_SAMPLES)
+    half = (np.arange(M // 2 + 1) + 0.5) * (np.pi / M)
+    a, side = np.r_[half, half[-2::-1]], np.r_[np.ones(M // 2 + 1), -np.ones(M // 2)]
+    band, side = _band_roots(params, N, a, side)
+    lo, hi = _band_form(params, N, band - _ROOT_TOL, side), _band_form(params, N, band + _ROOT_TOL, side)
+    phi = np.where(side > 0, band, np.pi - band)
+    if not (np.all(np.sign(lo) * np.sign(hi) < 0) and np.all(np.diff(phi) > 2.0 * _ROOT_TOL)):
         raise ConvergenceFailureError("an eigenvalue of T_N is not isolated within its tolerance")
-    n_lo, n_hi = _sturm_count(params, N, x[0]), _sturm_count(params, N, x[-1])
-    # n_lo eigenvalues lie below the samples, and N + 1 - n_hi above them
+    # n_lo eigenvalues lie below the samples, and N + 1 - n_hi above them,
+    # each counted from the nearer of +-1: the top sample lies above r >= 0
+    y_top = -_edge_gaps(params, half[0], 1.0)[0]
+    gap_1, y_bottom = _edge_gaps(params, half[0], -1.0)
+    near = 1.0 if gap_1 < y_bottom else -1.0
+    n_lo = _sturm_count(params, N, -near * min(gap_1, y_bottom), near)
+    n_hi = _sturm_count(params, N, y_top, 1.0)
     found = n_lo + len(band) + N + 1 - n_hi
     if found != N + 1 or n_hi > N:
         raise ConvergenceFailureError(f"found {found} of the {N + 1} eigenvalues of T_N")
-    below = [_count_root(params, N, k, bottom, x[0]) for k in range(pinned, n_lo)]
-    above = [_count_root(params, N, k, x[-1], 1.0 - t) for k in range(n_hi, N)]
-    return np.concatenate([[-1.0] * pinned, below, band, above, [1.0]])[::-1]
+    below = np.array([_count_root(params, N, k, -1.0, bottom, y_bottom) for k in range(pinned, n_lo)])
+    above = np.array([_count_root(params, N, k, 1.0, y_top, -t_1) for k in range(n_hi, N)])
+    one_minus_x, one_plus_x = _edge_gaps(params, band, side)
+    return (np.r_[2.0 - below, one_minus_x, -above], np.r_[below, one_plus_x, 2.0 + above],
+            np.r_[below - 1.0, r + side * 2.0 * s * np.cos(band), 1.0 + above])
 
 
 @dataclass
@@ -599,21 +623,21 @@ def u_eigensystem(params: PqParams, cutoff: int) -> UEigensystem:
     """Spectrum of the cutoff walk through T_N.
 
     Eigenvalues of U_N are 1, the pairs e^{+-i theta_j} with
-    cos(theta_j) an interior eigenvalue of T_N, and -1 with multiplicity
-    N - 2 (r > 0) or N (r = 0).  The eigenvalues of T_N come from its
-    closed-form determinant in the band and its Sturm count outside, each
-    certified within max(``_ROOT_TOL`` 2 sqrt(pq), 2 ulps).  A failed
-    certificate, or an interior eigenvalue that rounds to +-1, where
-    sin theta = 0, raises ConvergenceFailureError.
+    cos(theta_j) an interior eigenvalue x of T_N, and -1 with multiplicity
+    N - 2 (r > 0) or N (r = 0).  The eigenvalues of T_N come from the band
+    form of its determinant, certified within ``_ROOT_TOL`` in the band
+    angle, and from the Sturm counts of T_N -+ 1 outside the band;
+    theta_j = atan2(sqrt((1 - x)(1 + x)), x), with 1 - x and 1 + x from
+    the band angle or from y = x -+ 1.  A failed certificate, or an
+    interior eigenvalue whose sin theta rounds to 0, raises
+    ConvergenceFailureError.
     """
-    N = cutoff
-    _check_cutoff(N)
+    if not 2 <= cutoff <= MAX_CUTOFF:
+        raise InvalidParamsError(f"cutoff must lie in 2..{MAX_CUTOFF}, got {cutoff}")
     if not params.p * params.q > 0:
         raise ConvergenceFailureError("pq underflows: the band of T_N collapses onto r")
-    vals = _certified_eigenvalues(params, N)
-    # interior eigenvalues: drop lambda_0 = 1, and lambda_N = -1 when r = 0
-    k_last = N if params.r > 0 else N - 1
-    thetas = np.arccos(np.clip(vals[1:k_last + 1], -1.0, 1.0))
+    one_minus_x, one_plus_x, x = _certified_eigenvalues(params, cutoff)
+    thetas = np.sort(np.arctan2(np.sqrt(one_minus_x * one_plus_x), x))
     if not np.all((thetas > 0) & (thetas < np.pi)):
         raise ConvergenceFailureError("an interior eigenvalue of T_N rounds to +-1")
-    return UEigensystem(params, N, thetas, 3 * N - 2 - 2 * len(thetas))
+    return UEigensystem(params, cutoff, thetas, 3 * cutoff - 2 - 2 * len(thetas))

@@ -93,29 +93,34 @@ def perturbed_eigensolver(monkeypatch):
 def _patch_roots(monkeypatch, edit):
     solve = reduction._band_roots
 
-    def patched(params, cutoff, x):
-        return edit(solve(params, cutoff, x))
+    def patched(params, cutoff, a, side):
+        return edit(*solve(params, cutoff, a, side))
 
     monkeypatch.setattr(reduction, "_band_roots", patched)
 
 
 @pytest.fixture
 def shifted_root(monkeypatch):
-    """Moves one root of det(x - T_N) found in the band by 1e-6."""
-    _patch_roots(monkeypatch, lambda x: x + np.where(np.arange(len(x)) == 3, 1e-6, 0.0))
+    """Moves one root of det(x - T_N) found in the band by 1e-6 in its band
+    angle."""
+    _patch_roots(monkeypatch, lambda a, side: (a + np.where(np.arange(len(a)) == 3, 1e-6, 0.0), side))
 
 
 @pytest.fixture
 def dropped_root(monkeypatch):
     """Drops one root of det(x - T_N) found in the band."""
-    _patch_roots(monkeypatch, lambda x: np.delete(x, 3))
+    _patch_roots(monkeypatch, lambda a, side: (np.delete(a, 3), np.delete(side, 3)))
 
 
 @pytest.fixture
 def merged_root(monkeypatch):
     """Replaces one root of det(x - T_N) found in the band by its neighbour
     moved by 1e-12: it still carries a sign change, of the neighbour's root."""
-    _patch_roots(monkeypatch, lambda x: np.where(np.arange(len(x)) == 3, np.roll(x, -1) - 1e-12, x))
+    def merge(a, side):
+        at = np.arange(len(a)) == 3
+        return np.where(at, np.roll(a, -1) - 1e-12, a), np.where(at, np.roll(side, -1), side)
+
+    _patch_roots(monkeypatch, merge)
 
 
 @pytest.fixture
@@ -123,8 +128,9 @@ def miscounted(monkeypatch):
     """Makes the Sturm count of T_N at the top band sample one too high."""
     count = reduction._sturm_count
 
-    def patched(params, cutoff, x):
-        top = reduction._band_samples(params, cutoff)[-1]
-        return count(params, cutoff, x) + (x == top)
+    def patched(params, cutoff, y, end):
+        half_step = 0.5 * (np.pi / max(4 * cutoff, reduction._MIN_SAMPLES))
+        top = -reduction._edge_gaps(params, half_step, 1.0)[0]
+        return count(params, cutoff, y, end) + (end > 0 and y == top)
 
     monkeypatch.setattr(reduction, "_sturm_count", patched)

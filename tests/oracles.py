@@ -4,6 +4,7 @@ law ``law`` or reduced parameters ``params``.  The tests check the package
 against them.  They take only the tests' own inputs, so they validate no
 arguments and cap no sizes."""
 
+import functools
 import math
 from collections import namedtuple
 
@@ -310,6 +311,55 @@ def sturm_count(params, cutoff, x):
         d = ((diag[k] - x) - off2[k] / d) or -np.finfo(float).tiny
         neg += d < 0
     return neg
+
+
+def interior(params, cutoff, vals):
+    """Drop lambda = 1 and, when r = 0, lambda = -1 from descending vals."""
+    return vals[1:cutoff + 1] if params.r > 0 else vals[1:cutoff]
+
+
+# Eigenvalues within 1e-3 of +-1 that LAPACK's bisection places to an ulp,
+# the nearest ones first; it takes ~1 ms each at N = 4096.
+STEBZ_MAX = 128
+
+
+@functools.lru_cache(maxsize=None)
+def lapack_eigenvalues(params, cutoff):
+    """LAPACK's eigenvalues of T_N, descending."""
+    t = build_T(params, cutoff)
+    lam = np.sort(scipy.linalg.eigvalsh_tridiagonal(t.diag, t.offdiag))[::-1]
+    lam.setflags(write=False)
+    return lam
+
+
+def lapack_thetas(params, cutoff):
+    """The interior theta of T_N from LAPACK, ascending, and which of them
+    are known to an ulp of cos(theta).
+
+    arccos magnifies an eigenvalue's error by 1 / sin(theta), so for up to
+    STEBZ_MAX eigenvalues within 1e-3 of +-1, theta comes from
+    mu = lambda -+ 1 instead: 2 arcsin(sqrt(|mu| / 2)) at the top end, and
+    pi minus that at the bottom one.  There mu is an eigenvalue of T_N -+ 1
+    near 0, which LAPACK's bisection (stebz) finds to full relative accuracy.
+    The rest of those eigenvalues are known only as well as LAPACK's dense
+    solver knows lambda."""
+    t = build_T(params, cutoff)
+    lam = lapack_eigenvalues(params, cutoff)
+    thetas = np.arccos(np.clip(lam, -1.0, 1.0))
+    exact = np.abs(np.abs(lam) - 1.0) >= 1e-3
+    for end in (1.0, -1.0):
+        k = min(np.count_nonzero(np.abs(lam - end) < 1e-3), STEBZ_MAX)
+        if k == 0:
+            continue
+        first = cutoff + 1 - k if end > 0 else 0
+        mu = scipy.linalg.eigvalsh_tridiagonal(
+            t.diag - end, t.offdiag, select="i", select_range=(first, first + k - 1),
+            lapack_driver="stebz", tol=np.finfo(float).tiny)
+        half = 2.0 * np.arcsin(np.sqrt(np.abs(mu[::-1]) / 2.0))
+        at = slice(0, k) if end > 0 else slice(cutoff + 1 - k, cutoff + 1)
+        thetas[at] = half if end > 0 else np.pi - half
+        exact[at] = True
+    return interior(params, cutoff, thetas), interior(params, cutoff, exact)
 
 
 def jacobi_dense(t):

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import chebyshev_amplitudes
+from oracles import chebyshev_amplitudes, lapack_thetas
 
 import spiderwalk.cli as cli
 import spiderwalk.errors
@@ -28,6 +28,7 @@ from spiderwalk import (
     SpidernetParams,
     SpiderwalkError,
     classify,
+    params_from_spidernet,
     quadrature_nodes,
 )
 from spiderwalk.cli import main
@@ -444,12 +445,19 @@ def test_spectrum_fails_on_a_miscounted_band(capsys, miscounted):
 
 @pytest.mark.parametrize("abc, cutoff", [(["1", str(10**12), "3"], "400"),
                                          (["1", str(10**15), "7"], "4096")])
-def test_spectrum_refuses_eigenvalues_closer_than_two_ulps(capsys, abc, cutoff):
-    # neighbouring eigenvalues of T_N lie less than 2 ulps apart in x, where
-    # no certificate can tell them apart
+def test_spectrum_resolves_eigenvalues_closer_than_two_ulps(capsys, abc, cutoff):
+    # neighbouring eigenvalues of T_N lie less than 2 ulps apart in x, but
+    # ~pi/N apart in the band angle: every theta matches LAPACK's, within
+    # test_spectrum's bound and the 15 printed digits
     code, out, err = run_cli(capsys, "spectrum", *abc, "--cutoff", cutoff)
-    assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "ConvergenceFailureError"
+    assert code == 0 and err == ""
+    _, rows = read_csv(out)
+    thetas = np.array([float(r[0]) for r in rows[1:-1] if float(r[2]) > 0])
+    want, exact = lapack_thetas(params_from_spidernet(SpidernetParams(*map(int, abc))), int(cutoff))
+    assert thetas.shape == want.shape
+    ulp = np.spacing(np.abs(np.cos(want))) / np.sin(want)
+    assert np.all((np.abs(thetas - want) <= 1e-13 + ulp + 1e-14 * want)[exact])
+    assert np.all(np.abs(np.cos(thetas) - np.cos(want)) <= 1e-13)
 
 
 def test_no_subcommand_imports_scipy():

@@ -663,14 +663,13 @@ def test_certificate_rejects_a_bad_root(request, fault, message):
         u_eigensystem(P463, 8)
 
 
-@pytest.mark.parametrize("params, lo, hi", [(P463, 1.0, 2.0), (PTREE, -1.0, -1.0 + 1e-9)],
-                         ids=["top", "bottom-tree"])
-def test_certificate_rejects_a_miscounted_end(monkeypatch, params, lo, hi):
-    # one eigenvalue fewer below the points in (lo, hi): no eigenvalue of
-    # T_N sits at 1, or at -1 when r = 0
+@pytest.mark.parametrize("params, end", [(P463, 1.0), (PTREE, -1.0)], ids=["top", "bottom-tree"])
+def test_certificate_rejects_a_miscounted_end(monkeypatch, params, end):
+    # one eigenvalue fewer below the points y in (0, 1e-9) of T_N - end: no
+    # eigenvalue of T_N sits at 1, or at -1 when r = 0
     count = reduction._sturm_count
     monkeypatch.setattr(reduction, "_sturm_count",
-                        lambda p, N, x: count(p, N, x) - (lo < x < hi))
+                        lambda p, N, y, e: count(p, N, y, e) - (e == end and 0 < y < 1e-9))
     with pytest.raises(ConvergenceFailureError, match="eigenvalue 1 or -1"):
         u_eigensystem(params, 8)
 

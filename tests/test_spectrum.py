@@ -1,7 +1,6 @@
 """The closed-form spectrum of the cutoff walk against eigenvalues of T_N
 from mpmath and from LAPACK."""
 
-import functools
 import math
 
 import mpmath
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 import spiderwalk.reduction as reduction
-from oracles import build_T
+from oracles import build_T, interior, lapack_eigenvalues, lapack_thetas
 from spiderwalk import (
     MAX_CUTOFF,
     ConvergenceFailureError,
@@ -39,62 +38,14 @@ CASES = {
 }
 
 
-def _interior(params, cutoff, vals):
-    """Drop lambda = 1 and, when r = 0, lambda = -1 from descending vals."""
-    return vals[1:cutoff + 1] if params.r > 0 else vals[1:cutoff]
-
-
-# Eigenvalues within 1e-3 of +-1 that LAPACK's bisection places to an ulp,
-# the nearest ones first; it takes ~1 ms each at N = 4096.
-_STEBZ_MAX = 128
-
-
-@functools.lru_cache(maxsize=None)
-def _lapack_eigenvalues(params, cutoff):
-    """LAPACK's eigenvalues of T_N, descending."""
-    t = build_T(params, cutoff)
-    lam = np.sort(scipy.linalg.eigvalsh_tridiagonal(t.diag, t.offdiag))[::-1]
-    lam.setflags(write=False)
-    return lam
-
-
-def _lapack_thetas(params, cutoff):
-    """The interior theta of T_N from LAPACK, ascending, and which of them
-    are known to an ulp of cos(theta).
-
-    arccos magnifies an eigenvalue's error by 1 / sin(theta), so for up to
-    _STEBZ_MAX eigenvalues within 1e-3 of +-1, theta comes from
-    mu = lambda -+ 1 instead: 2 arcsin(sqrt(|mu| / 2)) at the top end, and
-    pi minus that at the bottom one.  There mu is an eigenvalue of T_N -+ 1
-    near 0, which LAPACK's bisection (stebz) finds to full relative accuracy.
-    The rest of those eigenvalues are known only as well as LAPACK's dense
-    solver knows lambda."""
-    t = build_T(params, cutoff)
-    lam = _lapack_eigenvalues(params, cutoff)
-    thetas = np.arccos(np.clip(lam, -1.0, 1.0))
-    exact = np.abs(np.abs(lam) - 1.0) >= 1e-3
-    for end in (1.0, -1.0):
-        k = min(np.count_nonzero(np.abs(lam - end) < 1e-3), _STEBZ_MAX)
-        if k == 0:
-            continue
-        first = cutoff + 1 - k if end > 0 else 0
-        mu = scipy.linalg.eigvalsh_tridiagonal(
-            t.diag - end, t.offdiag, select="i", select_range=(first, first + k - 1),
-            lapack_driver="stebz", tol=np.finfo(float).tiny)
-        half = 2.0 * np.arcsin(np.sqrt(np.abs(mu[::-1]) / 2.0))
-        at = slice(0, k) if end > 0 else slice(cutoff + 1 - k, cutoff + 1)
-        thetas[at] = half if end > 0 else np.pi - half
-        exact[at] = True
-    return _interior(params, cutoff, thetas), _interior(params, cutoff, exact)
-
-
 def _assert_thetas_match_lapack(params, cutoff):
     thetas = u_eigensystem(params, cutoff).thetas
-    want, exact = _lapack_thetas(params, cutoff)
+    want, exact = lapack_thetas(params, cutoff)
     assert thetas.shape == want.shape
     # 1e-13, plus the width in theta of one ulp of cos(theta): neither side
-    # can place theta closer than that
-    ulp = np.spacing(np.abs(np.cos(want))) / np.sin(want)
+    # can place theta closer than that (none where LAPACK's theta is 0)
+    with np.errstate(divide="ignore"):
+        ulp = np.spacing(np.abs(np.cos(want))) / np.sin(want)
     assert np.all((np.abs(thetas - want) <= 1e-13 + ulp)[exact])
     assert np.all(np.abs(np.cos(thetas) - np.cos(want)) <= 1e-13)
 
@@ -111,7 +62,7 @@ def test_spectrum_against_mpmath(name):
             for i in range(N):
                 dense[i, i + 1] = dense[i + 1, i] = t.offdiag[i]
             lam = sorted(mpmath.eigsy(dense, eigvals_only=True), reverse=True)
-            want = [float(mpmath.acos(x)) for x in _interior(params, N, lam)]
+            want = [float(mpmath.acos(x)) for x in interior(params, N, lam)]
         thetas = u_eigensystem(params, N).thetas
         assert np.max(np.abs(thetas - np.sort(want))) < 1e-14, N
 
@@ -120,17 +71,6 @@ def test_spectrum_against_mpmath(name):
 @pytest.mark.parametrize("name", CASES)
 def test_spectrum_against_lapack(name, cutoff):
     _assert_thetas_match_lapack(CASES[name], cutoff)
-
-
-def _assert_matches_lapack_or_unresolvable(params, cutoff):
-    """The thetas match LAPACK's, or u_eigensystem refuses because two
-    neighbouring eigenvalues of T_N lie closer than its certificate tells
-    apart, 2 max(1e-10 2 sqrt(pq), 2 ulps of 1)."""
-    try:
-        _assert_thetas_match_lapack(params, cutoff)
-    except ConvergenceFailureError:
-        width = 2.0 * max(2e-10 * np.sqrt(params.p * params.q), 2.0 * np.spacing(1.0))
-        assert np.min(-np.diff(_lapack_eigenvalues(params, cutoff))) < width
 
 
 def _log_uniform(bits):
@@ -149,18 +89,25 @@ def _realizable_bc(draw):
 @settings(max_examples=40)
 @given(_realizable_bc(), _log_uniform(MAX_CUTOFF.bit_length() - 1))
 def test_spectrum_against_lapack_across_the_plane(bc, cutoff):
-    _assert_matches_lapack_or_unresolvable(_S(1, *bc), cutoff)
+    _assert_thetas_match_lapack(_S(1, *bc), cutoff)
 
 
 # small c with large b put the two end states of T_N within ~(p - q) of
 # each other below the band; large b narrows the band to 4 sqrt(c) / b.
 # At b = 2^44, c = 1 the top band samples round onto the edge, 1; at
-# c = b - 2 ~ 10^14, r = 1/b snaps to 0 and p + q misses 1 by 9e-15.
+# c = b - 2 ~ 10^14, r = 1/b snaps to 0 and p + q misses 1 by 9e-15.  For
+# c = 1 and b ~ 2^k the band's top eigenvalues lie closer than an ulp of x
+# from k ~ 32 on, but ~pi/N apart in the band angle.  Its bottom sample, at
+# x = 1 - 4/b, is counted on T_N - 1: on T_N + 1, at y ~ 2, it took band
+# eigenvalues for bound ones in the last three cases.
 PLANE_CASES = (
     [(b, c, N) for b in (58_000, 10**5, 10**6, 10**7) for c in (2, 3, 5) for N in (2, 10, 400)]
     + [(630_000_000, 1, 20), (1_300_000, 1, 400), (350_000, 1, 800), (15_000, 1, 4096)]
     + [(17_000, 2, 4096), (22_000, 5, 4096), (84_000, 50, 4096)]
-    + [(1 << 44, 1, 2), (1 << 44, 1, 3), (111_116_087_390_582, 111_116_087_390_580, 4)])
+    + [(1 << 44, 1, 2), (1 << 44, 1, 3), (111_116_087_390_582, 111_116_087_390_580, 4)]
+    + [(10**12, 3, 400), (10**15, 7, 4096)]
+    + [((1 << k) + k % 3, 1, N) for k in range(32, 53, 2) for N in (400, 4096)]
+    + [(724_892_677_912, 1, 400), (1_639_542_763_363_549, 1, 10), (1 << 52, 3, 4096)])
 
 
 @pytest.mark.parametrize("b, c, cutoff", PLANE_CASES)
@@ -171,9 +118,42 @@ def test_spectrum_against_lapack_far_out_in_the_plane(b, c, cutoff):
 @pytest.mark.parametrize("cutoff", [2, 3, 8, 300, 4096])
 def test_half_line_eigenvalues_on_the_band_edges(cutoff):
     # p = q = 1/2, r = 0: the eigenvalues of T_N are cos(k pi / N), k = 0..N,
-    # with 1 and -1 on the two band edges
-    vals = reduction._certified_eigenvalues(PqParams(0.5, 0.5, 0.0), cutoff)
-    assert np.max(np.abs(vals - np.cos(np.pi * np.arange(cutoff + 1) / cutoff))) < 1e-15
+    # with 1 and -1 on the two band edges, so theta_k = k pi / N
+    thetas = u_eigensystem(PqParams(0.5, 0.5, 0.0), cutoff).thetas
+    assert np.max(np.abs(thetas - np.pi * np.arange(1, cutoff) / cutoff)) < 1e-15
+
+
+# c = b - 2: r = 1/b puts the bottom eigenvalue of T_N within ~1e-13 of -1,
+# out of the band, where one ulp of x is a width 2^-52 / sin(theta) in theta.
+# The pivots of its count on T_N + 1 are of size 1 and round by up to half
+# an ulp, hence the bound of half a width
+NEAR_TREES = [(25_046_917_479_511, 10), (2_836_383_312_763, 100), (10**9, 400), ((1 << 40) + 1, 400)]
+
+
+@pytest.mark.parametrize("b, cutoff", NEAR_TREES)
+def test_near_tree_bottom_state_within_half_a_width(b, cutoff):
+    params = _S(1, b, b - 2)
+    t = build_T(params, cutoff)
+    with mpmath.workdps(40):
+        diag = [mpmath.mpf(d) for d in t.diag]
+        off2 = [mpmath.mpf(0)] + [mpmath.mpf(e) ** 2 for e in t.offdiag]
+
+        def below(y):
+            # the number of eigenvalues of T_N below -1 + y, by Sturm count
+            x, d, neg = y - 1, mpmath.mpf(1), 0
+            for k in range(cutoff + 1):
+                d = (diag[k] - x) - off2[k] / d
+                neg += d < 0
+            return neg
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1e-6)
+        assert below(lo) == 0 and below(hi) == 1
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        want = float(mpmath.acos(lo - 1))
+    theta = u_eigensystem(params, cutoff).thetas[-1]
+    assert abs(theta - want) <= 0.5 * np.spacing(1.0) / np.sin(want)
 
 
 EDGE_CASES = dict(CASES, **{"pqr(0.5,0.125,0.375)": PqParams(0.5, 0.125, 0.375)})
@@ -183,33 +163,44 @@ EDGE_CASES = dict(CASES, **{"pqr(0.5,0.125,0.375)": PqParams(0.5, 0.125, 0.375)}
 @pytest.mark.parametrize("name", EDGE_CASES)
 def test_band_form_has_the_sign_of_the_determinant(name, cutoff):
     # pqr(0.5, 0.125, 0.375) has s = 1/4 and r = 3/8, which put the band
-    # edges at exactly -1/8 and 7/8; c = 1 puts the eigenvalue 1 on an edge
+    # edges at exactly -1/8 and 7/8; c = 1 puts the eigenvalue 1 on an edge.
+    # The band form has the sign of -det(x - T_N) at a = phi (side 1) and
+    # of (-1)^N det(x - T_N) at a = pi - phi (side -1)
     params = EDGE_CASES[name]
-    lo, hi = params.r + np.array([-2.0, 2.0]) * np.sqrt(params.p * params.q)
-    samples = reduction._band_samples(params, cutoff)
-    x = np.r_[lo + 1e-9, lo + 1e-6, samples[::len(samples) // 16], hi - 1e-6, hi - 1e-9]
-    form = reduction._band_form(params, cutoff, x)
+    M = max(4 * cutoff, reduction._MIN_SAMPLES)
+    a = np.r_[1e-4, 1e-3, (np.arange(M // 2 + 1) + 0.5)[::M // 32] * (np.pi / M), np.pi / 2]
     t = build_T(params, cutoff)
     with mpmath.workdps(40):
         diag = [mpmath.mpf(d) for d in t.diag]
         off2 = [mpmath.mpf(e) ** 2 for e in t.offdiag]
-        for xi, f in zip(x, form):
-            # det(x - T_N) by its three-term recurrence
-            xi = mpmath.mpf(xi)
-            prev, det = 1, xi - diag[0]
-            for k in range(1, cutoff + 1):
-                prev, det = det, (xi - diag[k]) * det - off2[k - 1] * prev
-            assert f != 0 and np.sign(f) == mpmath.sign(det), xi
+        s = mpmath.sqrt(mpmath.mpf(params.p) * mpmath.mpf(params.q))
+        for side, sign in ((1.0, -1), (-1.0, (-1) ** cutoff)):
+            form = reduction._band_form(params, cutoff, a, side)
+            for ai, f in zip(a, form):
+                # det(x - T_N) by its three-term recurrence
+                xi = params.r + side * 2 * s * mpmath.cos(mpmath.mpf(ai))
+                prev, det = 1, xi - diag[0]
+                for k in range(1, cutoff + 1):
+                    prev, det = det, (xi - diag[k]) * det - off2[k - 1] * prev
+                assert f != 0 and np.sign(f) == sign * mpmath.sign(det), (side, ai)
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 300, 4096])
 @pytest.mark.parametrize("name", CASES)
 def test_sturm_count_against_lapack(name, cutoff):
-    # a point within 1e-13 of an eigenvalue may count it either way
+    # counts of T_N - 1 at y = x - 1 and of T_N + 1 at y = x + 1; a point
+    # within 1e-13 of an eigenvalue may count it either way
     params = CASES[name]
     s = np.sqrt(params.p * params.q)
-    lam = _lapack_eigenvalues(params, cutoff)
+    lam = lapack_eigenvalues(params, cutoff)
     for x in np.r_[np.linspace(-1.1, 1.1, 45), params.r - 2 * s, params.r + 2 * s]:
-        count = reduction._sturm_count(params, cutoff, x)
-        assert count == oracles.sturm_count(params, cutoff, x), x
-        assert np.sum(lam < x - 1e-13) <= count <= np.sum(lam < x + 1e-13), x
+        bracket = np.sum(lam < x - 1e-13), np.sum(lam < x + 1e-13)
+        assert bracket[0] <= oracles.sturm_count(params, cutoff, x) <= bracket[1], x
+        for end in (1.0, -1.0):
+            count = reduction._sturm_count(params, cutoff, x - end, end)
+            assert bracket[0] <= count <= bracket[1], (x, end)
+    # near the ends, in y
+    for end in (1.0, -1.0):
+        for y in (-1e-3, -1e-9, -1e-12, 1e-12, 1e-9, 1e-3):
+            count = reduction._sturm_count(params, cutoff, y, end)
+            assert np.sum(lam - end < y - 1e-13) <= count <= np.sum(lam - end < y + 1e-13), (y, end)

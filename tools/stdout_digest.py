@@ -4,8 +4,9 @@
 
 Runs ``spiderwalk.cli.main`` in-process, from the ``src/`` of the checkout
 the script sits in, and prints one ``<sha256 of stdout>  <argv>`` line per
-command, with ``  # exit N`` appended when the command fails.  Run it in
-two checkouts and ``diff`` the two outputs: equal lines show that those
+command, with ``  # exit N`` appended when the command fails and
+``  # raised <Name>`` when it raises, after which the run goes on.  Run it
+in two checkouts and ``diff`` the two outputs: equal lines show that those
 commands print byte-identical stdout.
 
 The commands are the README's examples, every CLI job of the benchmark
@@ -43,6 +44,12 @@ FIXED = [
     ["spectrum", "4", "6", "3", "--cutoff", "4000"],
     ["spectrum", "--pqr", "0.75", "0.25", "0", "--cutoff", "50"],
     ["spectrum", "1", "1000000000", "999968377", "--cutoff", "300"],
+    # eigenvalues of T_N closer than an ulp of x, the half-line and a near-tree
+    ["spectrum", "1", "1000000000000", "3", "--cutoff", "400"],
+    ["spectrum", "1", "1000000000000000", "7", "--cutoff", "4096"],
+    ["spectrum", "1", "4294967298", "1", "--cutoff", "4096"],
+    ["spectrum", "--pqr", "0.5", "0.5", "0", "--cutoff", "4096"],
+    ["spectrum", "1", "25046917479511", "25046917479509", "--cutoff", "10"],
     ["amplitude", "4", "6", "3", "--l", "3", "--m", "2", "--nmax", "60"],
     ["amplitude", "6", "12", "9", "--l", "40", "--m", "7", "--nmax", "30"],
     ["amplitude", "4", "4", "3", "--l", "1", "--nmax", "40"],  # prints -0
@@ -78,12 +85,16 @@ def job_commands() -> list[list[str]]:
 
 
 def digest(argv: list[str]) -> str:
-    """``<sha256 of stdout>  <argv>``, and the exit code when it is not 0."""
+    """``<sha256 of stdout>  <argv>``, and the exit code when it is not 0 or
+    the exception's name when the command raises."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(argv))
-    line = f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  {' '.join(argv)}"
-    return line if code == 0 else f"{line}  # exit {code}"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        note = "" if code == 0 else f"  # exit {code}"
+    except Exception as exc:
+        note = f"  # raised {type(exc).__name__}"
+    return f"{hashlib.sha256(out.getvalue().encode()).hexdigest()}  {' '.join(argv)}{note}"
 
 
 def main() -> int:

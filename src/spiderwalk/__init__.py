@@ -49,12 +49,10 @@ from .reduction import (
     PqParams,
     ReducedEvolver,
     ReducedState,
-    cesaro_origin,
     cesaro_strata,
     embed,
     origin_amplitude_series,
     params_from_spidernet,
-    stratum_state,
     u_eigensystem,
 )
 from .walk import GraphEvolver, evolve, isotropic_initial_state, vertex_distribution
@@ -85,7 +83,6 @@ __all__ = [
     "params_from_spidernet",
     "ReducedState",
     "ReducedEvolver",
-    "stratum_state",
     "embed",
     "u_eigensystem",
     "law_from_pq",
@@ -95,7 +92,6 @@ __all__ = [
     "amplitude",
     "asymptotic_amplitude",
     "classify",
-    "cesaro_origin",
     "cesaro_strata",
     "exp_localization_bound",
     "random_walk_return",

@@ -12,8 +12,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -38,7 +36,6 @@ from .reduction import (
     ReducedState,
     origin_amplitude_series,
     params_from_spidernet,
-    stratum_state,
     u_eigensystem,
 )
 from .walk import GraphEvolver, isotropic_initial_state
@@ -56,59 +53,34 @@ MAX_TABLE_CELLS = 1_000_000
 
 
 _BOOL_TEXT = {False: "false", True: "true"}
+# The %-format of each kind of column; bools and strs are mapped to text first.
+_FIELDS = {float: "%.15g", bool: "%s", int: "%d", str: "%s"}
 
 
-# A cell is a float (np.float64 among them, a subclass of float), a bool, an
-# int or a str; float() skips np.float64's slower __format__.
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(float(value), ".15g")
-    if isinstance(value, bool):
-        return _BOOL_TEXT[value]
-    return str(value)
+def _quote(text: str) -> str:
+    """text as a CSV field, quoted when it holds a comma, a quote or a line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _csv_body(rows) -> str | None:
-    """The CSV lines of a table whose every column holds one kind of cell:
-    bools, ints or floats (np.float64 among them).  Each row prints through
-    one %-format, where "%.15g" % v == format(v, ".15g") for every float.
-    None for any other table."""
-    if len(set(map(len, rows))) != 1:
-        return None
-    columns, fields = list(zip(*rows)), []
-    for j, column in enumerate(columns):
-        kinds = set(map(type, column))
-        if kinds == {bool}:
-            columns[j] = map(_BOOL_TEXT.__getitem__, column)
-            fields.append("%s")
-        elif kinds == {int}:
-            fields.append("%d")
-        elif kinds <= {float, np.float64}:
-            fields.append("%.15g")
-        else:
-            return None
-    return "".join(map((",".join(fields) + "\n").__mod__, zip(*columns)))
-
-
-def _json_value(value):
-    if isinstance(value, float):
-        return float(format(float(value), ".15g"))
-    return value
-
-
-def _emit(columns, rows, args) -> None:
+def _emit(names, rows, args) -> None:
+    """Print a table whose every column holds one kind of cell: floats
+    (np.float64 among them, a subclass of float), bools, ints or strs.  CSV
+    prints each row through one %-format, where "%.15g" % v ==
+    format(v, ".15g"); JSON records take each float as that text's value."""
+    columns = list(zip(*rows))
+    kinds = [float if isinstance(column[0], float) else type(column[0]) for column in columns]
     if args.format == "json":
-        records = [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows]
-        text = json.dumps(records, indent=2) + "\n"
+        columns = [[float("%.15g" % v) for v in column] if kind is float else column
+                   for column, kind in zip(columns, kinds)]
+        text = json.dumps([dict(zip(names, row)) for row in zip(*columns)], indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        body = _csv_body(rows)
-        if body is None:
-            writer.writerows([_fmt(v) for v in row] for row in rows)
-            body = ""
-        text = buf.getvalue() + body
+        cell_text = {bool: _BOOL_TEXT.__getitem__, str: _quote}
+        columns = [map(cell_text[kind], column) if kind in cell_text else column
+                   for column, kind in zip(columns, kinds)]
+        row = ",".join(_FIELDS[kind] for kind in kinds) + "\n"
+        text = ",".join(map(_quote, names)) + "\n" + "".join(map(row.__mod__, zip(*columns)))
     if args.output:
         path = args.output
         if not os.path.isabs(path):
@@ -125,6 +97,11 @@ def _pq_from_args(args) -> PqParams:
         p, q, r = args.pqr
         return PqParams(p, q, r)
     return params_from_spidernet(_require_abc(args, "--pqr P Q R"))
+
+
+def _law_from_args(args, params: PqParams):
+    # with a b c, the atom comes from (b, c) exactly
+    return law_from_pq(params) if args.pqr is not None else law_from_spidernet(_require_abc(args))
 
 
 def _reject_abc(args, flag: str) -> None:
@@ -181,20 +158,19 @@ def _cmd_simulate(args) -> int:
         # never runs; the root has edges only from radius 1 on
         g = build_spidernet(sp, max(steps, 1))
         ev = GraphEvolver(g, isotropic_initial_state(g))
-        rows = []
+        probs = np.empty((steps + 1, g.radius + 1))
         for n in range(steps + 1):
             if n > 0:
                 ev.step()
-            # no amplitude reaches strata past the radius
-            dist = ev.stratum_distribution()
-            rows.append([n] + [float(p) for p in dist[:n_strata + 1]] +
-                        [0.0] * (n_strata - g.radius))
+            probs[n] = ev.stratum_distribution()
     else:
-        params = params_from_spidernet(sp)
-        ev = ReducedEvolver(params, ReducedState.origin(), steps, reach=n_strata)
+        ev = ReducedEvolver(params_from_spidernet(sp), ReducedState.origin(), steps,
+                            reach=n_strata)
         probs = ev.stratum_probability_rows(steps)
-        pad = [0.0] * (n_strata + 1 - probs.shape[1])
-        rows = [[n] + row + pad for n, row in enumerate(probs.tolist())]
+    # strata the walk cannot reach read 0
+    probs = probs[:, :n_strata + 1]
+    pad = [0.0] * (n_strata + 1 - probs.shape[1])
+    rows = [[n] + row + pad for n, row in enumerate(probs.tolist())]
     _emit(columns, rows, args)
     return 0
 
@@ -220,21 +196,14 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_amplitude(args) -> int:
     params = _pq_from_args(args)
-    # with a b c, the atom comes from (b, c) exactly
-    law = law_from_pq(params) if args.pqr is not None else law_from_spidernet(_require_abc(args))
+    law = _law_from_args(args, params)
     l, m, nmax = _count(args.l, "--l"), _count(args.m, "--m"), _count(args.nmax, "--nmax")
     # the last integral has the highest degree: refuse it before any work
     quadrature_nodes(nmax + l + m)
-    # reduced-walk side: evolve Psi_m once, read <Psi_l, .> per step
-    ev = ReducedEvolver(params, stratum_state(params, m), nmax, reach=l)
+    reduced = origin_amplitude_series(params, nmax, l, m).tolist()
+    integral = [amplitude(law, l, m, n) for n in range(nmax + 1)]
     columns = ["n", "integral", "reduced", "abs_diff"]
-    rows = []
-    for n in range(nmax + 1):
-        if n > 0:
-            ev.step()
-        a_int = amplitude(law, l, m, n)
-        a_red = ev.ladder_amplitude(l)
-        rows.append([n, a_int, a_red, abs(a_int - a_red)])
+    rows = [[n, a, r, abs(a - r)] for n, (a, r) in enumerate(zip(integral, reduced))]
     _emit(columns, rows, args)
     return 0
 
@@ -299,8 +268,7 @@ def _cmd_figure2(args) -> int:
 
 
 def _cmd_rwalk(args) -> int:
-    params = _pq_from_args(args)
-    law = law_from_pq(params) if args.pqr is not None else law_from_spidernet(_require_abc(args))
+    law = _law_from_args(args, _pq_from_args(args))
     nmax = _count(args.nmax, "--nmax")
     quadrature_nodes(nmax)                      # the last moment's budget
     columns = ["n", "return_probability"]

@@ -21,12 +21,12 @@ The module provides the reduced state, its one evolution kernel
 :class:`ReducedEvolver` (in place, stepping only the cells inside the light
 cone of the read strata and short of the walk's underflow front, reading a
 stratum from its three coefficients, one step at a time or every step's
-probabilities in bulk), the drivers built on it (the origin amplitude
-series and the Cesaro averages of the stratum probabilities, whose origin
-value tends to w^2 / 2 for the atom mass w of :mod:`spiderwalk.meixner`),
-the isometric embedding back into a concrete graph, and the spectrum of
-the finite-path cutoff walk U_N.  That spectrum comes from the
-eigenvalues of the tridiagonal T_N, the walk compressed onto
+probabilities in bulk), the drivers built on it (the amplitude series
+<Psi_l, U^n Psi_m> and the Cesaro averages of the stratum probabilities,
+whose origin value tends to w^2 / 2 for the atom mass w of
+:mod:`spiderwalk.meixner`), the isometric embedding back into a concrete
+graph, and the spectrum of the finite-path cutoff walk U_N.  That spectrum
+comes from the eigenvalues of the tridiagonal T_N, the walk compressed onto
 Psi_0 .. Psi_N, with diagonal (0, r, ..., r, 0) and off-diagonal
 (sqrt(q), sqrt(pq), ..., sqrt(pq), sqrt(p)), found from (p, q, r, N) alone
 in O(N) memory and without eigenvectors.  In the band
@@ -60,8 +60,6 @@ __all__ = [
     "ReducedState",
     "ReducedEvolver",
     "MAX_LADDER_CELLS",
-    "stratum_state",
-    "cesaro_origin",
     "cesaro_strata",
     "origin_amplitude_series",
     "embed",
@@ -339,11 +337,6 @@ def stratum_state(params: PqParams, stratum: int) -> ReducedState:
 _BLOCK_CELLS = 1 << 16
 
 
-def cesaro_origin(params: PqParams, horizon: int) -> float:
-    """Time-averaged origin probability (1/N) sum_{n<N} |<Psi_0, U^n Psi_0>|^2."""
-    return float(cesaro_strata(params, horizon, 0)[0])
-
-
 def cesaro_strata(params: PqParams, horizon: int, max_stratum: int) -> np.ndarray:
     """Time-averaged stratum probabilities of the reduced walk.
 
@@ -370,20 +363,21 @@ def cesaro_strata(params: PqParams, horizon: int, max_stratum: int) -> np.ndarra
     return acc / horizon
 
 
-def origin_amplitude_series(params: PqParams, nmax: int) -> np.ndarray:
-    """<Psi_0, U^n Psi_0> for n = 0 .. nmax from the reduced evolution.
+def origin_amplitude_series(params: PqParams, nmax: int, l: int = 0, m: int = 0) -> np.ndarray:
+    """<Psi_l, U^n Psi_m> for n = 0 .. nmax from the reduced evolution,
+    the origin's return amplitudes by default.
 
-    One pass of the evolver; real values (the walk matrix is real and the
-    initial state is real).
+    One pass of the evolver from Psi_m with reach l; real values (the walk
+    matrix is real and the initial state is real).
     """
     if nmax < 0:
         raise InvalidParamsError(f"nmax must be non-negative, got {nmax}")
-    ev = ReducedEvolver(params, ReducedState.origin(), nmax, reach=0)
+    ev = ReducedEvolver(params, stratum_state(params, m), nmax, reach=l)
     out = np.empty(nmax + 1)
     for k in range(nmax + 1):
         if k > 0:
             ev.step()
-        out[k] = ev.ladder_amplitude(0)
+        out[k] = ev.ladder_amplitude(l)
     return out
 
 
@@ -455,8 +449,6 @@ MAX_CUTOFF = 4096
 # A band root is certified within _ROOT_TOL in a, and 1 and -1 within
 # max(_ROOT_TOL 2s, a few ulps) in y: relative to the band.
 _ROOT_TOL = 1e-10
-# Bisection halvings of the band form: every bracket shrinks below one ulp.
-_BISECTIONS = 64
 # Band samples, uniform in phi: max(4N, _MIN_SAMPLES).
 _MIN_SAMPLES = 64
 # A zero pivot counts as negative; pq / _PIVMIN stays finite.
@@ -530,15 +522,18 @@ def _band_form(params: PqParams, cutoff: int, a: np.ndarray, side) -> np.ndarray
 
 def _band_roots(params: PqParams, cutoff: int, a: np.ndarray, side: np.ndarray):
     """Roots (a, side) of the band form, one per sign change between
-    neighbouring samples on the same side, bisected in a."""
+    neighbouring samples on the same side, bisected in a until no bracket
+    has a midpoint strictly inside it; a midpoint that rounds onto an end
+    of its bracket stays the root under further halvings."""
     positive = _band_form(params, cutoff, a, side) >= 0
     j = np.flatnonzero((positive[1:] != positive[:-1]) & (side[1:] == side[:-1]))
     lo, hi, lo_positive, side = a[j], a[j + 1], positive[j], side[j]
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
+    # side -1 brackets run downwards in a: mid is strictly inside while it
+    # equals neither end
+    while np.any(((mid := 0.5 * (lo + hi)) != lo) & (mid != hi)):
         same = (_band_form(params, cutoff, mid, side) >= 0) == lo_positive
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return 0.5 * (lo + hi), side
+    return mid, side
 
 
 def _certified_eigenvalues(params: PqParams, cutoff: int):

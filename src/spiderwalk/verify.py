@@ -31,7 +31,7 @@ from .reduction import (
     PqParams,
     ReducedEvolver,
     ReducedState,
-    cesaro_origin,
+    cesaro_strata,
     embed,
     origin_amplitude_series,
     params_from_spidernet,
@@ -116,7 +116,7 @@ def _check_atom_constants():
 def _check_cesaro():
     rep = classify(SpidernetParams(4, 6, 3))
     params = params_from_spidernet(SpidernetParams(4, 6, 3))
-    qbar = cesaro_origin(params, 4000)
+    qbar = float(cesaro_strata(params, 4000, 0)[0])
     err = abs(qbar - float(rep.qbar_origin))
     return err < 1e-3, f"|Cesaro - 1/8| = {err:.2e} at N=4000"
 

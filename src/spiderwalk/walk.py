@@ -33,9 +33,6 @@ __all__ = [
     "GraphEvolver",
 ]
 
-#: A walk state is just a complex vector over half-edges.
-WalkState = np.ndarray
-
 
 def _check_state(g: Spidernet, state: np.ndarray) -> None:
     if state.shape != (g.num_half_edges,):
@@ -43,23 +40,11 @@ def _check_state(g: Spidernet, state: np.ndarray) -> None:
             f"state has shape {state.shape}, expected ({g.num_half_edges},)")
 
 
-def _coin(g: Spidernet, psi: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
-    # psi holds the half-edges leaving the first len(factor) vertices;
-    # factor is 2/deg per vertex
-    sums = np.add.reduceat(psi, g.adj_ptr[:len(factor)]) * factor
-    np.take(sums, g.he_src[:len(psi)], out=out)
-    np.subtract(out, psi, out=out)
-
-
-def _shift(g: Spidernet, psi: np.ndarray, out: np.ndarray) -> None:
-    np.take(psi, g.reversal[:len(out)], out=out)
-
-
 def _vertex_weights(g: Spidernet, psi: np.ndarray, n_vertices: int) -> np.ndarray:
     return np.add.reduceat(np.abs(psi) ** 2, g.adj_ptr[:n_vertices])
 
 
-def isotropic_initial_state(g: Spidernet) -> WalkState:
+def isotropic_initial_state(g: Spidernet) -> np.ndarray:
     """Uniform superposition over the root's outgoing half-edges."""
     if g.radius < 1:
         raise RadiusTooSmallError("the root has no edges at radius 0")
@@ -81,7 +66,7 @@ class GraphEvolver:
     written and stay exactly zero.  Reads cover only the prefix.
     """
 
-    def __init__(self, g: Spidernet, state: WalkState):
+    def __init__(self, g: Spidernet, state: np.ndarray):
         _check_state(g, state)
         self.g = g
         # half-edges and vertices of strata 0..k are the first _he_end[k]
@@ -103,10 +88,17 @@ class GraphEvolver:
 
     def step(self) -> None:
         """Apply U = SC in place."""
-        nv, n = self._v_end[self.top], self._he_end[self.top]
-        _coin(self.g, self._psi[:n], self._factor[:nv], self._coined[:n])
-        self.top = min(self.top + 1, self.g.radius)
-        _shift(self.g, self._coined, self._psi[:self._he_end[self.top]])
+        g, nv, n = self.g, self._v_end[self.top], self._he_end[self.top]
+        # coin: 2/deg times the sum over each vertex's half-edges, minus psi;
+        # the sums die in this statement, before the shift touches new pages
+        psi, coined = self._psi[:n], self._coined[:n]
+        np.take(np.add.reduceat(psi, g.adj_ptr[:nv]) * self._factor[:nv], g.he_src[:n],
+                out=coined)
+        np.subtract(coined, psi, out=coined)
+        # shift: (u, v) takes the coined amplitude of (v, u)
+        self.top = min(self.top + 1, g.radius)
+        m = self._he_end[self.top]
+        np.take(self._coined, g.reversal[:m], out=self._psi[:m])
 
     def stratum_distribution(self) -> np.ndarray:
         """Find probabilities aggregated per stratum (index = distance from root)."""
@@ -115,7 +107,7 @@ class GraphEvolver:
         return np.bincount(self.g.vertex_stratum[:len(weights)], weights=weights,
                            minlength=self.g.radius + 1)
 
-    def state(self) -> WalkState:
+    def state(self) -> np.ndarray:
         """The current state as a complex128 vector over all half-edges."""
         n = self._he_end[self.top]
         out = np.zeros(self.g.num_half_edges, dtype=np.complex128)
@@ -123,7 +115,7 @@ class GraphEvolver:
         return out
 
 
-def evolve(g: Spidernet, state: WalkState, steps: int) -> WalkState:
+def evolve(g: Spidernet, state: np.ndarray, steps: int) -> np.ndarray:
     """Apply U ``steps`` times.
 
     Requires ``steps <= g.radius``: from a state on the root's
@@ -141,7 +133,7 @@ def evolve(g: Spidernet, state: WalkState, steps: int) -> WalkState:
     return ev.state()
 
 
-def vertex_distribution(g: Spidernet, state: WalkState) -> np.ndarray:
+def vertex_distribution(g: Spidernet, state: np.ndarray) -> np.ndarray:
     """Per-vertex find probabilities: sum of |amplitude|^2 over each
     vertex's outgoing half-edges."""
     _check_state(g, state)

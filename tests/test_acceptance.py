@@ -34,10 +34,10 @@ from spiderwalk import (
     isotropic_initial_state,
     law_from_pq,
     origin_amplitude_series,
-    stratum_state,
     u_eigensystem,
 )
 from spiderwalk.meixner import special_value
+from spiderwalk.reduction import stratum_state
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 P342 = PqParams(0.5, 0.25, 0.25)

@@ -60,6 +60,32 @@ def read_csv(text):
     return rows[0], rows[1:]
 
 
+def csv_text(value):
+    """A cell as the table's CSV prints it: floats to 15 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(float(value), ".15g")
+    return str(value)
+
+
+def json_value(value):
+    """A cell as the table's JSON records hold it."""
+    return float(format(float(value), ".15g")) if isinstance(value, float) else value
+
+
+def reference_table(columns, rows, fmt):
+    """The text of a table through csv.writer or json.dumps, cell by cell."""
+    if fmt == "json":
+        records = [{k: json_value(v) for k, v in zip(columns, row)} for row in rows]
+        return json.dumps(records, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([csv_text(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def test_simulate_reduced(capsys):
     code, out, err = run_cli(capsys, "simulate", "4", "6", "3", "--steps", "4")
     assert code == 0 and err == ""
@@ -227,8 +253,8 @@ def test_sweep_rows_are_the_classify_rows(capsys, bmax, cmax):
         rep = classify(SpidernetParams(1, b, c))
         cells = [1, b, c, rep.localized, float(rep.w), float(rep.xi), rep.theta,
                  float(rep.qbar_origin)]
-        assert row == [cli._fmt(v) for v in cells], (b, c)
-        assert record == {k: cli._json_value(v) for k, v in zip(header, cells)}, (b, c)
+        assert row == [csv_text(v) for v in cells], (b, c)
+        assert record == {k: json_value(v) for k, v in zip(header, cells)}, (b, c)
         verdicts.add(rep.localized)
     assert verdicts == {True, False}
 
@@ -392,25 +418,18 @@ def test_table_at_the_cap_is_answered(capsys):
 
 
 def test_number_rows_print_as_the_csv_writer_does(capsys):
-    # tables of one kind of int, bool or float per column print a column at a
-    # time; the rest go through csv.writer, cell by cell
+    # one kind per column: repeated values, bools, ints, zeros of both signs,
+    # NaN and np.float64 beside float, and strs that need quotes
     floats = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, math.inf, -math.inf,
               math.nan, 0.1, 1 / 3, 123456789012345.67, np.float64(-2 / 3), np.float64(-0.0)]
-    ints = [0, -7, 2 ** 70]
-    rows = [ints + floats, floats[::-1] + ints, [True, 1.5, "x,y"], [1, False], [2, "z"], ints]
-    # one kind per column: repeated values, bools, ints, zeros of both signs,
-    # NaN and np.float64 beside float
-    table = [[i % 3, 2 ** 70 + i % 2, i % 4 == 0, floats[i % len(floats)],
-              [math.nan, 0.1, np.float64(0.1), -1e300][i % 4], float(i)] for i in range(60)]
-    args = cli._build_parser().parse_args(["verify"])
-    for rows in (rows, table):
-        cli._emit(["a", "b"], rows, args)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["a", "b"])
-        for row in rows:
-            writer.writerow([cli._fmt(v) for v in row])
-        assert capsys.readouterr().out == buf.getvalue()
+    texts = ["x", "x,y", 'say "q"', "two\nlines", "", " pad ", "a;b"]
+    table = [[i % 3 - 1, 2 ** 70 + i % 2, i % 4 == 0, floats[i % len(floats)],
+              [math.nan, 0.1, np.float64(0.1), -1e300][i % 4], float(i), texts[i % len(texts)]]
+             for i in range(60)]
+    columns = ["a", "b", "c,d", "e", "f", "g", "h"]
+    for fmt in ("csv", "json"):
+        cli._emit(columns, table, cli._build_parser().parse_args(["verify", "--format", fmt]))
+        assert capsys.readouterr().out == reference_table(columns, table, fmt)
 
 
 @pytest.mark.parametrize("cutoff", ["4097", "1000000000"])
@@ -624,7 +643,7 @@ def test_one_minus_p_rounding_to_zero_is_refused(capsys, argv):
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
 
 
-@pytest.mark.parametrize("argv", [
+EVERY_COMMAND = [
     ["simulate", "4", "6", "3", "--steps", "3"],
     ["simulate", "4", "6", "3", "--steps", "3", "--full"],
     ["spectrum", "4", "6", "3", "--cutoff", "4"],
@@ -634,14 +653,32 @@ def test_one_minus_p_rounding_to_zero_is_refused(capsys, argv):
     ["figure2"],
     ["rwalk", "4", "6", "3", "--nmax", "3"],
     ["verify"],
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
 def test_cells_are_the_scalars_the_formatters_handle(monkeypatch, argv):
-    cells = []
-    monkeypatch.setattr(cli, "_emit", lambda columns, rows, args: cells.extend(
-        v for row in rows for v in row))
+    tables = []
+    monkeypatch.setattr(cli, "_emit", lambda columns, rows, args: tables.append(rows))
     assert main(argv) == 0
-    # the types _fmt and _json_value handle
-    assert cells and {type(v) for v in cells} <= {float, np.float64, bool, int, str}
+    (rows,) = tables
+    assert rows and len(set(map(len, rows))) == 1
+    # each column holds one kind of cell that _emit prints: floats
+    # (np.float64 among them), bools, ints or strs
+    kinds = [{float if isinstance(v, float) else type(v) for v in column} for column in zip(*rows)]
+    assert all(len(kind) == 1 and kind <= {float, bool, int, str} for kind in kinds), kinds
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_every_table_prints_as_the_reference_formatter(capsys, monkeypatch, argv, fmt):
+    tables, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda columns, rows, args: (
+        tables.append((columns, rows)), emit(columns, rows, args)))
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    (columns, rows), = tables
+    assert out == reference_table(columns, rows, fmt)
 
 
 @st.composite

@@ -15,7 +15,6 @@ from spiderwalk import (
     SpidernetParams,
     amplitude,
     asymptotic_amplitude,
-    cesaro_origin,
     cesaro_strata,
     classify,
     exp_localization_bound,
@@ -189,9 +188,9 @@ def test_classify():
 
 
 def test_cesaro_origin_basics():
-    assert cesaro_origin(P463, 1) == 1.0
+    assert float(cesaro_strata(P463, 1, 0)[0]) == 1.0
     with pytest.raises(ValueError):
-        cesaro_origin(P463, 0)
+        cesaro_strata(P463, 0, 0)
     with pytest.raises(ValueError):
         cesaro_strata(P463, 5, -1)
 

@@ -39,9 +39,9 @@ from spiderwalk import (
     law_from_pq,
     origin_amplitude_series,
     params_from_spidernet,
-    stratum_state,
     u_eigensystem,
 )
+from spiderwalk.reduction import stratum_state
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)
@@ -763,6 +763,27 @@ def test_cutoff_independence():
     for _ in range(n):
         ev.step()
     assert abs(results[0] - ev.ladder_amplitude(l)) < 1e-12
+
+
+@pytest.mark.parametrize("abc, l, m, nmax", [
+    ((4, 6, 3), 0, 0, 300), ((4, 6, 3), 3, 2, 60), ((6, 12, 9), 40, 7, 30),
+    ((4, 4, 3), 1, 0, 40), ((4, 4, 3), 2, 5, 40), ((1, 10, 2), 0, 3, 2000),
+])
+def test_amplitude_series_is_the_interleaved_evolver_loop(abc, l, m, nmax):
+    # one evolver from Psi_m with reach l, read at l after every step; the
+    # tree S(4, 4, 3) reads zeros on every other step
+    params = params_from_spidernet(SpidernetParams(*abc))
+    ev = ReducedEvolver(params, stratum_state(params, m), nmax, reach=l)
+    want = []
+    for n in range(nmax + 1):
+        if n > 0:
+            ev.step()
+        want.append(ev.ladder_amplitude(l))
+    want = np.array(want, dtype=float)
+    got = origin_amplitude_series(params, nmax, l, m)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    if (l, m) == (0, 0):
+        assert np.array_equal(origin_amplitude_series(params, nmax), want)
 
 
 def test_discrete_spectral_measure():

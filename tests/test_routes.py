@@ -24,8 +24,8 @@ from spiderwalk import (
     law_from_spidernet,
     params_from_spidernet,
     random_walk_return,
-    stratum_state,
 )
+from spiderwalk.reduction import stratum_state
 
 # graphs of draws above this many half-edges are not built
 MAX_DRAWN_HALF_EDGES = 200_000

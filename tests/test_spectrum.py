@@ -185,6 +185,29 @@ def test_band_form_has_the_sign_of_the_determinant(name, cutoff):
                 assert f != 0 and np.sign(f) == sign * mpmath.sign(det), (side, ai)
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 9, 300, 4096])
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_band_roots_are_64_halvings(name, cutoff):
+    # the bisection stops once no bracket has a midpoint strictly inside it;
+    # 64 halvings bring every bracket in (0, pi) to neighbouring floats, and
+    # further ones leave the midpoint where it is
+    params = EDGE_CASES[name]
+    M = max(4 * cutoff, reduction._MIN_SAMPLES)
+    half = (np.arange(M // 2 + 1) + 0.5) * (np.pi / M)
+    a, side = np.r_[half, half[-2::-1]], np.r_[np.ones(M // 2 + 1), -np.ones(M // 2)]
+    roots, sides = reduction._band_roots(params, cutoff, a, side)
+    positive = reduction._band_form(params, cutoff, a, side) >= 0
+    j = np.flatnonzero((positive[1:] != positive[:-1]) & (side[1:] == side[:-1]))
+    lo, hi, lo_positive, side = a[j], a[j + 1], positive[j], side[j]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        same = (reduction._band_form(params, cutoff, mid, side) >= 0) == lo_positive
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    mid = 0.5 * (lo + hi)
+    assert np.all((mid == lo) | (mid == hi))
+    assert np.array_equal(sides, side) and np.array_equal(roots, mid)
+
+
 @pytest.mark.parametrize("cutoff", [2, 3, 300, 4096])
 @pytest.mark.parametrize("name", CASES)
 def test_sturm_count_against_lapack(name, cutoff):

@@ -17,7 +17,7 @@ from spiderwalk import (
     RadiusTooSmallError,
     SpidernetParams,
     build_spidernet,
-    cesaro_origin,
+    cesaro_strata,
     evolve,
     isotropic_initial_state,
     params_from_spidernet,
@@ -183,7 +183,7 @@ def test_time_averaged_distribution(sparse_walk):
 
     # its origin entry matches the reduced-walk Cesaro average
     params = params_from_spidernet(g.params)
-    assert abs(acc[0] / 10 - cesaro_origin(params, 10)) < 1e-10
+    assert abs(acc[0] / 10 - cesaro_strata(params, 10, 0)[0]) < 1e-10
 
 
 def test_evolve_guards():

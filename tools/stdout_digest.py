@@ -52,7 +52,7 @@ FIXED = [
     ["spectrum", "1", "25046917479511", "25046917479509", "--cutoff", "10"],
     ["amplitude", "4", "6", "3", "--l", "3", "--m", "2", "--nmax", "60"],
     ["amplitude", "6", "12", "9", "--l", "40", "--m", "7", "--nmax", "30"],
-    ["amplitude", "4", "4", "3", "--l", "1", "--nmax", "40"],  # prints -0
+    ["amplitude", "4", "4", "3", "--l", "1", "--nmax", "40"],  # a tree: reduced reads 0 at even n
     ["amplitude", "1", "1000000000", "999999999", "--l", "1", "--nmax", "40"],
     ["amplitude", "--pqr", "0.5", "0.16666666666666666", "0.3333333333333333", "--nmax", "20"],
     ["rwalk", "4", "6", "3", "--nmax", "40"],
@@ -69,6 +69,12 @@ FIXED = [
     ["rwalk", "31622", "999950884", "999919262", "--nmax", "2"],
     ["amplitude", "4", "6", "4", "--l", "100000", "--nmax", "1"],
     ["rwalk", "--pqr", "0.4", "5e-324", "0.6", "--nmax", "1"],
+    # the JSON table of every command
+    ["verify", "--format", "json"],
+    ["spectrum", "4", "6", "3", "--cutoff", "400", "--format", "json"],
+    ["amplitude", "4", "4", "3", "--l", "1", "--nmax", "40", "--format", "json"],
+    ["figure2", "--format", "json"],
+    ["simulate", "4", "6", "3", "--steps", "8", "--full", "--strata", "10", "--format", "json"],
 ]
 
 

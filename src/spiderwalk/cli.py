@@ -158,17 +158,16 @@ def _cmd_simulate(args) -> int:
         # never runs; the root has edges only from radius 1 on
         g = build_spidernet(sp, max(steps, 1))
         ev = GraphEvolver(g, isotropic_initial_state(g))
-        probs = np.empty((steps + 1, g.radius + 1))
+        probs = np.empty((steps + 1, min(g.radius, n_strata) + 1))
         for n in range(steps + 1):
             if n > 0:
                 ev.step()
-            probs[n] = ev.stratum_distribution()
+            probs[n] = ev.stratum_distribution()[:probs.shape[1]]
     else:
         ev = ReducedEvolver(params_from_spidernet(sp), ReducedState.origin(), steps,
                             reach=n_strata)
         probs = ev.stratum_probability_rows(steps)
-    # strata the walk cannot reach read 0
-    probs = probs[:, :n_strata + 1]
+    # both hold at most n_strata + 1 columns; strata the walk cannot reach read 0
     pad = [0.0] * (n_strata + 1 - probs.shape[1])
     rows = [[n] + row + pad for n, row in enumerate(probs.tolist())]
     _emit(columns, rows, args)

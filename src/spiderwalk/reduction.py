@@ -364,8 +364,9 @@ def cesaro_strata(params: PqParams, horizon: int, max_stratum: int) -> np.ndarra
 
 
 def origin_amplitude_series(params: PqParams, nmax: int, l: int = 0, m: int = 0) -> np.ndarray:
-    """<Psi_l, U^n Psi_m> for n = 0 .. nmax from the reduced evolution,
-    the origin's return amplitudes by default.
+    """<Psi_l, U^n Psi_m> for n = 0 .. nmax from the reduced evolution;
+    the name is historical, from the default l = m = 0, the origin's return
+    amplitudes.
 
     One pass of the evolver from Psi_m with reach l; real values (the walk
     matrix is real and the initial state is real).
@@ -520,14 +521,29 @@ def _band_form(params: PqParams, cutoff: int, a: np.ndarray, side) -> np.ndarray
             + side * (params.r / np.sqrt(params.p * params.q)) * _sin_multiple(cutoff - 1, a))
 
 
-def _band_roots(params: PqParams, cutoff: int, a: np.ndarray, side: np.ndarray):
-    """Roots (a, side) of the band form, one per sign change between
-    neighbouring samples on the same side, bisected in a until no bracket
-    has a midpoint strictly inside it; a midpoint that rounds onto an end
-    of its bracket stays the root under further halvings."""
+def _band_samples(cutoff: int):
+    """Samples phi_k = (k + 1/2) pi / M, M = max(4N, _MIN_SAMPLES), in
+    ascending phi, as (a, side): a = phi up to the first past pi/2 and
+    a = pi - phi from it on."""
+    M = max(4 * cutoff, _MIN_SAMPLES)
+    half = (np.arange(M // 2 + 1) + 0.5) * (np.pi / M)
+    return np.r_[half, half[-2::-1]], np.r_[np.ones(M // 2 + 1), -np.ones(M // 2)]
+
+
+def _band_brackets(params: PqParams, cutoff: int, a: np.ndarray, side: np.ndarray):
+    """(lo, hi, band form >= 0 at lo, side) for each sign change of the
+    band form between neighbouring samples on the same side."""
     positive = _band_form(params, cutoff, a, side) >= 0
     j = np.flatnonzero((positive[1:] != positive[:-1]) & (side[1:] == side[:-1]))
-    lo, hi, lo_positive, side = a[j], a[j + 1], positive[j], side[j]
+    return a[j], a[j + 1], positive[j], side[j]
+
+
+def _band_roots(params: PqParams, cutoff: int, a: np.ndarray, side: np.ndarray):
+    """Roots (a, side) of the band form, one per bracket, bisected in a
+    until no bracket has a midpoint strictly inside it; a midpoint that
+    rounds onto an end of its bracket stays the root under further
+    halvings."""
+    lo, hi, lo_positive, side = _band_brackets(params, cutoff, a, side)
     # side -1 brackets run downwards in a: mid is strictly inside while it
     # equals neither end
     while np.any(((mid := 0.5 * (lo + hi)) != lo) & (mid != hi)):
@@ -556,11 +572,7 @@ def _certified_eigenvalues(params: PqParams, cutoff: int):
     if any(_sturm_count(params, N, y, end) != n for end, y, n in ends):
         raise ConvergenceFailureError(
             f"the eigenvalue 1 or -1 of T_N is not isolated within {max(t, t_1):.3g}")
-    # samples phi_k = (k + 1/2) pi / M in ascending phi, a = phi up to the
-    # first past pi/2 and a = pi - phi from it on
-    M = max(4 * N, _MIN_SAMPLES)
-    half = (np.arange(M // 2 + 1) + 0.5) * (np.pi / M)
-    a, side = np.r_[half, half[-2::-1]], np.r_[np.ones(M // 2 + 1), -np.ones(M // 2)]
+    a, side = _band_samples(N)
     band, side = _band_roots(params, N, a, side)
     lo, hi = _band_form(params, N, band - _ROOT_TOL, side), _band_form(params, N, band + _ROOT_TOL, side)
     phi = np.where(side > 0, band, np.pi - band)
@@ -568,8 +580,8 @@ def _certified_eigenvalues(params: PqParams, cutoff: int):
         raise ConvergenceFailureError("an eigenvalue of T_N is not isolated within its tolerance")
     # n_lo eigenvalues lie below the samples, and N + 1 - n_hi above them,
     # each counted from the nearer of +-1: the top sample lies above r >= 0
-    y_top = -_edge_gaps(params, half[0], 1.0)[0]
-    gap_1, y_bottom = _edge_gaps(params, half[0], -1.0)
+    y_top = -_edge_gaps(params, a[0], 1.0)[0]
+    gap_1, y_bottom = _edge_gaps(params, a[0], -1.0)
     near = 1.0 if gap_1 < y_bottom else -1.0
     n_lo = _sturm_count(params, N, -near * min(gap_1, y_bottom), near)
     n_hi = _sturm_count(params, N, y_top, 1.0)

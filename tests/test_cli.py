@@ -124,6 +124,22 @@ def test_simulate_full_matches_reduced(capsys):
     assert all(row[-3:] == ["0", "0", "0"] for row in full_rows)
 
 
+def test_full_route_memory_grows_with_the_printed_strata(capsys):
+    # S(1, 2, 1) is a path: radius 4000 at 4000 steps in 8000 half-edges.
+    # The full route keeps 7 probabilities a step (~3 MiB peak in all), not
+    # the radius + 1 of each distribution (125 MiB)
+    argv = ["simulate", "1", "2", "1", "--steps", "4000"]
+    tracemalloc.start()
+    try:
+        code, full_out, _ = run_cli(capsys, *argv, "--full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 16 << 20
+    code, red_out, _ = run_cli(capsys, *argv)
+    assert code == 0 and full_out == red_out
+
+
 def test_spectrum(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "4", "6", "3", "--cutoff", "8")
     assert code == 0

@@ -192,13 +192,9 @@ def test_band_roots_are_64_halvings(name, cutoff):
     # 64 halvings bring every bracket in (0, pi) to neighbouring floats, and
     # further ones leave the midpoint where it is
     params = EDGE_CASES[name]
-    M = max(4 * cutoff, reduction._MIN_SAMPLES)
-    half = (np.arange(M // 2 + 1) + 0.5) * (np.pi / M)
-    a, side = np.r_[half, half[-2::-1]], np.r_[np.ones(M // 2 + 1), -np.ones(M // 2)]
+    a, side = reduction._band_samples(cutoff)
     roots, sides = reduction._band_roots(params, cutoff, a, side)
-    positive = reduction._band_form(params, cutoff, a, side) >= 0
-    j = np.flatnonzero((positive[1:] != positive[:-1]) & (side[1:] == side[:-1]))
-    lo, hi, lo_positive, side = a[j], a[j + 1], positive[j], side[j]
+    lo, hi, lo_positive, side = reduction._band_brackets(params, cutoff, a, side)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         same = (reduction._band_form(params, cutoff, mid, side) >= 0) == lo_positive

@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidParamsError,
     NotLocalizedError,
-    OutOfDomainError,
     ParamsOutOfRangeError,
     RadiusTooSmallError,
     SpiderwalkError,
@@ -37,7 +36,6 @@ from .meixner import (
     asymptotic_amplitude,
     classify,
     exp_localization_bound,
-    integrate,
     law_from_pq,
     law_from_spidernet,
     quadrature_nodes,
@@ -67,7 +65,6 @@ __all__ = [
     "RadiusTooSmallError",
     "ConvergenceFailureError",
     "ParamsOutOfRangeError",
-    "OutOfDomainError",
     "NotLocalizedError",
     "MAX_HALF_EDGES",
     "MAX_CUTOFF",
@@ -88,7 +85,6 @@ __all__ = [
     "law_from_pq",
     "law_from_spidernet",
     "quadrature_nodes",
-    "integrate",
     "amplitude",
     "asymptotic_amplitude",
     "classify",

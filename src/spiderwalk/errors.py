@@ -12,7 +12,6 @@ __all__ = [
     "RadiusTooSmallError",
     "ConvergenceFailureError",
     "ParamsOutOfRangeError",
-    "OutOfDomainError",
     "NotLocalizedError",
 ]
 
@@ -42,11 +41,9 @@ class ConvergenceFailureError(SpiderwalkError):
 
 
 class ParamsOutOfRangeError(SpiderwalkError):
-    """Walk parameters lie outside the admissible region (p >= q > 0, r >= 0)."""
-
-
-class OutOfDomainError(SpiderwalkError):
-    """A closed-form expression was evaluated outside its validity domain."""
+    """Walk parameters lie outside the admissible region: p, q > 0, r >= 0
+    and p + q + r = 1, with q <= p < 1 for the spectral law and pq > 0 for
+    it and for the cutoff spectrum."""
 
 
 class NotLocalizedError(SpiderwalkError):

@@ -108,11 +108,6 @@ class Spidernet:
         # (src, dst); sorting by (dst, src) is then exactly the reversal map.
         self.reversal = np.lexsort((self.he_src, self.he_dst))
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        p = self.params
-        return (f"Spidernet(a={p.a}, b={p.b}, c={p.c}, radius={self.radius}, "
-                f"vertices={self.num_vertices}, half_edges={self.num_half_edges})")
-
 
 def _wiring_checks(params: SpidernetParams, sizes: list[int]) -> None:
     m = params.intra_degree
@@ -158,11 +153,12 @@ def build_spidernet(params: SpidernetParams, radius: int) -> Spidernet:
 
     # count in Python integers, stratum by stratum, so that an oversized
     # radius fails before any array exists or any size overflows int64
-    sizes = [1]
-    total = a if radius >= 1 else 0
+    sizes, degs = [1], [a if radius >= 1 else 0]
+    total = degs[0]
     for j in range(1, radius + 1):
         sizes.append(a * c ** (j - 1))
-        total += sizes[j] * (b if j < radius else 1 + m)
+        degs.append(b if j < radius else 1 + m)
+        total += sizes[j] * degs[j]
         if total > MAX_HALF_EDGES:
             raise InvalidParamsError(
                 f"radius {radius} needs more than the budget of "
@@ -170,12 +166,8 @@ def build_spidernet(params: SpidernetParams, radius: int) -> Spidernet:
     _wiring_checks(params, sizes)
 
     sizes = np.array(sizes, dtype=np.int64)
-    degrees = np.empty(int(sizes.sum()), dtype=np.int64)
-    degrees[0] = a if radius >= 1 else 0
+    degrees = np.repeat(np.array(degs, dtype=np.int64), sizes)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    for j in range(1, radius + 1):
-        deg_j = b if j < radius else 1 + m
-        degrees[offsets[j]:offsets[j + 1]] = deg_j
 
     adj_ptr = np.concatenate(([0], np.cumsum(degrees)))
     adj = np.empty(total, dtype=np.int64)

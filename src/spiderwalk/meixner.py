@@ -52,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParamsError, NotLocalizedError, OutOfDomainError, ParamsOutOfRangeError
+from .errors import InvalidParamsError, NotLocalizedError, ParamsOutOfRangeError
 from .graph import SpidernetParams
 from .reduction import PqParams, params_from_spidernet
 
@@ -61,7 +61,6 @@ __all__ = [
     "law_from_spidernet",
     "MAX_QUADRATURE_NODES",
     "quadrature_nodes",
-    "integrate",
     "amplitude",
     "asymptotic_amplitude",
     "classify",
@@ -138,26 +137,12 @@ def _law(params: PqParams, one_minus_p: Fraction, exact_q: Fraction) -> FreeMeix
     return FreeMeixnerLaw(p, q, r, -q / (q + r), mass)
 
 
-def special_value(law: FreeMeixnerLaw, n: int) -> float:
-    """Closed-form p_n at xi, in both regimes:
-
-        p_n(xi) = (xi / sqrt(q)) * (xi sqrt(pq) / q)^(n-1),   n >= 1.
-
-    With an atom it is the minimal solution of the three-term recurrence
-    there (Gautschi, SIAM Rev. 9 (1967) 24-82), |xi sqrt(pq) / q| < 1."""
-    if n < 0:
-        raise OutOfDomainError("polynomial degree must be non-negative")
-    if n == 0:
-        return 1.0
-    xi, q = law.atom_location, law.q
-    return (xi / np.sqrt(q)) * (xi * np.sqrt(law.p * q) / q) ** (n - 1)
-
-
 def quadrature_nodes(degree: int) -> int:
-    """Midpoint nodes M = floor(degree / 2) + 2 that :func:`integrate` uses
-    for a polynomial f of degree ``degree``, 2M > degree + 2, for every law
-    (see :func:`_rule`).  Raises ParamsOutOfRangeError, before
-    anything is allocated, when M would exceed MAX_QUADRATURE_NODES.
+    """Midpoint nodes M = floor(degree / 2) + 2 that :func:`amplitude` and
+    :func:`random_walk_return` use for a polynomial of degree ``degree``,
+    2M > degree + 2, for every law (see :func:`_rule`).  Raises
+    ParamsOutOfRangeError, before anything is allocated, when M would
+    exceed MAX_QUADRATURE_NODES.
     """
     if degree < 0:
         raise InvalidParamsError(f"degree must be non-negative, got {degree}")
@@ -206,22 +191,6 @@ def _rule(law: FreeMeixnerLaw, nodes: int):
     return (r + 2.0 * s) - band, one_minus_x, weight, poles
 
 
-def integrate(law: FreeMeixnerLaw, f, degree: int) -> float:
-    """Integral of f against the law (absolutely continuous part + atom).
-
-    ``f`` must accept a float ndarray and return values elementwise, and
-    be a polynomial of degree at most ``degree``.  The continuous part is
-    the midpoint rule in phi with M from :func:`quadrature_nodes`, whose
-    nodes never touch the support edges, plus the pole nodes at 1 and at
-    xi; the atom adds its mass to the weight at xi.
-    """
-    nodes = quadrature_nodes(degree)
-    x, _, weight, ((a_1, g_1), (a_xi, g_xi)) = _rule(law, nodes)
-    f_1, f_xi = f(np.array([1.0, law.atom_location])).tolist()
-    return (float((f(x) * weight).sum()) + g_1 * math.exp(-2 * nodes * a_1) * f_1
-            + (g_xi * math.exp(-2 * nodes * a_xi) + law.atom_mass) * f_xi)
-
-
 def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
     """<Psi_l, U^n Psi_m> as the spectral integral of T_|n| p_l p_m, a
     polynomial of degree |n| + l + m.
@@ -234,7 +203,8 @@ def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
 
         p_k(1) = e^{(k-1) a_1} / sqrt(q),   p_k(xi) = (xi / sqrt(q)) (-1)^(k-1) e^{-+(k-1) a_xi},
 
-    with the minus sign under an atom (:func:`special_value`), and each
+    with the minus sign under an atom, where p_k(xi) is the recurrence's
+    minimal solution (:func:`asymptotic_amplitude`), and each
     pole term is one exponential of an integer times a, which neither
     overflows nor cancels however far l, m and n reach.
     """
@@ -282,8 +252,11 @@ def asymptotic_amplitude(law: FreeMeixnerLaw, l: int, n: int) -> float:
         raise InvalidParamsError("ladder index must be non-negative")
     if not law.has_atom:
         return 0.0
-    theta = np.arccos(law.atom_location)
-    return law.atom_mass * special_value(law, l) * float(np.cos(n * theta))
+    # p_l(xi), the minimal solution of the three-term recurrence at the atom
+    # (Gautschi, SIAM Rev. 9 (1967) 24-82): |xi sqrt(pq) / q| < 1
+    xi, q = law.atom_location, law.q
+    p_l = (xi / np.sqrt(q)) * (xi * np.sqrt(law.p * q) / q) ** (l - 1) if l else 1.0
+    return law.atom_mass * p_l * float(np.cos(n * np.arccos(xi)))
 
 
 @dataclass(frozen=True)
@@ -321,33 +294,32 @@ def classify(sp: SpidernetParams) -> LocalizationReport:
     )
 
 
-def exp_localization_bound(sp: SpidernetParams, l: int) -> tuple[float, float]:
-    """Exponential lower bounds for the time-averaged distribution.
+def exp_localization_bound(sp: SpidernetParams, l: int) -> float:
+    """Exponential lower bound for the time-averaged mass of stratum V_l,
+    l >= 1:
 
-    Returns (stratum_bound, vertex_bound) for stratum V_l, l >= 1:
+        liminf (1/N) sum P(X_n in V_l)  >=  (b/2c) w^2 (c/(b-c)^2)^l.
 
-        liminf (1/N) sum P(X_n in V_l)  >=  (b/2c) w^2 (c/(b-c)^2)^l
-        liminf (1/N) sum P(X_n = u)     >=  (b/2a) w^2 (1/(b-c)^2)^l
-
-    (the vertex form uses rotational symmetry, P(X_n = u) constant on
-    strata).  Only meaningful in the localized regime; raises
-    NotLocalizedError when b <= c + sqrt(c).
+    Only meaningful in the localized regime; raises NotLocalizedError when
+    b <= c + sqrt(c).
     """
     if l < 1:
-        raise InvalidParamsError("the bounds apply to strata l >= 1")
+        raise InvalidParamsError("the bound applies to strata l >= 1")
     a, b, c = sp.a, sp.b, sp.c
     rep = classify(sp)
     if not rep.localized:
         raise NotLocalizedError(f"S({a},{b},{c}) does not localize (b <= c + sqrt(c))")
-    base = rep.w * rep.w
-    stratum = Fraction(b, 2 * c) * base * Fraction(c, (b - c) ** 2) ** l
-    vertex = Fraction(b, 2 * a) * base * Fraction(1, (b - c) ** 2) ** l
-    return float(stratum), float(vertex)
+    return float(Fraction(b, 2 * c) * rep.w * rep.w * Fraction(c, (b - c) ** 2) ** l)
 
 
 def random_walk_return(law: FreeMeixnerLaw, n: int) -> float:
     """n-step return probability of the isotropic random walk: the n-th
-    moment of the spectral law."""
+    moment of the spectral law: x^n summed over the nodes of :func:`_rule`,
+    the atom's mass added to the weight of the pole node at xi."""
     if n < 0:
         raise InvalidParamsError("n must be non-negative")
-    return integrate(law, lambda x: x ** n, n)
+    nodes = quadrature_nodes(n)
+    x, _, weight, ((a_1, g_1), (a_xi, g_xi)) = _rule(law, nodes)
+    f_1, f_xi = (np.array([1.0, law.atom_location]) ** n).tolist()
+    return (float((x ** n * weight).sum()) + g_1 * math.exp(-2 * nodes * a_1) * f_1
+            + (g_xi * math.exp(-2 * nodes * a_xi) + law.atom_mass) * f_xi)

@@ -637,12 +637,14 @@ def u_eigensystem(params: PqParams, cutoff: int) -> UEigensystem:
     theta_j = atan2(sqrt((1 - x)(1 + x)), x), with 1 - x and 1 + x from
     the band angle or from y = x -+ 1.  A failed certificate, or an
     interior eigenvalue whose sin theta rounds to 0, raises
-    ConvergenceFailureError.
+    ConvergenceFailureError; a pq that underflows to 0, which leaves the
+    band no width, raises ParamsOutOfRangeError, as the spectral law does.
     """
     if not 2 <= cutoff <= MAX_CUTOFF:
         raise InvalidParamsError(f"cutoff must lie in 2..{MAX_CUTOFF}, got {cutoff}")
     if not params.p * params.q > 0:
-        raise ConvergenceFailureError("pq underflows: the band of T_N collapses onto r")
+        raise ParamsOutOfRangeError(
+            f"pq underflows: the band of p={params.p}, q={params.q} has no width")
     one_minus_x, one_plus_x, x = _certified_eigenvalues(params, cutoff)
     thetas = np.sort(np.arctan2(np.sqrt(one_minus_x * one_plus_x), x))
     if not np.all((thetas > 0) & (thetas < np.pi)):

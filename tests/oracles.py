@@ -7,11 +7,13 @@ arguments and cap no sizes."""
 import functools
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
-from spiderwalk.errors import ConvergenceFailureError, InvalidParamsError, OutOfDomainError
+from spiderwalk.errors import ConvergenceFailureError, InvalidParamsError
+from spiderwalk.meixner import _rule, quadrature_nodes
 
 #: Largest residual |T_N v - lambda v| accepted for an eigenpair of T_N.
 RESIDUAL_TOL = 1e-10
@@ -23,6 +25,10 @@ class BoundaryVertexError(ValueError):
 
 class OutOfSupportError(ValueError):
     """A density evaluation point lies outside the support interval."""
+
+
+class OutOfDomainError(ValueError):
+    """A closed form was evaluated outside its validity domain."""
 
 
 # -- graph ---------------------------------------------------------------------
@@ -80,6 +86,19 @@ def rotation_permutation(g):
         s, lo = int(g.stratum_sizes[j]), int(g.stratum_offsets[j])
         perm[lo:lo + s] = lo + (np.arange(s) + g.params.c ** (j - 1)) % s
     return perm
+
+
+def vertex_bound(sp, l):
+    """The exponential lower bound on the time-averaged probability of one
+    vertex of stratum V_l, l >= 1, of a localizing S(a, b, c),
+
+        liminf (1/N) sum P(X_n = u)  >=  (b/2a) w^2 (1/(b-c)^2)^l,
+
+    w = ((b-c)^2 - c) / ((b-c)(b-c+1)): the stratum bound over |V_l| =
+    a c^(l-1), since the walk is rotationally symmetric."""
+    a, b, c = sp.a, sp.b, sp.c
+    w = Fraction((b - c) ** 2 - c, (b - c) * (b - c + 1))
+    return float(Fraction(b, 2 * a) * w * w * Fraction(1, (b - c) ** 2) ** l)
 
 
 def half_edge_permutation(g, vertex_perm):
@@ -159,6 +178,31 @@ def chebyshev_amplitudes(pqr, l, m, nmax):
         prev, cur = cur, 2 * apply(cur) - prev
         out.append(cur[l])
     return np.array(out[:nmax + 1], dtype=float)
+
+
+def poly_at_atom(law, n):
+    """Closed-form p_n at xi = -q / (1 - p), in both regimes of a walk law:
+
+        p_n(xi) = (xi / sqrt(q)) (xi sqrt(pq) / q)^(n-1),   n >= 1.
+
+    With an atom it is the minimal solution of the three-term recurrence
+    there (Gautschi, SIAM Rev. 9 (1967) 24-82), |xi sqrt(pq) / q| < 1."""
+    if n < 0:
+        raise OutOfDomainError("polynomial degree must be non-negative")
+    xi, q = law.atom_location, law.q
+    return (xi / np.sqrt(q)) * (xi * np.sqrt(law.p * q) / q) ** (n - 1) if n else 1.0
+
+
+def integrate(law, f, degree):
+    """Integral of f against a walk law, f elementwise on float arrays and a
+    polynomial of degree at most ``degree``: the package's midpoint rule in
+    the band angle with its two pole nodes at 1 and xi, the atom's mass
+    added at xi, for polynomials that no command integrates."""
+    nodes = quadrature_nodes(degree)
+    x, _, weight, ((a_1, g_1), (a_xi, g_xi)) = _rule(law, nodes)
+    f_1, f_xi = f(np.array([1.0, law.atom_location])).tolist()
+    return (float((f(x) * weight).sum()) + g_1 * math.exp(-2 * nodes * a_1) * f_1
+            + (g_xi * math.exp(-2 * nodes * a_xi) + law.atom_mass) * f_xi)
 
 
 def chebyshev_U(n, x):
@@ -333,33 +377,41 @@ def lapack_eigenvalues(params, cutoff):
 
 
 def lapack_thetas(params, cutoff):
-    """The interior theta of T_N from LAPACK, ascending, and which of them
-    are known to an ulp of cos(theta).
+    """The interior theta of T_N from LAPACK, ascending, which of them are
+    known to an ulp of cos(theta), and which of those come from stebz.
 
     arccos magnifies an eigenvalue's error by 1 / sin(theta), so for up to
     STEBZ_MAX eigenvalues within 1e-3 of +-1, theta comes from
     mu = lambda -+ 1 instead: 2 arcsin(sqrt(|mu| / 2)) at the top end, and
     pi minus that at the bottom one.  There mu is an eigenvalue of T_N -+ 1
-    near 0, which LAPACK's bisection (stebz) finds to full relative accuracy.
-    The rest of those eigenvalues are known only as well as LAPACK's dense
-    solver knows lambda."""
+    near 0, which LAPACK's bisection (stebz) finds to a fraction of an ulp
+    of the entries of T_N -+ 1 near the band.  T_N - 1 takes its interior
+    diagonal r - 1 as -(p + q), as the package's Sturm count does: rounded,
+    r - 1 could move by up to an ulp of 1, more than the whole band where
+    pq is tiny.  The diagonal 1 + r of T_N + 1 is of size 1, so the bottom
+    rows are good to an ulp of lambda only.  The rest of those eigenvalues
+    are known only as well as LAPACK's dense solver knows lambda."""
     t = build_T(params, cutoff)
     lam = lapack_eigenvalues(params, cutoff)
     thetas = np.arccos(np.clip(lam, -1.0, 1.0))
     exact = np.abs(np.abs(lam) - 1.0) >= 1e-3
+    stebz = np.zeros_like(exact)
     for end in (1.0, -1.0):
         k = min(np.count_nonzero(np.abs(lam - end) < 1e-3), STEBZ_MAX)
         if k == 0:
             continue
         first = cutoff + 1 - k if end > 0 else 0
+        diag = t.diag - end
+        if end > 0:
+            diag[1:-1] = -(params.p + params.q)
         mu = scipy.linalg.eigvalsh_tridiagonal(
-            t.diag - end, t.offdiag, select="i", select_range=(first, first + k - 1),
+            diag, t.offdiag, select="i", select_range=(first, first + k - 1),
             lapack_driver="stebz", tol=np.finfo(float).tiny)
         half = 2.0 * np.arcsin(np.sqrt(np.abs(mu[::-1]) / 2.0))
         at = slice(0, k) if end > 0 else slice(cutoff + 1 - k, cutoff + 1)
         thetas[at] = half if end > 0 else np.pi - half
-        exact[at] = True
-    return interior(params, cutoff, thetas), interior(params, cutoff, exact)
+        exact[at] = stebz[at] = True
+    return tuple(interior(params, cutoff, v) for v in (thetas, exact, stebz))
 
 
 def jacobi_dense(t):

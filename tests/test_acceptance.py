@@ -25,18 +25,18 @@ from spiderwalk import (
     SpidernetParams,
     UnrealizableWiringError,
     amplitude,
+    asymptotic_amplitude,
     build_spidernet,
     cesaro_strata,
     classify,
     embed,
     exp_localization_bound,
-    integrate,
     isotropic_initial_state,
     law_from_pq,
     origin_amplitude_series,
+    random_walk_return,
     u_eigensystem,
 )
-from spiderwalk.meixner import special_value
 from spiderwalk.reduction import stratum_state
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
@@ -206,20 +206,18 @@ def test_criterion_7_orthogonal_polynomial_suite():
             worst_forms = max(worst_forms, float(np.max(
                 np.abs(rec_o - rform) / np.maximum(np.abs(rec_o), 1.0))))
 
-    at_xi = orthonormal_sequence(law_from_pq(P463), 20,
-                                 np.array([-P463.q / (1 - P463.p)]))[:, 0]
-    worst_special = max(abs(special_value(law_from_pq(P463), n) - at_xi[n]) for n in range(21))
+    # p_n(xi) as the non-decaying amplitude at n = 0 over the atom's mass
+    law = law_from_pq(P463)
+    at_xi = orthonormal_sequence(law, 20, np.array([-P463.q / (1 - P463.p)]))[:, 0]
+    worst_special = max(abs(asymptotic_amplitude(law, n, 0) / law.atom_mass - at_xi[n])
+                        for n in range(21))
 
+    # <Psi_m, U^0 Psi_n> is the integral of p_m p_n
     worst_orth = 0.0
     for law, _ in laws:
         for mdeg in range(11):
             for ndeg in range(mdeg, 11):
-                val = integrate(
-                    law,
-                    lambda x: (lambda s: s[mdeg] * s[ndeg])(
-                        orthonormal_sequence(law, ndeg, x)),
-                    mdeg + ndeg)
-                worst_orth = max(worst_orth, abs(val - (mdeg == ndeg)))
+                worst_orth = max(worst_orth, abs(amplitude(law, mdeg, ndeg, 0) - (mdeg == ndeg)))
 
     ok = worst_forms < 1e-9 and worst_special < 1e-10 and worst_orth < 1e-8
     _criterion(7, "orthogonal polynomial suite", ok,
@@ -244,10 +242,8 @@ def test_criterion_8_measure_sanity():
     worst_discrete = 0.0
     for params in (P463, P342, PTREE343):
         law = law_from_pq(params)
-        worst_mass = max(worst_mass,
-                         abs(integrate(law, lambda x: np.ones_like(x), 0) - 1.0))
-        moments = [integrate(law, lambda x, m=m: x ** m, m)
-                   for m in range(13)]
+        worst_mass = max(worst_mass, abs(random_walk_return(law, 0) - 1.0))
+        moments = [random_walk_return(law, m) for m in range(13)]
         worst_moment = max(worst_moment,
                            max(abs(moments[m] - jacobi_moment(params, m))
                                for m in range(13)))
@@ -269,7 +265,7 @@ def test_criterion_9_exponential_localization(big_463):
     bound_details = []
     bounds_ok = True
     for l in range(1, 5):
-        bound, _ = exp_localization_bound(sp, l)
+        bound = exp_localization_bound(sp, l)
         bounds_ok = bounds_ok and measured[l] > bound
         bound_details.append(f"l={l}: {measured[l]:.4g}>{bound:.4g}")
 

@@ -488,7 +488,7 @@ def test_spectrum_resolves_eigenvalues_closer_than_two_ulps(capsys, abc, cutoff)
     assert code == 0 and err == ""
     _, rows = read_csv(out)
     thetas = np.array([float(r[0]) for r in rows[1:-1] if float(r[2]) > 0])
-    want, exact = lapack_thetas(params_from_spidernet(SpidernetParams(*map(int, abc))), int(cutoff))
+    want, exact, _ = lapack_thetas(params_from_spidernet(SpidernetParams(*map(int, abc))), int(cutoff))
     assert thetas.shape == want.shape
     ulp = np.spacing(np.abs(np.cos(want))) / np.sin(want)
     assert np.all((np.abs(thetas - want) <= 1e-13 + ulp + 1e-14 * want)[exact])
@@ -650,7 +650,9 @@ def test_json_format(capsys):
     ["rwalk", "--pqr", "1", "1e-300", "0", "--nmax", "2"],
     ["rwalk", "--pqr", "0.4", "5e-324", "0.6", "--nmax", "1"],
     ["amplitude", "--pqr", "1e-200", "1e-200", "1", "--nmax", "1"],
-], ids=["c=b-1", "c=b-2", "pqr", "pq-underflow-rwalk", "pq-underflow-amplitude"])
+    ["spectrum", "--pqr", "1e-200", "1e-200", "1", "--cutoff", "4"],
+], ids=["c=b-1", "c=b-2", "pqr", "pq-underflow-rwalk", "pq-underflow-amplitude",
+        "pq-underflow-spectrum"])
 def test_one_minus_p_rounding_to_zero_is_refused(capsys, argv):
     # p = c/b rounds to 1 once b >= 2**54 (b - c): the atom xi = -q/(1-p) has
     # no value; and a pq that underflows to 0 leaves the band no width

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spiderwalk.reduction as reduction
-from oracles import chebyshev_amplitudes, cutoff_psi_vector, cutoff_walk_matrix
+from oracles import chebyshev_amplitudes, cutoff_psi_vector, cutoff_walk_matrix, vertex_bound
 from spiderwalk import (
     InvalidParamsError,
     NotLocalizedError,
@@ -237,9 +237,15 @@ def test_cesaro_of_asymptotic_amplitude_is_half_w_squared():
 
 
 def test_exp_localization_bound():
-    stratum, vertex = exp_localization_bound(SpidernetParams(4, 6, 3), 1)
-    assert stratum == pytest.approx(1.0 / 12.0, abs=1e-15)
-    assert vertex == pytest.approx((6 / 8) * 0.25 * (1 / 9), abs=1e-15)
+    sp = SpidernetParams(4, 6, 3)
+    assert exp_localization_bound(sp, 1) == pytest.approx(1.0 / 12.0, abs=1e-15)
+    assert vertex_bound(sp, 1) == pytest.approx((6 / 8) * 0.25 * (1 / 9), abs=1e-15)
+    # the vertex bound is the stratum bound spread over |V_l| = a c^(l-1)
+    # vertices, by rotational symmetry
+    for sp in (SpidernetParams(4, 6, 3), SpidernetParams(2, 9, 2), SpidernetParams(5, 12, 4)):
+        for l in range(1, 6):
+            stratum = exp_localization_bound(sp, l)
+            assert vertex_bound(sp, l) == pytest.approx(stratum / (sp.a * sp.c ** (l - 1)), rel=1e-14)
     with pytest.raises(ValueError):
         exp_localization_bound(SpidernetParams(4, 6, 3), 0)
     with pytest.raises(NotLocalizedError):

@@ -6,33 +6,36 @@ import pytest
 
 from oracles import (
     JacobiLaw,
+    OutOfDomainError,
     OutOfSupportError,
     chebyshev_amplitudes,
     chebyshev_U,
     density,
+    integrate,
     jacobi_law,
     orth_poly_closed_cheb,
     orth_poly_closed_R,
     orth_poly_recurrence,
     orthonormal_sequence,
+    poly_at_atom,
     support,
 )
 from spiderwalk import (
     MAX_QUADRATURE_NODES,
     InvalidParamsError,
-    OutOfDomainError,
     ParamsOutOfRangeError,
     PqParams,
     SpidernetParams,
     amplitude,
+    asymptotic_amplitude,
     classify,
-    integrate,
     law_from_pq,
     law_from_spidernet,
     params_from_spidernet,
     quadrature_nodes,
+    random_walk_return,
 )
-from spiderwalk.meixner import _rule, special_value
+from spiderwalk.meixner import _rule
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 PTREE = PqParams(0.75, 0.25, 0.0)
@@ -212,21 +215,26 @@ def test_normalized_scaling():
 
 
 def test_special_value():
-    assert special_value(LAW463, 0) == 1.0
-    assert special_value(LAW463, 1) == pytest.approx(-np.sqrt(2.0 / 3.0))
+    # p_l(xi) as asymptotic_amplitude(law, l, 0) / w, against the recurrence
+    w = LAW463.atom_mass
+    assert asymptotic_amplitude(LAW463, 0, 0) == w
+    assert asymptotic_amplitude(LAW463, 1, 0) / w == pytest.approx(-np.sqrt(2.0 / 3.0))
     at_xi = orthonormal_sequence(LAW463, 20, np.array([LAW463.atom_location]))[:, 0]
     for n in range(1, 21):
-        assert abs(special_value(LAW463, n) - at_xi[n]) < 1e-10
+        assert abs(asymptotic_amplitude(LAW463, n, 0) / w - at_xi[n]) < 1e-10
         # the walk law's form (1/sqrt(p)) (-sqrt(pq) / (1-p))^n
-        assert special_value(LAW463, n) == pytest.approx(
+        assert asymptotic_amplitude(LAW463, n, 0) / w == pytest.approx(
             np.sqrt(2.0) * (-1.0 / np.sqrt(3.0)) ** n, rel=1e-14)
-    # the closed form holds without an atom too, where the recurrence is
-    # stable outside the band
+    with pytest.raises(InvalidParamsError):
+        asymptotic_amplitude(LAW463, -1, 0)
+    # without an atom the amplitude is 0, and Gautschi's closed form still
+    # holds, where the recurrence is stable outside the band
+    assert asymptotic_amplitude(LAWTREE, 3, 0) == 0.0
     at_xi = orthonormal_sequence(LAWTREE, 20, np.array([LAWTREE.atom_location]))[:, 0]
     for n in range(21):
-        assert special_value(LAWTREE, n) == pytest.approx(at_xi[n], rel=1e-13)
+        assert poly_at_atom(LAWTREE, n) == pytest.approx(at_xi[n], rel=1e-13)
     with pytest.raises(OutOfDomainError):
-        special_value(LAW463, -1)
+        poly_at_atom(LAWTREE, -1)
 
 
 def test_amplitude_stays_finite_for_subnormal_q():
@@ -239,27 +247,21 @@ def test_amplitude_stays_finite_for_subnormal_q():
 
 def test_total_mass():
     for law in (LAW463, LAWTREE, LAWFREE, law_from_pq(PqParams(0.5, 0.25, 0.25))):
-        mass = integrate(law, lambda x: np.ones_like(x), 0)
-        assert abs(mass - 1.0) < 1e-13
+        assert abs(random_walk_return(law, 0) - 1.0) < 1e-13
 
 
 def test_moments_match_jacobi_oracle():
     for law in (LAW463, LAWTREE, LAWFREE):
         for m in range(13):
-            got = integrate(law, lambda x, m=m: x ** m, m)
-            assert abs(got - jacobi_moment(law, m)) < 1e-13
+            assert abs(random_walk_return(law, m) - jacobi_moment(law, m)) < 1e-13
 
 
 def test_orthonormality():
-    for law in (LAW463, LAWTREE):
+    # <Psi_l, U^0 Psi_m> is the integral of p_l p_m
+    for law in (LAW463, LAWTREE, LAWFREE):
         for mdeg in range(6):
             for ndeg in range(mdeg, 6):
-                val = integrate(
-                    law,
-                    lambda x: orthonormal_sequence(law, ndeg, x)[mdeg]
-                    * orthonormal_sequence(law, ndeg, x)[ndeg],
-                    mdeg + ndeg,
-                )
+                val = amplitude(law, mdeg, ndeg, 0)
                 assert abs(val - (1.0 if mdeg == ndeg else 0.0)) < 1e-13
 
 
@@ -303,7 +305,7 @@ def test_midpoint_rule_exact_on_polynomials():
     for law in RULE_LAWS:
         p, q, r = (Fraction(v).limit_denominator(10 ** 9) for v in (law.p, law.q, law.r))
         for d, want in enumerate(exact_moments(p, q, r, 40)):
-            assert abs(integrate(law, lambda x: x ** d, d) - want) < 1e-14
+            assert abs(random_walk_return(law, d) - want) < 1e-14
 
 
 def test_node_budget_rejects_before_allocating():
@@ -312,14 +314,14 @@ def test_node_budget_rejects_before_allocating():
     law = law_from_pq(PqParams(0.5, 0.49999999, 0.00000001))
     tracemalloc.start()
     try:
-        mass = integrate(law, lambda x: np.ones_like(x), 0)
+        mass = random_walk_return(law, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert abs(mass - 1.0) < 1e-15 and peak < 1 << 20
     exact = exact_moments(Fraction(1, 2), Fraction(49999999, 10 ** 8), Fraction(1, 10 ** 8), 20)
     for d, want in enumerate(exact):
-        assert abs(integrate(law, lambda x: x ** d, d) - want) < 1e-14
+        assert abs(random_walk_return(law, d) - want) < 1e-14
     # too high a degree is rejected before allocating, for every law
     assert quadrature_nodes(2 * MAX_QUADRATURE_NODES - 3) == MAX_QUADRATURE_NODES
     with pytest.raises(ParamsOutOfRangeError):

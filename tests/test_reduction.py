@@ -641,10 +641,15 @@ def test_u_eigensystem_multiplicities():
     assert tree5.minus_one_multiplicity == 5
     assert len(tree5.thetas) == 4
 
-    # p = q = 1e-300: interior eigenvalues of T_N round to 1, so theta = 0
-    # has no plus/minus eigenvectors; refused, not returned as NaN vectors
-    with pytest.raises(ConvergenceFailureError):
+    # p = q = 1e-300: pq underflows to 0 and leaves the band no width,
+    # refused as the spectral law refuses it
+    with pytest.raises(ParamsOutOfRangeError, match="pq underflows"):
         u_eigensystem(PqParams(1e-300, 1e-300, 1.0), 4)
+    # p = q = 1e-160: pq = 1e-320 is subnormal, short of digits, and the
+    # counts of T_N - 1 cannot prove the eigenvalue 1 within the
+    # certificate's tolerance
+    with pytest.raises(ConvergenceFailureError, match="not isolated"):
+        u_eigensystem(PqParams(1e-160, 1e-160, 1.0), 4)
 
 
 def test_residual_check_rejects_perturbed_eigenvector(perturbed_eigensolver):

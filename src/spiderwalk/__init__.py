@@ -53,7 +53,13 @@ from .reduction import (
     params_from_spidernet,
     u_eigensystem,
 )
-from .walk import GraphEvolver, evolve, isotropic_initial_state, vertex_distribution
+from .walk import (
+    GraphEvolver,
+    evolve,
+    isotropic_initial_state,
+    light_cone_radius,
+    vertex_distribution,
+)
 
 __version__ = "0.1.0"
 
@@ -74,6 +80,7 @@ __all__ = [
     "build_spidernet",
     "isotropic_initial_state",
     "evolve",
+    "light_cone_radius",
     "vertex_distribution",
     "GraphEvolver",
     "PqParams",

@@ -38,7 +38,7 @@ from .reduction import (
     params_from_spidernet,
     u_eigensystem,
 )
-from .walk import GraphEvolver, isotropic_initial_state
+from .walk import GraphEvolver, isotropic_initial_state, light_cone_radius
 
 __all__ = ["main"]
 
@@ -154,9 +154,9 @@ def _cmd_simulate(args) -> int:
             f"more than {MAX_TABLE_CELLS}")
     columns = ["n", "p_origin"] + [f"p_stratum_{l}" for l in range(1, n_strata + 1)]
     if args.full:
-        # radius steps is exact, as the boundary stratum's truncated coin
-        # never runs; the root has edges only from radius 1 on
-        g = build_spidernet(sp, max(steps, 1))
+        # the boundary stratum's truncated coin reaches no printed stratum
+        # by the last step
+        g = build_spidernet(sp, light_cone_radius(steps, n_strata))
         ev = GraphEvolver(g, isotropic_initial_state(g))
         probs = np.empty((steps + 1, min(g.radius, n_strata) + 1))
         for n in range(steps + 1):
@@ -305,7 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of stratum columns (default min(steps, 6))")
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--full", action="store_true",
-                       help="evolve on the explicit graph, built to radius steps")
+                       help="evolve on the explicit graph, built out to the light cone "
+                            "of the printed strata, radius min(steps, "
+                            "(steps + strata)//2 + 1)")
     group.add_argument("--reduced", action="store_true",
                        help="evolve the one-dimensional reduction (default)")
     _add_output_options(sub)

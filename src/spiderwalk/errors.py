@@ -43,7 +43,7 @@ class ConvergenceFailureError(SpiderwalkError):
 class ParamsOutOfRangeError(SpiderwalkError):
     """Walk parameters lie outside the admissible region: p, q > 0, r >= 0
     and p + q + r = 1, with q <= p < 1 for the spectral law and pq > 0 for
-    it and for the cutoff spectrum."""
+    it and for the cutoff spectrum; or a spidernet's b has no float."""
 
 
 class NotLocalizedError(SpiderwalkError):

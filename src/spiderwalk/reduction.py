@@ -106,9 +106,18 @@ class PqParams:
 
 
 def params_from_spidernet(sp: SpidernetParams) -> PqParams:
-    """(p, q, r) = (c/b, 1/b, (b-c-1)/b) for S(a, b, c); independent of a."""
+    """(p, q, r) = (c/b, 1/b, (b-c-1)/b) for S(a, b, c); independent of a.
+
+    q = 1.0 / b rounds b to a float first, so a b from 2**1024 - 2**970 on,
+    which rounds past the largest float, raises ParamsOutOfRangeError.
+    """
     b, c = sp.b, sp.c
-    return PqParams(c / b, 1.0 / b, (b - c - 1) / b)
+    try:
+        q = 1.0 / b
+    except OverflowError:
+        raise ParamsOutOfRangeError(
+            f"b has {b.bit_length()} bits and rounds past the largest float") from None
+    return PqParams(c / b, q, (b - c - 1) / b)
 
 
 class ReducedState:

@@ -10,13 +10,15 @@ Starting from the isotropic state at the root, amplitude after k steps
 sits only on half-edges that leave strata <= k.  Step k + 1 coins only
 those, so the truncated coin of the boundary stratum R never runs while
 k < R, and a truncation of radius >= n evolves exactly like the infinite
-graph for n steps; :func:`evolve` enforces that radius.
+graph for n steps; :func:`evolve` enforces that radius.  A walk read only
+on strata <= K needs less: :func:`light_cone_radius` gives the radius,
+about (n + K)/2, out to which those strata stay exact.
 
 Half-edges are numbered stratum by stratum, so the support of such an
 evolution is a prefix of the half-edge array.  :class:`GraphEvolver`, the
 one stepping kernel, steps only that light-cone prefix in place, in
-float64 for a real state; memory still grows like ``c**steps``, from the
-graph arrays.
+float64 for a real state; memory grows like ``c**R`` with the radius R,
+from the graph arrays.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .graph import Spidernet
 __all__ = [
     "isotropic_initial_state",
     "evolve",
+    "light_cone_radius",
     "vertex_distribution",
     "GraphEvolver",
 ]
@@ -131,6 +134,27 @@ def evolve(g: Spidernet, state: np.ndarray, steps: int) -> np.ndarray:
     for _ in range(steps):
         ev.step()
     return ev.state()
+
+
+def light_cone_radius(steps: int, strata: int) -> int:
+    """The radius max(1, min(steps, (steps + strata) // 2 + 1)) out to
+    which a walk from the root is built to read strata 0..``strata``
+    exactly through step ``steps``.
+
+    Radius ``steps`` is exact on every stratum (see :func:`evolve`).  At a
+    radius R < steps, the truncated coin of boundary stratum R first acts
+    at step R + 1, on half-edges leaving stratum R; the shift carries its
+    error onto half-edges leaving strata R - 1 and R, and the missing
+    forward edges lose what the infinite graph would send to stratum R + 1.
+    Each later step moves the error at most one stratum inward, so stratum
+    l stays exact through step 2R - l - 1 and can be wrong from step
+    2R - l on.  Strata <= K thus stay exact through step N when
+    2R - K - 1 >= N, that is R >= (N + K) // 2 + 1; one radius less lets
+    the error reach stratum K by step N.  Inside that cone the kernel does
+    the same arithmetic on the same cells at either radius, so the strata
+    read are bit-identical.  The root has edges only from radius 1 on.
+    """
+    return max(1, min(steps, (steps + strata) // 2 + 1))
 
 
 def vertex_distribution(g: Spidernet, state: np.ndarray) -> np.ndarray:

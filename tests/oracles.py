@@ -101,6 +101,24 @@ def vertex_bound(sp, l):
     return float(Fraction(b, 2 * a) * w * w * Fraction(1, (b - c) ** 2) ** l)
 
 
+def cesaro_limit(sp, l):
+    """The exact time-averaged probability of stratum V_l of a localizing
+    S(a, b, c), as a Fraction:
+
+        lim (1/N) sum_{n<N} P(X_n in V_l)
+            = ((b-c+1)^2 + c - 1)/(2c) w^2 (c/(b-c)^2)^l,   l >= 1,
+
+    and w^2/2 at l = 0.  The eigenvectors of the reduced walk at the atom's
+    e^{+-i theta} are geometric over the strata, with ratio -sqrt(c)/(b-c),
+    so every stratum l >= 1 holds the same multiple ((b-c+1)^2 + c - 1)/b
+    of its Psi_l part, the stratum bound (b/2c) w^2 (c/(b-c)^2)^l."""
+    b, c = sp.b, sp.c
+    w = Fraction((b - c) ** 2 - c, (b - c) * (b - c + 1))
+    if l == 0:
+        return w * w / 2
+    return Fraction((b - c + 1) ** 2 + c - 1, 2 * c) * w * w * Fraction(c, (b - c) ** 2) ** l
+
+
 def half_edge_permutation(g, vertex_perm):
     """(u, v) -> (perm[u], perm[v]); raises unless perm is an automorphism."""
     nv = np.int64(g.num_vertices)

@@ -402,12 +402,39 @@ def test_negative_counts_rejected(capsys, argv):
     assert json.loads(err)["error"] == "InvalidParamsError"
 
 
-@pytest.mark.parametrize("steps", ["18", "40"])
-def test_oversized_full_rejected_before_allocation(capsys, steps):
-    # 3.1e9 half-edges (23 GiB per int64 half-edge array) at 18 steps;
-    # stratum sizes past int64 at 40
+@pytest.mark.parametrize("argv", [
+    ["--steps", "18", "--strata", "18"],
+    ["--steps", "40"],
+], ids=["18", "40"])
+def test_oversized_full_rejected_before_allocation(capsys, argv):
+    # the graph is built out to the light cone of the printed strata: radius
+    # 18 and 3.1e9 half-edges (23 GiB per int64 half-edge array) when all 18
+    # are printed; radius 24 of 40 steps for the default 6, stratum sizes
+    # past int64 at radius 40
     assert_refused_early(capsys, "InvalidParamsError",
-                         "simulate", "4", "6", "3", "--steps", steps, "--full")
+                         "simulate", "4", "6", "3", *argv, "--full")
+
+
+def test_full_route_builds_only_the_light_cone(capsys):
+    # the origin column of 18 steps needs radius 10, 472 384 half-edges
+    # (~29 MiB peak); radius 11 would take three times that, and radius 18
+    # the 3.1e9 half-edges refused above
+    argv = ["simulate", "4", "6", "3", "--steps", "18", "--strata", "0"]
+    tracemalloc.start()
+    try:
+        code, full_out, _ = run_cli(capsys, *argv, "--full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 48 << 20
+    code, red_out, _ = run_cli(capsys, *argv, "--reduced")
+    assert code == 0
+    full_header, full_rows = read_csv(full_out)
+    red_header, red_rows = read_csv(red_out)
+    assert full_header == red_header == ["n", "p_origin"]
+    assert len(full_rows) == len(red_rows) == 19
+    for fr, rr in zip(full_rows, red_rows):
+        assert fr[0] == rr[0] and abs(float(fr[1]) - float(rr[1])) < 1e-12
 
 
 @pytest.mark.parametrize("argv", [
@@ -659,6 +686,18 @@ def test_one_minus_p_rounding_to_zero_is_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "ParamsOutOfRangeError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rwalk", "1", str(10 ** 400), "1", "--nmax", "2"],
+    ["simulate", "1", str(10 ** 400), "1", "--steps", "2"],
+    ["amplitude", "1", str(10 ** 400), "1", "--nmax", "2"],
+    ["spectrum", "1", str(10 ** 400), "1", "--cutoff", "4"],
+    ["rwalk", "1", str(2 ** 1024 - 2 ** 970), "1", "--nmax", "2"],
+], ids=["rwalk", "simulate", "amplitude", "spectrum", "rwalk-rounds-to-2^1024"])
+def test_b_past_the_largest_float_is_refused(capsys, argv):
+    # q = 1/b has no float once b rounds to 2**1024 or more
+    assert_refused_early(capsys, "ParamsOutOfRangeError", *argv)
 
 
 EVERY_COMMAND = [

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import spiderwalk.reduction as reduction
-from oracles import chebyshev_amplitudes, cutoff_psi_vector, cutoff_walk_matrix, vertex_bound
+from oracles import (
+    cesaro_limit,
+    chebyshev_amplitudes,
+    cutoff_psi_vector,
+    cutoff_walk_matrix,
+    vertex_bound,
+)
 from spiderwalk import (
     InvalidParamsError,
     NotLocalizedError,
@@ -227,6 +233,23 @@ def test_cesaro_strata_reads_in_blocks(monkeypatch, block_cells, max_stratum):
     for horizon in (1, 2, 13, 300):
         assert np.array_equal(cesaro_strata(params, horizon, max_stratum),
                               _cesaro_strata_loop(params, horizon, max_stratum))
+
+
+@pytest.mark.parametrize("abc", [(4, 6, 3), (3, 10, 2), (2, 5, 1), (11, 20, 9), (4, 7, 4)])
+def test_cesaro_strata_converge_to_the_exact_limit(abc):
+    # the oscillation about the limit averages out like 1/N; N |error| stays
+    # below 1.4 on these strata from N = 1000 to 8000
+    sp = SpidernetParams(*abc)
+    limit = np.array([float(cesaro_limit(sp, l)) for l in range(7)])
+    for horizon in (1000, 4000):
+        error = np.abs(cesaro_strata(params_from_spidernet(sp), horizon, 6) - limit)
+        assert np.all(error <= 2.0 / horizon)
+    # the limit is the stratum bound times ((b-c+1)^2 + c - 1)/b >= 1
+    b, c = sp.b, sp.c
+    for l in range(1, 7):
+        bound = Fraction(b, 2 * c) * classify(sp).w ** 2 * Fraction(c, (b - c) ** 2) ** l
+        assert cesaro_limit(sp, l) == bound * Fraction((b - c + 1) ** 2 + c - 1, b) >= bound
+        assert exp_localization_bound(sp, l) == float(bound)
 
 
 def test_cesaro_of_asymptotic_amplitude_is_half_w_squared():

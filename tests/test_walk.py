@@ -20,6 +20,7 @@ from spiderwalk import (
     cesaro_strata,
     evolve,
     isotropic_initial_state,
+    light_cone_radius,
     params_from_spidernet,
     vertex_distribution,
 )
@@ -266,8 +267,8 @@ def test_evolver_arbitrary_states(sparse_walk):
     ((3, 4, 1), 14, 16),
 ])
 def test_radius_steps_is_exact(abc, steps, wider):
-    # the radius simulate --full builds against wider truncations, whose
-    # extra strata the walk never reaches
+    # radius steps, the least that evolve allows, against wider
+    # truncations, whose extra strata the walk never reaches
     sp = SpidernetParams(*abc)
     exact, wide = build_spidernet(sp, steps), build_spidernet(sp, wider)
     ev, ev_wide = (GraphEvolver(g, isotropic_initial_state(g)) for g in (exact, wide))
@@ -277,3 +278,50 @@ def test_radius_steps_is_exact(abc, steps, wider):
         dist, dist_wide = ev.stratum_distribution(), ev_wide.stratum_distribution()
         assert np.array_equal(dist, dist_wide[:steps + 1])
         assert not dist_wide[steps + 1:].any()
+
+
+def _stratum_table(sp, radius, steps):
+    """The per-stratum probabilities of steps 0..steps from the root, as
+    ``simulate --full`` reads them, on the truncation of the given radius."""
+    g = build_spidernet(sp, radius)
+    ev = GraphEvolver(g, isotropic_initial_state(g))
+    rows = [ev.stratum_distribution()]
+    for _ in range(steps):
+        ev.step()
+        rows.append(ev.stratum_distribution())
+    return np.array(rows)
+
+
+def test_light_cone_radius_values():
+    assert light_cone_radius(0, 0) == light_cone_radius(0, 6) == 1
+    assert light_cone_radius(1, 0) == 1
+    assert light_cone_radius(16, 0) == 9
+    assert light_cone_radius(18, 0) == 10
+    assert light_cone_radius(18, 17) == light_cone_radius(18, 18) == 18
+    assert light_cone_radius(11, 11) == light_cone_radius(11, 40) == 11
+
+
+@pytest.mark.parametrize("abc, steps", [
+    ((4, 6, 3), 1),     # localizing
+    ((4, 6, 3), 8),
+    ((4, 6, 3), 9),
+    ((4, 6, 4), 6),     # threshold (b - c)^2 = c
+    ((4, 6, 4), 7),
+    ((3, 4, 3), 9),     # tree
+    ((3, 4, 3), 10),
+    ((3, 4, 1), 12),    # c = 1
+    ((3, 4, 1), 13),
+])
+def test_light_cone_radius_is_exact_and_least(abc, steps):
+    # strata 0..K read at the light-cone radius equal those read at radius
+    # steps bit for bit; on these wirings one radius less changes every
+    # table it shortens
+    sp = SpidernetParams(*abc)
+    exact = _stratum_table(sp, steps, steps)
+    for strata in range(steps + 1):
+        radius = light_cone_radius(steps, strata)
+        read = np.s_[:, :strata + 1]
+        assert np.array_equal(_stratum_table(sp, radius, steps)[read], exact[read])
+        if 1 < radius < steps:
+            assert not np.array_equal(_stratum_table(sp, radius - 1, steps)[read],
+                                      exact[read])

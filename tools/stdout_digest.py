@@ -41,6 +41,10 @@ FIXED = [
     ["simulate", "4", "6", "3", "--steps", "8", "--full", "--strata", "10"],
     ["simulate", "1", "10", "2", "--steps", "3000", "--strata", "3"],
     ["simulate", "3", "4", "3", "--steps", "40", "--format", "json"],
+    # the explicit graph's light cone at its extremes: radius 9 of 16 steps,
+    # and radius steps when every stratum is printed
+    ["simulate", "4", "4", "2", "--steps", "16", "--full", "--strata", "0"],
+    ["simulate", "3", "4", "3", "--steps", "11", "--full", "--strata", "11"],
     ["spectrum", "4", "6", "3", "--cutoff", "4000"],
     ["spectrum", "--pqr", "0.75", "0.25", "0", "--cutoff", "50"],
     ["spectrum", "1", "1000000000", "999968377", "--cutoff", "300"],

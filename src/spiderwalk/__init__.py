@@ -32,14 +32,14 @@ from .errors import (
 from .graph import MAX_HALF_EDGES, SpidernetParams, build_spidernet
 from .meixner import (
     MAX_QUADRATURE_NODES,
-    amplitude,
+    amplitude_series,
     asymptotic_amplitude,
     classify,
     exp_localization_bound,
     law_from_pq,
     law_from_spidernet,
     quadrature_nodes,
-    random_walk_return,
+    random_walk_return_series,
 )
 from .reduction import (
     MAX_CUTOFF,
@@ -92,11 +92,11 @@ __all__ = [
     "law_from_pq",
     "law_from_spidernet",
     "quadrature_nodes",
-    "amplitude",
+    "amplitude_series",
     "asymptotic_amplitude",
     "classify",
     "cesaro_strata",
     "exp_localization_bound",
-    "random_walk_return",
+    "random_walk_return_series",
     "origin_amplitude_series",
 ]

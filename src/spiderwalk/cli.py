@@ -23,12 +23,12 @@ from . import verify as verify_mod
 from .errors import InvalidParamsError, SpiderwalkError
 from .graph import SpidernetParams, build_spidernet
 from .meixner import (
-    amplitude,
+    amplitude_series,
     classify,
     law_from_pq,
     law_from_spidernet,
     quadrature_nodes,
-    random_walk_return,
+    random_walk_return_series,
 )
 from .reduction import (
     PqParams,
@@ -64,6 +64,23 @@ def _quote(text: str) -> str:
     return text
 
 
+# The C encoder, which indent=2 would bypass, with each item of a record on
+# a line of its own, indented as json.dumps(records, indent=2) indents it.
+_json_items = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
+def _json_text(records) -> str:
+    """json.dumps(records, indent=2) for a list of non-empty flat dicts,
+    byte for byte, from one call of the C encoder.  Its separator already
+    lays out the items; the brackets of each record get lines of their own
+    where "}" meets "{", which happens only between records, since a flat
+    value (a number, a quoted string, true, false) never ends in "}"."""
+    text = _json_items(records)
+    if not records:
+        return text
+    return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+
+
 def _emit(names, rows, args) -> None:
     """Print a table whose every column holds one kind of cell: floats
     (np.float64 among them, a subclass of float), bools, ints or strs.  CSV
@@ -74,7 +91,7 @@ def _emit(names, rows, args) -> None:
     if args.format == "json":
         columns = [[float("%.15g" % v) for v in column] if kind is float else column
                    for column, kind in zip(columns, kinds)]
-        text = json.dumps([dict(zip(names, row)) for row in zip(*columns)], indent=2) + "\n"
+        text = _json_text([dict(zip(names, row)) for row in zip(*columns)]) + "\n"
     else:
         cell_text = {bool: _BOOL_TEXT.__getitem__, str: _quote}
         columns = [map(cell_text[kind], column) if kind in cell_text else column
@@ -200,7 +217,7 @@ def _cmd_amplitude(args) -> int:
     # the last integral has the highest degree: refuse it before any work
     quadrature_nodes(nmax + l + m)
     reduced = origin_amplitude_series(params, nmax, l, m).tolist()
-    integral = [amplitude(law, l, m, n) for n in range(nmax + 1)]
+    integral = amplitude_series(law, nmax, l, m).tolist()
     columns = ["n", "integral", "reduced", "abs_diff"]
     rows = [[n, a, r, abs(a - r)] for n, (a, r) in enumerate(zip(integral, reduced))]
     _emit(columns, rows, args)
@@ -271,7 +288,7 @@ def _cmd_rwalk(args) -> int:
     nmax = _count(args.nmax, "--nmax")
     quadrature_nodes(nmax)                      # the last moment's budget
     columns = ["n", "return_probability"]
-    rows = [[n, random_walk_return(law, n)] for n in range(nmax + 1)]
+    rows = [[n, v] for n, v in enumerate(random_walk_return_series(law, nmax).tolist())]
     _emit(columns, rows, args)
     return 0
 

@@ -25,7 +25,10 @@ every integrand is even and 2 pi-periodic, a polynomial in cos(phi) plus a
 simple pole at x = 1 and one at xi, so the midpoint rule (the periodic
 trapezoidal rule) with floor(degree / 2) + 2 nodes is exact with two pole
 nodes, at 1 and at xi, whose weights are closed-form; see Trefethen &
-Weideman, SIAM Rev. 56 (2014) 385-458.
+Weideman, SIAM Rev. 56 (2014) 385-458.  A rule exact for one degree is
+exact for every lower one, so one rule of the top degree serves a whole
+series: :func:`amplitude_series` and :func:`random_walk_return_series`
+build it once and sum all n = 0 .. nmax over it in BLAS products.
 
 Every ladder-to-ladder amplitude of the reduced walk is such an integral,
 
@@ -61,17 +64,22 @@ __all__ = [
     "law_from_spidernet",
     "MAX_QUADRATURE_NODES",
     "quadrature_nodes",
-    "amplitude",
+    "amplitude_series",
     "asymptotic_amplitude",
     "classify",
     "exp_localization_bound",
-    "random_walk_return",
+    "random_walk_return_series",
 ]
 
 # A cap on the midpoint nodes of one integral (8 MiB per float64 node
 # array): with M = floor(degree / 2) + 2 it caps the degree at 2^21 - 3
 # for every law, rejected before anything is allocated.
 MAX_QUADRATURE_NODES = 1 << 20
+# The rows B of a block of a series, n = s .. s + B - 1: its (B x M) tables
+# of cos(j theta), sin(j theta) or x^j are capped at _BLOCK_CELLS (8 MiB),
+# so that a series takes O(M) memory at every degree.
+_BLOCK = 64
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,8 @@ def _law(params: PqParams, one_minus_p: Fraction, exact_q: Fraction) -> FreeMeix
 
 
 def quadrature_nodes(degree: int) -> int:
-    """Midpoint nodes M = floor(degree / 2) + 2 that :func:`amplitude` and
-    :func:`random_walk_return` use for a polynomial of degree ``degree``,
+    """Midpoint nodes M = floor(degree / 2) + 2 that :func:`amplitude_series`
+    and :func:`random_walk_return_series` use for degree ``degree``,
     2M > degree + 2, for every law (see :func:`_rule`).  Raises
     ParamsOutOfRangeError, before anything is allocated, when M would
     exceed MAX_QUADRATURE_NODES.
@@ -191,15 +199,32 @@ def _rule(law: FreeMeixnerLaw, nodes: int):
     return (r + 2.0 * s) - band, one_minus_x, weight, poles
 
 
-def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
-    """<Psi_l, U^n Psi_m> as the spectral integral of T_|n| p_l p_m, a
-    polynomial of degree |n| + l + m.
+def _blocks(nmax: int, nodes: int):
+    """The offsets j = 0 .. B' - 1 and the starts s of the blocks n = s + j
+    that cover 0 .. nmax, with B' = min(_BLOCK, _BLOCK_CELLS // nodes), at
+    least 1, so that a (B' x nodes) table stays within _BLOCK_CELLS."""
+    rows = max(1, min(_BLOCK, _BLOCK_CELLS // nodes, nmax + 1))
+    return np.arange(rows), range(0, nmax + 1, rows)
 
-    At each band node T_|n|(x) = cos(|n| theta), with theta = arccos(x) as
+
+def amplitude_series(law: FreeMeixnerLaw, nmax: int, l: int = 0, m: int = 0) -> np.ndarray:
+    """<Psi_l, U^n Psi_m> for n = 0 .. nmax, each the spectral integral of
+    T_n p_l p_m, a polynomial of degree at most nmax + l + m, by the one rule
+    of that top degree, which integrates every lower n exactly too.
+
+    At each band node T_n(x) = cos(n theta), with theta = arccos(x) as
     arctan2(sqrt((1 - x)(1 + x)), x) from the phi form of 1 - x, which keeps
-    its digits where the band nears x = 1.  p_k(x) comes from its closed
-    form in phi, so memory is O(nodes) for any l and m.  At the pole nodes
-    p_k is closed-form too, for k >= 1,
+    its digits where the band nears x = 1.  With f = w p_l p_m at the nodes,
+    the band sums of a block n = s + j, j < B, are two (B x M) products,
+
+        sum_k f_k cos((s + j) theta_k) = sum_k cos(j theta_k) (f_k cos(s theta_k))
+                                         - sum_k sin(j theta_k) (f_k sin(s theta_k)),
+
+    against fixed tables of cos(j theta) and sin(j theta), with cos(s theta)
+    and sin(s theta) taken directly at each block, so that no rounding
+    builds up from block to block.  p_k(x) comes from its closed form in
+    phi, so memory is O(nodes) for any l and m.  At the pole nodes p_k is
+    closed-form too, for k >= 1,
 
         p_k(1) = e^{(k-1) a_1} / sqrt(q),   p_k(xi) = (xi / sqrt(q)) (-1)^(k-1) e^{-+(k-1) a_xi},
 
@@ -210,7 +235,9 @@ def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
     """
     if l < 0 or m < 0:
         raise InvalidParamsError("ladder indices must be non-negative")
-    nodes = quadrature_nodes(abs(n) + l + m)
+    if nmax < 0:
+        raise InvalidParamsError(f"nmax must be non-negative, got {nmax}")
+    nodes = quadrature_nodes(nmax + l + m)
     x, one_minus_x, weight, ((a_1, g_1), (a_xi, g_xi)) = _rule(law, nodes)
 
     def sin_multiple(j):
@@ -225,20 +252,28 @@ def amplitude(law: FreeMeixnerLaw, l: int, m: int, n: int) -> float:
                 - sin_multiple(k - 1) / np.sqrt(law.p)) / sin_multiple(1)
 
     theta = np.arctan2(np.sqrt(one_minus_x * (1.0 + x)), x)
-    integrand = np.cos(abs(n) * theta) * weight
-    if l or m:
-        # one factor at a time: p_l p_m alone overflows where q is subnormal
-        p_l = poly(l)
-        integrand *= p_l
-        integrand *= p_l if m == l else poly(m)
+    # f = w p_l p_m one factor at a time: p_l p_m alone overflows where q is subnormal
+    f = weight
+    p_l = poly(l)
+    f *= p_l
+    f *= p_l if m == l else poly(m)
+    j, starts = _blocks(nmax, nodes)
+    cos_j = np.multiply.outer(j, theta)
+    sin_j = np.sin(cos_j)
+    np.cos(cos_j, out=cos_j)
+    band = np.empty(nmax + 1)
+    for s in starts:
+        rows = min(len(j), nmax + 1 - s)
+        band[s:s + rows] = (cos_j[:rows] @ (f * np.cos(s * theta))
+                            - sin_j[:rows] @ (f * np.sin(s * theta)))
     h, xi = max(l - 1, 0) + max(m - 1, 0), law.atom_location
     at_1 = g_1 * math.exp((h - 2 * nodes) * a_1)
     at_xi = ((g_xi * math.exp(((-h if law.has_atom else h) - 2 * nodes) * a_xi)
               + law.atom_mass * math.exp(-h * a_xi))
-             * (-1) ** h * xi ** ((l > 0) + (m > 0)) * math.cos(abs(n) * math.acos(xi)))
+             * (-1) ** h * xi ** ((l > 0) + (m > 0)))
     # 1 / sqrt(q) once per index k >= 1: 1 / q itself can overflow
     c_l, c_m = (1.0 / math.sqrt(law.q) if k else 1.0 for k in (l, m))
-    return float(integrand.sum()) + (at_1 + at_xi) * c_l * c_m
+    return band + (at_1 + at_xi * np.cos(np.arange(nmax + 1) * math.acos(xi))) * c_l * c_m
 
 
 def asymptotic_amplitude(law: FreeMeixnerLaw, l: int, n: int) -> float:
@@ -312,14 +347,22 @@ def exp_localization_bound(sp: SpidernetParams, l: int) -> float:
     return float(Fraction(b, 2 * c) * rep.w * rep.w * Fraction(c, (b - c) ** 2) ** l)
 
 
-def random_walk_return(law: FreeMeixnerLaw, n: int) -> float:
-    """n-step return probability of the isotropic random walk: the n-th
-    moment of the spectral law: x^n summed over the nodes of :func:`_rule`,
-    the atom's mass added to the weight of the pole node at xi."""
-    if n < 0:
-        raise InvalidParamsError("n must be non-negative")
-    nodes = quadrature_nodes(n)
+def random_walk_return_series(law: FreeMeixnerLaw, nmax: int) -> np.ndarray:
+    """n-step return probabilities of the isotropic random walk, n = 0 ..
+    nmax: the moments of the spectral law, x^n summed over the nodes of the
+    one :func:`_rule` of degree nmax, the atom's mass added to the weight of
+    the pole node at xi.  As in :func:`amplitude_series`, a block n = s + j,
+    j < B, is one (B x M) product of a fixed table of x^j with w x^s."""
+    if nmax < 0:
+        raise InvalidParamsError(f"nmax must be non-negative, got {nmax}")
+    nodes = quadrature_nodes(nmax)
     x, _, weight, ((a_1, g_1), (a_xi, g_xi)) = _rule(law, nodes)
-    f_1, f_xi = (np.array([1.0, law.atom_location]) ** n).tolist()
-    return (float((x ** n * weight).sum()) + g_1 * math.exp(-2 * nodes * a_1) * f_1
-            + (g_xi * math.exp(-2 * nodes * a_xi) + law.atom_mass) * f_xi)
+    j, starts = _blocks(nmax, nodes)
+    x_j = x ** j[:, None]
+    band = np.empty(nmax + 1)
+    for s in starts:
+        rows = min(len(j), nmax + 1 - s)
+        band[s:s + rows] = x_j[:rows] @ (weight * x ** s)
+    return (band + g_1 * math.exp(-2 * nodes * a_1)
+            + (g_xi * math.exp(-2 * nodes * a_xi) + law.atom_mass)
+            * law.atom_location ** np.arange(nmax + 1))

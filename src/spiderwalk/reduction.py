@@ -467,14 +467,20 @@ _PIVMIN = float(np.finfo(float).tiny)
 
 def _edge_gaps(params: PqParams, a, side):
     """1 - x and 1 + x at x = r + side 2s cos(a), as sums of non-negative
-    terms: (sqrt(p) - sqrt(q))^2 + 4s sin^2(a/2) and
-    (2r + (sqrt(p) - sqrt(q))^2) + 4s cos^2(a/2), sin and cos swapped
-    where side is -1."""
-    p, q, r = params.p, params.q, params.r
+    terms: (sqrt(p) - sqrt(q))^2 + 4s sin^2(a/2) and :func:`_one_plus_x`,
+    sin and cos swapped where side is -1."""
+    p, q = params.p, params.q
     s, gap = np.sqrt(p * q), (np.sqrt(p) - np.sqrt(q)) ** 2
-    sin2, cos2 = np.sin(0.5 * a) ** 2, np.cos(0.5 * a) ** 2
-    near, far = np.where(side > 0, sin2, cos2), np.where(side > 0, cos2, sin2)
-    return gap + 4.0 * s * near, (2.0 * r + gap) + 4.0 * s * far
+    near = np.where(side > 0, np.sin(0.5 * a), np.cos(0.5 * a)) ** 2
+    return gap + 4.0 * s * near, _one_plus_x(params, a, side)
+
+
+def _one_plus_x(params: PqParams, a, side):
+    """1 + x at x = r + side 2s cos(a) as (2r + (sqrt(p) - sqrt(q))^2) +
+    4s cos^2(a/2), sin for cos where side is -1."""
+    p, q, r = params.p, params.q, params.r
+    far = np.where(side > 0, np.cos(0.5 * a), np.sin(0.5 * a)) ** 2
+    return (2.0 * r + (np.sqrt(p) - np.sqrt(q)) ** 2) + 4.0 * np.sqrt(p * q) * far
 
 
 def _sturm_count(params: PqParams, cutoff: int, y: float, end: float) -> int:
@@ -525,8 +531,7 @@ def _band_form(params: PqParams, cutoff: int, a: np.ndarray, side) -> np.ndarray
     """(1 + x) sin(N a) + side (r/s) sin((N-1) a) at x = r + side 2s cos(a),
     0 < a < pi: of the sign of -det(x - T_N) for side 1 and of
     (-1)^N det(x - T_N) for side -1."""
-    _, one_plus_x = _edge_gaps(params, a, side)
-    return (one_plus_x * _sin_multiple(cutoff, a)
+    return (_one_plus_x(params, a, side) * _sin_multiple(cutoff, a)
             + side * (params.r / np.sqrt(params.p * params.q)) * _sin_multiple(cutoff - 1, a))
 
 

@@ -18,13 +18,13 @@ import numpy as np
 from .errors import UnrealizableWiringError
 from .graph import SpidernetParams, build_spidernet
 from .meixner import (
-    amplitude,
+    amplitude_series,
     asymptotic_amplitude,
     classify,
     exp_localization_bound,
     law_from_pq,
     law_from_spidernet,
-    random_walk_return,
+    random_walk_return_series,
 )
 from .reduction import (
     PqParams,
@@ -82,13 +82,13 @@ def _check_reduced_vs_integral():
     params = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
     law = law_from_pq(params)
     amps = origin_amplitude_series(params, 40)
-    worst = max(abs(amplitude(law, 0, 0, n) - amps[n]) for n in range(41))
+    worst = float(np.max(np.abs(amplitude_series(law, 40) - amps)))
     return worst < 1e-12, f"max |diff| {worst:.2e} over n<=40"
 
 
 def _check_measure_mass():
     law = law_from_pq(PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0))
-    mass = random_walk_return(law, 0)
+    mass = random_walk_return_series(law, 0)[0]
     err = abs(mass - 1.0)
     return err < 1e-12, f"total mass error {err:.2e}"
 
@@ -137,9 +137,7 @@ def _check_exp_bound():
 
 def _check_rwalk():
     law = law_from_pq(PqParams(0.5, 0.25, 0.25))
-    p0 = random_walk_return(law, 0)
-    p1 = random_walk_return(law, 1)
-    p2 = random_walk_return(law, 2)
+    p0, p1, p2 = random_walk_return_series(law, 2).tolist()
     ok = abs(p0 - 1) < 1e-12 and abs(p1) < 1e-12 and abs(p2 - 0.25) < 1e-12
     return ok, f"moments (1, 0, q) -> ({p0:.3g}, {p1:.2e}, {p2:.3g})"
 

@@ -24,7 +24,7 @@ from spiderwalk import (
     PqParams,
     SpidernetParams,
     UnrealizableWiringError,
-    amplitude,
+    amplitude_series,
     asymptotic_amplitude,
     build_spidernet,
     cesaro_strata,
@@ -34,7 +34,7 @@ from spiderwalk import (
     isotropic_initial_state,
     law_from_pq,
     origin_amplitude_series,
-    random_walk_return,
+    random_walk_return_series,
     u_eigensystem,
 )
 from spiderwalk.reduction import stratum_state
@@ -100,8 +100,7 @@ def test_criterion_3_three_way_equivalence(big_463, big_442):
         full = _full_graph_amplitudes(g, 10)
         worst_full = max(worst_full, float(np.max(np.abs(full - reduced[:11]))))
         law = law_from_pq(params)
-        for n in range(201):
-            worst_int = max(worst_int, abs(amplitude(law, 0, 0, n) - reduced[n]))
+        worst_int = max(worst_int, float(np.max(np.abs(amplitude_series(law, 200) - reduced))))
     ok = worst_full < 1e-10 and worst_int < 1e-12
     _criterion(3, "three-way oracle equivalence", ok,
                f"max|full-reduced|={worst_full:.2e} (n<=10, tol 1e-10), "
@@ -217,7 +216,8 @@ def test_criterion_7_orthogonal_polynomial_suite():
     for law, _ in laws:
         for mdeg in range(11):
             for ndeg in range(mdeg, 11):
-                worst_orth = max(worst_orth, abs(amplitude(law, mdeg, ndeg, 0) - (mdeg == ndeg)))
+                worst_orth = max(worst_orth,
+                                 abs(amplitude_series(law, 0, mdeg, ndeg)[0] - (mdeg == ndeg)))
 
     ok = worst_forms < 1e-9 and worst_special < 1e-10 and worst_orth < 1e-8
     _criterion(7, "orthogonal polynomial suite", ok,
@@ -242,8 +242,8 @@ def test_criterion_8_measure_sanity():
     worst_discrete = 0.0
     for params in (P463, P342, PTREE343):
         law = law_from_pq(params)
-        worst_mass = max(worst_mass, abs(random_walk_return(law, 0) - 1.0))
-        moments = [random_walk_return(law, m) for m in range(13)]
+        worst_mass = max(worst_mass, abs(random_walk_return_series(law, 0)[0] - 1.0))
+        moments = random_walk_return_series(law, 12)
         worst_moment = max(worst_moment,
                            max(abs(moments[m] - jacobi_moment(params, m))
                                for m in range(13)))

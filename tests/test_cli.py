@@ -614,12 +614,12 @@ def test_readme_library_example_runs():
 
 # every law integrates degrees up to 2097149 within MAX_QUADRATURE_NODES
 @pytest.mark.parametrize("argv, kernel", [
-    (["amplitude", "4", "6", "3", "--nmax", "3000000"], "amplitude"),
-    (["amplitude", "4", "6", "3", "--l", "2", "--m", "1", "--nmax", "2097147"], "amplitude"),
+    (["amplitude", "4", "6", "3", "--nmax", "3000000"], "amplitude_series"),
+    (["amplitude", "4", "6", "3", "--l", "2", "--m", "1", "--nmax", "2097147"], "amplitude_series"),
     # Psi_l or Psi_m alone would take 3 x 16 bytes per stratum
-    (["amplitude", "4", "6", "3", "--m", "3000000", "--nmax", "1"], "amplitude"),
-    (["amplitude", "4", "6", "3", "--l", "3000000", "--nmax", "1"], "amplitude"),
-    (["rwalk", "4", "6", "3", "--nmax", "3000000"], "random_walk_return"),
+    (["amplitude", "4", "6", "3", "--m", "3000000", "--nmax", "1"], "amplitude_series"),
+    (["amplitude", "4", "6", "3", "--l", "3000000", "--nmax", "1"], "amplitude_series"),
+    (["rwalk", "4", "6", "3", "--nmax", "3000000"], "random_walk_return_series"),
 ], ids=["amplitude", "amplitude-l-m", "amplitude-m", "amplitude-l", "rwalk"])
 def test_quadrature_budget_checked_before_any_integral(capsys, monkeypatch, argv, kernel):
     quadrature_nodes(2097149)
@@ -669,6 +669,19 @@ def test_json_format(capsys):
     assert rec["qbar_origin"] == 0.125
     _, rows = read_csv(csv_out)
     assert rec["theta"] == pytest.approx(float(rows[0][6]), abs=1e-14)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[0, 2.0, True, "a"]],
+    [[1, 1e-05, False, 'say "hi",\n\u00e9'], [-7, -0.0, True, ""], [2 ** 70, 1e300, False, "x"],
+     [3, 0.1 + 0.2, True, "{}[]"], [4, float("%.15g" % (1 / 3)), False, "\\"],
+     [5, float("inf"), True, "},\n    {"], [6, float("nan"), False, "}"]],
+], ids=["empty", "one", "mixed"])
+def test_json_writer_matches_indented_dumps(rows):
+    # the C-encoder writer against the pure-Python encoder that indent=2 runs
+    records = [dict(zip(["n", "value", "flag", "text"], row)) for row in rows]
+    assert cli._json_text(records) == json.dumps(records, indent=2)
 
 
 @pytest.mark.parametrize("argv", [

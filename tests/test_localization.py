@@ -19,7 +19,7 @@ from spiderwalk import (
     ReducedEvolver,
     ReducedState,
     SpidernetParams,
-    amplitude,
+    amplitude_series,
     asymptotic_amplitude,
     cesaro_strata,
     classify,
@@ -28,7 +28,7 @@ from spiderwalk import (
     law_from_spidernet,
     origin_amplitude_series,
     params_from_spidernet,
-    random_walk_return,
+    random_walk_return_series,
 )
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
@@ -38,20 +38,25 @@ LAWTREE = law_from_pq(PTREE)
 
 
 def test_amplitude_trivial_values():
-    assert amplitude(LAW463, 0, 0, 0) == pytest.approx(1.0, abs=1e-10)
-    assert amplitude(LAW463, 0, 1, 0) == pytest.approx(0.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        amplitude(LAW463, -1, 0, 0)
+    assert amplitude_series(LAW463, 0)[0] == pytest.approx(1.0, abs=1e-10)
+    assert amplitude_series(LAW463, 0, 0, 1)[0] == pytest.approx(0.0, abs=1e-10)
+    for bad in ((0, -1, 0), (0, 0, -1), (-1, 0, 0)):
+        with pytest.raises(ValueError):
+            amplitude_series(LAW463, *bad)
 
 
 def test_amplitude_even_symmetric_bounded():
+    # U is real orthogonal, so <Psi_l, U^-n Psi_m> is the amplitude of the
+    # transpose: even in n means the series serves U^-n as well
+    N = 12
+    u_t = cutoff_walk_matrix(P463, N).T
     for l, m, n in [(0, 0, 3), (1, 2, 4), (2, 0, 7)]:
-        assert amplitude(LAW463, l, m, n) == pytest.approx(
-            amplitude(LAW463, l, m, -n), abs=1e-12)
-        assert amplitude(LAW463, l, m, n) == pytest.approx(
-            amplitude(LAW463, m, l, n), abs=1e-12)
-    for n in range(12):
-        assert abs(amplitude(LAW463, 0, 0, n)) <= 1 + 1e-12
+        forward = amplitude_series(LAW463, n, l, m)[n]
+        backward = (cutoff_psi_vector(P463, N, l)
+                    @ np.linalg.matrix_power(u_t, n) @ cutoff_psi_vector(P463, N, m))
+        assert forward == pytest.approx(backward, abs=1e-12)
+        assert forward == pytest.approx(amplitude_series(LAW463, n, m, l)[n], abs=1e-12)
+    assert np.all(np.abs(amplitude_series(LAW463, 11)) <= 1 + 1e-12)
 
 
 def test_amplitude_matches_reduced_walk_off_origin():
@@ -60,10 +65,11 @@ def test_amplitude_matches_reduced_walk_off_origin():
     u = cutoff_walk_matrix(P463, N)
     psi_l = cutoff_psi_vector(P463, N, l)
     vec = cutoff_psi_vector(P463, N, m)
+    series = amplitude_series(LAW463, 25, l, m)
     for n in range(26):
         if n:
             vec = u @ vec
-        assert abs(amplitude(LAW463, l, m, n) - psi_l @ vec) < 1e-10
+        assert abs(series[n] - psi_l @ vec) < 1e-10
 
 
 def test_amplitude_shifted(cutoff_shift):
@@ -75,8 +81,9 @@ def test_amplitude_shifted(cutoff_shift):
     shift = cutoff_shift(N)
     psi_l = cutoff_psi_vector(P463, N, l)
     psi_m = cutoff_psi_vector(P463, N, m)
-    assert abs(amplitude(LAW463, l, m, n - 1) - (shift @ psi_l) @ u_n @ psi_m) < 1e-12
-    assert abs(amplitude(LAW463, l, m, n + 1) - psi_l @ u_n @ (shift @ psi_m)) < 1e-12
+    series = amplitude_series(LAW463, n + 1, l, m)
+    assert abs(series[n - 1] - (shift @ psi_l) @ u_n @ psi_m) < 1e-12
+    assert abs(series[n + 1] - psi_l @ u_n @ (shift @ psi_m)) < 1e-12
 
 
 def test_asymptotic_amplitude():
@@ -137,7 +144,7 @@ def test_amplitude_against_extended_precision(case):
         runs += [(30, 0, 60), (60, 0, 60), (40, 20, 60)]
     for l, m, nmax in runs:
         want = chebyshev_amplitudes(pqr, l, m, nmax)
-        got = np.array([amplitude(law, l, m, n) for n in range(nmax + 1)])
+        got = amplitude_series(law, nmax, l, m)
         assert np.max(np.abs(got - want)) < 1e-12, (l, m)
 
 
@@ -145,7 +152,7 @@ def test_amplitude_memory_does_not_grow_with_the_strata():
     # O(nodes): a table of p_0 .. p_l at every node would take 3.2 GB here
     tracemalloc.start()
     try:
-        value = amplitude(LAW463, 20000, 20000, 0)
+        value = amplitude_series(LAW463, 0, 20000, 20000)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,8 +168,9 @@ def test_random_walk_return_against_exact_moments(case):
     size = 102
     sq = [q] + [p * q] * (size - 2)
     v = [Fraction(1)] + [Fraction(0)] * (size - 1)
+    got = random_walk_return_series(law, 200)
     for n in range(201):
-        assert abs(random_walk_return(law, n) - float(v[0])) < 1e-13, n
+        assert abs(got[n] - float(v[0])) < 1e-13, n
         v = [(r * v[k] if k else 0) + (sq[k] * v[k + 1] if k + 1 < size else 0)
              + (v[k - 1] if k else 0) for k in range(size)]
 
@@ -276,13 +284,14 @@ def test_exp_localization_bound():
 
 
 def test_random_walk_return():
-    assert random_walk_return(LAW463, 0) == pytest.approx(1.0, abs=1e-12)
-    assert random_walk_return(LAW463, 1) == pytest.approx(0.0, abs=1e-12)
+    assert random_walk_return_series(LAW463, 0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert random_walk_return_series(LAW463, 1)[1] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        random_walk_return(LAW463, -1)
+        random_walk_return_series(LAW463, -1)
 
     # independent matrix-power oracle on the truncated Jacobi matrix
     for law, params in ((LAW463, P463), (LAWTREE, PTREE)):
+        series = random_walk_return_series(law, 20)
         for n in range(21):
             size = n + 2
             j = np.zeros((size, size))
@@ -292,13 +301,14 @@ def test_random_walk_return():
             for k in range(1, size):
                 j[k, k] = params.r
             oracle = float(np.linalg.matrix_power(j, n)[0, 0])
-            assert abs(random_walk_return(law, n) - oracle) < 1e-10
+            assert abs(series[n] - oracle) < 1e-10
 
     # no atom at 1 for trees: return probabilities decay
-    assert abs(random_walk_return(LAWTREE, 50)) < abs(random_walk_return(LAWTREE, 10))
-    assert abs(random_walk_return(LAWTREE, 50)) < 1e-3
+    tree = random_walk_return_series(LAWTREE, 50)
+    assert abs(tree[50]) < abs(tree[10])
+    assert abs(tree[50]) < 1e-3
     # the localized law keeps returning: xi^n persists through the atom
-    assert random_walk_return(LAW463, 40) > 1e-10
+    assert random_walk_return_series(LAW463, 40)[40] > 1e-10
 
 
 def test_origin_amplitude_series():

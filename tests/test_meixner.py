@@ -26,15 +26,17 @@ from spiderwalk import (
     ParamsOutOfRangeError,
     PqParams,
     SpidernetParams,
-    amplitude,
+    amplitude_series,
     asymptotic_amplitude,
     classify,
     law_from_pq,
     law_from_spidernet,
+    origin_amplitude_series,
     params_from_spidernet,
     quadrature_nodes,
-    random_walk_return,
+    random_walk_return_series,
 )
+from spiderwalk import meixner
 from spiderwalk.meixner import _rule
 
 P463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
@@ -241,19 +243,20 @@ def test_amplitude_stays_finite_for_subnormal_q():
     # q = 1e-320 with pq > 0: p_l p_m alone would overflow at the band nodes
     law = law_from_pq(PqParams(0.9, 1e-320, 0.1))
     want = chebyshev_amplitudes(tuple(Fraction(v) for v in (0.9, 1e-320, 0.1)), 2, 3, 3)
-    got = [amplitude(law, 2, 3, n) for n in range(4)]
-    assert np.max(np.abs(np.array(got) - want)) < 1e-14
+    got = amplitude_series(law, 3, 2, 3)
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_total_mass():
     for law in (LAW463, LAWTREE, LAWFREE, law_from_pq(PqParams(0.5, 0.25, 0.25))):
-        assert abs(random_walk_return(law, 0) - 1.0) < 1e-13
+        assert abs(random_walk_return_series(law, 0)[0] - 1.0) < 1e-13
 
 
 def test_moments_match_jacobi_oracle():
     for law in (LAW463, LAWTREE, LAWFREE):
+        moments = random_walk_return_series(law, 12)
         for m in range(13):
-            assert abs(random_walk_return(law, m) - jacobi_moment(law, m)) < 1e-13
+            assert abs(moments[m] - jacobi_moment(law, m)) < 1e-13
 
 
 def test_orthonormality():
@@ -261,8 +264,51 @@ def test_orthonormality():
     for law in (LAW463, LAWTREE, LAWFREE):
         for mdeg in range(6):
             for ndeg in range(mdeg, 6):
-                val = amplitude(law, mdeg, ndeg, 0)
+                val = amplitude_series(law, 0, mdeg, ndeg)[0]
                 assert abs(val - (1.0 if mdeg == ndeg else 0.0)) < 1e-13
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["B-rows", "one-row"])
+@pytest.mark.parametrize("nmax", [meixner._BLOCK - 1, meixner._BLOCK, meixner._BLOCK + 1,
+                                  2 * meixner._BLOCK])
+def test_series_across_block_boundaries(monkeypatch, cells, nmax):
+    # a series sums its band in blocks of _BLOCK rows: the last block ends one
+    # short of a full one, full, one past it, and at two; with one cell
+    # allowed per table, every n is a block of its own
+    if cells is not None:
+        monkeypatch.setattr(meixner, "_BLOCK_CELLS", cells)
+    p, q, r = (Fraction(v) for v in (P463.p, P463.q, P463.r))
+    for l, m in [(2, 1), (3, 3)]:
+        want = chebyshev_amplitudes((p, q, r), l, m, nmax)
+        assert np.max(np.abs(amplitude_series(LAW463, nmax, l, m) - want)) < 1e-12, (l, m)
+    want = exact_moments(p, q, r, nmax)
+    assert np.max(np.abs(random_walk_return_series(LAW463, nmax) - want)) < 1e-13
+
+
+def test_long_amplitude_series_keeps_its_digits():
+    # 20 001 amplitudes on one rule, the band in blocks by angle addition,
+    # against route 2.  The bound is the largest |integral - reduced| that
+    # the kernel with a rule of its own for each n left on this series,
+    # 2.426e-12 (theta's rounding times n): any drift across blocks adds to it
+    sp = SpidernetParams(4, 6, 3)
+    got = amplitude_series(law_from_spidernet(sp), 20000)
+    want = origin_amplitude_series(params_from_spidernet(sp), 20000)
+    assert np.max(np.abs(got - want)) < 2.43e-12
+
+
+def test_series_memory_stays_linear_in_the_nodes():
+    # l = m = 131000 take M = 131034 nodes: tables of a row for each of the
+    # 41 n would take 82 MiB, and the cap keeps each within 8 MiB
+    l = m = 131000
+    tracemalloc.start()
+    try:
+        got = amplitude_series(LAW463, 40, l, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = chebyshev_amplitudes(tuple(Fraction(v) for v in (P463.p, P463.q, P463.r)), l, m, 40)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert peak < 40 << 20
 
 
 # laws whose nearest pole of 1/D differs: both poles, x = 1 removable (c = 1),
@@ -305,7 +351,10 @@ def test_midpoint_rule_exact_on_polynomials():
     for law in RULE_LAWS:
         p, q, r = (Fraction(v).limit_denominator(10 ** 9) for v in (law.p, law.q, law.r))
         for d, want in enumerate(exact_moments(p, q, r, 40)):
-            assert abs(random_walk_return(law, d) - want) < 1e-14
+            # each degree on its own rule, and all of them on the rule of degree 40
+            assert abs(random_walk_return_series(law, d)[d] - want) < 1e-14
+        got = random_walk_return_series(law, 40)
+        assert np.max(np.abs(got - exact_moments(p, q, r, 40))) < 1e-14
 
 
 def test_node_budget_rejects_before_allocating():
@@ -314,14 +363,13 @@ def test_node_budget_rejects_before_allocating():
     law = law_from_pq(PqParams(0.5, 0.49999999, 0.00000001))
     tracemalloc.start()
     try:
-        mass = random_walk_return(law, 0)
+        mass = random_walk_return_series(law, 0)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert abs(mass - 1.0) < 1e-15 and peak < 1 << 20
     exact = exact_moments(Fraction(1, 2), Fraction(49999999, 10 ** 8), Fraction(1, 10 ** 8), 20)
-    for d, want in enumerate(exact):
-        assert abs(random_walk_return(law, d) - want) < 1e-14
+    assert np.max(np.abs(random_walk_return_series(law, 20) - exact)) < 1e-14
     # too high a degree is rejected before allocating, for every law
     assert quadrature_nodes(2 * MAX_QUADRATURE_NODES - 3) == MAX_QUADRATURE_NODES
     with pytest.raises(ParamsOutOfRangeError):

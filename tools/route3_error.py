@@ -1,0 +1,101 @@
+"""Route 3's error on every ``amplitude`` and ``rwalk`` command of the digest.
+
+    python3 tools/route3_error.py > route3_error.txt
+
+Runs each such command of ``tools/stdout_digest.py`` in-process, from the
+``src/`` of the checkout the script sits in, keeps the rows the command
+hands its table writer (unrounded, before the 15 printed digits) and prints
+one ``<max abs error>  <argv>`` line per command, or ``refused <Name>`` when
+the command fails.  The references are independent of the package:
+
+* ``amplitude``: <e_l, T_n(J) e_m> by the Chebyshev recurrence in extended
+  precision (``tests/oracles.py::chebyshev_amplitudes``);
+* ``rwalk``: the moments <e_0, J^n e_0>, exact, in integers over a common
+  denominator, rounded once to a float.
+
+J is the Jacobi matrix of the walk law of the exact (c/b, 1/b, (b-c-1)/b)
+for ``a b c``, or of the binary values given with ``--pqr``.  Run it in two
+checkouts and compare the columns.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import os
+import sys
+from fractions import Fraction
+
+ROOT = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [ROOT, os.path.join(os.path.dirname(ROOT), "tests")]
+
+import stdout_digest  # noqa: E402  (sets up src/ and perfbench/ on the path)
+from oracles import chebyshev_amplitudes  # noqa: E402
+from spiderwalk import cli  # noqa: E402
+
+
+def exact_pqr(argv: list[str]) -> tuple[Fraction, Fraction, Fraction]:
+    if "--pqr" in argv:
+        at = argv.index("--pqr")
+        return tuple(Fraction(float(v)) for v in argv[at + 1:at + 4])
+    b, c = int(argv[2]), int(argv[3])
+    return Fraction(c, b), Fraction(1, b), Fraction(b - c - 1, b)
+
+
+def flag(argv: list[str], name: str) -> int:
+    return int(argv[argv.index(name) + 1]) if name in argv else 0
+
+
+def exact_moments(pqr, nmax: int) -> list[float]:
+    """<e_0, J^n e_0>, n <= nmax, for the Jacobi data (q, pq, pq, ...) and
+    (0, r, r, ...): v_n = D^n J^n e_0 in integers, D the common denominator
+    of r, q and pq, so that the n-th moment is v_n[0] / D^n."""
+    p, q, r = pqr
+    den = math.lcm(r.denominator, q.denominator, (p * q).denominator)
+    size = nmax // 2 + 2                  # slot k reaches e_0 again after k steps
+    diag = [0] + [int(r * den)] * (size - 1)
+    off2 = [int(q * den)] + [int(p * q * den)] * (size - 2)
+    v = [1] + [0] * (size - 1)
+    out = []
+    for n in range(nmax + 1):
+        out.append(float(Fraction(v[0], den ** n)))
+        # (D J) v with D J's entries: D r on the diagonal, D times the
+        # squared off-diagonal above it and D below it (a similar matrix)
+        v = [diag[k] * v[k] + (off2[k] * v[k + 1] if k + 1 < size else 0)
+             + (den * v[k - 1] if k else 0) for k in range(size)]
+    return out
+
+
+def route3_error(argv: list[str]) -> str:
+    """The largest |value - reference| over the rows of one command."""
+    tables = []
+    cli_emit = cli._emit
+    cli._emit = lambda names, rows, args: tables.append(rows)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+    finally:
+        cli._emit = cli_emit
+    if code != 0 or not tables:
+        return "refused"
+    got = [row[1] for row in tables[0]]
+    pqr = exact_pqr(argv)
+    if argv[0] == "amplitude":
+        want = chebyshev_amplitudes(pqr, flag(argv, "--l"), flag(argv, "--m"), flag(argv, "--nmax"))
+    else:
+        want = exact_moments(pqr, flag(argv, "--nmax"))
+    return f"{max(abs(g - w) for g, w in zip(got, want)):.3e}"
+
+
+def main() -> int:
+    commands = {" ".join(argv): argv for argv in stdout_digest.readme_commands()
+                + stdout_digest.job_commands() + stdout_digest.FIXED}
+    for text, argv in commands.items():
+        if argv[0] in ("amplitude", "rwalk"):
+            print(f"{route3_error(argv)}  {text}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -73,6 +73,9 @@ FIXED = [
     ["rwalk", "31622", "999950884", "999919262", "--nmax", "2"],
     ["amplitude", "4", "6", "4", "--l", "100000", "--nmax", "1"],
     ["rwalk", "--pqr", "0.4", "5e-324", "0.6", "--nmax", "1"],
+    # long series on one rule, in many blocks
+    ["amplitude", "4", "6", "3", "--nmax", "6000"],
+    ["rwalk", "4", "6", "3", "--nmax", "2000"],
     # the JSON table of every command
     ["verify", "--format", "json"],
     ["spectrum", "4", "6", "3", "--cutoff", "400", "--format", "json"],

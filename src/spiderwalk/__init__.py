@@ -8,8 +8,8 @@ each:
 * a one-dimensional three-component reduction, with the Cesaro averages
   and amplitude series it drives (:mod:`spiderwalk.reduction`),
 * a spectral integral against a free Meixner law, whose atom decides
-  localization, with its closed-form constants and bounds
-  (:mod:`spiderwalk.meixner`),
+  localization, with the exact classification that the atom's constants
+  come from (:mod:`spiderwalk.meixner`),
 
 plus the cross-validation battery (:mod:`spiderwalk.verify`), the command
 line (:mod:`spiderwalk.cli`) and the error classes
@@ -23,7 +23,6 @@ from .errors import (
     ConvergenceFailureError,
     DimensionMismatchError,
     InvalidParamsError,
-    NotLocalizedError,
     ParamsOutOfRangeError,
     RadiusTooSmallError,
     SpiderwalkError,
@@ -33,9 +32,7 @@ from .graph import MAX_HALF_EDGES, SpidernetParams, build_spidernet
 from .meixner import (
     MAX_QUADRATURE_NODES,
     amplitude_series,
-    asymptotic_amplitude,
     classify,
-    exp_localization_bound,
     law_from_pq,
     law_from_spidernet,
     quadrature_nodes,
@@ -71,7 +68,6 @@ __all__ = [
     "RadiusTooSmallError",
     "ConvergenceFailureError",
     "ParamsOutOfRangeError",
-    "NotLocalizedError",
     "MAX_HALF_EDGES",
     "MAX_CUTOFF",
     "MAX_LADDER_CELLS",
@@ -93,10 +89,8 @@ __all__ = [
     "law_from_spidernet",
     "quadrature_nodes",
     "amplitude_series",
-    "asymptotic_amplitude",
     "classify",
     "cesaro_strata",
-    "exp_localization_bound",
     "random_walk_return_series",
     "origin_amplitude_series",
 ]

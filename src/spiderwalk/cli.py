@@ -2,11 +2,12 @@
 
 Every subcommand emits a table, CSV by default or JSON records with
 ``--format json``, to stdout or to ``-o FILE``.  Relative output paths
-are resolved against ``$SPIDERWALK_OUTPUT_DIR`` when that is set.  Floats
-are printed with 15 significant digits and all computations are
-deterministic, so repeated runs are byte-identical.  Errors, usage errors
-among them, exit with a non-zero status and a one-line JSON object on
-stderr.
+are resolved against ``$SPIDERWALK_OUTPUT_DIR`` when that is set, and a
+path that names a directory or lies in none is refused before the command
+runs.  Floats are printed with 15 significant digits and all computations
+are deterministic, so repeated runs are byte-identical.  Errors, usage
+errors and unwritable output among them, exit with a non-zero status and a
+one-line JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .meixner import (
     classify,
     law_from_pq,
     law_from_spidernet,
-    quadrature_nodes,
     random_walk_return_series,
 )
 from .reduction import (
@@ -99,13 +99,24 @@ def _emit(names, rows, args) -> None:
         row = ",".join(_FIELDS[kind] for kind in kinds) + "\n"
         text = ",".join(map(_quote, names)) + "\n" + "".join(map(row.__mod__, zip(*columns)))
     if args.output:
-        path = args.output
-        if not os.path.isabs(path):
-            path = os.path.join(os.environ.get(_ENV_OUTPUT_DIR, ""), path)
-        with open(path, "w") as fp:
-            fp.write(text)
+        try:
+            with open(args.output, "w") as fp:
+                fp.write(text)
+        except OSError as exc:
+            raise InvalidParamsError(f"-o {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _output_path(path: str) -> str:
+    """-o FILE as :func:`_emit` writes it, relative paths under
+    $SPIDERWALK_OUTPUT_DIR when set, refused before the command runs when it
+    names a directory or lies in no directory."""
+    if not os.path.isabs(path):
+        path = os.path.join(os.environ.get(_ENV_OUTPUT_DIR, ""), path)
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise InvalidParamsError(f"-o {path}: not a file in an existing directory")
+    return path
 
 
 def _pq_from_args(args) -> PqParams:
@@ -214,10 +225,9 @@ def _cmd_amplitude(args) -> int:
     params = _pq_from_args(args)
     law = _law_from_args(args, params)
     l, m, nmax = _count(args.l, "--l"), _count(args.m, "--m"), _count(args.nmax, "--nmax")
-    # the last integral has the highest degree: refuse it before any work
-    quadrature_nodes(nmax + l + m)
-    reduced = origin_amplitude_series(params, nmax, l, m).tolist()
+    # route 3 first: it refuses a degree past its quadrature budget before any work
     integral = amplitude_series(law, nmax, l, m).tolist()
+    reduced = origin_amplitude_series(params, nmax, l, m).tolist()
     columns = ["n", "integral", "reduced", "abs_diff"]
     rows = [[n, a, r, abs(a - r)] for n, (a, r) in enumerate(zip(integral, reduced))]
     _emit(columns, rows, args)
@@ -286,7 +296,6 @@ def _cmd_figure2(args) -> int:
 def _cmd_rwalk(args) -> int:
     law = _law_from_args(args, _pq_from_args(args))
     nmax = _count(args.nmax, "--nmax")
-    quadrature_nodes(nmax)                      # the last moment's budget
     columns = ["n", "return_probability"]
     rows = [[n, v] for n, v in enumerate(random_walk_return_series(law, nmax).tolist())]
     _emit(columns, rows, args)
@@ -372,6 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.output:
+            args.output = _output_path(args.output)
         return args.func(args)
     except SpiderwalkError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

@@ -12,7 +12,6 @@ __all__ = [
     "RadiusTooSmallError",
     "ConvergenceFailureError",
     "ParamsOutOfRangeError",
-    "NotLocalizedError",
 ]
 
 
@@ -44,7 +43,3 @@ class ParamsOutOfRangeError(SpiderwalkError):
     """Walk parameters lie outside the admissible region: p, q > 0, r >= 0
     and p + q + r = 1, with q <= p < 1 for the spectral law and pq > 0 for
     it and for the cutoff spectrum; or a spidernet's b has no float."""
-
-
-class NotLocalizedError(SpiderwalkError):
-    """A localization-only quantity was requested for non-localizing parameters."""

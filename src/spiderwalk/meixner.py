@@ -55,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParamsError, NotLocalizedError, ParamsOutOfRangeError
+from .errors import InvalidParamsError, ParamsOutOfRangeError
 from .graph import SpidernetParams
 from .reduction import PqParams, params_from_spidernet
 
@@ -65,9 +65,7 @@ __all__ = [
     "MAX_QUADRATURE_NODES",
     "quadrature_nodes",
     "amplitude_series",
-    "asymptotic_amplitude",
     "classify",
-    "exp_localization_bound",
     "random_walk_return_series",
 ]
 
@@ -229,8 +227,8 @@ def amplitude_series(law: FreeMeixnerLaw, nmax: int, l: int = 0, m: int = 0) -> 
         p_k(1) = e^{(k-1) a_1} / sqrt(q),   p_k(xi) = (xi / sqrt(q)) (-1)^(k-1) e^{-+(k-1) a_xi},
 
     with the minus sign under an atom, where p_k(xi) is the recurrence's
-    minimal solution (:func:`asymptotic_amplitude`), and each
-    pole term is one exponential of an integer times a, which neither
+    minimal solution (Gautschi, SIAM Rev. 9 (1967) 24-82), and each pole
+    term is one exponential of an integer times a, which neither
     overflows nor cancels however far l, m and n reach.
     """
     if l < 0 or m < 0:
@@ -276,24 +274,6 @@ def amplitude_series(law: FreeMeixnerLaw, nmax: int, l: int = 0, m: int = 0) -> 
     return band + (at_1 + at_xi * np.cos(np.arange(nmax + 1) * math.acos(xi))) * c_l * c_m
 
 
-def asymptotic_amplitude(law: FreeMeixnerLaw, l: int, n: int) -> float:
-    """Non-decaying part of <Psi_l, U^n Psi_0>: w p_l(xi) cos(n theta~).
-
-    Zero identically when the law has no atom (no localization); take the
-    law of S(a, b, c) from :func:`law_from_spidernet`, whose atom is
-    :func:`classify`'s for every (b, c).
-    """
-    if l < 0:
-        raise InvalidParamsError("ladder index must be non-negative")
-    if not law.has_atom:
-        return 0.0
-    # p_l(xi), the minimal solution of the three-term recurrence at the atom
-    # (Gautschi, SIAM Rev. 9 (1967) 24-82): |xi sqrt(pq) / q| < 1
-    xi, q = law.atom_location, law.q
-    p_l = (xi / np.sqrt(q)) * (xi * np.sqrt(law.p * q) / q) ** (l - 1) if l else 1.0
-    return law.atom_mass * p_l * float(np.cos(n * np.arccos(xi)))
-
-
 @dataclass(frozen=True)
 class LocalizationReport:
     """Closed-form localization data of a spidernet.
@@ -304,7 +284,6 @@ class LocalizationReport:
     arc angle.  ``localized`` is True exactly when b > c + sqrt(c).
     """
 
-    params: SpidernetParams
     localized: bool
     w: Fraction
     xi: Fraction
@@ -320,31 +299,12 @@ def classify(sp: SpidernetParams) -> LocalizationReport:
     w = Fraction(numer, (b - c) * (b - c + 1)) if localized else Fraction(0)
     xi = Fraction(-1, b - c)
     return LocalizationReport(
-        params=sp,
         localized=localized,
         w=w,
         xi=xi,
         theta=float(np.arccos(float(xi))),
         qbar_origin=w * w / 2,
     )
-
-
-def exp_localization_bound(sp: SpidernetParams, l: int) -> float:
-    """Exponential lower bound for the time-averaged mass of stratum V_l,
-    l >= 1:
-
-        liminf (1/N) sum P(X_n in V_l)  >=  (b/2c) w^2 (c/(b-c)^2)^l.
-
-    Only meaningful in the localized regime; raises NotLocalizedError when
-    b <= c + sqrt(c).
-    """
-    if l < 1:
-        raise InvalidParamsError("the bound applies to strata l >= 1")
-    a, b, c = sp.a, sp.b, sp.c
-    rep = classify(sp)
-    if not rep.localized:
-        raise NotLocalizedError(f"S({a},{b},{c}) does not localize (b <= c + sqrt(c))")
-    return float(Fraction(b, 2 * c) * rep.w * rep.w * Fraction(c, (b - c) ** 2) ** l)
 
 
 def random_walk_return_series(law: FreeMeixnerLaw, nmax: int) -> np.ndarray:

@@ -19,9 +19,7 @@ from .errors import UnrealizableWiringError
 from .graph import SpidernetParams, build_spidernet
 from .meixner import (
     amplitude_series,
-    asymptotic_amplitude,
     classify,
-    exp_localization_bound,
     law_from_pq,
     law_from_spidernet,
     random_walk_return_series,
@@ -124,13 +122,18 @@ def _check_asymptotic():
     sp = SpidernetParams(4, 6, 3)
     amps = origin_amplitude_series(params_from_spidernet(sp), 400)
     law = law_from_spidernet(sp)
-    worst = max(abs(amps[n] - asymptotic_amplitude(law, 0, n))
+    # the atom's term w p_0(xi) cos(n theta~) of the origin amplitude, p_0 = 1
+    worst = max(abs(amps[n] - law.atom_mass * float(np.cos(n * np.arccos(law.atom_location))))
                 for n in range(350, 401))
     return worst < 5e-3, f"max |amp - wp(xi)cos| {worst:.2e} on [350,400]"
 
 
 def _check_exp_bound():
-    stratum_bound = exp_localization_bound(SpidernetParams(4, 6, 3), 1)
+    # the paper's (b/2c) w^2 (c/(b-c)^2)^l below the time-averaged mass of
+    # V_l, at l = 1, in exact rationals from the Fraction w
+    b, c = 6, 3
+    w = classify(SpidernetParams(4, b, c)).w
+    stratum_bound = float(b * w * w / (2 * c) * c / (b - c) ** 2)
     return (abs(stratum_bound - 1.0 / 12.0) < 1e-15,
             f"stratum bound l=1 is {stratum_bound:.12g}")
 

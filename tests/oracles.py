@@ -88,17 +88,26 @@ def rotation_permutation(g):
     return perm
 
 
-def vertex_bound(sp, l):
-    """The exponential lower bound on the time-averaged probability of one
-    vertex of stratum V_l, l >= 1, of a localizing S(a, b, c),
+def stratum_bound(sp, l):
+    """The paper's exponential lower bound on the time-averaged probability
+    of stratum V_l, l >= 1, of a localizing S(a, b, c), as a Fraction:
 
-        liminf (1/N) sum P(X_n = u)  >=  (b/2a) w^2 (1/(b-c)^2)^l,
+        liminf (1/N) sum P(X_n in V_l)  >=  (b/2c) w^2 (c/(b-c)^2)^l,
 
-    w = ((b-c)^2 - c) / ((b-c)(b-c+1)): the stratum bound over |V_l| =
-    a c^(l-1), since the walk is rotationally symmetric."""
-    a, b, c = sp.a, sp.b, sp.c
+    w = ((b-c)^2 - c) / ((b-c)(b-c+1)), the atom's mass."""
+    b, c = sp.b, sp.c
     w = Fraction((b - c) ** 2 - c, (b - c) * (b - c + 1))
-    return float(Fraction(b, 2 * a) * w * w * Fraction(1, (b - c) ** 2) ** l)
+    return Fraction(b, 2 * c) * w * w * Fraction(c, (b - c) ** 2) ** l
+
+
+def vertex_bound(sp, l):
+    """The bound on one vertex u of stratum V_l, l >= 1,
+
+        liminf (1/N) sum P(X_n = u)  >=  (b/2a) w^2 (1/(b-c)^2)^l:
+
+    the stratum bound over |V_l| = a c^(l-1), since the walk is rotationally
+    symmetric."""
+    return float(stratum_bound(sp, l) / (sp.a * sp.c ** (l - 1)))
 
 
 def cesaro_limit(sp, l):
@@ -209,6 +218,14 @@ def poly_at_atom(law, n):
         raise OutOfDomainError("polynomial degree must be non-negative")
     xi, q = law.atom_location, law.q
     return (xi / np.sqrt(q)) * (xi * np.sqrt(law.p * q) / q) ** (n - 1) if n else 1.0
+
+
+def asymptotic_amplitude(law, l, n):
+    """The non-decaying part of <Psi_l, U^n Psi_0>, the atom's term
+    w p_l(xi) cos(n theta~) with xi = cos(theta~): 0 without an atom, where
+    the law's mass w is 0."""
+    xi = law.atom_location
+    return law.atom_mass * poly_at_atom(law, l) * float(np.cos(n * np.arccos(xi)))
 
 
 def integrate(law, f, degree):

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    asymptotic_amplitude,
     cutoff_walk_matrix,
     discrete_spectral_measure,
     orth_poly_closed_cheb,
     orth_poly_closed_R,
     orth_poly_recurrence,
     orthonormal_sequence,
+    stratum_bound,
 )
 from spiderwalk import (
     GraphEvolver,
@@ -25,12 +27,10 @@ from spiderwalk import (
     SpidernetParams,
     UnrealizableWiringError,
     amplitude_series,
-    asymptotic_amplitude,
     build_spidernet,
     cesaro_strata,
     classify,
     embed,
-    exp_localization_bound,
     isotropic_initial_state,
     law_from_pq,
     origin_amplitude_series,
@@ -265,7 +265,7 @@ def test_criterion_9_exponential_localization(big_463):
     bound_details = []
     bounds_ok = True
     for l in range(1, 5):
-        bound = exp_localization_bound(sp, l)
+        bound = float(stratum_bound(sp, l))
         bounds_ok = bounds_ok and measured[l] > bound
         bound_details.append(f"l={l}: {measured[l]:.4g}>{bound:.4g}")
 

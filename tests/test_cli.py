@@ -17,17 +17,21 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import chebyshev_amplitudes, lapack_thetas
+from oracles import asymptotic_amplitude, chebyshev_amplitudes, lapack_thetas, stratum_bound
 
 import spiderwalk.cli as cli
 import spiderwalk.errors
+import spiderwalk.meixner as meixner
 import spiderwalk.verify as verify
 from spiderwalk import (
     ParamsOutOfRangeError,
+    PqParams,
     ReducedEvolver,
     SpidernetParams,
     SpiderwalkError,
     classify,
+    law_from_pq,
+    origin_amplitude_series,
     params_from_spidernet,
     quadrature_nodes,
 )
@@ -315,6 +319,15 @@ def test_verify(capsys):
     assert code == 0
     _, rows = read_csv(out)
     assert all(r[1] == "true" for r in rows)
+    # the two rows that compute the paper's localization theorems inline,
+    # against the oracles
+    detail = {name: text for name, _, text in rows}
+    p463 = PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
+    amps, law = origin_amplitude_series(p463, 400), law_from_pq(p463)
+    worst = max(abs(amps[n] - asymptotic_amplitude(law, 0, n)) for n in range(350, 401))
+    assert detail["asymptotic_amplitude"] == f"max |amp - wp(xi)cos| {worst:.2e} on [350,400]"
+    bound = float(stratum_bound(SpidernetParams(4, 6, 3), 1))
+    assert detail["exp_bound"] == f"stratum bound l=1 is {bound:.12g}"
 
 
 def test_verify_checks_the_spectrum_it_ships(monkeypatch):
@@ -613,19 +626,22 @@ def test_readme_library_example_runs():
 
 
 # every law integrates degrees up to 2097149 within MAX_QUADRATURE_NODES
-@pytest.mark.parametrize("argv, kernel", [
-    (["amplitude", "4", "6", "3", "--nmax", "3000000"], "amplitude_series"),
-    (["amplitude", "4", "6", "3", "--l", "2", "--m", "1", "--nmax", "2097147"], "amplitude_series"),
-    # Psi_l or Psi_m alone would take 3 x 16 bytes per stratum
-    (["amplitude", "4", "6", "3", "--m", "3000000", "--nmax", "1"], "amplitude_series"),
-    (["amplitude", "4", "6", "3", "--l", "3000000", "--nmax", "1"], "amplitude_series"),
-    (["rwalk", "4", "6", "3", "--nmax", "3000000"], "random_walk_return_series"),
+@pytest.mark.parametrize("argv", [
+    ["amplitude", "4", "6", "3", "--nmax", "3000000"],
+    ["amplitude", "4", "6", "3", "--l", "2", "--m", "1", "--nmax", "2097147"],
+    # Psi_l or Psi_m alone would take 3 x 16 bytes per stratum: route 2
+    # would allocate ~144 MB before route 3 refused
+    ["amplitude", "4", "6", "3", "--m", "3000000", "--nmax", "1"],
+    ["amplitude", "4", "6", "3", "--l", "3000000", "--nmax", "1"],
+    ["rwalk", "4", "6", "3", "--nmax", "3000000"],
 ], ids=["amplitude", "amplitude-l-m", "amplitude-m", "amplitude-l", "rwalk"])
-def test_quadrature_budget_checked_before_any_integral(capsys, monkeypatch, argv, kernel):
+def test_quadrature_budget_checked_before_any_integral(capsys, monkeypatch, argv):
     quadrature_nodes(2097149)
     with pytest.raises(ParamsOutOfRangeError):
         quadrature_nodes(2097150)
-    monkeypatch.setattr(cli, kernel, lambda *args: pytest.fail(f"{kernel} ran"))
+    # no rule may be built, and route 2 may not run before route 3 refuses
+    monkeypatch.setattr(meixner, "_rule", lambda *args: pytest.fail("a rule was built"))
+    monkeypatch.setattr(cli, "origin_amplitude_series", lambda *args: pytest.fail("route 2 ran"))
     assert_refused_early(capsys, "ParamsOutOfRangeError", *argv)
 
 
@@ -655,6 +671,40 @@ def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):
                          "-o", "nested.csv")
     assert code == 0
     assert (tmp_path / "nested.csv").read_text() == target.read_text()
+
+
+@pytest.mark.parametrize("env_dir, output", [
+    (None, "missing/out.csv"),
+    (None, "."),
+    ("missing", "y.csv"),
+], ids=["missing-dir", "directory", "env-missing-dir"])
+def test_unwritable_output_refused_before_the_command_runs(capsys, monkeypatch, tmp_path,
+                                                           env_dir, output):
+    # a missing directory, a directory, and $SPIDERWALK_OUTPUT_DIR missing
+    if env_dir is None:
+        output = str(tmp_path / output)
+    else:
+        monkeypatch.setenv("SPIDERWALK_OUTPUT_DIR", str(tmp_path / env_dir))
+    monkeypatch.setattr(cli, "random_walk_return_series", lambda *args: pytest.fail("rwalk ran"))
+    assert_refused_early(capsys, "InvalidParamsError",
+                         "rwalk", "4", "6", "3", "--nmax", "2", "-o", output)
+
+
+def test_failed_write_is_one_json_line(capsys, monkeypatch, tmp_path):
+    # the directory goes away while the command runs: the write itself fails
+    target = tmp_path / "gone"
+    target.mkdir()
+    series = cli.random_walk_return_series
+
+    def remove_then_run(*args):
+        target.rmdir()
+        return series(*args)
+
+    monkeypatch.setattr(cli, "random_walk_return_series", remove_then_run)
+    code, out, err = run_cli(capsys, "rwalk", "4", "6", "3", "--nmax", "2",
+                             "-o", str(target / "y.csv"))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidParamsError"
 
 
 def test_json_format(capsys):

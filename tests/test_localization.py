@@ -6,24 +6,23 @@ import pytest
 
 import spiderwalk.reduction as reduction
 from oracles import (
+    asymptotic_amplitude,
     cesaro_limit,
     chebyshev_amplitudes,
     cutoff_psi_vector,
     cutoff_walk_matrix,
+    stratum_bound,
     vertex_bound,
 )
 from spiderwalk import (
     InvalidParamsError,
-    NotLocalizedError,
     PqParams,
     ReducedEvolver,
     ReducedState,
     SpidernetParams,
     amplitude_series,
-    asymptotic_amplitude,
     cesaro_strata,
     classify,
-    exp_localization_bound,
     law_from_pq,
     law_from_spidernet,
     origin_amplitude_series,
@@ -92,8 +91,6 @@ def test_asymptotic_amplitude():
         assert asymptotic_amplitude(LAW463, 0, n) == pytest.approx(
             0.5 * np.cos(n * theta), abs=1e-14)
     assert asymptotic_amplitude(LAWTREE, 0, 7) == 0.0
-    with pytest.raises(ValueError):
-        asymptotic_amplitude(LAW463, -1, 0)
 
 
 def test_asymptotic_amplitude_zero_at_threshold():
@@ -257,7 +254,7 @@ def test_cesaro_strata_converge_to_the_exact_limit(abc):
     for l in range(1, 7):
         bound = Fraction(b, 2 * c) * classify(sp).w ** 2 * Fraction(c, (b - c) ** 2) ** l
         assert cesaro_limit(sp, l) == bound * Fraction((b - c + 1) ** 2 + c - 1, b) >= bound
-        assert exp_localization_bound(sp, l) == float(bound)
+        assert stratum_bound(sp, l) == bound
 
 
 def test_cesaro_of_asymptotic_amplitude_is_half_w_squared():
@@ -269,18 +266,18 @@ def test_cesaro_of_asymptotic_amplitude_is_half_w_squared():
 
 def test_exp_localization_bound():
     sp = SpidernetParams(4, 6, 3)
-    assert exp_localization_bound(sp, 1) == pytest.approx(1.0 / 12.0, abs=1e-15)
+    assert float(stratum_bound(sp, 1)) == pytest.approx(1.0 / 12.0, abs=1e-15)
     assert vertex_bound(sp, 1) == pytest.approx((6 / 8) * 0.25 * (1 / 9), abs=1e-15)
     # the vertex bound is the stratum bound spread over |V_l| = a c^(l-1)
-    # vertices, by rotational symmetry
+    # vertices, by rotational symmetry: against its own closed form
+    # (b/2a) w^2 (1/(b-c)^2)^l
     for sp in (SpidernetParams(4, 6, 3), SpidernetParams(2, 9, 2), SpidernetParams(5, 12, 4)):
+        a, b, c = sp.a, sp.b, sp.c
+        w = classify(sp).w
         for l in range(1, 6):
-            stratum = exp_localization_bound(sp, l)
-            assert vertex_bound(sp, l) == pytest.approx(stratum / (sp.a * sp.c ** (l - 1)), rel=1e-14)
-    with pytest.raises(ValueError):
-        exp_localization_bound(SpidernetParams(4, 6, 3), 0)
-    with pytest.raises(NotLocalizedError):
-        exp_localization_bound(SpidernetParams(10, 12, 9), 1)
+            stratum = float(stratum_bound(sp, l))
+            assert vertex_bound(sp, l) == pytest.approx(stratum / (a * c ** (l - 1)), rel=1e-14)
+            assert vertex_bound(sp, l) == float(Fraction(b, 2 * a) * w * w / (b - c) ** (2 * l))
 
 
 def test_random_walk_return():

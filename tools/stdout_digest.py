@@ -82,6 +82,9 @@ FIXED = [
     ["amplitude", "4", "4", "3", "--l", "1", "--nmax", "40", "--format", "json"],
     ["figure2", "--format", "json"],
     ["simulate", "4", "6", "3", "--steps", "8", "--full", "--strata", "10", "--format", "json"],
+    # refusals: a usage error (no --cutoff) and an -o path in no directory
+    ["spectrum", "4", "6", "3"],
+    ["rwalk", "4", "6", "3", "--nmax", "2", "-o", "/missing-dir/out.csv"],
 ]
 
 
@@ -91,10 +94,17 @@ def readme_commands() -> list[list[str]]:
         return [line.split()[2:] for line in fp if line.startswith("$ spiderwalk ")]
 
 
-def job_commands() -> list[list[str]]:
-    """The CLI argv of every benchmark job at the seeds in SEEDS."""
+def job_commands(lib: bool = False) -> list[list[str]]:
+    """The argv of every benchmark job at the seeds in SEEDS: the CLI jobs,
+    or with ``lib`` the library jobs."""
     return [argv for workload in jobs.WORKLOADS for seed in SEEDS
-            for _, argv in jobs.jobs_for(workload, seed) if argv[0] != "lib"]
+            for _, argv in jobs.jobs_for(workload, seed) if (argv[0] == "lib") == lib]
+
+
+def commands() -> list[list[str]]:
+    """The argv of every command digested, each once, in order."""
+    unique = {" ".join(argv): argv for argv in readme_commands() + job_commands() + FIXED}
+    return list(unique.values())
 
 
 def digest(argv: list[str]) -> str:
@@ -111,8 +121,7 @@ def digest(argv: list[str]) -> str:
 
 
 def main() -> int:
-    commands = {" ".join(argv): argv for argv in readme_commands() + job_commands() + FIXED}
-    for argv in commands.values():
+    for argv in commands():
         print(digest(argv), flush=True)
     return 0
 

@@ -75,8 +75,8 @@ _TOL = 1e-14
 # before anything is allocated.  It lies above every size the CLI
 # reaches (amplitude's M + nmax stays at most 2^21 - 3 within the quadrature
 # degree cap, simulate's steps under 5e5 within its table cap).  An evolver holds
-# 9 arrays of its capacity, its cells and two coin products of three rows
-# each: ~300 MB for a real state at the cap.
+# 6 arrays of its capacity, its cells and the coin's product of three rows
+# each: ~200 MB for a real state at the cap.
 MAX_LADDER_CELLS = 1 << 22
 
 
@@ -183,13 +183,15 @@ class ReducedEvolver:
     real orthogonal, so they stay real) and complex128 otherwise.
 
     A step updates cells ``1 .. M``, M = min(front, steps_left + reach + 1),
-    in five array calls.  The coin's output rows are ordered coined "-",
-    new "o", coined "+", and each input row has a (3, 1) column of the
-    coin: a = c_+ x^+, b = c_o x^o, a += b, b = c_- x^-, and a + b goes
-    straight to the shifted destinations xp[0 .. M-1], xo[1 .. M] and
-    xm[2 .. M+1], the rows of the cells' buffer read as (3, capacity + 1).
-    Each coefficient is thus (c_+ x^+ + c_o x^o) + c_- x^-, rounded op by
-    op; the root's "+" moves to xm[1].
+    by one real product: the (3, 3) coin, rows coined "-", new "o", coined
+    "+" and columns x^+, x^o, x^-, times the cells' (3, M) coefficients,
+    read as float64, so that a complex state steps its real and imaginary
+    parts as two real ones, each a column of its own.  The product lands in
+    a buffer and moves on to the shifted destinations xp[0 .. M-1],
+    xo[1 .. M] and xm[2 .. M+1], the rows of the cells' buffer read as
+    (3, capacity + 1); the root's "+" moves to xm[1].  BLAS rounds each
+    column alike at every width of at least two columns, so a one-column
+    product takes two and no cell's bits depend on M.
 
     ``reach`` is the largest stratum the caller will read: a cell further
     out than ``steps_left + reach`` cannot influence a read stratum before
@@ -202,8 +204,8 @@ class ReducedEvolver:
     ``reach=None`` every cell past it is 0.  ``active``, the last stratum
     the walk could have reached, grows by one per step.  The flush can move
     roundings in cells of size 1: for S(., 10, 2), reach 0, the origin
-    series leaves an unflushed run's at step 17 310 and differs by up to
-    2.9e-15 at 2e4 steps; both lie ~6.6e-14 from a long-double run.
+    series leaves an unflushed run's at step 19 139 and differs by up to
+    2.1e-15 at 2e4 steps; both lie ~8.6e-14 from a long-double run.
     """
 
     def __init__(self, params: PqParams, state: ReducedState, max_steps: int,
@@ -228,19 +230,21 @@ class ReducedEvolver:
         self._cells[:, :L + 1] = coeffs
         self._dest = buf.reshape(3, cap + 1)
         self.xp, self.xo, self.xm = self._cells
-        # the coin's products, in the rows of the shift's destinations
-        self._a, self._b = np.empty((2, 3, cap), dtype=coeffs.dtype)
+        # the coin's product, in the rows of the shift's destinations
+        self._prod = np.empty((3, cap), dtype=coeffs.dtype)
+        # both as float64 columns: one per cell, or a real and an imaginary
+        # one per complex cell, which the coin steps as two real states
+        self._k = coeffs.itemsize // 8
+        self._cells_f, self._prod_f = self._cells.view(np.float64), self._prod.view(np.float64)
         self.active = L
         self.front = L
         self._left = max_steps
         p, q, r = params.p, params.q, params.r
         cpp, cpo, cpm = 2 * p - 1, 2 * np.sqrt(p * r), 2 * np.sqrt(p * q)
         coo, com, cmm = 2 * r - 1, 2 * np.sqrt(q * r), 2 * q - 1
-        # coin columns of the input cells "+", "o" and "-": rows coined "-",
-        # new "o", coined "+" of the coin 2 v v^T - I, which is symmetric
-        self._col_p, self._col_o, self._col_m = np.array(
-            [[[cpm], [cpo], [cpp]], [[com], [coo], [cpo]], [[cmm], [com], [cpm]]],
-            dtype=coeffs.dtype)
+        # the coin 2 v v^T - I, rows coined "-", new "o", coined "+" and
+        # columns x^+, x^o, x^-; it acts on real and imaginary parts alike
+        self._coin = np.array([[cpm, com, cmm], [cpo, coo, com], [cpp, cpo, cpm]])
         self._psi = np.sqrt(p), np.sqrt(r), np.sqrt(q)
 
     def step(self) -> None:
@@ -249,17 +253,15 @@ class ReducedEvolver:
         self._left -= 1
         M = self.front if self.reach is None else min(self.front, self._left + self.reach + 1)
         xp, xo, xm = self.xp, self.xo, self.xm
-        # three (3, M) products: one (3, 3, M) broadcast costs twice as much,
-        # and np.add.reduce, starting from +0.0, would turn -0.0 into +0.0
-        a, b = self._a[:, :M], self._b[:, :M]
-        np.multiply(self._col_p, xp[1:M + 1], out=a)
-        np.multiply(self._col_o, xo[1:M + 1], out=b)
-        a += b
-        np.multiply(self._col_m, xm[1:M + 1], out=b)
+        # a one-column product goes to gemv, which rounds unlike gemm, so it
+        # takes two columns, and no cell's bits depend on M
+        k = self._k
+        w = max(k * M, 2)
+        np.matmul(self._coin, self._cells_f[:, k:k + w], out=self._prod_f[:, :w])
         # shift: coined "-" moves down into xp[0 .. M-1], coined "+" up into
         # xm[2 .. M+1] and the root's "+" into xm[1]
         root = xp[0]
-        np.add(a, b, out=self._dest[:, :M])
+        self._dest[:, :M] = self._prod[:, :M]
         xm[1] = root
         xp[M:M + 2] = 0.0
         self.active += 1

@@ -328,34 +328,42 @@ def inner(s1, s2):
 
 def ladder_step(params, cells, M):
     """One step of the reduced walk on (3, n) cells (xp, xo, xm), in place:
-    cells 1 .. M are coined op by op, each coefficient as
-    (c_+ x^+ + c_o x^o) + c_- x^- like the package's kernel, then shifted,
-    and xp[M], xp[M + 1] are cleared."""
+    cells 1 .. M are coined by one product with the (3, 3) coin, rows coined
+    "-", new "o", coined "+" and columns x^+, x^o, x^-, like the package's
+    kernel, then shifted, and xp[M], xp[M + 1] are cleared.
+
+    The real and imaginary parts of complex cells are coined one after the
+    other.  The product takes cells 1 .. M + 1 and keeps M columns: gemm
+    rounds each column alike at every width, and a one-column product
+    would go to gemv, which rounds differently.  np.longdouble cells take
+    numpy's own loop, in extended precision."""
     p, q, r = params.p, params.q, params.r
     # math.sqrt and np.sqrt both round the root correctly
     cpp, cpo, cpm = 2 * p - 1, 2 * math.sqrt(p * r), 2 * math.sqrt(p * q)
     coo, com, cmm = 2 * r - 1, 2 * math.sqrt(q * r), 2 * q - 1
-    xp, xo, xm = cells
-    vp, vo, vm = xp[1:M + 1], xo[1:M + 1], xm[1:M + 1]
-    cp = (cpp * vp + cpo * vo) + cpm * vm
-    cm = (cpm * vp + com * vo) + cmm * vm
-    xo[1:M + 1] = (cpo * vp + coo * vo) + com * vm
-    xm[1] = xp[0]
-    xm[2:M + 2] = cp
-    xp[0:M] = cm
-    xp[M:M + 2] = 0.0
+    coin = np.array([[cpm, com, cmm], [cpo, coo, com], [cpp, cpo, cpm]])
+    root = cells[0, 0]
+    for x in (cells.real, cells.imag) if np.iscomplexobj(cells) else (cells,):
+        cm, co, cp = coin @ np.ascontiguousarray(x[:, 1:M + 2])
+        x[0, 0:M] = cm[:M]
+        x[1, 1:M + 1] = co[:M]
+        x[2, 2:M + 2] = cp[:M]
+    cells[2, 1] = root
+    cells[0, M:M + 2] = 0.0
 
 
-def unflushed_ladder_walk(params, steps, reach):
+def unflushed_ladder_walk(params, steps, reach, dtype=float):
     """Cells 0 .. reach of the reduced walk from psi_0^+ after 0 .. steps
-    steps, as a (steps + 1, 3, reach + 1) float array (xp, xo, xm).
+    steps, as a (steps + 1, 3, reach + 1) array (xp, xo, xm).
 
     The ladder step without the underflow front: step n coins cells
     1 .. min(n - 1, steps - n + reach + 1), the whole light cone of the read
-    strata, subnormal tails included."""
-    cells = np.zeros((3, steps + 2))
-    cells[0, 0] = 1.0
-    out = np.empty((steps + 1, 3, reach + 1))
+    strata, subnormal tails included.  With ``dtype=np.longdouble`` the
+    same float coin entries step the cells in extended precision, so the
+    result differs from the float walk by the float walk's rounding alone."""
+    cells = np.zeros((3, steps + 2), dtype=dtype)
+    cells[0, 0] = 1
+    out = np.empty((steps + 1, 3, reach + 1), dtype=dtype)
     out[0] = cells[:, :reach + 1]
     for n in range(1, steps + 1):
         ladder_step(params, cells, min(n - 1, steps - n + reach + 1))

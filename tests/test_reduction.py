@@ -379,6 +379,44 @@ def test_lightcone_truncation_is_exact(params):
         assert np.array_equal(rows, reads[:, 1:2])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_stepped_cells_do_not_depend_on_the_width(dtype):
+    # one step of M cells for every M in 1 .. 70 and a few larger, against
+    # the step of all of them: every stepped coefficient equal to the bit
+    rng = np.random.default_rng(11)
+    L = 3000
+    start = _random_reduced(rng, L)
+    if dtype == np.float64:
+        start = ReducedState(start.xp.real, start.xo.real, start.xm.real)
+    full = ReducedEvolver(P463, start, 1)
+    assert full.xp.dtype == dtype
+    full.step()
+    for M in [*range(1, 71), 1000, 2047, L - 1]:
+        # the one step left coins cells 1 .. reach + 1
+        ev = ReducedEvolver(P463, start, 1, reach=M - 1)
+        ev.step()
+        for got, want in ((ev.xp[:M], full.xp[:M]), (ev.xo[1:M + 1], full.xo[1:M + 1]),
+                          (ev.xm[1:M + 2], full.xm[1:M + 2])):
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(got), part(want))
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+@pytest.mark.parametrize("N", [37, 100, 257])
+def test_lightcone_truncation_is_exact_at_every_width(N):
+    # down to the last step, which coins one cell for reach 0
+    for b in range(3, 12):
+        for c in range(1, b):
+            params = params_from_spidernet(SpidernetParams(1, b, c))
+            full_cells = _per_step_cells(ReducedEvolver(params, ReducedState.origin(), N), N, 4)
+            for reach in (0, 1, 4):
+                got = _per_step_cells(
+                    ReducedEvolver(params, ReducedState.origin(), N, reach=reach), N, reach)
+                want = full_cells[:, :, :reach + 1]
+                assert np.array_equal(got, want), (b, c, reach)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (b, c, reach)
+
+
 @pytest.mark.parametrize("bc, front", [
     ((6, 3), "retreats"),       # localizing
     ((10, 2), "retreats"),
@@ -414,7 +452,7 @@ def test_front_matches_the_unflushed_walk(abc):
 
 @pytest.mark.parametrize("params", EVOLVER_CASES)
 def test_step_matches_a_per_op_step_on_a_complex_state(params):
-    # every cell of the evolver, and its front, against the op-by-op step and
+    # every cell of the evolver, and its front, against the oracle's step and
     # the same flush
     start = stratum_state(params, 3)
     phase = np.exp(0.7j)
@@ -446,12 +484,30 @@ def test_front_keeps_the_origin_series_of_criterion_4(params, origin_series_20k)
 
 
 def test_front_moves_last_digits_for_s_10_2():
-    # rounding flips climb from the flushed tail to the origin by step 17 310
+    # rounding flips climb from the flushed tail to the origin by step 19 139
     params = params_from_spidernet(SpidernetParams(1, 10, 2))
     series = origin_amplitude_series(params, 20_000)
     unflushed = unflushed_ladder_walk(params, 20_000, 0)[:, 0, 0]
     assert not np.array_equal(series, unflushed)
     assert np.max(np.abs(series - unflushed)) < 1e-13
+
+
+@pytest.mark.parametrize("abc, steps, reach, parent_error", [
+    ((4, 6, 3), 10_000, 4, 5.24e-15),
+    ((5, 6, 4), 10_000, 4, 3.44e-16),
+    ((3, 4, 3), 10_000, 4, 1.63e-16),
+    ((1, 10, 2), 20_000, 0, 1.37e-14),
+], ids=["S463", "S564", "S343", "S102"])
+def test_ladder_rounding_against_a_long_double_ladder(abc, steps, reach, parent_error):
+    # cells of the read strata after every step, against the same coin
+    # entries stepped in extended precision; parent_error is the largest
+    # error of the five-call kernel that the coin's one product replaced
+    params = params_from_spidernet(SpidernetParams(*abc))
+    got = _per_step_cells(ReducedEvolver(params, ReducedState.origin(), steps, reach=reach),
+                          steps, reach)
+    want = unflushed_ladder_walk(params, steps, reach, np.longdouble)
+    err = float(np.max(np.abs(got - want)))
+    assert err < 2 * parent_error
 
 
 def test_evolver_complex_state_is_phase_times_real():

@@ -1,15 +1,21 @@
-"""Route 3's error on every ``amplitude`` and ``rwalk`` command of the digest.
+"""Route 3's and route 2's error on every ``amplitude`` and ``rwalk``
+command of the digest.
 
     python3 tools/route3_error.py > route3_error.txt
 
 Runs each such command of ``tools/stdout_digest.py`` in-process, from the
 ``src/`` of the checkout the script sits in, keeps the rows the command
 hands its table writer (unrounded, before the 15 printed digits) and prints
-one ``<max abs error>  <argv>`` line per command, or ``refused <Name>`` when
-the command fails.  The references are independent of the package:
+one ``<route 3 error>  <route 2 error>  <argv>`` line per command, each the
+largest absolute error over the rows: route 3 is the ``integral`` column of
+``amplitude`` and the ``return_amplitude`` column of ``rwalk``, route 2 the
+``reduced`` column of ``amplitude`` (``-`` for ``rwalk``).  A command that
+fails prints ``refused``.  Then one ``-  <route 2 error>`` line for each
+long ``origin_amplitude_series`` in SERIES.  The references are independent
+of the package:
 
-* ``amplitude``: <e_l, T_n(J) e_m> by the Chebyshev recurrence in extended
-  precision (``tests/oracles.py::chebyshev_amplitudes``);
+* ``amplitude`` and the series: <e_l, T_n(J) e_m> by the Chebyshev
+  recurrence in extended precision (``tests/oracles.py::chebyshev_amplitudes``);
 * ``rwalk``: the moments <e_0, J^n e_0>, exact, in integers over a common
   denominator, rounded once to a float.
 
@@ -32,7 +38,11 @@ sys.path[:0] = [ROOT, os.path.join(os.path.dirname(ROOT), "tests")]
 
 import stdout_digest  # noqa: E402  (sets up src/ and perfbench/ on the path)
 from oracles import chebyshev_amplitudes  # noqa: E402
-from spiderwalk import cli  # noqa: E402
+from spiderwalk import SpidernetParams, cli, origin_amplitude_series, params_from_spidernet  # noqa: E402
+
+# (b, c, nmax) of route 2's long origin series: the ladder jobs' horizon,
+# and the horizon where the underflow front moves digits of S(., 10, 2)
+SERIES = [(6, 3, 10_000), (10, 2, 20_000)]
 
 
 def exact_pqr(argv: list[str]) -> tuple[Fraction, Fraction, Fraction]:
@@ -67,8 +77,13 @@ def exact_moments(pqr, nmax: int) -> list[float]:
     return out
 
 
-def route3_error(argv: list[str]) -> str:
-    """The largest |value - reference| over the rows of one command."""
+def max_error(got, want) -> str:
+    return f"{max(abs(g - w) for g, w in zip(got, want)):.3e}"
+
+
+def route_errors(argv: list[str]) -> str:
+    """Route 3's and route 2's largest |value - reference| over the rows of
+    one command."""
     tables = []
     cli_emit = cli._emit
     cli._emit = lambda names, rows, args: tables.append(rows)
@@ -79,21 +94,21 @@ def route3_error(argv: list[str]) -> str:
         cli._emit = cli_emit
     if code != 0 or not tables:
         return "refused"
-    got = [row[1] for row in tables[0]]
     pqr = exact_pqr(argv)
-    if argv[0] == "amplitude":
-        want = chebyshev_amplitudes(pqr, flag(argv, "--l"), flag(argv, "--m"), flag(argv, "--nmax"))
-    else:
-        want = exact_moments(pqr, flag(argv, "--nmax"))
-    return f"{max(abs(g - w) for g, w in zip(got, want)):.3e}"
+    if argv[0] == "rwalk":
+        return max_error([row[1] for row in tables[0]], exact_moments(pqr, flag(argv, "--nmax"))) + "  -"
+    want = chebyshev_amplitudes(pqr, flag(argv, "--l"), flag(argv, "--m"), flag(argv, "--nmax"))
+    return "  ".join(max_error([row[k] for row in tables[0]], want) for k in (1, 2))
 
 
 def main() -> int:
-    commands = {" ".join(argv): argv for argv in stdout_digest.readme_commands()
-                + stdout_digest.job_commands() + stdout_digest.FIXED}
-    for text, argv in commands.items():
+    for argv in stdout_digest.commands():
         if argv[0] in ("amplitude", "rwalk"):
-            print(f"{route3_error(argv)}  {text}", flush=True)
+            print(f"{route_errors(argv)}  {' '.join(argv)}", flush=True)
+    for b, c, nmax in SERIES:
+        got = origin_amplitude_series(params_from_spidernet(SpidernetParams(1, b, c)), nmax)
+        want = chebyshev_amplitudes(exact_pqr(["", "1", str(b), str(c)]), 0, 0, nmax)
+        print(f"-  {max_error(got, want)}  origin_amplitude_series 1 {b} {c} --nmax {nmax}", flush=True)
     return 0
 
 

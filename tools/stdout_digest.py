@@ -40,6 +40,8 @@ FIXED = [
     ["localize", "1", "1000000000", "999968377", "--format", "json"],
     ["simulate", "4", "6", "3", "--steps", "8", "--full", "--strata", "10"],
     ["simulate", "1", "10", "2", "--steps", "3000", "--strata", "3"],
+    # the reduced route's last step coins one cell
+    ["simulate", "4", "6", "3", "--steps", "2000", "--strata", "0"],
     ["simulate", "3", "4", "3", "--steps", "40", "--format", "json"],
     # the explicit graph's light cone at its extremes: radius 9 of 16 steps,
     # and radius steps when every stratum is printed

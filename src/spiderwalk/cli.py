@@ -185,7 +185,7 @@ def _cmd_simulate(args) -> int:
         # the boundary stratum's truncated coin reaches no printed stratum
         # by the last step
         g = build_spidernet(sp, light_cone_radius(steps, n_strata))
-        ev = GraphEvolver(g, isotropic_initial_state(g))
+        ev = GraphEvolver(g, isotropic_initial_state(g), steps, reach=n_strata)
         probs = np.empty((steps + 1, min(g.radius, n_strata) + 1))
         for n in range(steps + 1):
             if n > 0:
@@ -317,14 +317,7 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParamsError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="spiderwalk",
-        description="Grover quantum walks on spidernets S(a, b, c): simulation, "
-                    "spectra, amplitudes, and localization analysis.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("simulate", help="walk probabilities per step")
+def _simulate_args(sub) -> None:
     _add_abc(sub)
     sub.add_argument("--steps", type=int, required=True)
     sub.add_argument("--strata", type=int, default=None,
@@ -336,51 +329,69 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(steps + strata)//2 + 1)")
     group.add_argument("--reduced", action="store_true",
                        help="evolve the one-dimensional reduction (default)")
-    _add_output_options(sub)
-    sub.set_defaults(func=_cmd_simulate)
 
-    sub = subs.add_parser("spectrum", help="cutoff walk eigenvalues")
+
+def _spectrum_args(sub) -> None:
     _add_abc_or_pqr(sub)
     sub.add_argument("--cutoff", type=int, required=True, metavar="N")
-    _add_output_options(sub)
-    sub.set_defaults(func=_cmd_spectrum)
 
-    sub = subs.add_parser("amplitude", help="spectral integral vs reduced walk")
+
+def _amplitude_args(sub) -> None:
     _add_abc_or_pqr(sub)
     sub.add_argument("--l", type=int, default=0)
     sub.add_argument("--m", type=int, default=0)
     sub.add_argument("--nmax", type=int, required=True)
-    _add_output_options(sub)
-    sub.set_defaults(func=_cmd_amplitude)
 
-    sub = subs.add_parser("localize", help="closed-form localization report")
+
+def _localize_args(sub) -> None:
     _add_abc(sub, required=False)
     sub.add_argument("--sweep", type=int, nargs=2, metavar=("BMAX", "CMAX"),
                      default=None, help="report every (b, c) in range instead")
-    _add_output_options(sub)
-    sub.set_defaults(func=_cmd_localize)
 
-    sub = subs.add_parser("figure2", help="origin probability window for S(4,6,3), "
-                                          "n = 620..650, with the (1/4)cos^2 envelope")
-    _add_output_options(sub)
-    sub.set_defaults(func=_cmd_figure2)
 
-    sub = subs.add_parser("rwalk", help="classical random-walk return probabilities")
+def _rwalk_args(sub) -> None:
     _add_abc_or_pqr(sub)
     sub.add_argument("--nmax", type=int, required=True)
-    _add_output_options(sub)
-    sub.set_defaults(func=_cmd_rwalk)
 
-    sub = subs.add_parser("verify", help="run the built-in cross-validation suite")
-    _add_output_options(sub)
-    sub.set_defaults(func=_cmd_verify)
 
+# name: (help, the arguments before the output options, the command)
+_SUBCOMMANDS = {
+    "simulate": ("walk probabilities per step", _simulate_args, _cmd_simulate),
+    "spectrum": ("cutoff walk eigenvalues", _spectrum_args, _cmd_spectrum),
+    "amplitude": ("spectral integral vs reduced walk", _amplitude_args, _cmd_amplitude),
+    "localize": ("closed-form localization report", _localize_args, _cmd_localize),
+    "figure2": ("origin probability window for S(4,6,3), n = 620..650, with the "
+                "(1/4)cos^2 envelope", None, _cmd_figure2),
+    "rwalk": ("classical random-walk return probabilities", _rwalk_args, _cmd_rwalk),
+    "verify": ("run the built-in cross-validation suite", None, _cmd_verify),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with ``command`` of that one only:
+    a subcommand's help, usage errors and parsed arguments do not depend on
+    its siblings, and building all of them costs ~2 ms a run."""
+    parser = _Parser(
+        prog="spiderwalk",
+        description="Grover quantum walks on spidernets S(a, b, c): simulation, "
+                    "spectra, amplitudes, and localization analysis.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, func) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            sub = subs.add_parser(name, help=help_text)
+            if add_args is not None:
+                add_args(sub)
+            _add_output_options(sub)
+            sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h and a missing or unknown command need the full parser
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         if args.output:
             args.output = _output_path(args.output)
         return args.func(args)

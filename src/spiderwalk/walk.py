@@ -16,9 +16,12 @@ about (n + K)/2, out to which those strata stay exact.
 
 Half-edges are numbered stratum by stratum, so the support of such an
 evolution is a prefix of the half-edge array.  :class:`GraphEvolver`, the
-one stepping kernel, steps only that light-cone prefix in place, in
-float64 for a real state; memory grows like ``c**R`` with the radius R,
-from the graph arrays.
+one stepping kernel, steps only that prefix in place, in float64 for a
+real state.  Given the last step and the largest stratum K read, it also
+steps only the half-edges that can still reach a stratum <= K by then and
+reads only strata <= K, so a step near the end coins and shifts far fewer
+half-edges than the support holds.  Memory grows like ``c**R`` with the
+radius R, from the graph arrays.
 """
 
 from __future__ import annotations
@@ -58,20 +61,45 @@ def isotropic_initial_state(g: Spidernet) -> np.ndarray:
 
 
 class GraphEvolver:
-    """In-place stepper for walks on the explicit graph.
+    """In-place stepper for walks on the explicit graph, for ``max_steps``
+    steps, read on strata 0..``reach``.
 
     The state is stored as float64 when its imaginary part is zero (U is
     real, so it stays real) and as complex128 otherwise.  ``top`` is the
     highest stratum whose outgoing half-edges can hold amplitude; it starts
-    at the stratum of the state's last nonzero entry.  A step coins the
-    half-edges leaving strata <= ``top`` and shifts into those leaving
-    strata <= ``min(top + 1, radius)``; cells past that prefix are never
-    written and stay exactly zero.  Reads cover only the prefix.
+    at the stratum of the state's last nonzero entry and grows by one per
+    step, up to the radius.  Cells past ``top`` are never written and stay
+    exactly zero.
+
+    ``reach`` is the largest stratum the caller will read.  The coin mixes
+    only the half-edges leaving one vertex and the shift moves a half-edge's
+    source at most one stratum, so a half-edge leaving stratum j after step
+    n can reach one leaving a stratum <= K by step N only if
+    j <= K + (N - n).  A step after which s steps are left therefore writes
+    only the half-edges leaving strata <= w = min(top + 1, radius,
+    reach + s).  Their shift reads the coined cells of half-edges leaving
+    strata <= w + 1, so the step coins only strata <= min(top, w + 1);
+    coined cells past ``top`` were never written and are 0.  By induction
+    on the steps, the half-edges leaving strata <= reach + s hold the bits
+    they hold with ``reach=None``: the coin reads only strata
+    <= min(top, reach + s + 1), which the step before wrote, sums each
+    vertex's half-edges as a wider coin does, and the shift copies.  Cells
+    left stale further out are never read again.  :meth:`stratum_distribution`
+    reads strata <= min(top, reach); :meth:`state` and stepping past
+    ``max_steps`` raise :class:`RadiusTooSmallError`.  ``reach=None`` steps
+    and reads every half-edge that can hold amplitude.
     """
 
-    def __init__(self, g: Spidernet, state: np.ndarray):
+    def __init__(self, g: Spidernet, state: np.ndarray, max_steps: int,
+                 reach: int | None = None):
         _check_state(g, state)
+        if max_steps < 0:
+            raise InvalidParamsError(f"max_steps must be non-negative, got {max_steps}")
+        if reach is not None and reach < 0:
+            raise InvalidParamsError(f"reach must be non-negative, got {reach}")
         self.g = g
+        self.reach = reach
+        self._left = max_steps
         # half-edges and vertices of strata 0..k are the first _he_end[k]
         # and _v_end[k] of their arrays
         self._v_end = [int(v) for v in g.stratum_offsets[1:]]
@@ -90,8 +118,16 @@ class GraphEvolver:
         self._factor = 2.0 / g.degrees
 
     def step(self) -> None:
-        """Apply U = SC in place."""
-        g, nv, n = self.g, self._v_end[self.top], self._he_end[self.top]
+        """Apply U = SC in place, on the light cone of strata 0..reach."""
+        if self._left <= 0:
+            raise RadiusTooSmallError("evolver stepped past its max_steps")
+        self._left -= 1
+        g = self.g
+        shifted = min(self.top + 1, g.radius)
+        if self.reach is not None:
+            shifted = min(shifted, self.reach + self._left)
+        coined_top = min(self.top, shifted + 1)
+        nv, n = self._v_end[coined_top], self._he_end[coined_top]
         # coin: 2/deg times the sum over each vertex's half-edges, minus psi;
         # the sums die in this statement, before the shift touches new pages
         psi, coined = self._psi[:n], self._coined[:n]
@@ -99,19 +135,24 @@ class GraphEvolver:
                 out=coined)
         np.subtract(coined, psi, out=coined)
         # shift: (u, v) takes the coined amplitude of (v, u)
-        self.top = min(self.top + 1, g.radius)
-        m = self._he_end[self.top]
+        m = self._he_end[shifted]
         np.take(self._coined, g.reversal[:m], out=self._psi[:m])
+        self.top = min(self.top + 1, g.radius)
 
     def stratum_distribution(self) -> np.ndarray:
-        """Find probabilities aggregated per stratum (index = distance from root)."""
-        weights = _vertex_weights(self.g, self._psi[:self._he_end[self.top]],
-                                  self._v_end[self.top])
+        """Find probabilities aggregated per stratum (index = distance from
+        root), of strata 0..min(radius, reach)."""
+        last = self.g.radius if self.reach is None else min(self.g.radius, self.reach)
+        top = min(self.top, last)
+        weights = _vertex_weights(self.g, self._psi[:self._he_end[top]], self._v_end[top])
         return np.bincount(self.g.vertex_stratum[:len(weights)], weights=weights,
-                           minlength=self.g.radius + 1)
+                           minlength=last + 1)
 
     def state(self) -> np.ndarray:
         """The current state as a complex128 vector over all half-edges."""
+        if self.reach is not None:
+            raise RadiusTooSmallError(
+                "an evolver with a reach holds stale cells; build it with reach=None")
         n = self._he_end[self.top]
         out = np.zeros(self.g.num_half_edges, dtype=np.complex128)
         out[:n] = self._psi[:n]
@@ -130,7 +171,7 @@ def evolve(g: Spidernet, state: np.ndarray, steps: int) -> np.ndarray:
     if steps > g.radius:
         raise RadiusTooSmallError(
             f"evolving {steps} steps needs radius >= {steps}, graph has {g.radius}")
-    ev = GraphEvolver(g, state)
+    ev = GraphEvolver(g, state, steps)
     for _ in range(steps):
         ev.step()
     return ev.state()

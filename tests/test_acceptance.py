@@ -78,7 +78,7 @@ def test_criterion_2_classifier_boundary():
 
 def _full_graph_amplitudes(g, nmax):
     s0 = isotropic_initial_state(g)
-    ev = GraphEvolver(g, s0)
+    ev = GraphEvolver(g, s0, nmax)
     amps = [float(np.vdot(s0, ev.state()).real)]
     for _ in range(nmax):
         ev.step()
@@ -270,7 +270,7 @@ def test_criterion_9_exponential_localization(big_463):
         bound_details.append(f"l={l}: {measured[l]:.4g}>{bound:.4g}")
 
     g = big_463
-    ev = GraphEvolver(g, isotropic_initial_state(g))
+    ev = GraphEvolver(g, isotropic_initial_state(g), 10)
     psi = [embed(g, stratum_state(P463, l)) for l in range(7)]
     margin = np.inf
     for n in range(11):

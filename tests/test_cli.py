@@ -400,6 +400,51 @@ def test_help_still_prints_usage(capsys):
     assert captured.out.startswith("usage: spiderwalk simulate") and captured.err == ""
 
 
+@pytest.mark.parametrize("argv", [[name, "-h"] for name in cli._SUBCOMMANDS] + [
+    ["simulate", "4", "6", "3"],
+    ["simulate", "4", "6", "x", "--steps", "3"],
+    ["simulate", "4", "6", "3", "--steps", "2", "--bogus"],
+    ["simulate", "4", "6", "3", "--steps", "2", "--full", "--reduced"],
+    ["simulate", "4", "6", "3", "--steps", "2", "--s", "1"],
+    ["spectrum", "4", "6", "3"],
+    ["amplitude", "4", "6", "3", "--nmax"],
+    ["localize", "4", "6", "3", "--format", "xml"],
+    ["localize", "--sweep", "4"],
+    ["rwalk", "--pqr", "0.5", "0.3", "--nmax", "3"],
+    ["figure2", "extra"],
+    ["verify", "-o"],
+    ["bogus"],
+    ["-h"],
+    [],
+], ids=" ".join)
+def test_one_subcommand_parser_answers_as_the_full_one(capsys, monkeypatch, argv):
+    # main builds only the subparser that argv[0] names; its help and its
+    # usage errors are those of the parser of every subcommand
+    def full_parser():
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit as done:
+            return done.code, capsys.readouterr().out, ""
+        except spiderwalk.errors.InvalidParamsError as exc:
+            return 1, "", json.dumps({"error": "InvalidParamsError", "message": str(exc)}) + "\n"
+        raise AssertionError(f"{argv} parsed")
+
+    built, build_parser = [], cli._build_parser
+
+    def build(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "_build_parser", build)
+    try:
+        code = main(argv)
+    except SystemExit as done:
+        code = done.code
+    captured = capsys.readouterr()
+    assert built == [argv[0] if argv and argv[0] in cli._SUBCOMMANDS else None]
+    assert (code, captured.out, captured.err) == full_parser()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "4", "6", "3", "--steps", "-3"],
     ["simulate", "4", "6", "3", "--steps", "4", "--strata", "-2"],
@@ -448,6 +493,27 @@ def test_full_route_builds_only_the_light_cone(capsys):
     assert len(full_rows) == len(red_rows) == 19
     for fr, rr in zip(full_rows, red_rows):
         assert fr[0] == rr[0] and abs(float(fr[1]) - float(rr[1])) < 1e-12
+
+
+def test_full_route_coins_only_the_light_cone(capsys, monkeypatch):
+    # simulate --steps 10 prints strata 0..6 from radius 9; the last step
+    # writes the half-edges leaving strata <= 6 and so coins strata <= 7,
+    # not the 9 that can hold amplitude
+    evolvers = []
+
+    class Recorder(cli.GraphEvolver):
+        def step(self):
+            evolvers.append(self)
+            self.before = self._coined.copy()
+            super().step()
+
+    monkeypatch.setattr(cli, "GraphEvolver", Recorder)
+    code, _, _ = run_cli(capsys, "simulate", "4", "6", "3", "--steps", "10", "--full")
+    ev = evolvers[-1]
+    ends = ev.g.adj_ptr[ev.g.stratum_offsets[1:]]
+    assert code == 0 and ev.g.radius == 9 and len(evolvers) == 10
+    assert not np.array_equal(ev._coined[ends[6]:ends[7]], ev.before[ends[6]:ends[7]])
+    assert np.array_equal(ev._coined[ends[7]:], ev.before[ends[7]:])
 
 
 @pytest.mark.parametrize("argv", [

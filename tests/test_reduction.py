@@ -576,7 +576,7 @@ def test_embed_intertwines_evolutions():
     rng = np.random.default_rng(13)
     for _ in range(10):
         s = _random_reduced(rng, 2)
-        full = GraphEvolver(g, embed(g, s))
+        full = GraphEvolver(g, embed(g, s), 5)
         ev = ReducedEvolver(P463, s, 5)
         for _ in range(5):
             ev.step()

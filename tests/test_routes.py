@@ -113,7 +113,7 @@ PINNED = [SpidernetParams(2, 6, 4), SpidernetParams(3, 12, 9), SpidernetParams(4
 def test_graph_walk_matches_embedded_reduced_walk(walk):
     sp, n = walk
     g = build_spidernet(sp, n + 1)
-    ev = GraphEvolver(g, isotropic_initial_state(g))
+    ev = GraphEvolver(g, isotropic_initial_state(g), n)
     for _ in range(n):
         ev.step()
     reduced = _evolved(params_from_spidernet(sp), ReducedState.origin(), n).state()

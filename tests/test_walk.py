@@ -156,7 +156,7 @@ def test_rotation_equivariance():
 
 def test_vertex_distribution():
     g = build_spidernet(SpidernetParams(4, 6, 3), 5)
-    ev = GraphEvolver(g, isotropic_initial_state(g))
+    ev = GraphEvolver(g, isotropic_initial_state(g), 3)
     for _ in range(3):
         ev.step()
     dist = vertex_distribution(g, ev.state())
@@ -172,7 +172,7 @@ def test_time_averaged_distribution(sparse_walk):
     g = build_spidernet(SpidernetParams(4, 6, 3), 9)
     coin, shift = sparse_walk(g)
     s = isotropic_initial_state(g)
-    ev = GraphEvolver(g, s)
+    ev = GraphEvolver(g, s, 9)
     acc, ref = ev.stratum_distribution(), _strata(g, s)
     assert acc[0] == 1.0 and abs(acc.sum() - 1.0) < 1e-14
     for _ in range(9):
@@ -196,7 +196,7 @@ def test_evolve_guards():
     with pytest.raises(InvalidParamsError):
         evolve(g, s, -1)
     with pytest.raises(DimensionMismatchError):
-        GraphEvolver(g, s[:-1])
+        GraphEvolver(g, s[:-1], 1)
     with pytest.raises(DimensionMismatchError):
         vertex_distribution(g, s[:-1])
 
@@ -217,7 +217,7 @@ def test_evolver_matches_step_loop(abc, radius, sparse_walk):
     coin, shift = sparse_walk(g)
     iso = isotropic_initial_state(g)
     phased = np.exp(0.7j) * iso
-    real_ev, cplx_ev = GraphEvolver(g, iso), GraphEvolver(g, phased)
+    real_ev, cplx_ev = GraphEvolver(g, iso, radius), GraphEvolver(g, phased, radius)
     assert real_ev._psi.dtype == np.float64 and cplx_ev._psi.dtype == np.complex128
     ref, ref_phased = iso, phased
     # up to the radius itself: the boundary's truncated coin never runs
@@ -247,7 +247,7 @@ def test_evolver_arbitrary_states(sparse_walk):
     basis = np.zeros(g.num_half_edges, dtype=np.complex128)
     basis[half_edge_index(g, vertex_id(g, 2, 5), vertex_id(g, 3, 15))] = 1.0
     for state, top in ((cplx, 4), (real + 0j, 4), (basis, 2)):
-        ev = GraphEvolver(g, state)
+        ev = GraphEvolver(g, state, 3)
         assert ev.top == top
         ref = state
         for _ in range(3):
@@ -271,7 +271,8 @@ def test_radius_steps_is_exact(abc, steps, wider):
     # truncations, whose extra strata the walk never reaches
     sp = SpidernetParams(*abc)
     exact, wide = build_spidernet(sp, steps), build_spidernet(sp, wider)
-    ev, ev_wide = (GraphEvolver(g, isotropic_initial_state(g)) for g in (exact, wide))
+    ev, ev_wide = (GraphEvolver(g, isotropic_initial_state(g), steps)
+                   for g in (exact, wide))
     for _ in range(steps):
         ev.step()
         ev_wide.step()
@@ -284,7 +285,7 @@ def _stratum_table(sp, radius, steps):
     """The per-stratum probabilities of steps 0..steps from the root, as
     ``simulate --full`` reads them, on the truncation of the given radius."""
     g = build_spidernet(sp, radius)
-    ev = GraphEvolver(g, isotropic_initial_state(g))
+    ev = GraphEvolver(g, isotropic_initial_state(g), steps)
     rows = [ev.stratum_distribution()]
     for _ in range(steps):
         ev.step()
@@ -325,3 +326,70 @@ def test_light_cone_radius_is_exact_and_least(abc, steps):
         if 1 < radius < steps:
             assert not np.array_equal(_stratum_table(sp, radius - 1, steps)[read],
                                       exact[read])
+
+
+@pytest.mark.parametrize("abc, steps", [
+    ((4, 6, 3), 1),     # the wirings of test_light_cone_radius_is_exact_and_least
+    ((4, 6, 3), 8),
+    ((4, 6, 3), 9),
+    ((4, 6, 4), 6),
+    ((4, 6, 4), 7),
+    ((3, 4, 3), 9),
+    ((3, 4, 3), 10),
+    ((3, 4, 1), 12),
+    ((3, 4, 1), 13),
+])
+def test_reach_keeps_the_light_cone_bit_for_bit(abc, steps):
+    # with s steps left, an evolver with reach K holds the cells leaving
+    # strata <= K + s and reads strata 0..K as reach=None does, bits and
+    # sign bits, on the graph at radius steps and on the light-cone one
+    sp = SpidernetParams(*abc)
+    g = build_spidernet(sp, steps)
+    ev = GraphEvolver(g, isotropic_initial_state(g), steps)
+    cells, dists = [ev._psi.copy()], [ev.stratum_distribution()]
+    for _ in range(steps):
+        ev.step()
+        cells.append(ev._psi.copy())
+        dists.append(ev.stratum_distribution())
+    for strata in range(steps + 1):
+        small = build_spidernet(sp, light_cone_radius(steps, strata))
+        coned = [GraphEvolver(h, isotropic_initial_state(h), steps, reach=strata)
+                 for h in (g, small)]
+        for n in range(steps + 1):
+            if n:
+                for ev in coned:
+                    ev.step()
+            held = _he_end(g, min(g.radius, strata + steps - n))
+            assert np.array_equal(coned[0]._psi[:held], cells[n][:held])
+            assert np.array_equal(np.signbit(coned[0]._psi[:held]), np.signbit(cells[n][:held]))
+            for ev in coned:
+                dist = ev.stratum_distribution()
+                assert len(dist) == min(ev.g.radius, strata) + 1
+                assert np.array_equal(dist, dists[n][:len(dist)])
+                assert np.array_equal(np.signbit(dist), np.signbit(dists[n][:len(dist)]))
+
+
+def test_reach_guards():
+    g = build_spidernet(SpidernetParams(4, 6, 3), 5)
+    s = isotropic_initial_state(g)
+    # stepping past max_steps, with and without a reach
+    for reach in (None, 2):
+        ev = GraphEvolver(g, s, 2, reach=reach)
+        ev.step()
+        ev.step()
+        with pytest.raises(RadiusTooSmallError):
+            ev.step()
+    # the cells past the light cone of strata 0..reach go stale, so the
+    # whole state cannot be read, and the distribution stops at reach
+    ev = GraphEvolver(g, s, 4, reach=1)
+    with pytest.raises(RadiusTooSmallError):
+        ev.state()
+    for _ in range(4):
+        ev.step()
+    with pytest.raises(RadiusTooSmallError):
+        ev.state()
+    assert len(ev.stratum_distribution()) == 2
+    with pytest.raises(InvalidParamsError):
+        GraphEvolver(g, s, -1)
+    with pytest.raises(InvalidParamsError):
+        GraphEvolver(g, s, 3, reach=-1)

@@ -47,6 +47,9 @@ FIXED = [
     # and radius steps when every stratum is printed
     ["simulate", "4", "4", "2", "--steps", "16", "--full", "--strata", "0"],
     ["simulate", "3", "4", "3", "--steps", "11", "--full", "--strata", "11"],
+    # where the light cone of the printed strata cuts the most steps and reads
+    ["simulate", "4", "4", "2", "--steps", "24", "--full"],
+    ["simulate", "4", "6", "3", "--steps", "16", "--strata", "2", "--full"],
     ["spectrum", "4", "6", "3", "--cutoff", "4000"],
     ["spectrum", "--pqr", "0.75", "0.25", "0", "--cutoff", "50"],
     ["spectrum", "1", "1000000000", "999968377", "--cutoff", "300"],
@@ -84,8 +87,10 @@ FIXED = [
     ["amplitude", "4", "4", "3", "--l", "1", "--nmax", "40", "--format", "json"],
     ["figure2", "--format", "json"],
     ["simulate", "4", "6", "3", "--steps", "8", "--full", "--strata", "10", "--format", "json"],
-    # refusals: a usage error (no --cutoff) and an -o path in no directory
+    # refusals: usage errors (no --cutoff, an unknown option) and an -o path
+    # in no directory
     ["spectrum", "4", "6", "3"],
+    ["simulate", "4", "6", "3", "--steps", "2", "--bogus"],
     ["rwalk", "4", "6", "3", "--nmax", "2", "-o", "/missing-dir/out.csv"],
 ]
 

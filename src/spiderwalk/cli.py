@@ -4,10 +4,15 @@ Every subcommand emits a table, CSV by default or JSON records with
 ``--format json``, to stdout or to ``-o FILE``.  Relative output paths
 are resolved against ``$SPIDERWALK_OUTPUT_DIR`` when that is set, and a
 path that names a directory or lies in none is refused before the command
-runs.  Floats are printed with 15 significant digits and all computations
-are deterministic, so repeated runs are byte-identical.  Errors, usage
-errors and unwritable output among them, exit with a non-zero status and a
-one-line JSON object on stderr.
+runs.  Floats are printed with 15 significant digits, as "%.15g" % v in
+CSV and, in JSON, as json.dumps prints the float that text reads as.  The
+two differ only where json.dumps spells it otherwise: integral floats gain
+a ".0", nan and inf become NaN and Infinity, the decade [1e15, 1e16) is
+positional, subnormals take the fewest digits that read back, and
+1.79769313486232e+308, past the largest float, reads as Infinity.  All
+computations are deterministic, so repeated runs are byte-identical.
+Errors, usage errors and unwritable output among them, exit with a
+non-zero status and a one-line JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -52,9 +57,8 @@ MAX_SWEEP_ROWS = 100_000
 MAX_TABLE_CELLS = 1_000_000
 
 
-_BOOL_TEXT = {False: "false", True: "true"}
-# The %-format of each kind of column; bools and strs are mapped to text first.
-_FIELDS = {float: "%.15g", bool: "%s", int: "%d", str: "%s"}
+# The %-format of the floats and ints of a table row; other cells are text.
+_FIELDS = {float: "%.15g", int: "%d"}
 
 
 def _quote(text: str) -> str:
@@ -64,40 +68,47 @@ def _quote(text: str) -> str:
     return text
 
 
-# The C encoder, which indent=2 would bypass, with each item of a record on
-# a line of its own, indented as json.dumps(records, indent=2) indents it.
-_json_items = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+def _json_float(v: float) -> str:
+    """json.dumps(float("%.15g" % v)).  That is the text t itself, since
+    every 15-digit decimal round-trips, unless float.__repr__ spells it
+    otherwise: when t has no "." (0, 1e+300, nan), lies in the decade
+    [1e15, 1e16), which repr writes positionally, reads as a subnormal,
+    which repr may write with fewer digits, or reads as inf, past the
+    largest float.  So a t with no ".", with "e+15", with "e+308" or with
+    "e-3" (exponents -30 to -39, and -300 down) goes through json."""
+    text = "%.15g" % v
+    regular = "." in text and "e+15" not in text and "e+308" not in text and "e-3" not in text
+    return text if regular else json.dumps(float(text))
 
 
-def _json_text(records) -> str:
-    """json.dumps(records, indent=2) for a list of non-empty flat dicts,
-    byte for byte, from one call of the C encoder.  Its separator already
-    lays out the items; the brackets of each record get lines of their own
-    where "}" meets "{", which happens only between records, since a flat
-    value (a number, a quoted string, true, false) never ends in "}"."""
-    text = _json_items(records)
-    if not records:
-        return text
-    return "[\n  {\n    " + text[2:-2].replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+# The kinds of column whose cells become text before the row's %-format
+_CSV_CELLS = {bool: {False: "false", True: "true"}.__getitem__, str: _quote}
+_JSON_CELLS = {**_CSV_CELLS, str: json.dumps, float: _json_float}
 
 
 def _emit(names, rows, args) -> None:
     """Print a table whose every column holds one kind of cell: floats
-    (np.float64 among them, a subclass of float), bools, ints or strs.  CSV
-    prints each row through one %-format, where "%.15g" % v ==
-    format(v, ".15g"); JSON records take each float as that text's value."""
+    (np.float64 among them, a subclass of float), bools, ints or strs.
+    Both formats print each row through one %-format of the same cells:
+    floats as "%.15g" % v, which is format(v, ".15g"), ints as "%d", bools
+    as true or false, and strs quoted for CSV or by json.dumps; only the
+    header, the row's frame, the separator and the ending differ.  A JSON
+    float is json.dumps(float("%.15g" % v)), the CSV's number as JSON
+    spells it (:func:`_json_float`): 0.0, NaN, 3757728834966920.0, 4e-320
+    and Infinity where the CSV prints 0, nan, 3.75772883496692e+15,
+    3.99995546873073e-320 and 1.79769313486232e+308."""
+    cells = _JSON_CELLS if args.format == "json" else _CSV_CELLS
     columns = list(zip(*rows))
     kinds = [float if isinstance(column[0], float) else type(column[0]) for column in columns]
+    fields = ["%s" if kind in cells else _FIELDS[kind] for kind in kinds]
+    columns = [map(cells[k], c) if k in cells else c for c, k in zip(columns, kinds)]
     if args.format == "json":
-        columns = [[float("%.15g" % v) for v in column] if kind is float else column
-                   for column, kind in zip(columns, kinds)]
-        text = _json_text([dict(zip(names, row)) for row in zip(*columns)]) + "\n"
+        keys = [json.dumps(name).replace("%", "%%") for name in names]
+        row = "  {\n" + ",\n".join(f"    {k}: {f}" for k, f in zip(keys, fields)) + "\n  }"
+        head, sep, end = "[\n", ",\n", "\n]\n"
     else:
-        cell_text = {bool: _BOOL_TEXT.__getitem__, str: _quote}
-        columns = [map(cell_text[kind], column) if kind in cell_text else column
-                   for column, kind in zip(columns, kinds)]
-        row = ",".join(_FIELDS[kind] for kind in kinds) + "\n"
-        text = ",".join(map(_quote, names)) + "\n" + "".join(map(row.__mod__, zip(*columns)))
+        row, head, sep, end = ",".join(fields) + "\n", ",".join(map(_quote, names)) + "\n", "", ""
+    text = head + sep.join(map(row.__mod__, zip(*columns))) + end
     if args.output:
         try:
             with open(args.output, "w") as fp:

@@ -87,6 +87,10 @@ FIXED = [
     ["amplitude", "4", "4", "3", "--l", "1", "--nmax", "40", "--format", "json"],
     ["figure2", "--format", "json"],
     ["simulate", "4", "6", "3", "--steps", "8", "--full", "--strata", "10", "--format", "json"],
+    # a JSON float that json.dumps spells otherwise than "%.15g": a subnormal,
+    # 4e-320 where the CSV prints 3.99995546873073e-320; and the largest table
+    ["simulate", "1", str(10 ** 160), "1", "--steps", "3", "--format", "json"],
+    ["localize", "--sweep", "400", "400", "--format", "json"],
     # refusals: usage errors (no --cutoff, an unknown option) and an -o path
     # in no directory
     ["spectrum", "4", "6", "3"],

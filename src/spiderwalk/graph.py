@@ -38,9 +38,12 @@ __all__ = [
     "MAX_HALF_EDGES",
 ]
 
-# A cap on the half-edges of one graph: each one takes three int64 entries
-# (adj, he_src, reversal), ~3 GiB at the cap.  Larger radii are rejected
-# before anything is allocated.
+# A cap on the half-edges of one graph.  Each takes three int64 entries (adj,
+# he_src, reversal) and a GraphEvolver two float64 ones (the state and its
+# coin's output); with the build's temporaries, the peak RSS of
+# ``simulate --full`` measured 50-64 B a half-edge from 4.3 M to 38 M
+# half-edges, so ~7 GB at the cap.  Larger radii are rejected before anything
+# is allocated.
 MAX_HALF_EDGES = 1 << 27
 
 

@@ -75,8 +75,8 @@ _TOL = 1e-14
 # before anything is allocated.  It lies above every size the CLI
 # reaches (amplitude's M + nmax stays at most 2^21 - 3 within the quadrature
 # degree cap, simulate's steps under 5e5 within its table cap).  An evolver holds
-# 6 arrays of its capacity, its cells and the coin's product of three rows
-# each: ~200 MB for a real state at the cap.
+# 6 float64 arrays of its capacity, its cells and the coin's product of three
+# rows each: ~200 MB at the cap.
 MAX_LADDER_CELLS = 1 << 22
 
 
@@ -126,20 +126,24 @@ class ReducedState:
     ``xp[n]``, ``xo[n]``, ``xm[n]`` are the coefficients of psi_n^+,
     psi_n^o, psi_n^- respectively for n = 0 .. length.  Slot 0 only has a
     "+" component (the root has no backward or intra half-edges); xo[0]
-    and xm[0] are kept at exactly zero.
+    and xm[0] are kept at exactly zero.  The coefficients are float64
+    copies of the arguments: the reduced walk is real orthogonal, so a
+    complex state evolves as its real and imaginary parts, two real states,
+    and a complex argument is refused.
     """
 
     __slots__ = ("xp", "xo", "xm")
 
     def __init__(self, xp, xo, xm):
-        xp = np.asarray(xp, dtype=np.complex128)
-        xo = np.asarray(xo, dtype=np.complex128)
-        xm = np.asarray(xm, dtype=np.complex128)
+        xp, xo, xm = (np.asarray(x) for x in (xp, xo, xm))
         if not (xp.shape == xo.shape == xm.shape) or xp.ndim != 1 or len(xp) < 1:
             raise DimensionMismatchError("xp, xo, xm must be 1-d arrays of equal length >= 1")
+        if any(np.iscomplexobj(x) for x in (xp, xo, xm)):
+            raise DimensionMismatchError(
+                "a reduced state is real: evolve its real and imaginary parts as two states")
         if abs(xo[0]) > 0 or abs(xm[0]) > 0:
             raise DimensionMismatchError("slot 0 has no intra or backward component")
-        self.xp, self.xo, self.xm = xp, xo, xm
+        self.xp, self.xo, self.xm = (x.astype(np.float64) for x in (xp, xo, xm))
 
     @classmethod
     def origin(cls) -> "ReducedState":
@@ -150,8 +154,8 @@ class ReducedState:
     def zeros(cls, length: int) -> "ReducedState":
         if length >= MAX_LADDER_CELLS:
             raise InvalidParamsError(f"length must be below {MAX_LADDER_CELLS}, got {length}")
-        z = np.zeros(length + 1, dtype=np.complex128)
-        return cls(z, z.copy(), z.copy())
+        z = np.zeros(length + 1)
+        return cls(z, z, z)
 
     @property
     def length(self) -> int:
@@ -168,8 +172,8 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def _probabilities(cells: np.ndarray) -> np.ndarray:
-    """(|x+|^2 + |xo|^2) + |x-|^2 over the leading axis of (xp, xo, xm) cells."""
-    squares = np.abs(cells) ** 2
+    """(x+^2 + xo^2) + x-^2 over the leading axis of (xp, xo, xm) cells."""
+    squares = np.square(cells)
     return (squares[0] + squares[1]) + squares[2]
 
 
@@ -179,17 +183,14 @@ class ReducedEvolver:
     Preallocates capacity for ``max_steps`` so that stepping never
     reallocates; exposes cheap reads of a stratum's probability, one at a
     time or over many steps in bulk, and of its amplitude on Psi_n.  The
-    coefficients are float64 when the initial state is real (the walk is
-    real orthogonal, so they stay real) and complex128 otherwise.
+    coefficients are float64, like the state's.
 
     A step updates cells ``1 .. M``, M = min(front, steps_left + reach + 1),
-    by one real product: the (3, 3) coin, rows coined "-", new "o", coined
-    "+" and columns x^+, x^o, x^-, times the cells' (3, M) coefficients,
-    read as float64, so that a complex state steps its real and imaginary
-    parts as two real ones, each a column of its own.  The product lands in
-    a buffer and moves on to the shifted destinations xp[0 .. M-1],
-    xo[1 .. M] and xm[2 .. M+1], the rows of the cells' buffer read as
-    (3, capacity + 1); the root's "+" moves to xm[1].  BLAS rounds each
+    by one product: the (3, 3) coin, rows coined "-", new "o", coined "+"
+    and columns x^+, x^o, x^-, times the cells' (3, M) coefficients.  The
+    product lands in a buffer and moves on to the shifted destinations
+    xp[0 .. M-1], xo[1 .. M] and xm[2 .. M+1], the rows of the cells'
+    buffer read as (3, capacity + 1); the root's "+" moves to xm[1].  BLAS rounds each
     column alike at every width of at least two columns, so a one-column
     product takes two and no cell's bits depend on M.
 
@@ -217,25 +218,18 @@ class ReducedEvolver:
             raise InvalidParamsError(f"reach must be non-negative, got {reach}")
         self.params = params
         self.reach = reach
-        coeffs = state.coefficients()
-        if not coeffs.imag.any():
-            coeffs = coeffs.real
         cap = L + max_steps + 2
         # One buffer of 3 (cap + 1) cells.  Read as (3, cap), its rows are
         # xp, xo, xm, so that a read copies all three at once; read as
         # (3, cap + 1), its rows start at xp[0], xo[1] and xm[2], where the
         # shift puts coined "-", new "o" and coined "+" of cells 1 .. M
-        buf = np.zeros(3 * (cap + 1), dtype=coeffs.dtype)
+        buf = np.zeros(3 * (cap + 1))
         self._cells = buf[:3 * cap].reshape(3, cap)
-        self._cells[:, :L + 1] = coeffs
+        self._cells[:, :L + 1] = state.coefficients()
         self._dest = buf.reshape(3, cap + 1)
         self.xp, self.xo, self.xm = self._cells
         # the coin's product, in the rows of the shift's destinations
-        self._prod = np.empty((3, cap), dtype=coeffs.dtype)
-        # both as float64 columns: one per cell, or a real and an imaginary
-        # one per complex cell, which the coin steps as two real states
-        self._k = coeffs.itemsize // 8
-        self._cells_f, self._prod_f = self._cells.view(np.float64), self._prod.view(np.float64)
+        self._prod = np.empty((3, cap))
         self.active = L
         self.front = L
         self._left = max_steps
@@ -243,7 +237,7 @@ class ReducedEvolver:
         cpp, cpo, cpm = 2 * p - 1, 2 * np.sqrt(p * r), 2 * np.sqrt(p * q)
         coo, com, cmm = 2 * r - 1, 2 * np.sqrt(q * r), 2 * q - 1
         # the coin 2 v v^T - I, rows coined "-", new "o", coined "+" and
-        # columns x^+, x^o, x^-; it acts on real and imaginary parts alike
+        # columns x^+, x^o, x^-
         self._coin = np.array([[cpm, com, cmm], [cpo, coo, com], [cpp, cpo, cpm]])
         self._psi = np.sqrt(p), np.sqrt(r), np.sqrt(q)
 
@@ -255,9 +249,8 @@ class ReducedEvolver:
         xp, xo, xm = self.xp, self.xo, self.xm
         # a one-column product goes to gemv, which rounds unlike gemm, so it
         # takes two columns, and no cell's bits depend on M
-        k = self._k
-        w = max(k * M, 2)
-        np.matmul(self._coin, self._cells_f[:, k:k + w], out=self._prod_f[:, :w])
+        w = max(M, 2)
+        np.matmul(self._coin, self._cells[:, 1:1 + w], out=self._prod[:, :w])
         # shift: coined "-" moves down into xp[0 .. M-1], coined "+" up into
         # xm[2 .. M+1] and the root's "+" into xm[1]
         root = xp[0]
@@ -272,7 +265,7 @@ class ReducedEvolver:
         self.front = f
 
     def origin_probability(self) -> float:
-        return float(np.abs(self.xp[0]) ** 2)
+        return float(self.xp[0] ** 2)
 
     def _check_read(self, stratum: int) -> None:
         if stratum < 0:
@@ -302,14 +295,14 @@ class ReducedEvolver:
             raise RadiusTooSmallError("evolver stepped past its preallocated horizon")
         top = self.active + steps
         width = (top if self.reach is None else min(top, self.reach)) + 1
-        cells = np.empty((3, steps + 1, width), dtype=self._cells.dtype)
+        cells = np.empty((3, steps + 1, width))
         cells[:, 0] = self._cells[:, :width]
         for k in range(1, steps + 1):
             self.step()
             cells[:, k] = self._cells[:, :width]
         return _probabilities(cells)
 
-    def ladder_amplitude(self, stratum: int) -> float | complex:
+    def ladder_amplitude(self, stratum: int) -> float:
         """<Psi_n, state> at n = ``stratum``: x_0^+ at the root, else
         (sqrt(p) x_n^+ + sqrt(r) x_n^o) + sqrt(q) x_n^-, and 0 past ``active``."""
         self._check_read(stratum)
@@ -325,8 +318,7 @@ class ReducedEvolver:
             raise RadiusTooSmallError(
                 "an evolver with a reach holds stale cells; build it with reach=None")
         L = self.active
-        return ReducedState(self.xp[:L + 1].copy(), self.xo[:L + 1].copy(),
-                            self.xm[:L + 1].copy())
+        return ReducedState(self.xp[:L + 1], self.xo[:L + 1], self.xm[:L + 1])
 
 
 def stratum_state(params: PqParams, stratum: int) -> ReducedState:
@@ -415,7 +407,7 @@ def embed(g: Spidernet, state: ReducedState) -> np.ndarray:
     R = g.radius
     # amplitude tables per (direction, source stratum); direction codes
     # 0 = backward, 1 = intra, 2 = forward
-    table = np.zeros((3, R + 1), dtype=np.complex128)
+    table = np.zeros((3, R + 1))
     n = np.arange(L + 1)
     table[2, :L + 1] = state.xp / np.sqrt(a * np.power(float(c), n))
     if L >= 1:

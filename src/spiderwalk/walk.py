@@ -1,10 +1,11 @@
 """Grover walk U = SC on the half-edge space of a truncated spidernet.
 
-A walk state is a complex numpy vector indexed by the graph's half-edge
-order.  The coin C acts blockwise at each vertex u as the Grover matrix
-2/deg(u) - I on u's outgoing half-edges; the shift S sends the amplitude
-of (u, v) to (v, u).  Both are real orthogonal involutions, so U = SC is
-unitary with real matrix entries.
+A walk state is a real (float64) numpy vector indexed by the graph's
+half-edge order.  The coin C acts blockwise at each vertex u as the Grover
+matrix 2/deg(u) - I on u's outgoing half-edges; the shift S sends the
+amplitude of (u, v) to (v, u).  Both are real orthogonal involutions, so
+U = SC is real orthogonal: a complex state evolves as its real and
+imaginary parts, two real states, and the functions here refuse one.
 
 Starting from the isotropic state at the root, amplitude after k steps
 sits only on half-edges that leave strata <= k.  Step k + 1 coins only
@@ -16,12 +17,11 @@ about (n + K)/2, out to which those strata stay exact.
 
 Half-edges are numbered stratum by stratum, so the support of such an
 evolution is a prefix of the half-edge array.  :class:`GraphEvolver`, the
-one stepping kernel, steps only that prefix in place, in float64 for a
-real state.  Given the last step and the largest stratum K read, it also
-steps only the half-edges that can still reach a stratum <= K by then and
-reads only strata <= K, so a step near the end coins and shifts far fewer
-half-edges than the support holds.  Memory grows like ``c**R`` with the
-radius R, from the graph arrays.
+one stepping kernel, steps only that prefix in place.  Given the last step
+and the largest stratum K read, it also steps only the half-edges that can
+still reach a stratum <= K by then and reads only strata <= K, so a step
+near the end coins and shifts far fewer half-edges than the support holds.
+Memory grows like ``c**R`` with the radius R, from the graph arrays.
 """
 
 from __future__ import annotations
@@ -40,21 +40,29 @@ __all__ = [
 ]
 
 
-def _check_state(g: Spidernet, state: np.ndarray) -> None:
+def _check_state(g: Spidernet, state) -> np.ndarray:
+    """``state`` as a float64 array, if it is a real vector over g's
+    half-edges."""
+    state = np.asarray(state)
     if state.shape != (g.num_half_edges,):
         raise DimensionMismatchError(
             f"state has shape {state.shape}, expected ({g.num_half_edges},)")
+    if np.iscomplexobj(state):
+        raise DimensionMismatchError(
+            f"a walk state is real, got {state.dtype}: evolve its real and "
+            "imaginary parts as two states")
+    return state.astype(np.float64, copy=False)
 
 
 def _vertex_weights(g: Spidernet, psi: np.ndarray, n_vertices: int) -> np.ndarray:
-    return np.add.reduceat(np.abs(psi) ** 2, g.adj_ptr[:n_vertices])
+    return np.add.reduceat(np.square(psi), g.adj_ptr[:n_vertices])
 
 
 def isotropic_initial_state(g: Spidernet) -> np.ndarray:
     """Uniform superposition over the root's outgoing half-edges."""
     if g.radius < 1:
         raise RadiusTooSmallError("the root has no edges at radius 0")
-    state = np.zeros(g.num_half_edges, dtype=np.complex128)
+    state = np.zeros(g.num_half_edges)
     a = g.params.a
     state[:a] = 1.0 / np.sqrt(a)
     return state
@@ -64,12 +72,10 @@ class GraphEvolver:
     """In-place stepper for walks on the explicit graph, for ``max_steps``
     steps, read on strata 0..``reach``.
 
-    The state is stored as float64 when its imaginary part is zero (U is
-    real, so it stays real) and as complex128 otherwise.  ``top`` is the
-    highest stratum whose outgoing half-edges can hold amplitude; it starts
-    at the stratum of the state's last nonzero entry and grows by one per
-    step, up to the radius.  Cells past ``top`` are never written and stay
-    exactly zero.
+    The state is stored as float64.  ``top`` is the highest stratum whose
+    outgoing half-edges can hold amplitude; it starts at the stratum of the
+    state's last nonzero entry and grows by one per step, up to the radius.
+    Cells past ``top`` are never written and stay exactly zero.
 
     ``reach`` is the largest stratum the caller will read.  The coin mixes
     only the half-edges leaving one vertex and the shift moves a half-edge's
@@ -81,24 +87,26 @@ class GraphEvolver:
     strata <= w + 1, so the step coins only strata <= min(top, w + 1);
     coined cells past ``top`` were never written and are 0.  By induction
     on the steps, the half-edges leaving strata <= reach + s hold the bits
-    they hold with ``reach=None``: the coin reads only strata
-    <= min(top, reach + s + 1), which the step before wrote, sums each
-    vertex's half-edges as a wider coin does, and the shift copies.  Cells
-    left stale further out are never read again.  :meth:`stratum_distribution`
-    reads strata <= min(top, reach); :meth:`state` and stepping past
-    ``max_steps`` raise :class:`RadiusTooSmallError`.  ``reach=None`` steps
-    and reads every half-edge that can hold amplitude.
+    they hold with a reach of at least the radius: the coin reads only
+    strata <= min(top, reach + s + 1), which the step before wrote, sums
+    each vertex's half-edges as a wider coin does, and the shift copies.
+    Cells left stale further out are never read again.
+    :meth:`stratum_distribution` reads strata <= min(top, reach, radius).
+    ``reach=None`` is the radius: with reach >= radius nothing is cut, and
+    every half-edge that can hold amplitude is stepped and read.  Below it,
+    :meth:`state` raises :class:`RadiusTooSmallError`, as stepping past
+    ``max_steps`` does.
     """
 
     def __init__(self, g: Spidernet, state: np.ndarray, max_steps: int,
                  reach: int | None = None):
-        _check_state(g, state)
+        state = _check_state(g, state)
         if max_steps < 0:
             raise InvalidParamsError(f"max_steps must be non-negative, got {max_steps}")
         if reach is not None and reach < 0:
             raise InvalidParamsError(f"reach must be non-negative, got {reach}")
         self.g = g
-        self.reach = reach
+        self.reach = g.radius if reach is None else reach
         self._left = max_steps
         # half-edges and vertices of strata 0..k are the first _he_end[k]
         # and _v_end[k] of their arrays
@@ -108,9 +116,7 @@ class GraphEvolver:
         self.top = max((k for k, (lo, hi) in enumerate(zip(starts, self._he_end))
                         if state[lo:hi].any()), default=0)
         n = self._he_end[self.top]
-        if not state[:n].imag.any():
-            state = state.real
-        self._psi = np.zeros(g.num_half_edges, dtype=state.dtype)
+        self._psi = np.zeros(g.num_half_edges)
         self._psi[:n] = state[:n]
         # shifting the prefix reads coined cells up to two strata further
         # out; those are never written, so they stay zero
@@ -123,9 +129,7 @@ class GraphEvolver:
             raise RadiusTooSmallError("evolver stepped past its max_steps")
         self._left -= 1
         g = self.g
-        shifted = min(self.top + 1, g.radius)
-        if self.reach is not None:
-            shifted = min(shifted, self.reach + self._left)
+        shifted = min(self.top + 1, g.radius, self.reach + self._left)
         coined_top = min(self.top, shifted + 1)
         nv, n = self._v_end[coined_top], self._he_end[coined_top]
         # coin: 2/deg times the sum over each vertex's half-edges, minus psi;
@@ -142,21 +146,19 @@ class GraphEvolver:
     def stratum_distribution(self) -> np.ndarray:
         """Find probabilities aggregated per stratum (index = distance from
         root), of strata 0..min(radius, reach)."""
-        last = self.g.radius if self.reach is None else min(self.g.radius, self.reach)
+        last = min(self.g.radius, self.reach)
         top = min(self.top, last)
         weights = _vertex_weights(self.g, self._psi[:self._he_end[top]], self._v_end[top])
         return np.bincount(self.g.vertex_stratum[:len(weights)], weights=weights,
                            minlength=last + 1)
 
     def state(self) -> np.ndarray:
-        """The current state as a complex128 vector over all half-edges."""
-        if self.reach is not None:
+        """The current state, a copy over all half-edges."""
+        if self.reach < self.g.radius:
             raise RadiusTooSmallError(
-                "an evolver with a reach holds stale cells; build it with reach=None")
-        n = self._he_end[self.top]
-        out = np.zeros(self.g.num_half_edges, dtype=np.complex128)
-        out[:n] = self._psi[:n]
-        return out
+                "an evolver with a reach below the radius holds stale cells; "
+                "build it with reach=None")
+        return self._psi.copy()
 
 
 def evolve(g: Spidernet, state: np.ndarray, steps: int) -> np.ndarray:
@@ -199,7 +201,6 @@ def light_cone_radius(steps: int, strata: int) -> int:
 
 
 def vertex_distribution(g: Spidernet, state: np.ndarray) -> np.ndarray:
-    """Per-vertex find probabilities: sum of |amplitude|^2 over each
+    """Per-vertex find probabilities: sum of amplitude^2 over each
     vertex's outgoing half-edges."""
-    _check_state(g, state)
-    return _vertex_weights(g, state, g.num_vertices)
+    return _vertex_weights(g, _check_state(g, state), g.num_vertices)

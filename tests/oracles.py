@@ -319,11 +319,11 @@ def reduced_norm(s):
 
 
 def inner(s1, s2):
-    """Hermitian inner product <s1, s2> of two reduced states, conjugate-linear
-    in s1, as one vdot over both coefficient arrays zero-padded to one length."""
+    """Inner product <s1, s2> of two reduced states, as one vdot over both
+    coefficient arrays zero-padded to one length."""
     L = max(s1.length, s2.length)
     a, b = (np.pad(s.coefficients(), ((0, 0), (0, L - s.length))) for s in (s1, s2))
-    return complex(np.vdot(a, b))
+    return float(np.vdot(a, b))
 
 
 def ladder_step(params, cells, M):
@@ -332,8 +332,7 @@ def ladder_step(params, cells, M):
     "-", new "o", coined "+" and columns x^+, x^o, x^-, like the package's
     kernel, then shifted, and xp[M], xp[M + 1] are cleared.
 
-    The real and imaginary parts of complex cells are coined one after the
-    other.  The product takes cells 1 .. M + 1 and keeps M columns: gemm
+    The product takes cells 1 .. M + 1 and keeps M columns: gemm
     rounds each column alike at every width, and a one-column product
     would go to gemv, which rounds differently.  np.longdouble cells take
     numpy's own loop, in extended precision."""
@@ -343,11 +342,10 @@ def ladder_step(params, cells, M):
     coo, com, cmm = 2 * r - 1, 2 * math.sqrt(q * r), 2 * q - 1
     coin = np.array([[cpm, com, cmm], [cpo, coo, com], [cpp, cpo, cpm]])
     root = cells[0, 0]
-    for x in (cells.real, cells.imag) if np.iscomplexobj(cells) else (cells,):
-        cm, co, cp = coin @ np.ascontiguousarray(x[:, 1:M + 2])
-        x[0, 0:M] = cm[:M]
-        x[1, 1:M + 1] = co[:M]
-        x[2, 2:M + 2] = cp[:M]
+    cm, co, cp = coin @ np.ascontiguousarray(cells[:, 1:M + 2])
+    cells[0, 0:M] = cm[:M]
+    cells[1, 1:M + 1] = co[:M]
+    cells[2, 2:M + 2] = cp[:M]
     cells[2, 1] = root
     cells[0, M:M + 2] = 0.0
 

@@ -57,9 +57,7 @@ EVOLVER_CASES = [
 
 
 def _random_reduced(rng, length):
-    xp = rng.standard_normal(length + 1) + 1j * rng.standard_normal(length + 1)
-    xo = rng.standard_normal(length + 1) + 1j * rng.standard_normal(length + 1)
-    xm = rng.standard_normal(length + 1) + 1j * rng.standard_normal(length + 1)
+    xp, xo, xm = rng.standard_normal((3, length + 1))
     xo[0] = xm[0] = 0.0
     s = ReducedState(xp, xo, xm)
     scale = reduced_norm(s)
@@ -116,6 +114,18 @@ def test_reduced_state_basics():
         ReducedState([0.0], [1.0], [0.0])
     with pytest.raises(DimensionMismatchError):
         ReducedState([1.0, 0.0], [0.0], [0.0])
+    # the coefficients are float64 copies of the arguments, so that a state
+    # taken from an evolver, which passes views of its cells, stays put
+    xp = np.array([1.0, 0.0])
+    copied = ReducedState(xp, [0, 0], np.zeros(2, dtype=np.float32))
+    xp[0] = 2.0
+    assert copied.xp[0] == 1.0
+    assert copied.xp.dtype == copied.xo.dtype == copied.xm.dtype == np.float64
+    ev = ReducedEvolver(P463, s, 2)
+    ev.step()
+    taken = ev.state()
+    ev.step()
+    assert np.array_equal(taken.xm, [0.0, 1.0])
     z = ReducedState.zeros(3)
     assert z.length == 3 and reduced_norm(z) == 0.0
     c = s.coefficients()
@@ -200,7 +210,7 @@ def _cutoff_stratum_probabilities(vec, N):
 
 
 def test_evolver_matches_cutoff_walk():
-    # n evolver steps from Psi_m, and from a random complex state, against
+    # n evolver steps from Psi_m, and from a random state, against
     # U_N^n with N far enough out that the walk never meets the cutoff
     steps = 60
     rng = np.random.default_rng(3)
@@ -315,10 +325,7 @@ def test_ladder_amplitude_against_inner_product(params):
     # A state of length 6 fills 8 cells: l = 7 lies past the active strata
     # and l = 8 past the arrays, and both read 0.
     rng = np.random.default_rng(11)
-    complex_state = _random_reduced(rng, 6)
-    real_state = ReducedState(complex_state.xp.real, complex_state.xo.real,
-                              complex_state.xm.real)
-    for state in (complex_state, real_state):
+    for state in (_random_reduced(rng, 6), _random_reduced(rng, 6)):
         ev = ReducedEvolver(params, state, 0)
         assert ev.ladder_amplitude(0) == inner(stratum_state(params, 0), state)
         for l in range(1, 9):
@@ -379,17 +386,14 @@ def test_lightcone_truncation_is_exact(params):
         assert np.array_equal(rows, reads[:, 1:2])
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_stepped_cells_do_not_depend_on_the_width(dtype):
+def test_stepped_cells_do_not_depend_on_the_width():
     # one step of M cells for every M in 1 .. 70 and a few larger, against
     # the step of all of them: every stepped coefficient equal to the bit
     rng = np.random.default_rng(11)
     L = 3000
     start = _random_reduced(rng, L)
-    if dtype == np.float64:
-        start = ReducedState(start.xp.real, start.xo.real, start.xm.real)
     full = ReducedEvolver(P463, start, 1)
-    assert full.xp.dtype == dtype
+    assert full.xp.dtype == np.float64
     full.step()
     for M in [*range(1, 71), 1000, 2047, L - 1]:
         # the one step left coins cells 1 .. reach + 1
@@ -397,9 +401,8 @@ def test_stepped_cells_do_not_depend_on_the_width(dtype):
         ev.step()
         for got, want in ((ev.xp[:M], full.xp[:M]), (ev.xo[1:M + 1], full.xo[1:M + 1]),
                           (ev.xm[1:M + 2], full.xm[1:M + 2])):
-            for part in (np.real, np.imag):
-                assert np.array_equal(part(got), part(want))
-                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("N", [37, 100, 257])
@@ -451,14 +454,10 @@ def test_front_matches_the_unflushed_walk(abc):
 
 
 @pytest.mark.parametrize("params", EVOLVER_CASES)
-def test_step_matches_a_per_op_step_on_a_complex_state(params):
+def test_step_matches_a_per_op_step(params):
     # every cell of the evolver, and its front, against the oracle's step and
     # the same flush
-    start = stratum_state(params, 3)
-    phase = np.exp(0.7j)
-    ev = ReducedEvolver(params, ReducedState(phase * start.xp, phase * start.xo,
-                                             phase * start.xm), 1500)
-    assert ev.xp.dtype == np.complex128
+    ev = ReducedEvolver(params, stratum_state(params, 3), 1500)
     cells = np.stack([ev.xp, ev.xo, ev.xm])
     for _ in range(1500):
         M = ev.front
@@ -470,9 +469,8 @@ def test_step_matches_a_per_op_step_on_a_complex_state(params):
             f -= 1
         assert ev.front == f
         got = np.stack([ev.xp, ev.xo, ev.xm])
-        for part in (np.real, np.imag):
-            assert np.array_equal(part(got), part(cells))
-            assert np.array_equal(np.signbit(part(got)), np.signbit(part(cells)))
+        assert np.array_equal(got, cells)
+        assert np.array_equal(np.signbit(got), np.signbit(cells))
 
 
 @pytest.mark.parametrize("params", [
@@ -510,42 +508,17 @@ def test_ladder_rounding_against_a_long_double_ladder(abc, steps, reach, parent_
     assert err < 2 * parent_error
 
 
-def test_evolver_complex_state_is_phase_times_real():
-    rng = np.random.default_rng(7)
-    real = _random_reduced(rng, 5)
-    real = ReducedState(real.xp.real, real.xo.real, real.xm.real)
-    steps = 300
-    ev_real = ReducedEvolver(P463, real, steps)
-    assert ev_real.xp.dtype == np.float64
-    for _ in range(steps):
-        ev_real.step()
-    expected = ev_real.state().coefficients()
-    # multiplying by +-i is exact, so the result must be exactly +-i times the real one
-    for phase in (1j, -1j):
-        start = ReducedState(phase * real.xp, phase * real.xo, phase * real.xm)
-        ev = ReducedEvolver(P463, start, steps)
-        assert ev.xp.dtype == np.complex128
-        for _ in range(steps):
-            ev.step()
-        assert ev.xp.dtype == np.complex128
-        assert np.array_equal(ev.state().coefficients(), phase * expected)
-    # any other phase: real and imaginary parts evolve as two real states
-    phase = np.exp(0.7j)
-    parts = []
-    for scale in (phase.real, phase.imag):
-        ev = ReducedEvolver(P463, ReducedState(scale * real.xp, scale * real.xo,
-                                               scale * real.xm), steps)
-        for _ in range(steps):
-            ev.step()
-        parts.append(ev.state().coefficients())
-    ev = ReducedEvolver(P463, ReducedState(phase * real.xp, phase * real.xo,
-                                           phase * real.xm), steps)
-    for _ in range(steps):
-        ev.step()
-    got = ev.state().coefficients()
-    assert np.array_equal(got.real, parts[0].real)
-    assert np.array_equal(got.imag, parts[1].real)
-    assert np.max(np.abs(got - phase * expected)) < 1e-14
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_complex_reduced_states_are_refused(slot):
+    # the reduced walk is real, so a complex state is two real ones; a
+    # float64 cast would drop the imaginary part without a word
+    parts = [[1.0, 0.5], [0.0, 0.5], [0.0, 0.5]]
+    parts[slot] = np.array(parts[slot]) * np.exp(0.7j)
+    with pytest.raises(DimensionMismatchError):
+        ReducedState(*parts)
+    parts[slot] = parts[slot].real + 0j
+    with pytest.raises(DimensionMismatchError):
+        ReducedState(*parts)
 
 
 def test_inner_and_stratum_state():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from spiderwalk import (
 
 
 def _random_state(g, rng):
-    s = rng.standard_normal(g.num_half_edges) + 1j * rng.standard_normal(g.num_half_edges)
+    s = rng.standard_normal(g.num_half_edges)
     return s / np.linalg.norm(s)
 
 
@@ -75,7 +76,7 @@ def test_coin_swaps_degree_two_block():
     # on a path, the coin 2/2 - I at a degree-2 vertex is the swap matrix:
     # (1, 0) is coined onto (1, 2), which the shift moves to (2, 1)
     g = build_spidernet(SpidernetParams(1, 2, 1), 3)
-    s = np.zeros(g.num_half_edges, dtype=np.complex128)
+    s = np.zeros(g.num_half_edges)
     s[half_edge_index(g, 1, 0)] = 1.0
     out = evolve(g, s, 1)
     assert out[half_edge_index(g, 2, 1)] == 1.0
@@ -96,12 +97,12 @@ def test_involutions(sparse_walk):
 def test_shift_moves_basis_states(sparse_walk):
     g = build_spidernet(SpidernetParams(4, 6, 3), 2)
     coin, shift = sparse_walk(g)
-    s = np.zeros(g.num_half_edges, dtype=np.complex128)
+    s = np.zeros(g.num_half_edges)
     s[half_edge_index(g, 0, 2)] = 1.0
     out = evolve(g, s, 1)
     # the root's coin spreads (0, 2) as 2/4 - delta over its block, and the
     # shift moves the amplitude of each (0, v) onto (v, 0)
-    want = np.zeros(g.num_half_edges, dtype=np.complex128)
+    want = np.zeros(g.num_half_edges)
     for v in neighbors(g, 0):
         want[half_edge_index(g, v, 0)] = 0.5
     want[half_edge_index(g, 2, 0)] = -0.5
@@ -141,9 +142,10 @@ def test_support_growth(sparse_walk):
 
 
 def test_reality():
+    # U is real orthogonal, so a walk state is a real vector
     g = build_spidernet(SpidernetParams(4, 6, 3), 7)
     s = evolve(g, isotropic_initial_state(g), 5)
-    assert np.max(np.abs(s.imag)) < 1e-13
+    assert s.dtype == np.float64 and abs(np.linalg.norm(s) - 1.0) < 1e-14
 
 
 def test_rotation_equivariance():
@@ -201,6 +203,41 @@ def test_evolve_guards():
         vertex_distribution(g, s[:-1])
 
 
+def test_states_may_be_array_likes():
+    g = build_spidernet(SpidernetParams(4, 6, 3), 3)
+    s = isotropic_initial_state(g)
+    assert np.array_equal(evolve(g, list(s), 1), evolve(g, s, 1))
+    assert np.array_equal(vertex_distribution(g, [0.0] * g.num_half_edges),
+                          np.zeros(g.num_vertices))
+    for short in (list(s[:-1]), [0.0] * (g.num_half_edges + 1)):
+        with pytest.raises(DimensionMismatchError):
+            evolve(g, short, 1)
+        with pytest.raises(DimensionMismatchError):
+            vertex_distribution(g, short)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, s: GraphEvolver(g, s, 1),
+    lambda g, s: evolve(g, s, 1),
+    lambda g, s: vertex_distribution(g, s),
+], ids=["GraphEvolver", "evolve", "vertex_distribution"])
+def test_complex_states_are_refused_before_allocation(call):
+    # U is real, so a complex state is two real ones; a float64 cast would
+    # drop the imaginary part without a word
+    g = build_spidernet(SpidernetParams(4, 6, 3), 7)
+    s = isotropic_initial_state(g) * np.exp(0.7j)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError):
+            call(g, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s.nbytes // 8
+    with pytest.raises(DimensionMismatchError):
+        call(g, list(s))
+
+
 def _he_end(g, stratum):
     """Number of half-edges leaving strata <= stratum."""
     return g.adj_ptr[g.stratum_offsets[stratum + 1]]
@@ -215,38 +252,31 @@ def _he_end(g, stratum):
 def test_evolver_matches_step_loop(abc, radius, sparse_walk):
     g = build_spidernet(SpidernetParams(*abc), radius)
     coin, shift = sparse_walk(g)
-    iso = isotropic_initial_state(g)
-    phased = np.exp(0.7j) * iso
-    real_ev, cplx_ev = GraphEvolver(g, iso, radius), GraphEvolver(g, phased, radius)
-    assert real_ev._psi.dtype == np.float64 and cplx_ev._psi.dtype == np.complex128
-    ref, ref_phased = iso, phased
+    ref = isotropic_initial_state(g)
+    ev = GraphEvolver(g, ref, radius)
+    assert ev._psi.dtype == np.float64
     # up to the radius itself: the boundary's truncated coin never runs
     for n in range(1, radius + 1):
-        real_ev.step()
-        cplx_ev.step()
-        ref, ref_phased = shift @ (coin @ ref), shift @ (coin @ ref_phased)
-        assert real_ev.top == cplx_ev.top == n
+        ev.step()
+        ref = shift @ (coin @ ref)
+        assert ev.top == n
         # nothing past the prefix, in the reference or in the kernel's buffers
         assert not ref[_he_end(g, n):].any()
-        for ev in (real_ev, cplx_ev):
-            assert not ev._psi[_he_end(g, n):].any()
-            assert not ev._coined[_he_end(g, n - 1):].any()
-        assert np.max(np.abs(cplx_ev.state() - ref_phased)) <= 1e-15
-        full = real_ev.state()
-        assert full.dtype == np.complex128
+        assert not ev._psi[_he_end(g, n):].any()
+        assert not ev._coined[_he_end(g, n - 1):].any()
+        full = ev.state()
+        assert full.dtype == np.float64
         assert np.max(np.abs(full - ref)) <= 1e-15
-        _assert_strata(g, real_ev.stratum_distribution(), full)
+        _assert_strata(g, ev.stratum_distribution(), full)
 
 
 def test_evolver_arbitrary_states(sparse_walk):
     g = build_spidernet(SpidernetParams(4, 6, 3), 4)
     coin, shift = sparse_walk(g)
     rng = np.random.default_rng(17)
-    cplx = _random_state(g, rng)
-    real = cplx.real / np.linalg.norm(cplx.real)
-    basis = np.zeros(g.num_half_edges, dtype=np.complex128)
+    basis = np.zeros(g.num_half_edges)
     basis[half_edge_index(g, vertex_id(g, 2, 5), vertex_id(g, 3, 15))] = 1.0
-    for state, top in ((cplx, 4), (real + 0j, 4), (basis, 2)):
+    for state, top in ((_random_state(g, rng), 4), (basis, 2)):
         ev = GraphEvolver(g, state, 3)
         assert ev.top == top
         ref = state
@@ -393,3 +423,28 @@ def test_reach_guards():
         GraphEvolver(g, s, -1)
     with pytest.raises(InvalidParamsError):
         GraphEvolver(g, s, 3, reach=-1)
+
+
+@pytest.mark.parametrize("abc, radius, steps", [
+    ((4, 6, 3), 6, 6),
+    ((3, 4, 3), 7, 5),      # tree
+    ((4, 4, 2), 9, 9),
+])
+def test_reach_of_the_radius_or_more_is_no_reach(abc, radius, steps):
+    # reach=None is reach=radius: nothing past the radius is cut, so every
+    # step, read and whole state is the same to the bit, signs included
+    g = build_spidernet(SpidernetParams(*abc), radius)
+    s = isotropic_initial_state(g)
+    evs = [GraphEvolver(g, s, steps, reach=reach) for reach in (None, radius, radius + 3)]
+    assert [ev.reach for ev in evs] == [radius, radius, radius + 3]
+    for n in range(steps + 1):
+        if n:
+            for ev in evs:
+                ev.step()
+        want_dist, want_state = evs[0].stratum_distribution(), evs[0].state()
+        assert len(want_dist) == radius + 1
+        for ev in evs[1:]:
+            for got, want in ((ev.stratum_distribution(), want_dist),
+                              (ev.state(), want_state), (ev._psi, evs[0]._psi)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -3,10 +3,9 @@
     python3 tools/reach.py
 
 Runs, in-process under ``sys.setprofile``, every command that
-``tools/stdout_digest.py`` digests and every library job of the benchmark
-workloads at the same seeds (``perfbench/jobs.py``), as
-``perfbench/child.py`` runs it.  Then it prints one line per function and
-method defined in ``src/spiderwalk``, in source order,
+``tools/stdout_digest.py`` digests, the benchmark's library jobs included.
+Then it prints one line per function and method defined in
+``src/spiderwalk``, in source order,
 
     <module.qualname>  <number of commands>  <the commands>
 
@@ -19,15 +18,12 @@ functions that no command reaches.  Needs Python 3.11 or later, for
 from __future__ import annotations
 
 import collections
-import contextlib
 import inspect
-import io
 import os
 import sys
 
 import stdout_digest  # puts src/ and perfbench/ of this checkout on sys.path
 
-import child  # noqa: E402  (perfbench/child.py)
 import spiderwalk  # noqa: E402
 
 PACKAGE = os.path.dirname(os.path.abspath(spiderwalk.__file__))
@@ -76,17 +72,10 @@ def reached_by(label: str, run, reached: dict) -> None:
             reached[(module, code.co_qualname)].append(label)
 
 
-def _run_library(argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        child._run_library(spiderwalk, argv[1:])
-
-
 def main() -> int:
     reached = collections.defaultdict(list)
     for argv in stdout_digest.commands():
         reached_by(" ".join(argv), lambda: stdout_digest.digest(argv), reached)
-    for argv in {" ".join(argv): argv for argv in stdout_digest.job_commands(lib=True)}.values():
-        reached_by(" ".join(argv), lambda: _run_library(argv), reached)
     unreached = []
     for module, qualname in package_functions():
         labels = reached.get((module, qualname), [])

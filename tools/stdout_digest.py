@@ -10,9 +10,11 @@ in two checkouts and ``diff`` the two outputs: equal lines show that those
 commands print byte-identical stdout.
 
 The commands are the README's examples, every CLI job of the benchmark
-workloads at seeds 0-11 (from ``perfbench/jobs.py``; its library jobs have
-no argv), ``figure2``, ``verify`` and the fixed list below, which reaches
-the options and regimes the others leave out.
+workloads at seeds 0-11 (from ``perfbench/jobs.py``), ``figure2``,
+``verify``, the fixed list below, which reaches the options and regimes the
+others leave out, and last the benchmark's library jobs at the same seeds,
+``lib <function> ...``, each run and printed as
+``perfbench/child.py::_run_library`` does.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+import child  # noqa: E402  (perfbench/child.py)
 import jobs  # noqa: E402  (perfbench/jobs.py)
+import spiderwalk  # noqa: E402
 from spiderwalk import cli  # noqa: E402
 
 SEEDS = range(12)
@@ -114,8 +118,16 @@ def job_commands(lib: bool = False) -> list[list[str]]:
 
 def commands() -> list[list[str]]:
     """The argv of every command digested, each once, in order."""
-    unique = {" ".join(argv): argv for argv in readme_commands() + job_commands() + FIXED}
+    unique = {" ".join(argv): argv for argv in
+              readme_commands() + job_commands() + FIXED + job_commands(lib=True)}
     return list(unique.values())
+
+
+def run(argv: list[str]) -> int:
+    """Run one command, a CLI argv or a ``lib`` job, as the benchmark does."""
+    if argv[0] == "lib":
+        return child._run_library(spiderwalk, argv[1:])
+    return cli.main(list(argv))
 
 
 def digest(argv: list[str]) -> str:
@@ -124,7 +136,7 @@ def digest(argv: list[str]) -> str:
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(list(argv))
+            code = run(argv)
         note = "" if code == 0 else f"  # exit {code}"
     except Exception as exc:
         note = f"  # raised {type(exc).__name__}"

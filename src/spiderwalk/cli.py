@@ -225,8 +225,9 @@ def _cmd_spectrum(args) -> int:
         re, im = float(np.cos(theta)), float(np.sin(theta))
         rows.append([float(theta), re, im, 1, trace, expected])
         rows.append([float(theta), re, -im, 1, trace, expected])
-    rows.append([float(np.pi), -1.0, 0.0, system.minus_one_multiplicity,
-                 trace, expected])
+    if system.minus_one_multiplicity > 0:
+        rows.append([float(np.pi), -1.0, 0.0, system.minus_one_multiplicity,
+                     trace, expected])
     rows.sort(key=lambda r: (r[0], -r[2]))
     _emit(columns, rows, args)
     return 0

@@ -55,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidParamsError, ParamsOutOfRangeError
+from .errors import ParamsOutOfRangeError, checked_int
 from .graph import SpidernetParams
 from .reduction import PqParams, params_from_spidernet
 
@@ -150,8 +150,7 @@ def quadrature_nodes(degree: int) -> int:
     ParamsOutOfRangeError, before anything is allocated, when M would
     exceed MAX_QUADRATURE_NODES.
     """
-    if degree < 0:
-        raise InvalidParamsError(f"degree must be non-negative, got {degree}")
+    degree = checked_int("degree", degree, 0)
     if degree // 2 + 2 > MAX_QUADRATURE_NODES:
         raise ParamsOutOfRangeError(
             f"degree {degree} needs more than {MAX_QUADRATURE_NODES} quadrature nodes")
@@ -231,10 +230,7 @@ def amplitude_series(law: FreeMeixnerLaw, nmax: int, l: int = 0, m: int = 0) -> 
     term is one exponential of an integer times a, which neither
     overflows nor cancels however far l, m and n reach.
     """
-    if l < 0 or m < 0:
-        raise InvalidParamsError("ladder indices must be non-negative")
-    if nmax < 0:
-        raise InvalidParamsError(f"nmax must be non-negative, got {nmax}")
+    l, m, nmax = checked_int("l", l, 0), checked_int("m", m, 0), checked_int("nmax", nmax, 0)
     nodes = quadrature_nodes(nmax + l + m)
     x, one_minus_x, weight, ((a_1, g_1), (a_xi, g_xi)) = _rule(law, nodes)
 
@@ -313,8 +309,7 @@ def random_walk_return_series(law: FreeMeixnerLaw, nmax: int) -> np.ndarray:
     one :func:`_rule` of degree nmax, the atom's mass added to the weight of
     the pole node at xi.  As in :func:`amplitude_series`, a block n = s + j,
     j < B, is one (B x M) product of a fixed table of x^j with w x^s."""
-    if nmax < 0:
-        raise InvalidParamsError(f"nmax must be non-negative, got {nmax}")
+    nmax = checked_int("nmax", nmax, 0)
     nodes = quadrature_nodes(nmax)
     x, _, weight, ((a_1, g_1), (a_xi, g_xi)) = _rule(law, nodes)
     j, starts = _blocks(nmax, nodes)

@@ -19,9 +19,9 @@ and whose shift swaps psi_n^+ with psi_{n+1}^-.  Everything downstream
 
 The module provides the reduced state, its one evolution kernel
 :class:`ReducedEvolver` (in place, stepping only the cells inside the light
-cone of the read strata and short of the walk's underflow front, reading a
-stratum from its three coefficients, one step at a time or every step's
-probabilities in bulk), the drivers built on it (the amplitude series
+cone of the read strata and short of the walk's underflow front, and
+reading strata through one bulk copy of their three coefficients at every
+step), the drivers built on it (the amplitude series
 <Psi_l, U^n Psi_m> and the Cesaro averages of the stratum probabilities,
 whose origin value tends to w^2 / 2 for the atom mass w of
 :mod:`spiderwalk.meixner`), the isometric embedding back into a concrete
@@ -51,6 +51,7 @@ from .errors import (
     InvalidParamsError,
     ParamsOutOfRangeError,
     RadiusTooSmallError,
+    checked_int,
 )
 from .graph import Spidernet, SpidernetParams
 
@@ -152,8 +153,7 @@ class ReducedState:
 
     @classmethod
     def zeros(cls, length: int) -> "ReducedState":
-        if length >= MAX_LADDER_CELLS:
-            raise InvalidParamsError(f"length must be below {MAX_LADDER_CELLS}, got {length}")
+        length = checked_int("length", length, 0, MAX_LADDER_CELLS - 1)
         z = np.zeros(length + 1)
         return cls(z, z, z)
 
@@ -181,9 +181,10 @@ class ReducedEvolver:
     """In-place stepper for long reduced evolutions.
 
     Preallocates capacity for ``max_steps`` so that stepping never
-    reallocates; exposes cheap reads of a stratum's probability, one at a
-    time or over many steps in bulk, and of its amplitude on Psi_n.  The
-    coefficients are float64, like the state's.
+    reallocates, and reads a stratum's probability, one at a time or over
+    many steps in bulk; the coefficients are float64, like the state's.
+    The bulk read copies the cells of every step through :meth:`_cell_rows`,
+    which :func:`origin_amplitude_series` reads its amplitudes from too.
 
     A step updates cells ``1 .. M``, M = min(front, steps_left + reach + 1),
     by one product: the (3, 3) coin, rows coined "-", new "o", coined "+"
@@ -196,28 +197,28 @@ class ReducedEvolver:
 
     ``reach`` is the largest stratum the caller will read: a cell further
     out than ``steps_left + reach`` cannot influence a read stratum before
-    the horizon, so it goes stale, and reads beyond ``reach`` and
-    :meth:`state` then raise.  ``reach=None`` steps the whole support.
-    ``front`` is the last cell that may be nonzero.  Past the walk's front
-    the amplitude decays exponentially and underflows, so after a step
-    ``front`` = M + 1 retreats over the cells whose three coefficients all
-    lie below ``np.finfo(float).tiny`` and sets them to exactly 0; with
-    ``reach=None`` every cell past it is 0.  ``active``, the last stratum
-    the walk could have reached, grows by one per step.  The flush can move
-    roundings in cells of size 1: for S(., 10, 2), reach 0, the origin
-    series leaves an unflushed run's at step 19 139 and differs by up to
-    2.1e-15 at 2e4 steps; both lie ~8.6e-14 from a long-double run.
+    the horizon, so it goes stale.  ``reach=None`` is the capacity,
+    ``length + max_steps``: with reach >= active + steps_left, M is
+    ``front``, and the whole support is stepped.  A read of a stratum in
+    ``(reach, active]`` raises :class:`RadiusTooSmallError`, and so does
+    :meth:`state` below the capacity; a stratum past ``active`` reads 0 at
+    any reach.  ``front`` is the last cell that may be nonzero.  Past the
+    walk's front the amplitude decays exponentially and underflows, so
+    after a step ``front`` = M + 1 retreats over the cells whose three
+    coefficients all lie below ``np.finfo(float).tiny`` and sets them to
+    exactly 0.  ``active``, the last stratum the walk could have reached,
+    grows by one per step, and every cell past it is exactly 0.  The flush
+    can move roundings in cells of size 1: for S(., 10, 2), reach 0, the
+    origin series leaves an unflushed run's at step 19 139 and differs by
+    up to 2.1e-15 at 2e4 steps; both lie ~8.6e-14 from a long-double run.
     """
 
     def __init__(self, params: PqParams, state: ReducedState, max_steps: int,
                  reach: int | None = None):
-        L, room = state.length, MAX_LADDER_CELLS - state.length - 2
-        if not 0 <= max_steps <= room:
-            raise InvalidParamsError(f"max_steps must lie in 0..{room}, got {max_steps}")
-        if reach is not None and reach < 0:
-            raise InvalidParamsError(f"reach must be non-negative, got {reach}")
+        L = state.length
+        max_steps = checked_int("max_steps", max_steps, 0, MAX_LADDER_CELLS - L - 2)
         self.params = params
-        self.reach = reach
+        self.reach = L + max_steps if reach is None else checked_int("reach", reach, 0)
         cap = L + max_steps + 2
         # One buffer of 3 (cap + 1) cells.  Read as (3, cap), its rows are
         # xp, xo, xm, so that a read copies all three at once; read as
@@ -239,13 +240,12 @@ class ReducedEvolver:
         # the coin 2 v v^T - I, rows coined "-", new "o", coined "+" and
         # columns x^+, x^o, x^-
         self._coin = np.array([[cpm, com, cmm], [cpo, coo, com], [cpp, cpo, cpm]])
-        self._psi = np.sqrt(p), np.sqrt(r), np.sqrt(q)
 
     def step(self) -> None:
         if self._left <= 0:
             raise RadiusTooSmallError("evolver stepped past its preallocated horizon")
         self._left -= 1
-        M = self.front if self.reach is None else min(self.front, self._left + self.reach + 1)
+        M = min(self.front, self._left + self.reach + 1)
         xp, xo, xm = self.xp, self.xo, self.xm
         # a one-column product goes to gemv, which rounds unlike gemm, so it
         # takes two columns, and no cell's bits depend on M
@@ -265,20 +265,31 @@ class ReducedEvolver:
         self.front = f
 
     def origin_probability(self) -> float:
-        return float(self.xp[0] ** 2)
-
-    def _check_read(self, stratum: int) -> None:
-        if stratum < 0:
-            raise InvalidParamsError(f"stratum must be non-negative, got {stratum}")
-        if self.reach is not None and stratum > self.reach:
-            raise RadiusTooSmallError(
-                f"stratum {stratum} lies beyond the evolver's reach {self.reach}")
+        return self.stratum_probability(0)
 
     def stratum_probability(self, stratum: int) -> float:
-        self._check_read(stratum)
+        stratum = checked_int("stratum", stratum, 0)
         if stratum > self.active:
             return 0.0
+        if stratum > self.reach:
+            raise RadiusTooSmallError(
+                f"stratum {stratum} lies beyond the evolver's reach {self.reach}")
         return float(_probabilities(self._cells[:, stratum]))
+
+    def _cell_rows(self, steps: int, strata) -> np.ndarray:
+        """Copies of ``self._cells[:, strata]``, for an index or a slice, now
+        and after each of the next ``steps`` steps, into one buffer whose
+        axis 1 is the step: (3, steps + 1) or (3, steps + 1, width)."""
+        steps = checked_int("steps", steps, 0)
+        if steps > self._left:
+            raise RadiusTooSmallError("evolver stepped past its preallocated horizon")
+        now = self._cells[:, strata]
+        cells = np.empty((3, steps + 1) + now.shape[1:])
+        cells[:, 0] = now
+        for k in range(1, steps + 1):
+            self.step()
+            cells[:, k] = self._cells[:, strata]
+        return cells
 
     def stratum_probability_rows(self, steps: int) -> np.ndarray:
         """Probabilities of strata 0 .. min(reach, active + steps) now and
@@ -289,34 +300,14 @@ class ReducedEvolver:
         3 (steps + 1) (min(reach, active + steps) + 1) coefficients, and
         squared together at the end, per element as :meth:`stratum_probability`.
         """
-        if steps < 0:
-            raise InvalidParamsError(f"steps must be non-negative, got {steps}")
-        if steps > self._left:
-            raise RadiusTooSmallError("evolver stepped past its preallocated horizon")
-        top = self.active + steps
-        width = (top if self.reach is None else min(top, self.reach)) + 1
-        cells = np.empty((3, steps + 1, width))
-        cells[:, 0] = self._cells[:, :width]
-        for k in range(1, steps + 1):
-            self.step()
-            cells[:, k] = self._cells[:, :width]
-        return _probabilities(cells)
-
-    def ladder_amplitude(self, stratum: int) -> float:
-        """<Psi_n, state> at n = ``stratum``: x_0^+ at the root, else
-        (sqrt(p) x_n^+ + sqrt(r) x_n^o) + sqrt(q) x_n^-, and 0 past ``active``."""
-        self._check_read(stratum)
-        if stratum > self.active:
-            return 0.0
-        if stratum == 0:
-            return self.xp[0]
-        sp, sr, sq = self._psi
-        return (sp * self.xp[stratum] + sr * self.xo[stratum]) + sq * self.xm[stratum]
+        width = min(self.active + steps, self.reach) + 1
+        return _probabilities(self._cell_rows(steps, slice(0, width)))
 
     def state(self) -> ReducedState:
-        if self.reach is not None:
+        if self.reach < self.active + self._left:
             raise RadiusTooSmallError(
-                "an evolver with a reach holds stale cells; build it with reach=None")
+                "an evolver with a reach below its capacity holds stale cells; "
+                "build it with reach=None")
         L = self.active
         return ReducedState(self.xp[:L + 1], self.xo[:L + 1], self.xm[:L + 1])
 
@@ -324,8 +315,7 @@ class ReducedEvolver:
 def stratum_state(params: PqParams, stratum: int) -> ReducedState:
     """The unit ladder vector Psi_n: psi_0^+ for n = 0, otherwise
     sqrt(p) psi_n^+ + sqrt(r) psi_n^o + sqrt(q) psi_n^-."""
-    if stratum < 0:
-        raise InvalidParamsError(f"stratum must be non-negative, got {stratum}")
+    stratum = checked_int("stratum", stratum, 0)
     if stratum == 0:
         return ReducedState.origin()
     s = ReducedState.zeros(stratum)
@@ -346,10 +336,8 @@ def cesaro_strata(params: PqParams, horizon: int, max_stratum: int) -> np.ndarra
     Entry l is (1/N) sum_{n<N} P(X_n in V_l) for l = 0 .. max_stratum,
     horizon N, starting from the isotropic root state.
     """
-    if horizon < 1:
-        raise InvalidParamsError(f"horizon must be >= 1, got {horizon}")
-    if not 0 <= max_stratum < MAX_LADDER_CELLS:
-        raise InvalidParamsError(f"need 0 <= max_stratum < {MAX_LADDER_CELLS}, got {max_stratum}")
+    horizon = checked_int("horizon", horizon, 1)
+    max_stratum = checked_int("max_stratum", max_stratum, 0, MAX_LADDER_CELLS - 1)
     ev = ReducedEvolver(params, ReducedState.origin(), horizon - 1, reach=max_stratum)
     block = max(1, _BLOCK_CELLS // (min(max_stratum, horizon - 1) + 1))
     acc = np.zeros(max_stratum + 1)
@@ -371,18 +359,22 @@ def origin_amplitude_series(params: PqParams, nmax: int, l: int = 0, m: int = 0)
     the name is historical, from the default l = m = 0, the origin's return
     amplitudes.
 
-    One pass of the evolver from Psi_m with reach l; real values (the walk
-    matrix is real and the initial state is real).
+    One pass of the evolver from Psi_m with reach l copies stratum l's three
+    cells after every step, as its bulk probability read copies strata
+    0 .. reach, and reads Psi_l from the copies: x_0^+ at the root, else
+    (sqrt(p) x_l^+ + sqrt(r) x_l^o) + sqrt(q) x_l^- over all steps at once.
+    A stratum past m + nmax is never reached and reads 0 at every step.
+    The values are real: the walk matrix and the initial state are.
     """
-    if nmax < 0:
-        raise InvalidParamsError(f"nmax must be non-negative, got {nmax}")
+    nmax = checked_int("nmax", nmax, 0)
     ev = ReducedEvolver(params, stratum_state(params, m), nmax, reach=l)
-    out = np.empty(nmax + 1)
-    for k in range(nmax + 1):
-        if k > 0:
-            ev.step()
-        out[k] = ev.ladder_amplitude(l)
-    return out
+    l = ev.reach
+    if l > ev.active + nmax:
+        return np.zeros(nmax + 1)
+    xp, xo, xm = ev._cell_rows(nmax, l)
+    if l == 0:
+        return xp
+    return (np.sqrt(params.p) * xp + np.sqrt(params.r) * xo) + np.sqrt(params.q) * xm
 
 
 def embed(g: Spidernet, state: ReducedState) -> np.ndarray:
@@ -648,8 +640,7 @@ def u_eigensystem(params: PqParams, cutoff: int) -> UEigensystem:
     ConvergenceFailureError; a pq that underflows to 0, which leaves the
     band no width, raises ParamsOutOfRangeError, as the spectral law does.
     """
-    if not 2 <= cutoff <= MAX_CUTOFF:
-        raise InvalidParamsError(f"cutoff must lie in 2..{MAX_CUTOFF}, got {cutoff}")
+    cutoff = checked_int("cutoff", cutoff, 2, MAX_CUTOFF)
     if not params.p * params.q > 0:
         raise ParamsOutOfRangeError(
             f"pq underflows: the band of p={params.p}, q={params.q} has no width")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParamsError, RadiusTooSmallError
+from .errors import DimensionMismatchError, RadiusTooSmallError, checked_int
 from .graph import Spidernet
 
 __all__ = [
@@ -101,13 +101,9 @@ class GraphEvolver:
     def __init__(self, g: Spidernet, state: np.ndarray, max_steps: int,
                  reach: int | None = None):
         state = _check_state(g, state)
-        if max_steps < 0:
-            raise InvalidParamsError(f"max_steps must be non-negative, got {max_steps}")
-        if reach is not None and reach < 0:
-            raise InvalidParamsError(f"reach must be non-negative, got {reach}")
+        self._left = checked_int("max_steps", max_steps, 0)
+        self.reach = g.radius if reach is None else checked_int("reach", reach, 0)
         self.g = g
-        self.reach = g.radius if reach is None else reach
-        self._left = max_steps
         # half-edges and vertices of strata 0..k are the first _he_end[k]
         # and _v_end[k] of their arrays
         self._v_end = [int(v) for v in g.stratum_offsets[1:]]
@@ -168,8 +164,7 @@ def evolve(g: Spidernet, state: np.ndarray, steps: int) -> np.ndarray:
     half-edges, step k + 1 coins only half-edges leaving strata <= k, so
     the coin never runs at a boundary vertex with missing forward edges.
     """
-    if steps < 0:
-        raise InvalidParamsError(f"steps must be non-negative, got {steps}")
+    steps = checked_int("steps", steps, 0)
     if steps > g.radius:
         raise RadiusTooSmallError(
             f"evolving {steps} steps needs radius >= {steps}, graph has {g.radius}")

@@ -326,6 +326,21 @@ def inner(s1, s2):
     return float(np.vdot(a, b))
 
 
+def ladder_amplitude(ev, l):
+    """<Psi_l, state> of a ReducedEvolver's cells now: x_0^+ at the root,
+    else (sqrt(p) x_l^+ + sqrt(r) x_l^o) + sqrt(q) x_l^-, one scalar
+    expression a step, and 0 past ``active``.  It passes through the
+    evolver's stratum_probability first, so a negative or stale l raises
+    as that read does."""
+    ev.stratum_probability(l)
+    if l > ev.active:
+        return 0.0
+    if l == 0:
+        return ev.xp[0]
+    p, q, r = ev.params.p, ev.params.q, ev.params.r
+    return (np.sqrt(p) * ev.xp[l] + np.sqrt(r) * ev.xo[l]) + np.sqrt(q) * ev.xm[l]
+
+
 def ladder_step(params, cells, M):
     """One step of the reduced walk on (3, n) cells (xp, xo, xm), in place:
     cells 1 .. M are coined by one product with the (3, 3) coin, rows coined

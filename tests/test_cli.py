@@ -166,6 +166,22 @@ def test_spectrum(capsys):
     assert int(rows[-1][3]) == 8             # r = 0 flips it to N
 
 
+@pytest.mark.parametrize("argv, minus_one", [
+    (["4", "6", "3"], 0),
+    (["--pqr", "0.45", "0.44", "0.11"], 0),
+    (["3", "4", "3"], 2),                   # a tree, r = 0
+], ids=["S463", "pqr", "tree"])
+def test_spectrum_at_cutoff_two_prints_only_its_eigenvalues(capsys, argv, minus_one):
+    # U_2 has 3N - 1 = 5 eigenvalues: 1, conjugate pairs and, when r = 0,
+    # -1 twice; a -1 it does not have gets no row
+    code, out, _ = run_cli(capsys, "spectrum", *argv, "--cutoff", "2")
+    assert code == 0
+    _, rows = read_csv(out)
+    multiplicities = [int(r[3]) for r in rows]
+    assert min(multiplicities) > 0 and sum(multiplicities) == 5
+    assert sum(int(r[3]) for r in rows if float(r[1]) == -1.0) == minus_one
+
+
 def test_spectrum_with_float_equal_eigenvalues(capsys):
     # c = 1 (p = q): T_N has one eigenvalue near xi = -1/3 localized at the
     # root and one at the cutoff end, equal to the last bit at N = 300

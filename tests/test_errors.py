@@ -7,6 +7,9 @@ import importlib
 import pathlib
 import re
 
+import numpy as np
+import pytest
+
 import spiderwalk
 import spiderwalk.errors
 from spiderwalk import SpiderwalkError
@@ -124,3 +127,49 @@ def test_every_error_class_is_raised():
                if isinstance(obj, type) and issubclass(obj, SpiderwalkError)
                and obj is not SpiderwalkError}
     assert defined <= raised, sorted(defined - raised)
+
+
+_G = spiderwalk.build_spidernet(spiderwalk.SpidernetParams(4, 6, 3), 3)
+_S = spiderwalk.isotropic_initial_state(_G)
+_P = spiderwalk.PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
+_LAW = spiderwalk.law_from_pq(_P)
+
+
+def _origin_evolver(max_steps=2, reach=None):
+    return spiderwalk.ReducedEvolver(_P, spiderwalk.ReducedState.origin(), max_steps, reach)
+
+
+@pytest.mark.parametrize("call", [
+    lambda size: spiderwalk.GraphEvolver(_G, _S, size),
+    lambda size: spiderwalk.GraphEvolver(_G, _S, 3, reach=size),
+    lambda size: spiderwalk.evolve(_G, _S, size),
+    lambda size: _origin_evolver(size),
+    lambda size: _origin_evolver(reach=size),
+    lambda size: _origin_evolver().stratum_probability_rows(size),
+    lambda size: _origin_evolver().stratum_probability(size),
+    lambda size: spiderwalk.ReducedState.zeros(size),
+    lambda size: spiderwalk.cesaro_strata(_P, size, 1),
+    lambda size: spiderwalk.cesaro_strata(_P, 3, size),
+    lambda size: spiderwalk.origin_amplitude_series(_P, size),
+    lambda size: spiderwalk.origin_amplitude_series(_P, 2, size),
+    lambda size: spiderwalk.origin_amplitude_series(_P, 2, 0, size),
+    lambda size: spiderwalk.amplitude_series(_LAW, size),
+    lambda size: spiderwalk.amplitude_series(_LAW, 2, size),
+    lambda size: spiderwalk.amplitude_series(_LAW, 2, 0, size),
+    lambda size: spiderwalk.random_walk_return_series(_LAW, size),
+    lambda size: spiderwalk.u_eigensystem(_P, size),
+], ids=["graph-steps", "graph-reach", "evolve", "ladder-steps", "ladder-reach", "ladder-rows",
+        "ladder-read", "ladder-zeros",
+        "cesaro-horizon", "cesaro-strata", "origin-nmax", "origin-l", "origin-m",
+        "amplitude-nmax", "amplitude-l", "amplitude-m", "rwalk", "cutoff"])
+def test_sizes_must_be_integers(call):
+    # a float size raises InvalidParamsError, whole or not: it is neither
+    # rounded to a count of steps nor left to fail as a TypeError
+    for size in (2.5, 2.0, np.float64(2.0)):
+        with pytest.raises(spiderwalk.InvalidParamsError):
+            call(size)
+    # numpy integers are sizes, and give what the int gives
+    want = call(2)
+    got = call(np.int64(2))
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)

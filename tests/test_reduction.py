@@ -14,6 +14,7 @@ from oracles import (
     eigensystem_T,
     inner,
     jacobi_dense,
+    ladder_amplitude,
     ladder_step,
     orthonormal_sequence,
     reduced_norm,
@@ -128,6 +129,8 @@ def test_reduced_state_basics():
     assert np.array_equal(taken.xm, [0.0, 1.0])
     z = ReducedState.zeros(3)
     assert z.length == 3 and reduced_norm(z) == 0.0
+    with pytest.raises(InvalidParamsError):
+        ReducedState.zeros(-5)
     c = s.coefficients()
     assert c.shape == (3, 1) and c[0, 0] == 1.0 and np.count_nonzero(c) == 1
 
@@ -227,7 +230,7 @@ def test_evolver_matches_cutoff_walk():
                 ev.step()
                 assert np.max(np.abs(_to_cutoff(ev.state(), N) - vec)) < 1e-13
                 # <Psi_l, .> up to one stratum past the active ones, which reads 0
-                amps = [ev.ladder_amplitude(l) for l in range(ev.active + 2)]
+                amps = [ladder_amplitude(ev, l) for l in range(ev.active + 2)]
                 assert np.max(np.abs(amps - psi[:ev.active + 2] @ vec)) < 1e-13
                 probs = ev.stratum_probability_rows(0)[0]
                 want = _cutoff_stratum_probabilities(vec, N)
@@ -305,17 +308,91 @@ def test_evolver_read_guards():
     for _ in range(8):
         ev.step()
     ev.stratum_probability(2)
-    ev.ladder_amplitude(2)
+    ladder_amplitude(ev, 2)
     with pytest.raises(SpiderwalkError):
         ev.stratum_probability(3)
     with pytest.raises(RadiusTooSmallError):
-        ev.ladder_amplitude(3)
+        ladder_amplitude(ev, 3)
     with pytest.raises(SpiderwalkError):
         ev.stratum_probability(-1)
     with pytest.raises(InvalidParamsError):
-        ev.ladder_amplitude(-1)
+        ladder_amplitude(ev, -1)
     with pytest.raises(SpiderwalkError):
         ev.state()
+
+
+def test_reads_past_the_active_strata_are_zero_at_any_reach():
+    # cells past `active` are exactly 0, so a read there is 0.0 at reach 0
+    # and at the capacity (None) alike
+    for reach in (0, None):
+        ev = ReducedEvolver(P463, ReducedState.origin(), 10, reach=reach)
+        for _ in range(3):
+            ev.step()
+        for stratum in (4, 12, 10 ** 6):
+            assert ev.stratum_probability(stratum) == 0.0
+            assert not np.signbit(ev.stratum_probability(stratum))
+
+
+def test_stale_reads_raise():
+    # strata in (reach, active] hold stale cells
+    ev = ReducedEvolver(P463, ReducedState.origin(), 10, reach=2)
+    for _ in range(5):
+        ev.step()
+    ev.stratum_probability(2)
+    for stratum in (3, 4, 5):
+        with pytest.raises(RadiusTooSmallError):
+            ev.stratum_probability(stratum)
+        with pytest.raises(RadiusTooSmallError):
+            ladder_amplitude(ev, stratum)
+    assert ev.stratum_probability(6) == 0.0
+
+
+def test_state_needs_a_reach_of_the_capacity():
+    # the capacity is length + max_steps = 2 + 5
+    start = stratum_state(P463, 2)
+    short = ReducedEvolver(P463, start, 5, reach=6)
+    for n in range(6):
+        with pytest.raises(RadiusTooSmallError):
+            short.state()
+        if n < 5:
+            short.step()
+    full = ReducedEvolver(P463, start, 5, reach=7)
+    want = ReducedEvolver(P463, start, 5)
+    for n in range(6):
+        assert np.array_equal(full.state().coefficients(), want.state().coefficients())
+        if n < 5:
+            full.step()
+            want.step()
+
+
+@pytest.mark.parametrize("params", [P463, PTREE, PqParams(0.45, 0.44, 0.11)],
+                         ids=["S463", "tree", "pqr"])
+def test_reach_of_the_capacity_or_more_is_no_reach(params):
+    # reach=None is reach=length + max_steps: M = min(front, left + reach + 1)
+    # is front, so every step, read and state is the same to the bit, signs
+    # included
+    steps = 40
+    rng = np.random.default_rng(5)
+    for start in (ReducedState.origin(), stratum_state(params, 3), _random_reduced(rng, 3)):
+        cap = start.length + steps
+        evs = [ReducedEvolver(params, start, steps, reach=reach) for reach in (None, cap, cap + 3)]
+        assert [ev.reach for ev in evs] == [cap, cap, cap + 3]
+        for n in range(steps + 1):
+            if n:
+                for ev in evs:
+                    ev.step()
+            want_rows, want_state = evs[0].stratum_probability_rows(0), evs[0].state()
+            assert want_rows.shape == (1, evs[0].active + 1)
+            for ev in evs[1:]:
+                for got, want in ((ev.stratum_probability_rows(0), want_rows),
+                                  (ev.state().coefficients(), want_state.coefficients()),
+                                  (ev._cells, evs[0]._cells)):
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+        bulk = [ReducedEvolver(params, start, steps, reach=reach).stratum_probability_rows(steps)
+                for reach in (None, cap, cap + 3)]
+        assert bulk[0].shape == (steps + 1, cap + 1)
+        assert all(np.array_equal(rows, bulk[0]) for rows in bulk[1:])
 
 
 @pytest.mark.parametrize("params", EVOLVER_CASES)
@@ -327,11 +404,11 @@ def test_ladder_amplitude_against_inner_product(params):
     rng = np.random.default_rng(11)
     for state in (_random_reduced(rng, 6), _random_reduced(rng, 6)):
         ev = ReducedEvolver(params, state, 0)
-        assert ev.ladder_amplitude(0) == inner(stratum_state(params, 0), state)
+        assert ladder_amplitude(ev, 0) == inner(stratum_state(params, 0), state)
         for l in range(1, 9):
             want = inner(stratum_state(params, l), state)
-            assert abs(ev.ladder_amplitude(l) - want) < 1e-15, l
-        assert ev.ladder_amplitude(7) == ev.ladder_amplitude(8) == 0.0
+            assert abs(ladder_amplitude(ev, l) - want) < 1e-15, l
+        assert ladder_amplitude(ev, 7) == ladder_amplitude(ev, 8) == 0.0
 
 
 def _per_step_cells(ev, steps, upto):
@@ -350,7 +427,7 @@ def _per_step_reads(ev, steps, reach):
             ev.step()
         rows.append([ev.origin_probability()]
                     + [ev.stratum_probability(l) for l in range(reach + 1)]
-                    + [ev.ladder_amplitude(l) for l in range(reach + 1)])
+                    + [ladder_amplitude(ev, l) for l in range(reach + 1)])
     return np.array(rows)
 
 
@@ -796,12 +873,14 @@ def test_cutoff_independence():
     ev = ReducedEvolver(P463, stratum_state(P463, m), n, reach=l)
     for _ in range(n):
         ev.step()
-    assert abs(results[0] - ev.ladder_amplitude(l)) < 1e-12
+    assert abs(results[0] - ladder_amplitude(ev, l)) < 1e-12
 
 
 @pytest.mark.parametrize("abc, l, m, nmax", [
     ((4, 6, 3), 0, 0, 300), ((4, 6, 3), 3, 2, 60), ((6, 12, 9), 40, 7, 30),
     ((4, 4, 3), 1, 0, 40), ((4, 4, 3), 2, 5, 40), ((1, 10, 2), 0, 3, 2000),
+    # l = m + nmax, the last stratum reached, one past it, and far past it
+    ((4, 6, 3), 5, 2, 3), ((4, 6, 3), 6, 2, 3), ((4, 6, 3), 100000, 0, 10),
 ])
 def test_amplitude_series_is_the_interleaved_evolver_loop(abc, l, m, nmax):
     # one evolver from Psi_m with reach l, read at l after every step; the
@@ -812,7 +891,7 @@ def test_amplitude_series_is_the_interleaved_evolver_loop(abc, l, m, nmax):
     for n in range(nmax + 1):
         if n > 0:
             ev.step()
-        want.append(ev.ladder_amplitude(l))
+        want.append(ladder_amplitude(ev, l))
     want = np.array(want, dtype=float)
     got = origin_amplitude_series(params, nmax, l, m)
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import inner
+from oracles import inner, ladder_amplitude
 from spiderwalk import (
     GraphEvolver,
     ReducedEvolver,
@@ -22,6 +22,7 @@ from spiderwalk import (
     isotropic_initial_state,
     law_from_pq,
     law_from_spidernet,
+    origin_amplitude_series,
     params_from_spidernet,
     random_walk_return_series,
 )
@@ -138,8 +139,9 @@ def test_reduced_walk_matches_spectral_integral(sp, n, l, m):
     law = law_from_spidernet(sp)
     params = params_from_spidernet(sp)
     ev = _evolved(params, stratum_state(params, m), n)
-    got = ev.ladder_amplitude(l)
+    got = ladder_amplitude(ev, l)
     assert abs(got - inner(stratum_state(params, l), ev.state())) < 1e-15
+    assert origin_amplitude_series(params, n, l, m)[n] == got
     assert abs(amplitude_series(law, n, l, m)[n] - got) < 1e-12
 
 

@@ -81,6 +81,11 @@ FIXED = [
     ["rwalk", "--pqr", "0.5", "0.49999999", "0.00000001", "--nmax", "20"],
     ["rwalk", "31622", "999950884", "999919262", "--nmax", "2"],
     ["amplitude", "4", "6", "4", "--l", "100000", "--nmax", "1"],
+    # the reduced read's edges: the last stratum reached (l = m + nmax), the
+    # first past it, which reads zeros, and the root
+    ["amplitude", "4", "6", "3", "--l", "5", "--m", "2", "--nmax", "3"],
+    ["amplitude", "4", "6", "3", "--l", "6", "--m", "2", "--nmax", "3"],
+    ["amplitude", "4", "6", "3", "--l", "0", "--m", "2", "--nmax", "3"],
     ["rwalk", "--pqr", "0.4", "5e-324", "0.6", "--nmax", "1"],
     # long series on one rule, in many blocks
     ["amplitude", "4", "6", "3", "--nmax", "6000"],

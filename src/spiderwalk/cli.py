@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import verify as verify_mod
-from .errors import InvalidParamsError, SpiderwalkError
+from .errors import InvalidParamsError, SpiderwalkError, checked_int
 from .graph import SpidernetParams, build_spidernet
 from .meixner import (
     amplitude_series,
@@ -167,12 +167,6 @@ def _add_abc_or_pqr(sub) -> None:
                      default=None, help="raw reduced parameters instead of a b c")
 
 
-def _count(value: int, flag: str) -> int:
-    if value < 0:
-        raise InvalidParamsError(f"{flag} must be non-negative, got {value}")
-    return value
-
-
 def _require_abc(args, alternative: str | None = None) -> SpidernetParams:
     if args.a is None or args.b is None or args.c is None:
         instead = f" or {alternative}" if alternative else ""
@@ -184,8 +178,8 @@ def _require_abc(args, alternative: str | None = None) -> SpidernetParams:
 
 def _cmd_simulate(args) -> int:
     sp = _require_abc(args)
-    steps = _count(args.steps, "--steps")
-    n_strata = _count(args.strata, "--strata") if args.strata is not None else min(steps, 6)
+    steps = checked_int("--steps", args.steps, 0)
+    n_strata = checked_int("--strata", args.strata, 0) if args.strata is not None else min(steps, 6)
     n_cells = (steps + 1) * (n_strata + 2)
     if n_cells > MAX_TABLE_CELLS:
         raise InvalidParamsError(
@@ -236,10 +230,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_amplitude(args) -> int:
     params = _pq_from_args(args)
     law = _law_from_args(args, params)
-    l, m, nmax = _count(args.l, "--l"), _count(args.m, "--m"), _count(args.nmax, "--nmax")
-    # route 3 first: it refuses a degree past its quadrature budget before any work
-    integral = amplitude_series(law, nmax, l, m).tolist()
-    reduced = origin_amplitude_series(params, nmax, l, m).tolist()
+    # route 3 first: it refuses a negative size, or a degree past its
+    # quadrature budget, before any work
+    integral = amplitude_series(law, args.nmax, args.l, args.m).tolist()
+    reduced = origin_amplitude_series(params, args.nmax, args.l, args.m).tolist()
     columns = ["n", "integral", "reduced", "abs_diff"]
     rows = [[n, a, r, abs(a - r)] for n, (a, r) in enumerate(zip(integral, reduced))]
     _emit(columns, rows, args)
@@ -250,10 +244,8 @@ def _cmd_localize(args) -> int:
     columns = ["a", "b", "c", "localized", "w", "xi", "theta", "qbar_origin"]
     if args.sweep is not None:
         _reject_abc(args, "--sweep")
-        bmax, cmax = args.sweep
-        if bmax < 2 or cmax < 1:
-            raise InvalidParamsError(
-                f"--sweep needs BMAX >= 2 and CMAX >= 1, got {bmax} {cmax}")
+        bmax = checked_int("--sweep BMAX", args.sweep[0], 2)
+        cmax = checked_int("--sweep CMAX", args.sweep[1], 1)
         # one row per b - 1 = k in 1..bmax - 1 and c in 1..min(k, cmax)
         k, c = bmax - 1, min(bmax - 1, cmax)
         n_rows = c * (c + 1) // 2 + (k - c) * c
@@ -307,9 +299,8 @@ def _cmd_figure2(args) -> int:
 
 def _cmd_rwalk(args) -> int:
     law = _law_from_args(args, _pq_from_args(args))
-    nmax = _count(args.nmax, "--nmax")
     columns = ["n", "return_probability"]
-    rows = [[n, v] for n, v in enumerate(random_walk_return_series(law, nmax).tolist())]
+    rows = [[n, v] for n, v in enumerate(random_walk_return_series(law, args.nmax).tolist())]
     _emit(columns, rows, args)
     return 0
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError, UnrealizableWiringError
+from .errors import InvalidParamsError, UnrealizableWiringError, checked_int
 
 __all__ = [
     "SpidernetParams",
@@ -51,8 +51,10 @@ MAX_HALF_EDGES = 1 << 27
 class SpidernetParams:
     """Degree data (a, b, c) of a spidernet S(a, b, c).
 
-    Constraints: a >= 1, b >= 2, 1 <= c <= b - 1.  The spidernet is a
-    tree exactly when c = b - 1 (no intra-stratum edges).
+    Constraints: a >= 1, b >= 2, 1 <= c <= b - 1, each an integer; numpy
+    integers are accepted and stored as int, so that (b - c)**2 is exact.
+    A float or out-of-range value raises :class:`InvalidParamsError`.  The
+    spidernet is a tree exactly when c = b - 1 (no intra-stratum edges).
     """
 
     a: int
@@ -60,15 +62,10 @@ class SpidernetParams:
     c: int
 
     def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
-        if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
-            raise InvalidParamsError("spidernet parameters must be integers")
-        if a < 1:
-            raise InvalidParamsError(f"root degree a must be >= 1, got {a}")
-        if b < 2:
-            raise InvalidParamsError(f"vertex degree b must be >= 2, got {b}")
-        if not 1 <= c <= b - 1:
-            raise InvalidParamsError(f"forward degree c must satisfy 1 <= c <= b-1, got c={c}, b={b}")
+        b = checked_int("vertex degree b", self.b, 2)
+        object.__setattr__(self, "a", checked_int("root degree a", self.a, 1))
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", checked_int("forward degree c", self.c, 1, b - 1))
 
     @property
     def intra_degree(self) -> int:
@@ -80,7 +77,7 @@ class Spidernet:
     """A truncated spidernet: stratified vertex set, CSR adjacency, half-edge index.
 
     Do not construct directly; use :func:`build_spidernet`.  All arrays are
-    read-only views on the canonical wiring:
+    read-only (a write raises ValueError) and hold the canonical wiring:
 
     ``adj_ptr``/``adj``
         CSR adjacency; the neighbours of vertex ``u`` are
@@ -110,6 +107,9 @@ class Spidernet:
         # consecutively, so the half-edge order is lexicographic in
         # (src, dst); sorting by (dst, src) is then exactly the reversal map.
         self.reversal = np.lexsort((self.he_src, self.he_dst))
+        for array in (sizes, offsets, degrees, adj_ptr, adj, self.vertex_stratum,
+                      self.he_src, self.reversal):
+            array.flags.writeable = False
 
 
 def _wiring_checks(params: SpidernetParams, sizes: list[int]) -> None:
@@ -136,21 +136,21 @@ def build_spidernet(params: SpidernetParams, radius: int) -> Spidernet:
     params:
         Degree data of the spidernet.
     radius:
-        Number of strata to keep beyond the root.  Vertices in the last
+        Number of strata to keep beyond the root, an integer >= 0; a numpy
+        integer is accepted and stored as int.  Vertices in the last
         stratum are boundary vertices: they keep their backward and
         intra-stratum edges but have no forward edges.
 
     Raises
     ------
     InvalidParamsError
-        On a malformed radius or when the graph would have more than
+        On a float or negative radius, or when the graph would have more than
         ``MAX_HALF_EDGES`` half-edges.
     UnrealizableWiringError
         When b - c - 1 is odd while some stratum has odd size, or when a
         stratum is too small to host the circulant offsets.
     """
-    if not isinstance(radius, int) or radius < 0:
-        raise InvalidParamsError(f"radius must be a non-negative integer, got {radius}")
+    radius = checked_int("radius", radius, 0)
     a, b, c = params.a, params.b, params.c
     m = params.intra_degree
 

@@ -142,7 +142,8 @@ class ReducedState:
         if any(np.iscomplexobj(x) for x in (xp, xo, xm)):
             raise DimensionMismatchError(
                 "a reduced state is real: evolve its real and imaginary parts as two states")
-        if abs(xo[0]) > 0 or abs(xm[0]) > 0:
+        # written so that NaN fails the test
+        if not (xo[0] == 0 and xm[0] == 0):
             raise DimensionMismatchError("slot 0 has no intra or backward component")
         self.xp, self.xo, self.xm = (x.astype(np.float64) for x in (xp, xo, xm))
 

@@ -191,7 +191,10 @@ def light_cone_radius(steps: int, strata: int) -> int:
     the error reach stratum K by step N.  Inside that cone the kernel does
     the same arithmetic on the same cells at either radius, so the strata
     read are bit-identical.  The root has edges only from radius 1 on.
+    ``steps`` and ``strata`` are integers >= 0; numpy integers are accepted,
+    and a float or negative value raises :class:`InvalidParamsError`.
     """
+    steps, strata = checked_int("steps", steps, 0), checked_int("strata", strata, 0)
     return max(1, min(steps, (steps + strata) // 2 + 1))
 
 

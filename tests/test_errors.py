@@ -129,7 +129,8 @@ def test_every_error_class_is_raised():
     assert defined <= raised, sorted(defined - raised)
 
 
-_G = spiderwalk.build_spidernet(spiderwalk.SpidernetParams(4, 6, 3), 3)
+_SP = spiderwalk.SpidernetParams(4, 6, 3)
+_G = spiderwalk.build_spidernet(_SP, 3)
 _S = spiderwalk.isotropic_initial_state(_G)
 _P = spiderwalk.PqParams(0.5, 1.0 / 6.0, 1.0 / 3.0)
 _LAW = spiderwalk.law_from_pq(_P)
@@ -140,6 +141,12 @@ def _origin_evolver(max_steps=2, reach=None):
 
 
 @pytest.mark.parametrize("call", [
+    lambda size: spiderwalk.SpidernetParams(size, 6, 3),
+    lambda size: spiderwalk.SpidernetParams(4, size, 1),
+    lambda size: spiderwalk.SpidernetParams(4, 6, size),
+    lambda size: spiderwalk.build_spidernet(_SP, size),
+    lambda size: spiderwalk.light_cone_radius(size, 1),
+    lambda size: spiderwalk.light_cone_radius(3, size),
     lambda size: spiderwalk.GraphEvolver(_G, _S, size),
     lambda size: spiderwalk.GraphEvolver(_G, _S, 3, reach=size),
     lambda size: spiderwalk.evolve(_G, _S, size),
@@ -158,7 +165,8 @@ def _origin_evolver(max_steps=2, reach=None):
     lambda size: spiderwalk.amplitude_series(_LAW, 2, 0, size),
     lambda size: spiderwalk.random_walk_return_series(_LAW, size),
     lambda size: spiderwalk.u_eigensystem(_P, size),
-], ids=["graph-steps", "graph-reach", "evolve", "ladder-steps", "ladder-reach", "ladder-rows",
+], ids=["params-a", "params-b", "params-c", "radius", "cone-steps", "cone-strata",
+        "graph-steps", "graph-reach", "evolve", "ladder-steps", "ladder-reach", "ladder-rows",
         "ladder-read", "ladder-zeros",
         "cesaro-horizon", "cesaro-strata", "origin-nmax", "origin-l", "origin-m",
         "amplitude-nmax", "amplitude-l", "amplitude-m", "rwalk", "cutoff"])
@@ -173,3 +181,13 @@ def test_sizes_must_be_integers(call):
     got = call(np.int64(2))
     if isinstance(want, np.ndarray):
         assert np.array_equal(got, want)
+    # a size that is kept is kept as an int, whose arithmetic cannot wrap
+    if isinstance(want, spiderwalk.graph.Spidernet):
+        assert np.array_equal(got.adj, want.adj)
+        want, got = want.radius, got.radius
+    if isinstance(want, spiderwalk.SpidernetParams):
+        want, got = (want.a, want.b, want.c), (got.a, got.b, got.c)
+    if isinstance(want, int):
+        want, got = (want,), (got,)
+    if isinstance(want, tuple):
+        assert got == want and all(type(v) is int for v in got)

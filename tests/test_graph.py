@@ -56,6 +56,15 @@ def test_stratum_sizes_463():
     assert np.all(g.degrees[int(g.stratum_offsets[3]):] == 3)
 
 
+def test_arrays_are_read_only():
+    # the evolvers, embed and the reads trust the wiring they are given
+    g = build_spidernet(SpidernetParams(4, 6, 3), 2)
+    for name in ("stratum_sizes", "stratum_offsets", "degrees", "adj_ptr", "adj",
+                 "vertex_stratum", "he_src", "he_dst", "reversal"):
+        with pytest.raises(ValueError):
+            getattr(g, name)[0] = 1
+
+
 def test_tree_has_no_intra_edges():
     g = build_spidernet(SpidernetParams(3, 3, 2), 2)
     strata = g.vertex_stratum

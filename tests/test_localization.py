@@ -196,6 +196,9 @@ def test_classify():
     for b in (3, 5, 9):
         tree = classify(SpidernetParams(2, b, b - 1))
         assert not tree.localized and tree.w == 0
+    # numpy-integer parameters are stored as ints: (np.int64(10**10) - 1)**2 wraps
+    wide = SpidernetParams(np.int64(1), np.int64(10 ** 10), np.int64(1))
+    assert classify(wide) == classify(SpidernetParams(1, 10 ** 10, 1))
 
 
 def test_cesaro_origin_basics():

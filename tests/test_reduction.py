@@ -115,6 +115,11 @@ def test_reduced_state_basics():
         ReducedState([0.0], [1.0], [0.0])
     with pytest.raises(DimensionMismatchError):
         ReducedState([1.0, 0.0], [0.0], [0.0])
+    # NaN in slot 0 would make every origin probability NaN
+    with pytest.raises(DimensionMismatchError):
+        ReducedState([1.0], [np.nan], [0.0])
+    with pytest.raises(DimensionMismatchError):
+        ReducedState([1.0], [0.0], [np.nan])
     # the coefficients are float64 copies of the arguments, so that a state
     # taken from an evolver, which passes views of its cells, stays put
     xp = np.array([1.0, 0.0])

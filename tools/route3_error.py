@@ -8,7 +8,7 @@ Runs each such command of ``tools/stdout_digest.py`` in-process, from the
 hands its table writer (unrounded, before the 15 printed digits) and prints
 one ``<route 3 error>  <route 2 error>  <argv>`` line per command, each the
 largest absolute error over the rows: route 3 is the ``integral`` column of
-``amplitude`` and the ``return_amplitude`` column of ``rwalk``, route 2 the
+``amplitude`` and the ``return_probability`` column of ``rwalk``, route 2 the
 ``reduced`` column of ``amplitude`` (``-`` for ``rwalk``).  A command that
 fails prints ``refused``.  Then one ``-  <route 2 error>`` line for each
 long ``origin_amplitude_series`` in SERIES.  The references are independent

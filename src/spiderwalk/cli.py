@@ -1,7 +1,10 @@
 """Command line interface.
 
 Every subcommand emits a table, CSV by default or JSON records with
-``--format json``, to stdout or to ``-o FILE``.  Relative output paths
+``--format json``, to stdout or to ``-o FILE``.  Each subcommand's function
+returns the table's column names and rows, ``verify`` its exit status too,
+and :func:`main` alone prints it, so a command writes nothing itself and a
+failure anywhere leaves stdout empty.  Relative output paths
 are resolved against ``$SPIDERWALK_OUTPUT_DIR`` when that is set, and a
 path that names a directory or lies in none is refused before the command
 runs.  Floats are printed with 15 significant digits, as "%.15g" % v in
@@ -130,17 +133,18 @@ def _output_path(path: str) -> str:
     return path
 
 
-def _pq_from_args(args) -> PqParams:
+def _pq_from_args(args) -> tuple[SpidernetParams | None, PqParams]:
+    """The spidernet of ``a b c``, None with ``--pqr``, and its (p, q, r)."""
     if args.pqr is not None:
         _reject_abc(args, "--pqr")
-        p, q, r = args.pqr
-        return PqParams(p, q, r)
-    return params_from_spidernet(_require_abc(args, "--pqr P Q R"))
+        return None, PqParams(*args.pqr)
+    sp = _require_abc(args, "--pqr P Q R")
+    return sp, params_from_spidernet(sp)
 
 
-def _law_from_args(args, params: PqParams):
+def _law(sp: SpidernetParams | None, params: PqParams):
     # with a b c, the atom comes from (b, c) exactly
-    return law_from_pq(params) if args.pqr is not None else law_from_spidernet(_require_abc(args))
+    return law_from_pq(params) if sp is None else law_from_spidernet(sp)
 
 
 def _reject_abc(args, flag: str) -> None:
@@ -174,9 +178,9 @@ def _require_abc(args, alternative: str | None = None) -> SpidernetParams:
     return SpidernetParams(args.a, args.b, args.c)
 
 
-# -- subcommands -------------------------------------------------------------
+# -- subcommands: each returns (columns, rows), verify (columns, rows, status)
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     sp = _require_abc(args)
     steps = checked_int("--steps", args.steps, 0)
     n_strata = checked_int("--strata", args.strata, 0) if args.strata is not None else min(steps, 6)
@@ -202,13 +206,11 @@ def _cmd_simulate(args) -> int:
         probs = ev.stratum_probability_rows(steps)
     # both hold at most n_strata + 1 columns; strata the walk cannot reach read 0
     pad = [0.0] * (n_strata + 1 - probs.shape[1])
-    rows = [[n] + row + pad for n, row in enumerate(probs.tolist())]
-    _emit(columns, rows, args)
-    return 0
+    return columns, [[n] + row + pad for n, row in enumerate(probs.tolist())]
 
 
-def _cmd_spectrum(args) -> int:
-    params = _pq_from_args(args)
+def _cmd_spectrum(args):
+    _, params = _pq_from_args(args)
     N = args.cutoff
     system = u_eigensystem(params, N)
     trace = system.trace
@@ -223,24 +225,20 @@ def _cmd_spectrum(args) -> int:
         rows.append([float(np.pi), -1.0, 0.0, system.minus_one_multiplicity,
                      trace, expected])
     rows.sort(key=lambda r: (r[0], -r[2]))
-    _emit(columns, rows, args)
-    return 0
+    return columns, rows
 
 
-def _cmd_amplitude(args) -> int:
-    params = _pq_from_args(args)
-    law = _law_from_args(args, params)
+def _cmd_amplitude(args):
+    sp, params = _pq_from_args(args)
     # route 3 first: it refuses a negative size, or a degree past its
     # quadrature budget, before any work
-    integral = amplitude_series(law, args.nmax, args.l, args.m).tolist()
+    integral = amplitude_series(_law(sp, params), args.nmax, args.l, args.m).tolist()
     reduced = origin_amplitude_series(params, args.nmax, args.l, args.m).tolist()
     columns = ["n", "integral", "reduced", "abs_diff"]
-    rows = [[n, a, r, abs(a - r)] for n, (a, r) in enumerate(zip(integral, reduced))]
-    _emit(columns, rows, args)
-    return 0
+    return columns, [[n, a, r, abs(a - r)] for n, (a, r) in enumerate(zip(integral, reduced))]
 
 
-def _cmd_localize(args) -> int:
+def _cmd_localize(args):
     columns = ["a", "b", "c", "localized", "w", "xi", "theta", "qbar_origin"]
     if args.sweep is not None:
         _reject_abc(args, "--sweep")
@@ -258,8 +256,7 @@ def _cmd_localize(args) -> int:
         rep = classify(sp)
         rows = [[sp.a, sp.b, sp.c, rep.localized, float(rep.w), float(rep.xi),
                  rep.theta, float(rep.qbar_origin)]]
-    _emit(columns, rows, args)
-    return 0
+    return columns, rows
 
 
 def _sweep_rows(bmax: int, cmax: int) -> list[tuple]:
@@ -283,7 +280,7 @@ def _sweep_rows(bmax: int, cmax: int) -> list[tuple]:
     return list(zip([1] * len(b), *(column.tolist() for column in columns), qbar))
 
 
-def _cmd_figure2(args) -> int:
+def _cmd_figure2(args):
     sp = SpidernetParams(4, 6, 3)
     params = params_from_spidernet(sp)
     rep = classify(sp)
@@ -293,24 +290,18 @@ def _cmd_figure2(args) -> int:
     for n in range(620, 651):
         envelope = 0.25 * math.cos(n * rep.theta) ** 2
         rows.append([n, float(amps[n] ** 2), envelope, float(rep.qbar_origin)])
-    _emit(columns, rows, args)
-    return 0
+    return columns, rows
 
 
-def _cmd_rwalk(args) -> int:
-    law = _law_from_args(args, _pq_from_args(args))
-    columns = ["n", "return_probability"]
-    rows = [[n, v] for n, v in enumerate(random_walk_return_series(law, args.nmax).tolist())]
-    _emit(columns, rows, args)
-    return 0
+def _cmd_rwalk(args):
+    law = _law(*_pq_from_args(args))
+    series = random_walk_return_series(law, args.nmax).tolist()
+    return ["n", "return_probability"], [[n, v] for n, v in enumerate(series)]
 
 
-def _cmd_verify(args) -> int:
-    results = verify_mod.run_all()
-    columns = ["check", "passed", "detail"]
-    rows = [[name, ok, detail] for name, ok, detail in results]
-    _emit(columns, rows, args)
-    return 0 if all(ok for _, ok, _ in results) else 1
+def _cmd_verify(args):
+    rows = [[name, ok, detail] for name, ok, detail in verify_mod.run_all()]
+    return ["check", "passed", "detail"], rows, int(not all(ok for _, ok, _ in rows))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -397,7 +388,9 @@ def main(argv=None) -> int:
         args = _build_parser(command).parse_args(argv)
         if args.output:
             args.output = _output_path(args.output)
-        return args.func(args)
+        columns, rows, *status = args.func(args)
+        _emit(columns, rows, args)
+        return status[0] if status else 0
     except SpiderwalkError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)

@@ -112,7 +112,7 @@ class Spidernet:
             array.flags.writeable = False
 
 
-def _wiring_checks(params: SpidernetParams, sizes: list[int]) -> None:
+def _wiring_checks(params: SpidernetParams, radius: int) -> None:
     m = params.intra_degree
     if m == 0:
         return
@@ -120,12 +120,11 @@ def _wiring_checks(params: SpidernetParams, sizes: list[int]) -> None:
         raise UnrealizableWiringError(
             f"stratum of size {params.a} cannot host {m} distinct circulant "
             f"offsets; need a > b - c - 1")
-    if m % 2 == 1:
-        odd = [j for j in range(1, len(sizes)) if sizes[j] % 2 == 1]
-        if odd:
-            raise UnrealizableWiringError(
-                f"odd intra-stratum degree {m} needs even strata, but "
-                f"|V_{odd[0]}| = {sizes[odd[0]]} is odd (no 1-factor exists)")
+    # |V_j| = a c^(j-1) is odd for some j >= 1 exactly when a is odd
+    if m % 2 == 1 and radius >= 1 and params.a % 2 == 1:
+        raise UnrealizableWiringError(
+            f"odd intra-stratum degree {m} needs even strata, but "
+            f"|V_1| = {params.a} is odd (no 1-factor exists)")
 
 
 def build_spidernet(params: SpidernetParams, radius: int) -> Spidernet:
@@ -166,7 +165,7 @@ def build_spidernet(params: SpidernetParams, radius: int) -> Spidernet:
             raise InvalidParamsError(
                 f"radius {radius} needs more than the budget of "
                 f"{MAX_HALF_EDGES} half-edges")
-    _wiring_checks(params, sizes)
+    _wiring_checks(params, radius)
 
     sizes = np.array(sizes, dtype=np.int64)
     degrees = np.repeat(np.array(degs, dtype=np.int64), sizes)

@@ -130,7 +130,7 @@ class ReducedState:
     and xm[0] are kept at exactly zero.  The coefficients are float64
     copies of the arguments: the reduced walk is real orthogonal, so a
     complex state evolves as its real and imaginary parts, two real states,
-    and a complex argument is refused.
+    and a complex argument is refused, as is a NaN or infinite entry.
     """
 
     __slots__ = ("xp", "xo", "xm")
@@ -142,10 +142,11 @@ class ReducedState:
         if any(np.iscomplexobj(x) for x in (xp, xo, xm)):
             raise DimensionMismatchError(
                 "a reduced state is real: evolve its real and imaginary parts as two states")
-        # written so that NaN fails the test
-        if not (xo[0] == 0 and xm[0] == 0):
-            raise DimensionMismatchError("slot 0 has no intra or backward component")
         self.xp, self.xo, self.xm = (x.astype(np.float64) for x in (xp, xo, xm))
+        if not all(np.isfinite(x).all() for x in (self.xp, self.xo, self.xm)):
+            raise DimensionMismatchError("a reduced state is finite, got NaN or inf")
+        if self.xo[0] or self.xm[0]:
+            raise DimensionMismatchError("slot 0 has no intra or backward component")
 
     @classmethod
     def origin(cls) -> "ReducedState":

@@ -41,8 +41,8 @@ __all__ = [
 
 
 def _check_state(g: Spidernet, state) -> np.ndarray:
-    """``state`` as a float64 array, if it is a real vector over g's
-    half-edges."""
+    """``state`` as a float64 array, if it is a real, finite vector over
+    g's half-edges."""
     state = np.asarray(state)
     if state.shape != (g.num_half_edges,):
         raise DimensionMismatchError(
@@ -51,7 +51,10 @@ def _check_state(g: Spidernet, state) -> np.ndarray:
         raise DimensionMismatchError(
             f"a walk state is real, got {state.dtype}: evolve its real and "
             "imaginary parts as two states")
-    return state.astype(np.float64, copy=False)
+    state = state.astype(np.float64, copy=False)
+    if not np.isfinite(state).all():
+        raise DimensionMismatchError("a walk state is finite, got NaN or inf")
+    return state
 
 
 def _vertex_weights(g: Spidernet, psi: np.ndarray, n_vertices: int) -> np.ndarray:

@@ -128,6 +128,36 @@ def cesaro_limit(sp, l):
     return Fraction((b - c + 1) ** 2 + c - 1, 2 * c) * w * w * Fraction(c, (b - c) ** 2) ** l
 
 
+def exact_stratum_rows(sp, steps, strata):
+    """P(X_t in V_l) for t = 0 .. steps and l = 0 .. strata, as Fractions,
+    for the walk on the infinite S(a, b, c) from the isotropic root state.
+
+    The walk stays on class-constant vectors: one value each, F_n, I_n and
+    B_n, on the forward, intra and backward half-edges leaving stratum n.
+    Scaled by sqrt(a) b^t after t steps they are integers.  The coin takes
+    each v to 2 (c F_n + m I_n + B_n) - b v, and the root's F_0 to b F_0;
+    the shift sets F_n to the coined B_{n+1} and B_n to the coined F_{n-1},
+    and keeps I_n.  Stratum l >= 1 holds a c^(l-1) vertices, so
+    P(X_t in V_l) = c^(l-1) (c F_l^2 + m I_l^2 + B_l^2) / b^(2t), and the
+    root's is F_0^2 / b^(2t)."""
+    b, c, m = sp.b, sp.c, sp.intra_degree
+    size = max(steps, strata) + 2          # strata > t hold nothing at step t
+    F, I, B = [1] + [0] * (size - 1), [0] * size, [0] * size
+    rows = []
+    for t in range(steps + 1):
+        if t:
+            sums = [2 * (c * f + m * i + k) for f, i, k in zip(F, I, B)]
+            coined_F = [b * F[0]] + [s - b * v for s, v in zip(sums[1:], F[1:])]
+            coined_I = [0] + [s - b * v for s, v in zip(sums[1:], I[1:])]
+            coined_B = [0] + [s - b * v for s, v in zip(sums[1:], B[1:])]
+            F, I, B = coined_B[1:] + [0], coined_I, [0] + coined_F[:-1]
+        den = b ** (2 * t)
+        rows.append([Fraction(F[0] ** 2, den)]
+                    + [Fraction(c ** (l - 1) * (c * F[l] ** 2 + m * I[l] ** 2 + B[l] ** 2), den)
+                       for l in range(1, strata + 1)])
+    return rows
+
+
 def half_edge_permutation(g, vertex_perm):
     """(u, v) -> (perm[u], perm[v]); raises unless perm is an automorphism."""
     nv = np.int64(g.num_vertices)

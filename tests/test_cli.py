@@ -877,12 +877,39 @@ EVERY_COMMAND = [
 ]
 
 
+def command_table(argv):
+    """The column names and rows that ``argv``'s command returns to main,
+    which must exit 0."""
+    args = cli._build_parser().parse_args(argv)
+    columns, rows, *status = args.func(args)
+    assert status in ([], [0])
+    return columns, rows
+
+
 @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
-def test_cells_are_the_scalars_the_formatters_handle(monkeypatch, argv):
-    tables = []
-    monkeypatch.setattr(cli, "_emit", lambda columns, rows, args: tables.append(rows))
-    assert main(argv) == 0
-    (rows,) = tables
+def test_each_command_returns_the_table_main_prints(capsys, argv):
+    # the command writes nothing itself; main prints what it returns
+    columns, rows = command_table(argv)
+    assert capsys.readouterr() == ("", "")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and read_csv(out) == (columns, [[csv_text(v) for v in row] for row in rows])
+
+
+def test_verify_prints_its_table_and_exits_1_when_a_check_fails(capsys, monkeypatch):
+    checks = list(verify._CHECKS)
+    checks[2] = (checks[2][0], lambda: (False, "forced"))
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 1 and err == ""
+    header, rows = read_csv(out)
+    assert header == ["check", "passed", "detail"] and len(rows) == len(checks)
+    assert [row[1] for row in rows] == ["false" if k == 2 else "true" for k in range(len(rows))]
+    assert rows[2][2] == "forced"
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_cells_are_the_scalars_the_formatters_handle(argv):
+    _, rows = command_table(argv)
     assert rows and len(set(map(len, rows))) == 1
     # each column holds one kind of cell that _emit prints: floats
     # (np.float64 among them), bools, ints or strs
@@ -892,13 +919,10 @@ def test_cells_are_the_scalars_the_formatters_handle(monkeypatch, argv):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
-def test_every_table_prints_as_the_reference_formatter(capsys, monkeypatch, argv, fmt):
-    tables, emit = [], cli._emit
-    monkeypatch.setattr(cli, "_emit", lambda columns, rows, args: (
-        tables.append((columns, rows)), emit(columns, rows, args)))
+def test_every_table_prints_as_the_reference_formatter(capsys, argv, fmt):
+    columns, rows = command_table(argv)
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
-    (columns, rows), = tables
     assert out == reference_table(columns, rows, fmt)
 
 

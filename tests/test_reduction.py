@@ -120,6 +120,11 @@ def test_reduced_state_basics():
         ReducedState([1.0], [np.nan], [0.0])
     with pytest.raises(DimensionMismatchError):
         ReducedState([1.0], [0.0], [np.nan])
+    # past slot 0 too, where a NaN or inf would spread into every row
+    for bad in (([1, np.nan], [0, 0], [0, 0]), ([1, 0], [0, np.inf], [0, 0]),
+                ([1, 0], [0, 0], [0, -np.inf])):
+        with pytest.raises(DimensionMismatchError):
+            ReducedState(*bad)
     # the coefficients are float64 copies of the arguments, so that a state
     # taken from an evolver, which passes views of its cells, stays put
     xp = np.array([1.0, 0.0])

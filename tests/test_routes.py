@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import inner, ladder_amplitude
+from oracles import exact_stratum_rows, inner, ladder_amplitude
 from spiderwalk import (
     GraphEvolver,
     ReducedEvolver,
@@ -22,6 +22,7 @@ from spiderwalk import (
     isotropic_initial_state,
     law_from_pq,
     law_from_spidernet,
+    light_cone_radius,
     origin_amplitude_series,
     params_from_spidernet,
     random_walk_return_series,
@@ -90,6 +91,69 @@ def graph_walks(draw):
     sp = draw(spidernets())
     n_max = max(n for n in range(7) if n == 0 or half_edges(sp, n + 1) <= MAX_DRAWN_HALF_EDGES)
     return sp, draw(st.integers(0, n_max))
+
+
+@st.composite
+def small_spidernets(draw):
+    """S(a, b, c) with a, b <= 12 and any c, realizable or not, so that
+    trees and the threshold (b - c)^2 = c are among the draws."""
+    a, b = draw(st.integers(1, 12)), draw(st.integers(2, 12))
+    return SpidernetParams(a, b, draw(st.integers(1, b - 1)))
+
+
+def realizable(sp):
+    m = sp.intra_degree
+    return m == 0 or (sp.a > m and (m % 2 == 0 or sp.a % 2 == 0))
+
+
+@st.composite
+def graph_tables(draw):
+    """(S(a, b, c), steps, strata) for realizable small_spidernets(), with
+    steps <= 12, at most as many as keep the graph at the light cone's
+    radius within MAX_DRAWN_HALF_EDGES."""
+    sp = draw(small_spidernets().filter(realizable))
+    strata = draw(st.integers(0, 13))
+    n_max = max(n for n in range(13)
+                if half_edges(sp, light_cone_radius(n, strata)) <= MAX_DRAWN_HALF_EDGES)
+    return sp, draw(st.integers(0, n_max)), strata
+
+
+def _assert_rows_within(rows, sp, steps, strata, bound):
+    """Row t = 0 .. steps holds P(X_t in V_l), l = 0 .. strata, to within
+    bound(l, exact value), where strata past its width are 0."""
+    for row, want in zip(rows, exact_stratum_rows(sp, steps, max(steps, strata)), strict=True):
+        assert sum(want) == 1             # the oracle's strata hold the whole walk
+        cells = list(row) + [0.0] * (strata + 1 - len(row))
+        for l, (v, p) in enumerate(zip(cells, want)):
+            assert abs(Fraction(float(v)) - p) <= bound(l, p), (l, float(v), float(p))
+
+
+@given(small_spidernets(), st.integers(0, 40), st.integers(0, 41))
+@example(SpidernetParams(3, 4, 3), 11, 11)
+@example(SpidernetParams(11, 4, 3), 8, 8)
+def test_reduced_rows_match_the_exact_rows(sp, steps, strata):
+    ev = ReducedEvolver(params_from_spidernet(sp), ReducedState.origin(), steps, reach=strata)
+    _assert_rows_within(ev.stratum_probability_rows(steps), sp, steps, strata,
+                        lambda l, p: Fraction(steps + 1, 2 ** 51))
+
+
+@given(graph_tables())
+@example((SpidernetParams(3, 4, 3), 11, 11))
+@example((SpidernetParams(11, 4, 3), 8, 8))
+def test_graph_rows_match_the_exact_rows(table):
+    # stratum_distribution sums a stratum's |V_l| vertex weights one after
+    # another, so its error grows with |V_l| P_l
+    sp, steps, strata = table
+    g = build_spidernet(sp, light_cone_radius(steps, strata))
+    ev = GraphEvolver(g, isotropic_initial_state(g), steps, reach=strata)
+    rows = []
+    for n in range(steps + 1):
+        if n:
+            ev.step()
+        rows.append(ev.stratum_distribution())
+    size = [1] + [sp.a * sp.c ** (l - 1) for l in range(1, strata + 1)]
+    _assert_rows_within(rows, sp, steps, strata,
+                        lambda l, p: (size[l] * p + steps + 1) / 2 ** 51)
 
 
 def _evolved(params, start, n):

@@ -216,11 +216,15 @@ def test_states_may_be_array_likes():
             vertex_distribution(g, short)
 
 
-@pytest.mark.parametrize("call", [
+# the three entry points that take a walk state
+state_calls = pytest.mark.parametrize("call", [
     lambda g, s: GraphEvolver(g, s, 1),
     lambda g, s: evolve(g, s, 1),
     lambda g, s: vertex_distribution(g, s),
 ], ids=["GraphEvolver", "evolve", "vertex_distribution"])
+
+
+@state_calls
 def test_complex_states_are_refused_before_allocation(call):
     # U is real, so a complex state is two real ones; a float64 cast would
     # drop the imaginary part without a word
@@ -236,6 +240,17 @@ def test_complex_states_are_refused_before_allocation(call):
     assert peak < s.nbytes // 8
     with pytest.raises(DimensionMismatchError):
         call(g, list(s))
+
+
+@state_calls
+def test_nonfinite_states_are_refused(call):
+    # a NaN on one half-edge would read NaN in its stratum after a step
+    g = build_spidernet(SpidernetParams(4, 6, 3), 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        s = isotropic_initial_state(g)
+        s[1] = bad
+        with pytest.raises(DimensionMismatchError):
+            call(g, s)
 
 
 def _he_end(g, stratum):

@@ -5,7 +5,7 @@ command of the digest.
 
 Runs each such command of ``tools/stdout_digest.py`` in-process, from the
 ``src/`` of the checkout the script sits in, keeps the rows the command
-hands its table writer (unrounded, before the 15 printed digits) and prints
+returns to ``cli.main`` (unrounded, before the 15 printed digits) and prints
 one ``<route 3 error>  <route 2 error>  <argv>`` line per command, each the
 largest absolute error over the rows: route 3 is the ``integral`` column of
 ``amplitude`` and the ``return_probability`` column of ``rwalk``, route 2 the
@@ -26,8 +26,6 @@ checkouts and compare the columns.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import math
 import os
 import sys
@@ -38,7 +36,13 @@ sys.path[:0] = [ROOT, os.path.join(os.path.dirname(ROOT), "tests")]
 
 import stdout_digest  # noqa: E402  (sets up src/ and perfbench/ on the path)
 from oracles import chebyshev_amplitudes  # noqa: E402
-from spiderwalk import SpidernetParams, cli, origin_amplitude_series, params_from_spidernet  # noqa: E402
+from spiderwalk import (  # noqa: E402
+    SpidernetParams,
+    SpiderwalkError,
+    cli,
+    origin_amplitude_series,
+    params_from_spidernet,
+)
 
 # (b, c, nmax) of route 2's long origin series: the ladder jobs' horizon,
 # and the horizon where the underflow front moves digits of S(., 10, 2)
@@ -84,21 +88,18 @@ def max_error(got, want) -> str:
 def route_errors(argv: list[str]) -> str:
     """Route 3's and route 2's largest |value - reference| over the rows of
     one command."""
-    tables = []
-    cli_emit = cli._emit
-    cli._emit = lambda names, rows, args: tables.append(rows)
     try:
-        with contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(list(argv))
-    finally:
-        cli._emit = cli_emit
-    if code != 0 or not tables:
+        args = cli._build_parser().parse_args(argv)
+        if args.output:
+            cli._output_path(args.output)   # cli.main refuses a bad -o first
+        _, rows = args.func(args)
+    except SpiderwalkError:
         return "refused"
     pqr = exact_pqr(argv)
     if argv[0] == "rwalk":
-        return max_error([row[1] for row in tables[0]], exact_moments(pqr, flag(argv, "--nmax"))) + "  -"
+        return max_error([row[1] for row in rows], exact_moments(pqr, flag(argv, "--nmax"))) + "  -"
     want = chebyshev_amplitudes(pqr, flag(argv, "--l"), flag(argv, "--m"), flag(argv, "--nmax"))
-    return "  ".join(max_error([row[k] for row in tables[0]], want) for k in (1, 2))
+    return "  ".join(max_error([row[k] for row in rows], want) for k in (1, 2))
 
 
 def main() -> int:

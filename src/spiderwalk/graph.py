@@ -21,6 +21,8 @@ rotationally symmetric around the root.
 Vertices are numbered stratum by stratum; each vertex's neighbours are
 listed in ascending order (backward, intra, forward), which also makes
 the global half-edge order the lexicographic order on (source, target).
+The graph keeps only the sizes, offsets and degrees of its strata: the
+wiring above places every half-edge and its reverse in closed form.
 """
 
 from __future__ import annotations
@@ -38,12 +40,13 @@ __all__ = [
     "MAX_HALF_EDGES",
 ]
 
-# A cap on the half-edges of one graph.  Each takes three int64 entries (adj,
-# he_src, reversal) and a GraphEvolver two float64 ones (the state and its
-# coin's output); with the build's temporaries, the peak RSS of
-# ``simulate --full`` measured 50-64 B a half-edge from 4.3 M to 38 M
-# half-edges, so ~7 GB at the cap.  Larger radii are rejected before anything
-# is allocated.
+# A cap on the half-edges of one graph.  The graph itself holds a few entries
+# per stratum; a GraphEvolver holds two float64 entries a half-edge (the state
+# and its coin's output), one int64 index entry an intra half-edge and three
+# entries a vertex, and its coin one float64 temporary a half-edge.  The peak
+# RSS of ``simulate --full`` measured 37 B a half-edge at 4.3 M half-edges and
+# 27-31 B from 13 M to 43 M, so ~4 GB at the cap.  Larger radii are rejected
+# before anything is allocated.
 MAX_HALF_EDGES = 1 << 27
 
 
@@ -74,54 +77,53 @@ class SpidernetParams:
 
 
 class Spidernet:
-    """A truncated spidernet: stratified vertex set, CSR adjacency, half-edge index.
+    """A truncated spidernet, held as the sizes and degrees of its strata.
 
     Do not construct directly; use :func:`build_spidernet`.  All arrays are
-    read-only (a write raises ValueError) and hold the canonical wiring:
+    read-only (a write raises ValueError) and hold one entry per stratum:
 
-    ``adj_ptr``/``adj``
-        CSR adjacency; the neighbours of vertex ``u`` are
-        ``adj[adj_ptr[u]:adj_ptr[u+1]]``, sorted ascending.
-    ``he_src``/``he_dst``
-        Endpoint vertices of each half-edge (ordered pair).  Half-edge k is
-        the k-th pair in lexicographic (src, dst) order.
-    ``reversal``
-        Permutation with ``(he_src[reversal[k]], he_dst[reversal[k]]) ==
-        (he_dst[k], he_src[k])``; an involution.
+    ``stratum_sizes``
+        ``|V_j|``, the vertices of stratum j.
+    ``stratum_offsets``
+        Vertex ids, with ``stratum_offsets[j]`` the first id of V_j and a last
+        entry ``num_vertices``.
+    ``stratum_degrees``
+        The degree of every vertex of stratum j: a at the root (0 at radius
+        0), b inside and b - c on the boundary stratum, whose vertices keep
+        their backward and intra-stratum half-edges.
+    ``half_edge_offsets``
+        Half-edges, with ``half_edge_offsets[j]`` the first half-edge leaving
+        V_j and a last entry ``num_half_edges``.
+
+    A walk state lists the half-edges vertex by vertex, so stratum j's
+    half-edges are a C-contiguous ``(|V_j|, deg_j)`` block of it, and strata
+    1..R-1 together one ``(num_vertices - 1 - |V_R|, b)`` block.  Each row
+    lists the backward half-edge, then the b - c - 1 intra-stratum ones in
+    ascending target order, then the c forward ones; vertex (j, i)'s k-th
+    forward half-edge leads to vertex (j + 1, c i + k).
     """
 
-    def __init__(self, params, radius, sizes, offsets, degrees, adj_ptr, adj):
+    def __init__(self, params, radius, sizes, degrees):
         self.params: SpidernetParams = params
         self.radius: int = radius
-        self.stratum_sizes = sizes            # sizes[j] = |V_j|
-        self.stratum_offsets = offsets        # offsets[j] = first vid of V_j
-        self.degrees = degrees
-        self.adj_ptr = adj_ptr
-        self.adj = adj
-        self.num_vertices = int(offsets[-1])
-        self.num_half_edges = int(adj_ptr[-1])
-        self.vertex_stratum = np.repeat(np.arange(radius + 1), sizes)
-        self.he_src = np.repeat(np.arange(self.num_vertices), degrees)
-        self.he_dst = adj
-        # Per-vertex neighbour lists are ascending and strata are laid out
-        # consecutively, so the half-edge order is lexicographic in
-        # (src, dst); sorting by (dst, src) is then exactly the reversal map.
-        self.reversal = np.lexsort((self.he_src, self.he_dst))
-        for array in (sizes, offsets, degrees, adj_ptr, adj, self.vertex_stratum,
-                      self.he_src, self.reversal):
+        self.stratum_sizes = sizes = np.array(sizes, dtype=np.int64)
+        self.stratum_degrees = degrees = np.array(degrees, dtype=np.int64)
+        self.stratum_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.half_edge_offsets = np.concatenate(([0], np.cumsum(sizes * degrees)))
+        self.num_vertices = int(self.stratum_offsets[-1])
+        self.num_half_edges = int(self.half_edge_offsets[-1])
+        for array in (sizes, degrees, self.stratum_offsets, self.half_edge_offsets):
             array.flags.writeable = False
 
 
-def _wiring_checks(params: SpidernetParams, radius: int) -> None:
+def _wiring_checks(params: SpidernetParams) -> None:
     m = params.intra_degree
-    if m == 0:
-        return
     if params.a <= m:
         raise UnrealizableWiringError(
             f"stratum of size {params.a} cannot host {m} distinct circulant "
             f"offsets; need a > b - c - 1")
     # |V_j| = a c^(j-1) is odd for some j >= 1 exactly when a is odd
-    if m % 2 == 1 and radius >= 1 and params.a % 2 == 1:
+    if m % 2 == 1 and params.a % 2 == 1:
         raise UnrealizableWiringError(
             f"odd intra-stratum degree {m} needs even strata, but "
             f"|V_1| = {params.a} is odd (no 1-factor exists)")
@@ -146,12 +148,12 @@ def build_spidernet(params: SpidernetParams, radius: int) -> Spidernet:
         On a float or negative radius, or when the graph would have more than
         ``MAX_HALF_EDGES`` half-edges.
     UnrealizableWiringError
-        When b - c - 1 is odd while some stratum has odd size, or when a
-        stratum is too small to host the circulant offsets.
+        When (a, b, c) has no canonical wiring, at any radius: b - c - 1 is
+        odd while a, and so stratum 1, is odd, or a stratum of size a is too
+        small to host the circulant offsets.
     """
     radius = checked_int("radius", radius, 0)
     a, b, c = params.a, params.b, params.c
-    m = params.intra_degree
 
     # count in Python integers, stratum by stratum, so that an oversized
     # radius fails before any array exists or any size overflows int64
@@ -159,43 +161,11 @@ def build_spidernet(params: SpidernetParams, radius: int) -> Spidernet:
     total = degs[0]
     for j in range(1, radius + 1):
         sizes.append(a * c ** (j - 1))
-        degs.append(b if j < radius else 1 + m)
+        degs.append(b if j < radius else b - c)
         total += sizes[j] * degs[j]
         if total > MAX_HALF_EDGES:
             raise InvalidParamsError(
                 f"radius {radius} needs more than the budget of "
                 f"{MAX_HALF_EDGES} half-edges")
-    _wiring_checks(params, radius)
-
-    sizes = np.array(sizes, dtype=np.int64)
-    degrees = np.repeat(np.array(degs, dtype=np.int64), sizes)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-    adj_ptr = np.concatenate(([0], np.cumsum(degrees)))
-    adj = np.empty(total, dtype=np.int64)
-
-    if radius >= 1:
-        adj[adj_ptr[0]:adj_ptr[1]] = offsets[1] + np.arange(a)
-
-    half = m // 2
-    intra_offs = list(range(1, half + 1))
-    for j in range(1, radius + 1):
-        s = int(sizes[j])
-        ids = np.arange(s)
-        cols = []
-        if j == 1:
-            cols.append(np.zeros((s, 1), dtype=np.int64))
-        else:
-            cols.append((offsets[j - 1] + ids // c)[:, None])
-        if m > 0:
-            offs = np.array(intra_offs + [s - k for k in intra_offs]
-                            + ([s // 2] if m % 2 == 1 else []), dtype=np.int64)
-            intra = np.sort((ids[:, None] + offs[None, :]) % s, axis=1)
-            cols.append(offsets[j] + intra)
-        if j < radius:
-            cols.append(offsets[j + 1] + (c * ids[:, None] + np.arange(c)[None, :]))
-        block = np.concatenate(cols, axis=1)
-        adj[adj_ptr[offsets[j]]:adj_ptr[offsets[j + 1]]] = block.ravel()
-
-    return Spidernet(params, radius, sizes, offsets, degrees, adj_ptr, adj)
-
+    _wiring_checks(params)
+    return Spidernet(params, radius, sizes, degs)

@@ -393,26 +393,24 @@ def embed(g: Spidernet, state: ReducedState) -> np.ndarray:
     if g.radius < L + 1:
         raise RadiusTooSmallError(
             f"embedding a state of length {L} needs radius >= {L + 1}, graph has {g.radius}")
-    a, c = g.params.a, g.params.c
-    m = g.params.intra_degree
+    a, c, m = g.params.a, g.params.c, g.params.intra_degree
     if m == 0 and np.any(np.abs(state.xo) > 1e-15):
         raise InvalidParamsError("state has intra components but the graph is a tree")
 
-    R = g.radius
-    # amplitude tables per (direction, source stratum); direction codes
-    # 0 = backward, 1 = intra, 2 = forward
-    table = np.zeros((3, R + 1))
-    n = np.arange(L + 1)
-    table[2, :L + 1] = state.xp / np.sqrt(a * np.power(float(c), n))
-    if L >= 1:
-        lower = np.power(float(c), n[1:] - 1)      # class sizes / a at strata >= 1
-        if m > 0:
-            table[1, 1:L + 1] = state.xo[1:] / np.sqrt(a * m * lower)
-        table[0, 1:L + 1] = state.xm[1:] / np.sqrt(a * lower)
-
-    src_strata = g.vertex_stratum[g.he_src]
-    direction = g.vertex_stratum[g.he_dst] - src_strata + 1
-    return table[direction, src_strata]
+    # one amplitude per (class, stratum): strata 1..L are (|V_j|, b) blocks of
+    # rows that list the backward, the intra, then the forward cells, and the
+    # class of stratum j holds a c^j forward half-edges, a c^(j-1) backward
+    # ones and m times as many intra ones
+    power = np.power(float(c), np.arange(L + 1))
+    out = np.zeros(g.num_half_edges)
+    rows = out[a:g.half_edge_offsets[L + 1]].reshape(-1, g.params.b)
+    sizes = g.stratum_sizes[1:L + 1]
+    out[:a] = state.xp[0] / np.sqrt(a * power[0])
+    rows[:, 0] = np.repeat(state.xm[1:] / np.sqrt(a * power[:-1]), sizes)
+    if m > 0:
+        rows[:, 1:1 + m] = np.repeat(state.xo[1:] / np.sqrt(a * m * power[:-1]), sizes)[:, None]
+    rows[:, 1 + m:] = np.repeat(state.xp[1:] / np.sqrt(a * power[1:]), sizes)[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 import oracles
 import spiderwalk.reduction as reduction
-from oracles import cutoff_dim, cutoff_index, half_edge_index
+from oracles import csr_graph, cutoff_dim, cutoff_index, half_edge_index
 from spiderwalk import SpidernetParams, build_spidernet, origin_amplitude_series
 
 # reproducible property tests: the same examples on every run, and no
@@ -52,11 +52,12 @@ def cutoff_shift():
 @pytest.fixture(scope="session")
 def sparse_walk():
     """Builds the coin C and the shift S of a graph's walk U = SC as sparse
-    matrices from its adjacency lists, independently of the package's
-    kernels: C is 2/deg - I on each vertex's block of outgoing half-edges
-    (deg counted from the block, so boundary vertices get the truncated
-    coin) and S sends the half-edge (u, v) to (v, u)."""
+    matrices from the adjacency lists of its CSR graph, independently of the
+    package's kernels: C is 2/deg - I on each vertex's block of outgoing
+    half-edges (deg counted from the block, so boundary vertices get the
+    truncated coin) and S sends the half-edge (u, v) to (v, u)."""
     def build(g):
+        g = csr_graph(g)
         n = g.num_half_edges
         rows, cols, vals = [], [], []
         image = np.empty(n, dtype=np.int64)

@@ -33,6 +33,92 @@ class OutOfDomainError(ValueError):
 
 # -- graph ---------------------------------------------------------------------
 
+class CSRGraph:
+    """A truncated spidernet as CSR adjacency and a half-edge index, built
+    by sorting: the reference wiring that the block kernel is checked
+    against.
+
+    ``adj_ptr``/``adj``
+        CSR adjacency; the neighbours of vertex ``u`` are
+        ``adj[adj_ptr[u]:adj_ptr[u+1]]``, sorted ascending.
+    ``he_src``/``he_dst``
+        Endpoint vertices of each half-edge (ordered pair).  Half-edge k is
+        the k-th pair in lexicographic (src, dst) order.
+    ``reversal``
+        Permutation with ``(he_src[reversal[k]], he_dst[reversal[k]]) ==
+        (he_dst[k], he_src[k])``; an involution.
+    """
+
+    def __init__(self, params, radius, sizes, offsets, degrees, adj_ptr, adj):
+        self.params = params
+        self.radius = radius
+        self.stratum_sizes = sizes            # sizes[j] = |V_j|
+        self.stratum_offsets = offsets        # offsets[j] = first vid of V_j
+        self.degrees = degrees
+        self.adj_ptr = adj_ptr
+        self.adj = adj
+        self.num_vertices = int(offsets[-1])
+        self.num_half_edges = int(adj_ptr[-1])
+        self.vertex_stratum = np.repeat(np.arange(radius + 1), sizes)
+        self.he_src = np.repeat(np.arange(self.num_vertices), degrees)
+        self.he_dst = adj
+        # Per-vertex neighbour lists are ascending and strata are laid out
+        # consecutively, so the half-edge order is lexicographic in
+        # (src, dst); sorting by (dst, src) is then exactly the reversal map.
+        self.reversal = np.lexsort((self.he_src, self.he_dst))
+        for array in (sizes, offsets, degrees, adj_ptr, adj, self.vertex_stratum,
+                      self.he_src, self.reversal):
+            array.flags.writeable = False
+
+
+def csr_graph(g):
+    """The CSR graph of the package's graph ``g``: the same spidernet,
+    radius and half-edge order, wired by sorting each stratum's rows."""
+    params, radius = g.params, g.radius
+    a, c = params.a, params.c
+    m = params.intra_degree
+    sizes = np.array(g.stratum_sizes, dtype=np.int64)
+    degrees = np.repeat(np.array(g.stratum_degrees, dtype=np.int64), sizes)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+
+    adj_ptr = np.concatenate(([0], np.cumsum(degrees)))
+    adj = np.empty(int(adj_ptr[-1]), dtype=np.int64)
+
+    if radius >= 1:
+        adj[adj_ptr[0]:adj_ptr[1]] = offsets[1] + np.arange(a)
+
+    half = m // 2
+    intra_offs = list(range(1, half + 1))
+    for j in range(1, radius + 1):
+        s = int(sizes[j])
+        ids = np.arange(s)
+        cols = []
+        if j == 1:
+            cols.append(np.zeros((s, 1), dtype=np.int64))
+        else:
+            cols.append((offsets[j - 1] + ids // c)[:, None])
+        if m > 0:
+            offs = np.array(intra_offs + [s - k for k in intra_offs]
+                            + ([s // 2] if m % 2 == 1 else []), dtype=np.int64)
+            intra = np.sort((ids[:, None] + offs[None, :]) % s, axis=1)
+            cols.append(offsets[j] + intra)
+        if j < radius:
+            cols.append(offsets[j + 1] + (c * ids[:, None] + np.arange(c)[None, :]))
+        block = np.concatenate(cols, axis=1)
+        adj[adj_ptr[offsets[j]]:adj_ptr[offsets[j + 1]]] = block.ravel()
+
+    return CSRGraph(params, radius, sizes, offsets, degrees, adj_ptr, adj)
+
+
+def csr_step(h, state):
+    """One step U = SC of the walk on the CSR graph ``h``: each vertex's
+    half-edges summed by ``np.add.reduceat``, times 2/deg, minus the state,
+    then gathered through ``reversal``.  The block kernel takes the same
+    steps bit for bit."""
+    sums = np.add.reduceat(state, h.adj_ptr[:-1]) * (2.0 / h.degrees)
+    return (sums[h.he_src] - state)[h.reversal]
+
+
 def is_tree(sp):
     """S(a, b, c) is a tree exactly when c = b - 1."""
     return sp.c == sp.b - 1

@@ -529,7 +529,7 @@ def test_full_route_coins_only_the_light_cone(capsys, monkeypatch):
     monkeypatch.setattr(cli, "GraphEvolver", Recorder)
     code, _, _ = run_cli(capsys, "simulate", "4", "6", "3", "--steps", "10", "--full")
     ev = evolvers[-1]
-    ends = ev.g.adj_ptr[ev.g.stratum_offsets[1:]]
+    ends = ev.g.half_edge_offsets[1:]
     assert code == 0 and ev.g.radius == 9 and len(evolvers) == 10
     assert not np.array_equal(ev._coined[ends[6]:ends[7]], ev.before[ends[6]:ends[7]])
     assert np.array_equal(ev._coined[ends[7]:], ev.before[ends[7]:])

@@ -7,6 +7,7 @@ import pytest
 import spiderwalk.graph
 from oracles import (
     BoundaryVertexError,
+    csr_graph,
     half_edge_index,
     half_edge_permutation,
     is_tree,
@@ -48,7 +49,10 @@ def test_params_properties():
 def test_stratum_sizes_463():
     g = build_spidernet(SpidernetParams(4, 6, 3), 3)
     assert [int(s) for s in g.stratum_sizes] == [1, 4, 12, 36]
+    assert [int(d) for d in g.stratum_degrees] == [4, 6, 6, 3]
+    assert [int(e) for e in g.half_edge_offsets] == [0, 4, 28, 100, 208]
     assert g.num_vertices == 53
+    g = csr_graph(g)
     assert g.degrees[0] == 4
     # interior vertices have degree b, boundary ones only backward + intra
     interior = slice(1, int(g.stratum_offsets[3]))
@@ -59,14 +63,13 @@ def test_stratum_sizes_463():
 def test_arrays_are_read_only():
     # the evolvers, embed and the reads trust the wiring they are given
     g = build_spidernet(SpidernetParams(4, 6, 3), 2)
-    for name in ("stratum_sizes", "stratum_offsets", "degrees", "adj_ptr", "adj",
-                 "vertex_stratum", "he_src", "he_dst", "reversal"):
+    for name in ("stratum_sizes", "stratum_offsets", "stratum_degrees", "half_edge_offsets"):
         with pytest.raises(ValueError):
             getattr(g, name)[0] = 1
 
 
 def test_tree_has_no_intra_edges():
-    g = build_spidernet(SpidernetParams(3, 3, 2), 2)
+    g = csr_graph(build_spidernet(SpidernetParams(3, 3, 2), 2))
     strata = g.vertex_stratum
     same = strata[g.he_src] == strata[g.he_dst]
     assert not np.any(same)
@@ -74,14 +77,14 @@ def test_tree_has_no_intra_edges():
 
 def test_v2_intra_degree_audit():
     # brute-force check on the built adjacency, not on the formula
-    g = build_spidernet(SpidernetParams(4, 6, 3), 3)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 6, 3), 3))
     for u in stratum_vertices(g, 2):
         nbr_strata = g.vertex_stratum[neighbors(g, u)]
         assert int(np.sum(nbr_strata == 2)) == 2
 
 
 def test_omega():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 3)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 6, 3), 3))
     assert omega(g, 0, "+") == 4
     u = vertex_id(g, 2, 5)
     assert omega(g, u, "+") == 3
@@ -96,7 +99,7 @@ def test_omega():
 def test_handshake():
     for sp, r in [(SpidernetParams(4, 6, 3), 3), (SpidernetParams(2, 3, 1), 4),
                   (SpidernetParams(1, 2, 1), 5)]:
-        g = build_spidernet(sp, r)
+        g = csr_graph(build_spidernet(sp, r))
         assert int(g.degrees.sum()) == g.num_half_edges
         assert g.num_half_edges % 2 == 0
 
@@ -108,7 +111,7 @@ def test_stratum_growth():
 
 
 def test_bfs_depth_equals_stratum():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 4)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 6, 3), 4))
     depth = np.full(g.num_vertices, -1)
     depth[0] = 0
     queue = deque([0])
@@ -123,7 +126,7 @@ def test_bfs_depth_equals_stratum():
 
 
 def test_adjacency_is_symmetric_and_simple():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 3)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 6, 3), 3))
     pairs = set(zip(g.he_src.tolist(), g.he_dst.tolist()))
     assert len(pairs) == g.num_half_edges  # no parallel edges
     assert all((v, u) in pairs for u, v in pairs)
@@ -134,7 +137,7 @@ def test_adjacency_is_symmetric_and_simple():
 
 
 def test_reversal_involution():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 3)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 6, 3), 3))
     rev = g.reversal
     assert np.array_equal(rev[rev], np.arange(g.num_half_edges))
     assert np.array_equal(g.he_src[rev], g.he_dst)
@@ -142,7 +145,7 @@ def test_reversal_involution():
 
 
 def test_rotation_is_automorphism():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 3)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 6, 3), 3))
     perm = rotation_permutation(g)
     assert perm[0] == 0
     # half_edge_permutation raises unless the map preserves adjacency
@@ -156,7 +159,7 @@ def test_rotation_is_automorphism():
 
 
 def test_non_automorphism_rejected():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 2)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 6, 3), 2))
     bad = np.arange(g.num_vertices)
     bad[0], bad[1] = 1, 0  # swapping the root with a leafward vertex
     with pytest.raises(InvalidParamsError):
@@ -164,19 +167,22 @@ def test_non_automorphism_rejected():
 
 
 def test_unrealizable_wirings():
-    # odd intra degree with an odd stratum: no perfect matching exists
-    with pytest.raises(UnrealizableWiringError):
-        build_spidernet(SpidernetParams(3, 4, 2), 3)
-    # stratum too small for the circulant offsets
-    with pytest.raises(UnrealizableWiringError):
-        build_spidernet(SpidernetParams(2, 4, 1), 3)
+    # (a, b, c) alone decides, so the root alone is refused as well
+    for radius in (0, 1, 3):
+        # odd intra degree with an odd stratum: no perfect matching exists
+        with pytest.raises(UnrealizableWiringError):
+            build_spidernet(SpidernetParams(3, 4, 2), radius)
+        # stratum too small for the circulant offsets
+        for abc in ((2, 4, 1), (3, 6, 1)):
+            with pytest.raises(UnrealizableWiringError):
+                build_spidernet(SpidernetParams(*abc), radius)
     # the even-strata variant wires fine
-    g = build_spidernet(SpidernetParams(4, 4, 2), 3)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 4, 2), 3))
     assert omega(g, vertex_id(g, 1, 0), "o") == 1
 
 
 def test_vertex_addressing_roundtrip():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 3)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 6, 3), 3))
     for j in range(4):
         for i in (0, int(g.stratum_sizes[j]) - 1):
             vid = vertex_id(g, j, i)
@@ -188,7 +194,7 @@ def test_vertex_addressing_roundtrip():
 
 
 def test_half_edge_index():
-    g = build_spidernet(SpidernetParams(4, 6, 3), 2)
+    g = csr_graph(build_spidernet(SpidernetParams(4, 6, 3), 2))
     k = half_edge_index(g, 0, 1)
     assert g.he_src[k] == 0 and g.he_dst[k] == 1
     with pytest.raises(InvalidParamsError):

@@ -1,10 +1,16 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import spiderwalk.walk
 from oracles import (
+    csr_graph,
+    csr_step,
     half_edge_index,
     half_edge_permutation,
     neighbors,
@@ -17,6 +23,7 @@ from spiderwalk import (
     InvalidParamsError,
     RadiusTooSmallError,
     SpidernetParams,
+    UnrealizableWiringError,
     build_spidernet,
     cesaro_strata,
     evolve,
@@ -35,7 +42,8 @@ def _random_state(g, rng):
 def _strata(g, state):
     """Per-stratum probabilities of a state, correctly rounded sums over
     the half-edges leaving each stratum."""
-    src_strata = g.vertex_stratum[g.he_src]
+    h = csr_graph(g)
+    src_strata = h.vertex_stratum[h.he_src]
     weights = np.abs(state) ** 2
     return np.array([math.fsum(weights[src_strata == j]) for j in range(g.radius + 1)])
 
@@ -44,7 +52,8 @@ def _assert_strata(g, dist, state):
     """dist holds the per-stratum probabilities of state, up to the error
     bound of a float64 sum of each stratum's n terms, n * eps * sum."""
     exact = _strata(g, state)
-    terms = np.bincount(g.vertex_stratum[g.he_src], minlength=g.radius + 1)
+    h = csr_graph(g)
+    terms = np.bincount(h.vertex_stratum[h.he_src], minlength=g.radius + 1)
     assert dist.shape == exact.shape
     assert np.all(np.abs(dist - exact) <= terms * np.finfo(np.float64).eps * exact)
 
@@ -76,10 +85,11 @@ def test_coin_swaps_degree_two_block():
     # on a path, the coin 2/2 - I at a degree-2 vertex is the swap matrix:
     # (1, 0) is coined onto (1, 2), which the shift moves to (2, 1)
     g = build_spidernet(SpidernetParams(1, 2, 1), 3)
+    h = csr_graph(g)
     s = np.zeros(g.num_half_edges)
-    s[half_edge_index(g, 1, 0)] = 1.0
+    s[half_edge_index(h, 1, 0)] = 1.0
     out = evolve(g, s, 1)
-    assert out[half_edge_index(g, 2, 1)] == 1.0
+    assert out[half_edge_index(h, 2, 1)] == 1.0
     assert np.count_nonzero(out) == 1
 
 
@@ -96,16 +106,17 @@ def test_involutions(sparse_walk):
 
 def test_shift_moves_basis_states(sparse_walk):
     g = build_spidernet(SpidernetParams(4, 6, 3), 2)
+    h = csr_graph(g)
     coin, shift = sparse_walk(g)
     s = np.zeros(g.num_half_edges)
-    s[half_edge_index(g, 0, 2)] = 1.0
+    s[half_edge_index(h, 0, 2)] = 1.0
     out = evolve(g, s, 1)
     # the root's coin spreads (0, 2) as 2/4 - delta over its block, and the
     # shift moves the amplitude of each (0, v) onto (v, 0)
     want = np.zeros(g.num_half_edges)
-    for v in neighbors(g, 0):
-        want[half_edge_index(g, v, 0)] = 0.5
-    want[half_edge_index(g, 2, 0)] = -0.5
+    for v in neighbors(h, 0):
+        want[half_edge_index(h, v, 0)] = 0.5
+    want[half_edge_index(h, 2, 0)] = -0.5
     assert np.array_equal(out, want)
     assert np.array_equal(shift @ (coin @ s), want)
 
@@ -124,7 +135,7 @@ def test_step_from_root():
     s1 = evolve(g, s0, 1)
     # only half-edges pointing back at the root carry amplitude
     support = np.nonzero(np.abs(s1) > 1e-15)[0]
-    assert np.all(g.he_dst[support] == 0)
+    assert np.all(csr_graph(g).he_dst[support] == 0)
     assert abs(np.vdot(s0, s1)) < 1e-15
 
 
@@ -133,7 +144,8 @@ def test_support_growth(sparse_walk):
     # strata <= n and reaches stratum n, so radius n is the least exact one
     g = build_spidernet(SpidernetParams(4, 6, 3), 6)
     coin, shift = sparse_walk(g)
-    src_strata = g.vertex_stratum[g.he_src]
+    h = csr_graph(g)
+    src_strata = h.vertex_stratum[h.he_src]
     s = isotropic_initial_state(g)
     for n in range(1, 7):
         s = shift @ (coin @ s)
@@ -150,7 +162,7 @@ def test_reality():
 
 def test_rotation_equivariance():
     g = build_spidernet(SpidernetParams(4, 6, 3), 4)
-    hperm = half_edge_permutation(g, rotation_permutation(g))
+    hperm = half_edge_permutation(csr_graph(g), rotation_permutation(g))
     rng = np.random.default_rng(5)
     s = _random_state(g, rng)
     assert np.max(np.abs(evolve(g, s, 1)[hperm] - evolve(g, s[hperm], 1))) < 1e-13
@@ -255,7 +267,7 @@ def test_nonfinite_states_are_refused(call):
 
 def _he_end(g, stratum):
     """Number of half-edges leaving strata <= stratum."""
-    return g.adj_ptr[g.stratum_offsets[stratum + 1]]
+    return g.half_edge_offsets[stratum + 1]
 
 
 @pytest.mark.parametrize("abc, radius", [
@@ -290,7 +302,7 @@ def test_evolver_arbitrary_states(sparse_walk):
     coin, shift = sparse_walk(g)
     rng = np.random.default_rng(17)
     basis = np.zeros(g.num_half_edges)
-    basis[half_edge_index(g, vertex_id(g, 2, 5), vertex_id(g, 3, 15))] = 1.0
+    basis[half_edge_index(csr_graph(g), vertex_id(g, 2, 5), vertex_id(g, 3, 15))] = 1.0
     for state, top in ((_random_state(g, rng), 4), (basis, 2)):
         ev = GraphEvolver(g, state, 3)
         assert ev.top == top
@@ -371,6 +383,104 @@ def test_light_cone_radius_is_exact_and_least(abc, steps):
         if 1 < radius < steps:
             assert not np.array_equal(_stratum_table(sp, radius - 1, steps)[read],
                                       exact[read])
+
+
+def _assert_block_steps_are_csr_steps(g, state, steps):
+    """The block kernel takes ``state`` through ``steps`` steps as the CSR
+    graph's reduceat coin and reversal gather do, bits and sign bits."""
+    h = csr_graph(g)
+    ev = GraphEvolver(g, state, steps)
+    for _ in range(steps):
+        ev.step()
+        state = csr_step(h, state)
+        assert np.array_equal(ev.state(), state)
+        assert np.array_equal(np.signbit(ev.state()), np.signbit(state))
+
+
+@pytest.mark.parametrize("abc, steps", [
+    ((4, 6, 3), 1),     # the wirings of test_light_cone_radius_is_exact_and_least
+    ((4, 6, 3), 8),
+    ((4, 6, 3), 9),
+    ((4, 6, 4), 6),
+    ((4, 6, 4), 7),
+    ((3, 4, 3), 9),
+    ((3, 4, 3), 10),
+    ((3, 4, 1), 12),
+    ((3, 4, 1), 13),
+])
+def test_block_step_is_the_csr_step(abc, steps):
+    # from a random state on every stratum, and from one on strata <= 1
+    # whose prefix grows step by step
+    g = build_spidernet(SpidernetParams(*abc), steps)
+    state = _random_state(g, np.random.default_rng(steps))
+    _assert_block_steps_are_csr_steps(g, state, steps)
+    state[_he_end(g, 1):] = 0.0
+    _assert_block_steps_are_csr_steps(g, state, steps)
+
+
+def test_intra_reverses_are_the_reversal():
+    # the closed form of the reverse of each intra half-edge is the sorted
+    # CSR reversal, on every realizable a <= 12, b <= 13, radius <= 4
+    graphs = 0
+    for a in range(1, 13):
+        for b in range(2, 14):
+            for c in range(1, b - 1):
+                for radius in range(1, 5):
+                    try:
+                        g = build_spidernet(SpidernetParams(a, b, c), radius)
+                    except UnrealizableWiringError:
+                        break
+                    if g.num_half_edges > 200_000:
+                        break
+                    h = csr_graph(g)
+                    cells = h.adj_ptr[1:-1, None] + 1 + np.arange(g.params.intra_degree)
+                    assert np.array_equal(spiderwalk.walk._intra_reverses(g), h.reversal[cells])
+                    graphs += 1
+    assert graphs == 1524
+
+
+# wide_graphs draws no graph of more half-edges than this
+MAX_WIDE_HALF_EDGES = 2_000_000
+
+
+@st.composite
+def wide_graphs(draw):
+    """Realizable S(a, b, c) at radius 2 or 3 with m = b - c - 1 log-uniform
+    up to 1023, odd m among them (whose a is even) and even strata for even
+    m, c <= 3 so that c = 1 paths of strata are among them, within
+    MAX_WIDE_HALF_EDGES."""
+    e = draw(st.integers(0, 9))
+    m = draw(st.integers(1 << e, (2 << e) - 1))
+    a = m + 1 + draw(st.integers(0, 2)) * (1 + m % 2)
+    c, radius = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    sp = SpidernetParams(a, m + 1 + c, c)
+    assume(build_spidernet(sp, radius).num_half_edges <= MAX_WIDE_HALF_EDGES)
+    return sp, radius
+
+
+@settings(max_examples=30)
+@given(wide_graphs())
+@example((SpidernetParams(2000, 2001, 1), 2))     # odd m = 1999, 8 M half-edges
+@example((SpidernetParams(1000, 1001, 1), 2))     # odd m = 999, the digest's width
+@example((SpidernetParams(402, 402, 1), 2))       # even m = 400, even strata
+def test_wide_block_steps_are_csr_steps(graph):
+    sp, radius = graph
+    g = build_spidernet(sp, radius)
+    _assert_block_steps_are_csr_steps(g, _random_state(g, np.random.default_rng(sp.b)), 2)
+
+
+def test_radius_zero_reads_the_root():
+    # the root alone has no half-edge: each read gives its row, and the
+    # evolver steps nothing and divides by no degree
+    g = build_spidernet(SpidernetParams(4, 6, 3), 0)
+    assert np.array_equal(evolve(g, [], 0), [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(vertex_distribution(g, []), [0.0])
+        ev = GraphEvolver(g, [], 2)
+        assert np.array_equal(ev.stratum_distribution(), [0.0])
+        ev.step()
+        assert np.array_equal(ev.stratum_distribution(), [0.0])
 
 
 @pytest.mark.parametrize("abc, steps", [

@@ -54,6 +54,13 @@ FIXED = [
     # where the light cone of the printed strata cuts the most steps and reads
     ["simulate", "4", "4", "2", "--steps", "24", "--full"],
     ["simulate", "4", "6", "3", "--steps", "16", "--strata", "2", "--full"],
+    # shapes of the block kernel's views and intra wrap rows: a c = 1 path, a
+    # thin graph with intra edges, wide strata with odd and even m, and m = 3
+    ["simulate", "1", "2", "1", "--steps", "400", "--full"],
+    ["simulate", "6", "6", "1", "--steps", "60", "--full"],
+    ["simulate", "1000", "1001", "1", "--steps", "3", "--full"],
+    ["simulate", "401", "402", "1", "--steps", "4", "--full"],
+    ["simulate", "8", "9", "5", "--steps", "7", "--full", "--strata", "7"],
     ["spectrum", "4", "6", "3", "--cutoff", "4000"],
     ["spectrum", "--pqr", "0.75", "0.25", "0", "--cutoff", "50"],
     ["spectrum", "1", "1000000000", "999968377", "--cutoff", "300"],
